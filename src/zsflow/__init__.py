@@ -30,6 +30,7 @@ from .graphs import (
     cycle,
     double_edges,
     doubled_partner,
+    euler_orientation,
     parse_edge_list,
     parse_graph6,
     petersen,
@@ -41,7 +42,6 @@ from .graphs import (
 from .factorization import (
     RegularComponent,
     RegularComponentFactor,
-    euler_orientation,
     regular_component_factor,
     two_factorization,
 )

@@ -1,7 +1,7 @@
 """Structural factorization of regular multigraphs.
 
-Three layers: balanced (Euler) orientations, 2-factorization of even-regular
-multigraphs through a bipartite out/in split, and extraction of spanning
+Two layers: 2-factorization of even-regular multigraphs through a balanced
+orientation and its bipartite out/in split, and extraction of spanning
 [k-1, k]-factors whose connected components are all regular.
 """
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import FactorSearchError, NotRegularError
-from .graphs import Factor, MultiGraph, components, regular_degree, subgraph_from_edges
+from .graphs import Factor, MultiGraph, euler_orientation, regular_degree, subgraph_from_edges
 from .matching import (
     bipartite_perfect_matching,
     decompose_regular_bipartite,
@@ -22,36 +22,6 @@ from .matching import (
 
 _PARTITION_VERTEX_LIMIT = 18
 _PARTITION_FACTOR_BUDGET = 4000
-
-
-def euler_orientation(g: MultiGraph) -> list[tuple[int, int]]:
-    """Orient every edge so in-degree equals out-degree at each vertex.
-
-    Returns ``directed[e] = (tail, head)`` per edge id.  Each connected
-    component is traversed as one closed trail (Hierholzer), starting at the
-    component's smallest vertex and consuming edges in ascending id order.
-    """
-    for v in range(g.n):
-        if g.degree(v) % 2:
-            raise ValueError(f"vertex {v} has odd degree {g.degree(v)}, cannot balance")
-    directed = [(0, 0)] * g.m  # (tail, head), filled once per edge by the traversal
-    used = [False] * g.m
-    ptr = [0] * g.n
-    for start in range(g.n):
-        stack = [start]
-        while stack:
-            v = stack[-1]
-            inc = g.incident(v)
-            while ptr[v] < len(inc) and used[inc[ptr[v]][0]]:
-                ptr[v] += 1
-            if ptr[v] == len(inc):
-                stack.pop()
-                continue
-            e, w = inc[ptr[v]]
-            used[e] = True
-            directed[e] = (v, w)
-            stack.append(w)
-    return directed
 
 
 def two_factorization(g: MultiGraph) -> list[Factor]:

@@ -1,4 +1,4 @@
-"""Multigraph data model, generators, and serialization.
+"""Multigraph data model, balanced orientation, generators, and serialization.
 
 Vertices are dense integers 0..n-1 and edge ids are dense integers 0..m-1
 assigned in construction order.  Parallel edges are allowed everywhere,
@@ -142,6 +142,36 @@ def components(g: MultiGraph) -> list[list[int]]:
         comp.sort()
         out.append(comp)
     return out
+
+
+def euler_orientation(g: MultiGraph) -> list[tuple[int, int]]:
+    """Orient every edge so in-degree equals out-degree at each vertex.
+
+    Returns ``directed[e] = (tail, head)`` per edge id.  Each connected
+    component is traversed as one closed trail (Hierholzer), starting at the
+    component's smallest vertex and consuming edges in ascending id order.
+    """
+    for v in range(g.n):
+        if g.degree(v) % 2:
+            raise ValueError(f"vertex {v} has odd degree {g.degree(v)}, cannot balance")
+    directed = [(0, 0)] * g.m  # (tail, head), filled once per edge by the traversal
+    used = [False] * g.m
+    ptr = [0] * g.n
+    for start in range(g.n):
+        stack = [start]
+        while stack:
+            v = stack[-1]
+            inc = g.incident(v)
+            while ptr[v] < len(inc) and used[inc[ptr[v]][0]]:
+                ptr[v] += 1
+            if ptr[v] == len(inc):
+                stack.pop()
+                continue
+            e, w = inc[ptr[v]]
+            used[e] = True
+            directed[e] = (v, w)
+            stack.append(w)
+    return directed
 
 
 def double_edges(g: MultiGraph) -> MultiGraph:

@@ -1,9 +1,10 @@
 """Maximum matching and degree-constrained factor extraction.
 
-General graphs use the blossom (odd-cycle contraction) method; bipartite
-perfect matchings use augmenting paths.  Exact-degree and width-1 degree
-ranges reduce to perfect matching in an auxiliary gadget graph, so a single
-matching engine backs every factor query.
+One matching engine, the blossom (odd-cycle contraction) method, backs every
+query.  Regular bipartite multigraphs split into perfect matchings by Euler
+splitting, which needs one matching only at odd degrees.  Exact-degree and
+width-1 degree ranges reduce to perfect matching in an auxiliary gadget
+graph.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 
 from .errors import NotRegularError
-from .graphs import Factor, MultiGraph
+from .graphs import Factor, MultiGraph, euler_orientation
 
 
 def max_matching(g: MultiGraph) -> frozenset[int]:
@@ -134,41 +135,21 @@ def _flip_augmenting_path(match, parent, to):
 # bipartite matching
 
 
-def bipartite_perfect_matching(
-    g: MultiGraph, left: Iterable[int], active: Sequence[bool] | None = None
-) -> frozenset[int] | None:
-    """Perfect matching of a bipartite multigraph by augmenting paths.
+def bipartite_perfect_matching(g: MultiGraph, left: Iterable[int]) -> frozenset[int] | None:
+    """Perfect matching of a bipartite multigraph, or None when none exists.
 
-    ``left`` is one side of the bipartition; ``active`` optionally restricts
-    the usable edge ids.  Returns None when no perfect matching exists.
+    ``left`` is one side of the bipartition; an edge that does not cross it
+    is rejected.  The blossom engine never contracts on bipartite input, and
+    parallel edges collapse to their lowest id as in ``max_matching``.
     """
-    left_list = sorted(set(left))
-    left_mask = [False] * g.n
-    for u in left_list:
-        left_mask[u] = True
+    left_set = set(left)
     for e, (u, v) in enumerate(g.edges):
-        if active is not None and not active[e]:
-            continue
-        if left_mask[u] == left_mask[v]:
+        if (u in left_set) == (v in left_set):
             raise ValueError(f"edge {e} = ({u}, {v}) does not cross the given bipartition")
-    if 2 * len(left_list) != g.n:
+    if 2 * len(left_set) != g.n:
         return None
-    right_match = [-1] * g.n  # right vertex -> matched edge id
-
-    def augment(u: int, visited: list[bool]) -> bool:
-        for e, w in g.incident(u):
-            if (active is None or active[e]) and not visited[w]:
-                visited[w] = True
-                held = right_match[w]
-                if held == -1 or augment(g.other(held, w), visited):
-                    right_match[w] = e
-                    return True
-        return False
-
-    for u in left_list:
-        if not augment(u, [False] * g.n):
-            return None
-    return frozenset(e for e in right_match if e != -1)
+    pm = max_matching(g)
+    return pm if 2 * len(pm) == g.n else None
 
 
 def decompose_regular_bipartite(
@@ -176,8 +157,10 @@ def decompose_regular_bipartite(
 ) -> list[frozenset[int]]:
     """Split a k-regular bipartite multigraph into k perfect matchings.
 
-    Peels one perfect matching at a time; the remainder stays regular
-    bipartite so each peel is guaranteed to succeed.  Rejects non-bipartite
+    Euler splitting (Alon 2003): an even-degree edge set is halved by one
+    balanced orientation, left-to-right edges forming one (d/2)-regular half
+    and right-to-left edges the other; an odd degree first removes one
+    perfect matching.  Recursion depth is O(log k).  Rejects non-bipartite
     or irregular input with a witness.
     """
     left_set = set(left)
@@ -194,16 +177,28 @@ def decompose_regular_bipartite(
             raise NotRegularError(f"vertex {v} has degree {degs[v]}, expected {r}")
     if k is not None and k != r:
         raise NotRegularError(f"graph is {r}-regular, not {k}-regular")
-    k = r
-    active = [True] * g.m
     out: list[frozenset[int]] = []
-    for _ in range(k):
-        pm = bipartite_perfect_matching(g, left_set, active)
-        if pm is None:  # unreachable on valid input: regular bipartite satisfies Hall
-            raise RuntimeError("internal: regular bipartite graph lost its perfect matching")
-        for e in pm:
-            active[e] = False
-        out.append(pm)
+
+    def split(ids: list[int], d: int) -> None:
+        # ids is a d-regular spanning edge set; append d matchings partitioning it
+        if d == 1:
+            out.append(frozenset(ids))
+            return
+        if d % 2:
+            pm = bipartite_perfect_matching(MultiGraph(g.n, [g.edges[e] for e in ids]), left_set)
+            if pm is None:  # unreachable on valid input: regular bipartite satisfies Hall
+                raise RuntimeError("internal: regular bipartite graph lost its perfect matching")
+            out.append(frozenset(ids[i] for i in pm))
+            ids = [e for i, e in enumerate(ids) if i not in pm]
+            d -= 1
+        directed = euler_orientation(MultiGraph(g.n, [g.edges[e] for e in ids]))
+        forward = [e for e, (tail, _) in zip(ids, directed) if left_mask[tail]]
+        backward = [e for e, (tail, _) in zip(ids, directed) if not left_mask[tail]]
+        split(forward, d // 2)
+        split(backward, d // 2)
+
+    if r:
+        split(list(range(g.m)), r)
     return out
 
 

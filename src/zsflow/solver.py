@@ -68,8 +68,6 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     n, m = g.n, g.m
     if m == 0:
         return SearchOutcome("found", IntFlow(g, (), k), 0, budget)
-    if m + 100 > sys.getrecursionlimit():
-        sys.setrecursionlimit(m + 500)
 
     inc = [g.incident(v) for v in range(n)]
     edges = g.edges
@@ -141,7 +139,13 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                 return res
         return _EXHAUSTED
 
-    res = dfs(0)
+    limit = sys.getrecursionlimit()
+    if m + 100 > limit:  # dfs recurses once per edge; the caller's limit is restored below
+        sys.setrecursionlimit(m + 500)
+    try:
+        res = dfs(0)
+    finally:
+        sys.setrecursionlimit(limit)
     if res == _FOUND:
         flow = IntFlow(g, tuple(found), k)
         report = verify_flow(g, flow)

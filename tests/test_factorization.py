@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from zsflow.errors import NotRegularError
@@ -11,6 +13,7 @@ from zsflow.factorization import (
     regular_component_factor,
     two_factorization,
 )
+from zsflow.flows import construct, verify_flow
 from zsflow.graphs import (
     MultiGraph,
     build,
@@ -143,6 +146,17 @@ class TestTwoFactorization:
             factors = two_factorization(g)
             assert len(factors) == r // 2
             check_two_factorization(g, factors)
+
+    def test_large_graphs_under_default_recursion_limit(self):
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            g = random_regular(5000, 4, seed=1)
+            check_two_factorization(g, two_factorization(g))
+            g = random_regular(3000, 6, seed=1)
+            assert verify_flow(g, construct(g)).ok
+        finally:
+            sys.setrecursionlimit(before)
 
     def test_deterministic(self):
         g = random_regular(14, 4, seed=9)

@@ -95,9 +95,10 @@ class TestBipartiteDecomposition:
         assert [len(pm) for pm in ms] == [1] * k
         assert set().union(*ms) == set(range(k))
 
-    def test_random_union_of_permutations(self):
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_random_union_of_permutations(self, k):
         rng = random.Random(5)
-        s, k = 6, 4
+        s = 6
         perms = [rng.sample(range(s), s) for _ in range(k)]
         pairs = [(u, s + p[u]) for p in perms for u in range(s)]
         g = build(2 * s, pairs)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -84,6 +85,15 @@ class TestSolve:
         a = solve(g, 4)
         b = solve(g, 4)
         assert (a.status, a.nodes) == (b.status, b.nodes)
+
+    def test_recursion_limit_restored(self):
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert solve(cycle(2000), 3).status == "found"  # needs depth past 1000
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(before)
 
     def test_no_matching_cubic_graph(self):
         g = cubic_no_pm()
