@@ -11,11 +11,17 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import FactorSearchError, NotRegularError
-from .graphs import Factor, MultiGraph, euler_orientation, regular_degree, subgraph_from_edges
+from .graphs import (
+    Factor,
+    MultiGraph,
+    double_cover,
+    euler_orientation,
+    regular_degree,
+    subgraph_from_edges,
+)
 from .matching import (
     bipartite_perfect_matching,
     decompose_regular_bipartite,
-    degree_range_factor,
     find_exact_factor,
     max_matching,
 )
@@ -133,12 +139,7 @@ def _edge_and_cycle_cover(g: MultiGraph) -> frozenset[int]:
     copies isolate as 1-regular pairs, the rest close into disjoint cycles.
     Always exists when the graph is regular.
     """
-    pairs = []
-    for u, v in g.edges:
-        pairs.append((u, g.n + v))
-        pairs.append((v, g.n + u))
-    cover = MultiGraph(2 * g.n, pairs)
-    pm = bipartite_perfect_matching(cover, left=range(g.n))
+    pm = bipartite_perfect_matching(double_cover(g), left=range(g.n))
     if pm is None:  # regular double cover always has one
         raise RuntimeError("internal: regular bipartite double cover has no perfect matching")
     return frozenset(b // 2 for b in pm)
@@ -193,11 +194,20 @@ def _partition_search(g: MultiGraph, k: int, factor_budget: int) -> frozenset[in
 def regular_component_factor(g: MultiGraph, k: int) -> RegularComponentFactor:
     """Spanning [k-1, k]-factor of an odd-regular graph with regular components.
 
-    Requires r odd, r >= 3, and 1 <= k <= 2r/3; such a factor always exists.
-    Staged search: maximum matching (k=1), the double-cover edge-and-cycle
-    cover (k=2), an exact k- or (k-1)-factor, a plain [k-1, k]-factor that
-    happens to split regularly, then an exact bounded search over vertex
-    splits.  Exhaustion raises FactorSearchError ("not found"), which marks a
+    Requires r odd, r >= 3, and 1 <= k <= 2r/3; such a factor always exists
+    (Kano 1986).  The stages, in order, each with the reason it succeeds:
+
+    - k = 1: a maximum matching; its matched edges and unmatched vertices
+      are 1- and 0-regular components.
+    - k = 2: the double-cover edge-and-cycle cover, which a regular graph
+      always has.
+    - an exact k-factor, then an exact (k-1)-factor.  Both exist whenever G
+      has a perfect matching M: M (when k is odd) plus floor(k/2) of the
+      2-factors of the even-regular G - M.
+    - for n <= 18, the exhaustive search over vertex splits, complete
+      within its budget of gadget-matching calls.
+
+    Anything else raises FactorSearchError ("not found"), which marks a
     search limitation, never nonexistence.
     """
     r = regular_degree(g)
@@ -222,15 +232,6 @@ def regular_component_factor(g: MultiGraph, k: int) -> RegularComponentFactor:
         found = find_exact_factor(g, [target] * g.n)
         if found is not None:
             return finish(found)
-    seed = degree_range_factor(g, k - 1, k)
-    if seed is None:
-        raise FactorSearchError(
-            f"no [{k - 1}, {k}]-factor at all in a {r}-regular graph; "
-            "input escapes the guaranteed regime"
-        )
-    comps = _component_analysis(g, seed.edge_ids, k)
-    if comps is not None:
-        return RegularComponentFactor(g, seed.edge_ids, k, comps)
     if g.n <= _PARTITION_VERTEX_LIMIT:
         split = _partition_search(g, k, _PARTITION_FACTOR_BUDGET)
         if split is not None:

@@ -19,14 +19,8 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .factorization import regular_component_factor, two_factorization
-from .graphs import (
-    MultiGraph,
-    components,
-    double_edges,
-    doubled_partner,
-    regular_degree,
-    subgraph_from_edges,
-)
+from .graphs import MultiGraph, components, double_cover, regular_degree, subgraph_from_edges
+from .matching import decompose_regular_bipartite
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +118,10 @@ def constant_sum_weighting(g: MultiGraph, q: int) -> tuple[int, ...]:
 
     Exists for every r-regular graph and every even q with 2r <= q <= 4r.
     Even r: weight the r/2 two-factors with 4s, at most one 3, then 2s.
-    Odd r: double every edge, weight the 2r-regular double's r two-factors
-    with 2s then 1s, and add each edge's weight to its copy's.
+    Odd r: weight the r perfect matchings of the bipartite double cover
+    with 2s then 1s; an edge's weight is the sum over its two arcs, and
+    every vertex is the tail of one arc and the head of one arc in each
+    matching.
     """
     r = regular_degree(g)
     if r is None or r < 1:
@@ -148,15 +144,12 @@ def constant_sum_weighting(g: MultiGraph, q: int) -> tuple[int, ...]:
             for e in factor.edge_ids:
                 out[e] = w
     else:
-        doubled = double_edges(g)
         twos = (q - 2 * r) // 2
-        half = [0] * doubled.m
-        for i, factor in enumerate(two_factorization(doubled)):
+        matchings = decompose_regular_bipartite(double_cover(g), left=range(g.n))
+        for i, pm in enumerate(matchings):
             w = 2 if i < twos else 1
-            for e in factor.edge_ids:
-                half[e] = w
-        for e in range(g.m):
-            out[e] = half[e] + half[doubled_partner(e, g.m)]
+            for arc in pm:
+                out[arc // 2] += w
     return tuple(out)
 
 

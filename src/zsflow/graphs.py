@@ -194,6 +194,16 @@ def doubled_partner(e: int, m: int) -> int:
     return e + m if e < m else e - m
 
 
+def double_cover(g: MultiGraph) -> MultiGraph:
+    """Bipartite double cover: vertex v splits into v and g.n + v.
+
+    Edge e = (u, v) becomes the arcs 2e = (u, g.n + v) and 2e + 1 =
+    (v, g.n + u), so an r-regular graph gives an r-regular bipartite one
+    with sides 0..n-1 and n..2n-1.
+    """
+    return MultiGraph(2 * g.n, [a for u, v in g.edges for a in ((u, g.n + v), (v, g.n + u))])
+
+
 def subgraph_from_edges(
     g: MultiGraph, edge_ids: Iterable[int], vertices: Iterable[int] | None = None
 ) -> tuple[MultiGraph, list[int], list[int]]:

@@ -185,8 +185,8 @@ def decompose_regular_bipartite(
             out.append(frozenset(ids))
             return
         if d % 2:
-            pm = bipartite_perfect_matching(MultiGraph(g.n, [g.edges[e] for e in ids]), left_set)
-            if pm is None:  # unreachable on valid input: regular bipartite satisfies Hall
+            pm = max_matching(MultiGraph(g.n, [g.edges[e] for e in ids]))
+            if 2 * len(pm) != g.n:  # unreachable on valid input: regular bipartite satisfies Hall
                 raise RuntimeError("internal: regular bipartite graph lost its perfect matching")
             out.append(frozenset(ids[i] for i in pm))
             ids = [e for i, e in enumerate(ids) if i not in pm]

@@ -189,12 +189,5 @@ def cross_check(g: MultiGraph, flow: IntFlow, budget: int = DEFAULT_BUDGET) -> C
         raise ValueError(f"constructed flow fails verification: {report.violation}")
     claimed = flow.k
     at_claimed = solve(g, claimed, budget)
-    smaller = None
-    for k in range(2, claimed):
-        outcome = solve(g, k, budget)
-        if outcome.status == "found":
-            smaller = k
-            break
-        if outcome.status == "undecided":
-            break
+    smaller = flow_number(g, claimed - 1, budget).k if claimed > 2 else None
     return CrossCheckReport(claimed, at_claimed.status, at_claimed.status != "nonexistent", smaller)

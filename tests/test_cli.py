@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from zsflow import cli
 from zsflow.cli import main
+from zsflow.errors import FactorSearchError
 from zsflow.flows import parse_flow, verify_flow
 from zsflow.graphs import complete, cubic_no_pm, cycle, parse_edge_list, write_edge_list
 
@@ -52,6 +54,15 @@ class TestConstruct:
     def test_undecided_budget(self, tmp_path, capsys):
         path = write_graph(tmp_path, cubic_no_pm())
         assert main(["construct", path, "--budget", "2"]) == 4
+
+    def test_factor_search_error_exit_5(self, tmp_path, capsys, monkeypatch):
+        def give_up(g, budget=None):
+            raise FactorSearchError("regular-component factor not found")
+
+        monkeypatch.setattr(cli, "construct", give_up)
+        path = write_graph(tmp_path, complete(8))
+        assert main(["construct", path]) == 5
+        assert "not found" in capsys.readouterr().err
 
 
 class TestVerify:

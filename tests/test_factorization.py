@@ -26,6 +26,7 @@ from zsflow.graphs import (
     random_regular,
     regular_degree,
 )
+from zsflow.matching import has_perfect_matching
 
 
 def check_balance(g: MultiGraph, directed):
@@ -201,6 +202,24 @@ class TestRegularComponentFactor:
             g = random_regular(n, r, seed)
             rcf = regular_component_factor(g, k)
             check_regular_component_factor(rcf, k)
+            if has_perfect_matching(g):
+                # the perfect matching guarantees an exact k-factor
+                assert {c.degree for c in rcf.components} == {k}
+
+    def test_multigraph_hub_needs_split_search(self):
+        # a centre joined to five 3-vertex gadgets (edges ab and ac doubled,
+        # bc tripled): no perfect matching, no 2- or 3-factor, so only the
+        # split search can find the mixed [2, 3]-factor
+        pairs = []
+        for i in range(5):
+            a, b, c = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
+            pairs += [(0, a)] + [(a, b)] * 2 + [(a, c)] * 2 + [(b, c)] * 3
+        g = build(16, pairs)
+        assert regular_degree(g) == 5
+        assert not has_perfect_matching(g)
+        rcf = regular_component_factor(g, 3)
+        check_regular_component_factor(rcf, 3)
+        assert {c.degree for c in rcf.components} == {2, 3}
 
     def test_disconnected_host(self):
         tri = complete(4).edges

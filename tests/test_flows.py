@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from zsflow.errors import (
+    FactorSearchError,
     FlowUndecidedError,
     GraphFormatError,
     NotRegularError,
@@ -30,6 +31,23 @@ from zsflow.graphs import (
     petersen,
     random_regular,
 )
+
+
+def hub_pairs(r: int) -> tuple[int, list[tuple[int, int]]]:
+    """A centre joined to r copies of K_{r+2}, each minus a 2-path and a matching.
+
+    The middle vertex of each removed 2-path takes the edge to the centre,
+    so the graph is r-regular on 1 + r(r+2) vertices with no perfect matching.
+    """
+    size = r + 2
+    pairs = []
+    for i in range(r):
+        vs = list(range(1 + i * size, 1 + (i + 1) * size))
+        removed = {(vs[0], vs[1]), (vs[1], vs[2])}
+        removed |= {(vs[j], vs[j + 1]) for j in range(3, size, 2)}
+        pairs += [(a, b) for j, a in enumerate(vs) for b in vs[j + 1 :] if (a, b) not in removed]
+        pairs.append((0, vs[1]))
+    return 1 + r * size, pairs
 
 
 def vertex_sums(g, values):
@@ -204,6 +222,19 @@ class TestSevenRegular:
     def test_wrong_degree_rejected(self):
         with pytest.raises(UnsupportedDegreeError):
             flow_seven_regular(complete(5))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=FactorSearchError,
+        reason="mixed-component factors above n=18 are not searched yet (ROADMAP item 3)",
+    )
+    def test_hub_of_gadgets(self):
+        # guaranteed by the paper, but with no perfect matching and no exact
+        # 3- or 4-factor the factor search gives up
+        g = build(*hub_pairs(7))
+        flow = construct(g)
+        assert flow.k == 5
+        assert verify_flow(g, flow).ok
 
 
 class TestOddRegular:
