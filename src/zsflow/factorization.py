@@ -203,7 +203,9 @@ def regular_component_factor(g: MultiGraph, k: int) -> RegularComponentFactor:
       always has.
     - an exact k-factor, then an exact (k-1)-factor.  Both exist whenever G
       has a perfect matching M: M (when k is odd) plus floor(k/2) of the
-      2-factors of the even-regular G - M.
+      2-factors of the even-regular G - M.  The (k-1) query is skipped when
+      k - 1 = r - k (r = 7 at k = 4, r = 5 at k = 3): a (k-1)-factor is then
+      the complement of a k-factor, which was just ruled out.
     - for n <= 18, the exhaustive search over vertex splits, complete
       within its budget of gadget-matching calls.
 
@@ -228,7 +230,7 @@ def regular_component_factor(g: MultiGraph, k: int) -> RegularComponentFactor:
         return finish(max_matching(g))
     if k == 2:
         return finish(_edge_and_cycle_cover(g))
-    for target in (k, k - 1):
+    for target in (k,) if k - 1 == r - k else (k, k - 1):
         found = find_exact_factor(g, [target] * g.n)
         if found is not None:
             return finish(found)

@@ -257,12 +257,17 @@ def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
     comps = components(g)
     if len(comps) == 1:
         return _construct_connected(g, r, budget)
+    label = [0] * g.n
+    for c, comp in enumerate(comps):
+        for v in comp:
+            label[v] = c
+    inside: list[list[int]] = [[] for _ in comps]
+    for e, (u, _) in enumerate(g.edges):
+        inside[label[u]].append(e)
     values = [0] * g.m
     k = 0
-    for comp in comps:
-        cset = set(comp)
-        inside = [e for e, (u, _) in enumerate(g.edges) if u in cset]
-        sub, _, emap = subgraph_from_edges(g, inside, vertices=comp)
+    for comp, ids in zip(comps, inside):
+        sub, _, emap = subgraph_from_edges(g, ids, vertices=comp)
         flow = _construct_connected(sub, r, budget)
         for se, val in enumerate(flow.values):
             values[emap[se]] = val

@@ -48,7 +48,13 @@ def has_perfect_matching(g: MultiGraph) -> bool:
 
 
 def _blossom_matching(adj: list[list[int]]) -> list[int]:
-    """Maximum matching on an adjacency-list graph; returns the mate array."""
+    """Maximum matching on an adjacency-list graph; returns the mate array.
+
+    A greedy pass in index order matches what it can, then each vertex left
+    exposed roots one augmenting-path search.  The search arrays are
+    allocated once here and shared by every search, which hands them back
+    clean, so a search costs the size of its tree rather than n.
+    """
     n = len(adj)
     match = [-1] * n
     for u in range(n):
@@ -58,44 +64,75 @@ def _blossom_matching(adj: list[list[int]]) -> list[int]:
                     match[u] = v
                     match[v] = u
                     break
-    for root in range(n):
-        if match[root] == -1:
-            _blossom_augment(adj, match, root)
-    return match
-
-
-def _blossom_augment(adj: list[list[int]], match: list[int], root: int) -> bool:
-    n = len(adj)
     parent = [-1] * n
     base = list(range(n))
     in_tree = [False] * n
+    for root in range(n):
+        if match[root] == -1:
+            _blossom_augment(adj, match, root, parent, base, in_tree)
+    return match
+
+
+def _blossom_augment(
+    adj: list[list[int]],
+    match: list[int],
+    root: int,
+    parent: list[int],
+    base: list[int],
+    in_tree: list[bool],
+) -> bool:
+    """Augment ``match`` along one path from the exposed ``root`` (Edmonds 1965).
+
+    Grows an alternating BFS tree from ``root`` and contracts each odd cycle
+    it closes into a blossom; returns False when no augmenting path exists.
+    ``parent``, ``base`` and ``in_tree`` are the caller's arrays and must be
+    clean on entry (no parent, every vertex its own base, nothing in the
+    tree).  The search lists every vertex it touches -- the root, each odd
+    vertex given a parent, each even vertex queued -- and on exit resets
+    exactly those.  Each blossom base keeps the list of its members, so a
+    contraction relabels only the vertices of the blossoms on the cycle.
+    """
+    touched = [root]
+    members: dict[int, list[int]] = {}  # base -> its blossom's vertices; absent = just itself
     in_tree[root] = True
     queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
-                continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                # even vertex reached: contract the blossom around the lca
-                stem = _blossom_base(base, match, parent, v, to)
-                mark = [False] * n
-                _mark_blossom_path(base, match, parent, mark, v, stem, to)
-                _mark_blossom_path(base, match, parent, mark, to, stem, v)
-                for i in range(n):
-                    if mark[base[i]]:
-                        base[i] = stem
-                        if not in_tree[i]:
-                            in_tree[i] = True
-                            queue.append(i)
-            elif parent[to] == -1:
-                parent[to] = v
-                if match[to] == -1:
-                    _flip_augmenting_path(match, parent, to)
-                    return True
-                in_tree[match[to]] = True
-                queue.append(match[to])
-    return False
+    try:
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    # even vertex reached: contract the blossom around the lca
+                    stem = _blossom_base(base, match, parent, v, to)
+                    cycle: list[int] = []
+                    _blossom_cycle(base, match, parent, cycle, v, stem, to)
+                    _blossom_cycle(base, match, parent, cycle, to, stem, v)
+                    into = members.setdefault(stem, [stem])
+                    for b in cycle:
+                        if base[b] == stem:  # already merged
+                            continue
+                        for i in members.pop(b, (b,)):
+                            base[i] = stem
+                            into.append(i)
+                            if not in_tree[i]:
+                                in_tree[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    touched.append(to)
+                    if match[to] == -1:
+                        _flip_augmenting_path(match, parent, to)
+                        return True
+                    in_tree[match[to]] = True
+                    touched.append(match[to])
+                    queue.append(match[to])
+        return False
+    finally:
+        for v in touched:
+            parent[v] = -1
+            base[v] = v
+            in_tree[v] = False
 
 
 def _blossom_base(base, match, parent, a, b):
@@ -113,10 +150,12 @@ def _blossom_base(base, match, parent, a, b):
         b = parent[match[b]]
 
 
-def _mark_blossom_path(base, match, parent, mark, v, stem, child):
+def _blossom_cycle(base, match, parent, cycle, v, stem, child):
+    # walk from v up to the stem, pointing parents back across the closing
+    # edge and listing the bases passed on the way
     while base[v] != stem:
-        mark[base[v]] = True
-        mark[base[match[v]]] = True
+        cycle.append(base[v])
+        cycle.append(base[match[v]])
         parent[v] = child
         child = match[v]
         v = parent[match[v]]

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
 
+from zsflow import factorization
 from zsflow.errors import (
     FactorSearchError,
     FlowUndecidedError,
@@ -236,6 +238,26 @@ class TestSevenRegular:
         assert flow.k == 5
         assert verify_flow(g, flow).ok
 
+    def test_hub_makes_one_exact_factor_query(self, monkeypatch):
+        # at r = 7, k = 4 a 3-factor is the complement of a 4-factor, so the
+        # failed 4-factor query already rules it out
+        targets = []
+        real = factorization.find_exact_factor
+
+        def spy(g, target):
+            targets.append(set(target))
+            return real(g, target)
+
+        monkeypatch.setattr(factorization, "find_exact_factor", spy)
+        g = build(*hub_pairs(7))
+        with pytest.raises(
+            FactorSearchError,
+            match=r"^regular-component factor needs mixed components and n=64 "
+            r"exceeds the exact-search limit 18$",
+        ):
+            construct(g)
+        assert targets == [{4}]
+
 
 class TestOddRegular:
     def test_k10(self):
@@ -285,6 +307,21 @@ class TestConstruct:
         k4 = complete(4).edges
         g = build(8, list(k4) + [(u + 4, v + 4) for u, v in k4])
         flow = construct(g)
+        assert verify_flow(g, flow).ok
+
+    def test_many_interleaved_components(self):
+        # shuffled labels and edge order put each component's edges all over
+        # the edge list
+        rng = random.Random(8)
+        k5 = complete(5).edges
+        copies = 40
+        label = list(range(5 * copies))
+        rng.shuffle(label)
+        pairs = [(label[5 * i + u], label[5 * i + v]) for i in range(copies) for u, v in k5]
+        rng.shuffle(pairs)
+        g = build(5 * copies, pairs)
+        flow = construct(g)
+        assert flow.k == 3
         assert verify_flow(g, flow).ok
 
     def test_tiny_budget_is_undecided(self):

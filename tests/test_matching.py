@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from oracles import brute_max_matching_size, subset_factor_exists
+from zsflow import matching
 from zsflow.errors import NotRegularError
 from zsflow.graphs import MultiGraph, build, complete, cubic_no_pm, cycle, petersen
 from zsflow.matching import (
@@ -55,6 +57,66 @@ class TestMaxMatching:
     def test_parallel_edges(self):
         g = build(2, [(0, 1), (0, 1)])
         assert len(max_matching(g)) == 1
+
+    def test_nested_blossom(self):
+        # the triangle 0-2-4 is contracted first, then closes the 5-cycle
+        # through 1, 7, 5 and 3, so all its members join the outer blossom
+        g = build(8, [(0, 2), (3, 5), (5, 7), (0, 4), (1, 2), (3, 4), (1, 7), (2, 4), (3, 6)])
+        got = max_matching(g)
+        assert_is_matching(g, got)
+        assert len(got) == 4
+
+    def test_disjoint_blossom_components_match_brute_force(self, monkeypatch):
+        # every search after the first runs on arrays an earlier search used,
+        # after a failed search (odd components) or after contractions
+        rng = random.Random(41)
+        parts = []
+        for _ in range(30):
+            size = rng.randint(5, 9)
+            odd = rng.choice([3, 5, 7][: (size - 1) // 2])
+            pairs = {(i, (i + 1) % odd) for i in range(odd)}  # an odd cycle
+            for v in range(odd, size):  # hang the rest off earlier vertices
+                pairs.add((rng.randrange(v), v))
+            for _ in range(rng.randint(0, 3)):
+                u, v = rng.sample(range(size), 2)
+                pairs.add((u, v))
+            parts.append(MultiGraph(size, [(min(u, v), max(u, v)) for u, v in pairs]))
+        expect = sum(brute_max_matching_size(part) for part in parts)
+        n = sum(part.n for part in parts)
+        label = list(range(n))
+        rng.shuffle(label)
+        pairs, offset = [], 0
+        for part in parts:
+            pairs += [(label[offset + u], label[offset + v]) for u, v in part.edges]
+            offset += part.n
+        rng.shuffle(pairs)
+        g = MultiGraph(n, pairs)
+
+        searches = contractions = 0
+        real_augment = matching._blossom_augment
+        real_base = matching._blossom_base
+
+        def checked_augment(adj, match, root, parent, base, in_tree):
+            nonlocal searches
+            searches += 1
+            found = real_augment(adj, match, root, parent, base, in_tree)
+            # the search hands the shared arrays back clean for the next root
+            assert parent == [-1] * n
+            assert base == list(range(n))
+            assert not any(in_tree)
+            return found
+
+        def counting_base(*args):
+            nonlocal contractions
+            contractions += 1
+            return real_base(*args)
+
+        monkeypatch.setattr(matching, "_blossom_augment", checked_augment)
+        monkeypatch.setattr(matching, "_blossom_base", counting_base)
+        got = max_matching(g)
+        assert_is_matching(g, got)
+        assert len(got) == expect
+        assert searches > 1 and contractions > 0  # the union really exercises both
 
 
 class TestHasPerfectMatching:
@@ -145,6 +207,41 @@ class TestExactFactor:
         g = cycle(5)
         f = find_exact_factor(g, [2, 2, 2, 2, 2])
         assert f == frozenset(range(5))
+
+    def test_mixed_targets_match_subset_enumeration(self):
+        def exists(g, target):
+            for size in range(g.m + 1):
+                for subset in combinations(range(g.m), size):
+                    deg = [0] * g.n
+                    for e in subset:
+                        u, v = g.edges[e]
+                        deg[u] += 1
+                        deg[v] += 1
+                    if deg == target:
+                        return True
+            return False
+
+        rng = random.Random(29)
+        found = 0
+        for trial in range(60):
+            n = rng.randint(3, 6)
+            pairs = []
+            for _ in range(rng.randint(3, 10)):
+                u, v = rng.sample(range(n), 2)
+                pairs.append((min(u, v), max(u, v)))
+            g = MultiGraph(n, pairs)
+            target = [rng.randint(0, g.degree(v)) for v in range(n)]
+            got = find_exact_factor(g, target)
+            assert (got is not None) == exists(g, target), (pairs, target)
+            if got is not None:
+                found += 1
+                deg = [0] * n
+                for e in got:
+                    u, v = g.edges[e]
+                    deg[u] += 1
+                    deg[v] += 1
+                assert deg == target
+        assert 0 < found < 60  # both answers occur
 
 
 class TestDegreeRangeFactor:
