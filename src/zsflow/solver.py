@@ -4,13 +4,18 @@ The solver is the package's independent oracle: it decides existence by
 exhausting the value alphabet {±1, ..., ±(k-1)} over the edges, so a
 "nonexistent" answer is a certificate that the whole space was searched.
 
-Edge order is most-constrained-vertex first: the next edge always touches a
-vertex with the fewest unassigned incident edges, so the last edge at each
-vertex is forced to the negated partial sum.  The first assigned edge only
-tries positive values (negating a flow preserves every constraint), and a
-partial sum that the remaining edges cannot cancel prunes the branch.
-Everything is deterministic: equal inputs give equal outcomes and node
-counts.
+Edge order is most-constrained-vertex first, so the last edge at each
+vertex is forced to the negated partial sum.  A vertex with r > 0
+unassigned incident edges sits in bucket r, and no bucket holds a vertex
+with r = 0.  The next edge comes from the lowest non-empty bucket: for each
+of its vertices take the lowest unassigned incident edge id, and assign the
+smallest of these.  Assigning an edge moves its two endpoints down one
+bucket and backtracking moves them back, so choosing an edge costs
+O(max degree + size of that bucket) rather than O(n).  The first assigned
+edge only tries positive values (negating a flow preserves every
+constraint), and a partial sum that the remaining edges cannot cancel
+prunes the branch.  Everything is deterministic: equal inputs give equal
+outcomes and node counts.
 """
 
 from __future__ import annotations
@@ -65,6 +70,8 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Decide whether a zero-sum k-flow exists, exhaustively up to budget."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     n, m = g.n, g.m
     if m == 0:
         return SearchOutcome("found", IntFlow(g, (), k), 0, budget)
@@ -77,6 +84,11 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     val = [0] * m
     psum = [0] * n
     rem = list(g.degrees())
+    bucket: list[set[int]] = [set() for _ in range(max(rem) + 1)]  # bucket[r]: rem[v] == r > 0
+    levels = range(1, len(bucket))
+    for v in range(n):
+        if rem[v]:
+            bucket[rem[v]].add(v)
     found: list[int] | None = None
     nodes = 0
 
@@ -85,19 +97,16 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         if assigned == m:
             found = val.copy()
             return _FOUND
-        rmin = m + 1
-        for v in range(n):
-            rv = rem[v]
-            if rv and rv < rmin:
-                rmin = rv
+        for r in levels:
+            if bucket[r]:
+                break
         e = m
-        for v in range(n):
-            if rem[v] == rmin:
-                for eid, _ in inc[v]:
-                    if val[eid] == 0:
-                        if eid < e:
-                            e = eid
-                        break
+        for v in bucket[r]:
+            for eid, _ in inc[v]:
+                if val[eid] == 0:
+                    if eid < e:
+                        e = eid
+                    break
         u, w = edges[e]
         if rem[u] == 1:
             c = -psum[u]
@@ -129,7 +138,19 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             psum[w] = sw
             rem[u] = ru
             rem[w] = rw
+            bucket[ru + 1].remove(u)
+            bucket[rw + 1].remove(w)
+            if ru:
+                bucket[ru].add(u)
+            if rw:
+                bucket[rw].add(w)
             res = dfs(assigned + 1)
+            if ru:
+                bucket[ru].remove(u)
+            if rw:
+                bucket[rw].remove(w)
+            bucket[ru + 1].add(u)
+            bucket[rw + 1].add(w)
             val[e] = 0
             psum[u] = su - c
             psum[w] = sw - c

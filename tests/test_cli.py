@@ -126,6 +126,17 @@ class TestSolve:
         assert main(["solve", path, "--k", "5"]) == 4
         assert "outcome: undecided" in capsys.readouterr().out
 
+    def test_negative_budget_flag_usage_error(self, tmp_path, capsys):
+        path = write_graph(tmp_path, cubic_no_pm())
+        assert main(["solve", path, "--k", "5", "--budget", "-1"]) == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_negative_budget_env_var_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ZSFLOW_BUDGET", "-1")
+        path = write_graph(tmp_path, cubic_no_pm())
+        assert main(["solve", path, "--k", "5"]) == 2
+        assert "budget" in capsys.readouterr().err
+
 
 class TestFlowNumber:
     def test_petersen(self, tmp_path, capsys):

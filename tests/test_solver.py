@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import random
 import sys
+import zlib
 
 import pytest
 
 from oracles import flow_exists_by_enumeration
 from zsflow.flows import IntFlow, construct, verify_flow
-from zsflow.graphs import MultiGraph, build, complete, cubic_no_pm, cycle, petersen
+from zsflow.graphs import MultiGraph, build, complete, cubic_no_pm, cycle, petersen, random_regular
 from zsflow.solver import DEFAULT_BUDGET, cross_check, flow_number, solve
 
 
@@ -16,6 +17,51 @@ def random_sparse_graph(rng: random.Random) -> MultiGraph:
     pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
     m = rng.randint(n - 2, min(len(pool), n + 3))
     return MultiGraph(n, rng.sample(pool, m))
+
+
+def search_digest(outcome) -> tuple[str, int, int | None]:
+    flow_crc = zlib.crc32(repr(outcome.flow.values).encode()) if outcome.flow else None
+    return outcome.status, outcome.nodes, flow_crc
+
+
+TRIPLE = build(2, [(0, 1)] * 3)
+DUMBBELL = build(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)])
+ISOLATED = build(6, [(0, 1), (0, 1), (2, 3), (2, 3), (3, 4), (2, 4)])  # vertex 5 has degree 0
+
+# (graph, budget, {k: (status, nodes, crc32 of the flow values)}).  These pin
+# the search order itself: a change to the edge choice, the candidate order or
+# the pruning moves the node counts or the flows even where the status holds.
+GOLDEN_SEARCH = {
+    "rr10_3_s1": (random_regular(10, 3, 1), 200_000, {
+        2: ("nonexistent", 3, None), 3: ("found", 26, 1828036000),
+        4: ("found", 40, 1828036000), 5: ("found", 51, 1828036000)}),
+    "rr20_3_s2": (random_regular(20, 3, 2), 200_000, {
+        2: ("nonexistent", 3, None), 3: ("found", 55, 503333438),
+        4: ("found", 75, 3900668039), 5: ("found", 36, 1205376301)}),
+    "rr30_3_s3": (random_regular(30, 3, 3), 200_000, {
+        2: ("nonexistent", 3, None), 3: ("found", 53, 2135128069),
+        4: ("found", 55, 2135128069), 5: ("found", 663, 932692490)}),
+    "rr8_5_s4": (random_regular(8, 5, 4), 200_000, {
+        2: ("nonexistent", 13, None), 3: ("found", 127, 3137831330),
+        4: ("found", 42, 2037809062), 5: ("found", 54, 989741412)}),
+    "rr12_5_s5": (random_regular(12, 5, 5), 200_000, {
+        2: ("nonexistent", 13, None), 3: ("found", 121, 2527974016),
+        4: ("found", 37, 3414089315), 5: ("found", 73, 3371186425)}),
+    "rr20_5_s6": (random_regular(20, 5, 6), 200_000, {
+        2: ("nonexistent", 13, None), 3: ("found", 632, 2848068117),
+        4: ("found", 69, 3881036363), 5: ("found", 93, 3348279071)}),
+    "cubic_no_pm": (cubic_no_pm(), DEFAULT_BUDGET, {
+        4: ("nonexistent", 1932, None), 5: ("found", 891, 3578366929)}),
+    "petersen": (petersen(), DEFAULT_BUDGET, {3: ("found", 15, 1158883210)}),
+    "triple": (TRIPLE, DEFAULT_BUDGET, {
+        2: ("nonexistent", 3, None), 3: ("found", 3, 324800987),
+        4: ("found", 3, 324800987), 5: ("found", 3, 324800987)}),
+    "dumbbell": (DUMBBELL, DEFAULT_BUDGET, {
+        2: ("nonexistent", 3, None), 3: ("found", 6, 959037243),
+        4: ("found", 6, 959037243), 5: ("found", 6, 959037243)}),
+    "rr200_3_s5": (random_regular(200, 3, 5), 10_000, {5: ("found", 2383, 746309467)}),
+    "rr200_3_s7": (random_regular(200, 3, 7), 10_000, {5: ("undecided", 10_001, None)}),
+}
 
 
 class TestSolve:
@@ -41,6 +87,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(cycle(4), 1)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            solve(petersen(), 5, budget=-1)
+        outcome = solve(petersen(), 5, budget=0)  # zero still means "stop at the first node"
+        assert (outcome.status, outcome.nodes) == ("undecided", 1)
+
     def test_budget_exhaustion_reports_undecided(self):
         outcome = solve(petersen(), 5, budget=3)
         assert outcome.status == "undecided"
@@ -65,12 +117,16 @@ class TestSolve:
                 assert (outcome.status == "found") == flow_exists_by_enumeration(g, k)
 
     def test_agrees_with_enumeration_on_multigraphs(self):
-        triple = build(2, [(0, 1)] * 3)
-        dumbbell = build(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)])
-        for g in (triple, dumbbell):
+        for g in (TRIPLE, DUMBBELL, ISOLATED):
             for k in (2, 3, 4, 5):
                 got = solve(g, k).status == "found"
                 assert got == flow_exists_by_enumeration(g, k)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SEARCH))
+    def test_golden_search(self, name):
+        g, budget, expected = GOLDEN_SEARCH[name]
+        got = {k: search_digest(solve(g, k, budget)) for k in expected}
+        assert got == expected
 
     def test_monotone_in_k(self):
         rng = random.Random(77)
