@@ -47,10 +47,12 @@ def _load_graph(path: str, fmt: str) -> MultiGraph:
 
 
 def _resolve_budget(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
+    if value is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        value = int(env) if env else DEFAULT_BUDGET
+    if value < 0:
+        raise ValueError(f"need budget >= 0, got {value}")
+    return value
 
 
 def _emit(lines: list[str], out: str | None) -> None:

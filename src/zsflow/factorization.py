@@ -20,8 +20,8 @@ from .graphs import (
     subgraph_from_edges,
 )
 from .matching import (
+    _euler_split,
     bipartite_perfect_matching,
-    decompose_regular_bipartite,
     find_exact_factor,
     max_matching,
 )
@@ -33,9 +33,11 @@ _PARTITION_FACTOR_BUDGET = 4000
 def two_factorization(g: MultiGraph) -> list[Factor]:
     """Partition a 2k-regular multigraph into k spanning 2-regular factors.
 
-    Balanced orientation first; each vertex then splits into an out-copy and
-    an in-copy, giving a k-regular bipartite multigraph whose perfect
-    matchings pull back to spanning unions of cycles.  Factors are returned
+    Balanced orientation first; each vertex then splits into an out-copy v
+    and an in-copy n + v, so the pairs ``(tail, n + head)`` form a k-regular
+    bipartite edge list under the same edge ids.  Its perfect matchings,
+    found by the shared Euler split on edge-id lists with no intermediate
+    graph, pull back to spanning unions of cycles.  Factors are returned
     sorted by their smallest edge id and re-verified before returning.
     """
     r = regular_degree(g)
@@ -43,9 +45,9 @@ def two_factorization(g: MultiGraph) -> list[Factor]:
         raise NotRegularError("two_factorization needs a regular graph")
     if r == 0 or r % 2:
         raise NotRegularError(f"need an even-regular graph with r >= 2, got r={r}")
-    directed = euler_orientation(g)
-    split = MultiGraph(2 * g.n, [(tail, g.n + head) for tail, head in directed])
-    matchings = decompose_regular_bipartite(split, left=range(g.n))
+    n = g.n
+    arcs = [(tail, n + head) for tail, head in euler_orientation(g)]
+    matchings = _euler_split(2 * n, arcs, [True] * n + [False] * n, r // 2)
     factors = sorted((Factor(g, pm) for pm in matchings), key=lambda f: min(f.edge_ids))
     seen: set[int] = set()
     for f in factors:

@@ -347,7 +347,7 @@ def parse_flow(text: str) -> FlowDocument:
     if len(head) != 3:
         raise GraphFormatError(f"expected header 'k n m', got {lines[0]!r}", line=1)
     try:
-        k, n, m = (int(x) for x in head)
+        k, n, m = map(int, head)
     except ValueError:
         raise GraphFormatError(f"non-integer header {lines[0]!r}", line=1) from None
     values: dict[int, int] = {}
@@ -359,7 +359,7 @@ def parse_flow(text: str) -> FlowDocument:
         if len(parts) != 4:
             raise GraphFormatError(f"expected 'edge_id u v value', got {raw!r}", line=lineno)
         try:
-            e, u, v, val = (int(x) for x in parts)
+            e, u, v, val = map(int, parts)
         except ValueError:
             raise GraphFormatError(f"non-integer fields in {raw!r}", line=lineno) from None
         if not (0 <= e < m):

@@ -9,7 +9,7 @@ all operations on them are pure, so instances can be shared freely.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .errors import GraphError, GraphFormatError
@@ -43,8 +43,9 @@ class MultiGraph:
         for e, (u, v) in enumerate(edges):
             adj[u].append((e, v))
             adj[v].append((e, u))
-        # incidence lists sorted by edge id keep every traversal deterministic
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        # filled in edge-id order, so every incidence list is ascending by id,
+        # which keeps every traversal deterministic
+        self._adj = tuple(map(tuple, adj))
         self._degrees = tuple(len(a) for a in adj)
 
     @property
@@ -94,7 +95,8 @@ class Factor:
     edge_ids: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        bad = [e for e in self.edge_ids if not (0 <= e < self.host.m)]
+        m = self.host.m
+        bad = [e for e in self.edge_ids if not (0 <= e < m)]
         if bad:
             raise GraphError(f"factor edge ids not in host: {sorted(bad)[:5]}")
 
@@ -147,31 +149,52 @@ def components(g: MultiGraph) -> list[list[int]]:
 def euler_orientation(g: MultiGraph) -> list[tuple[int, int]]:
     """Orient every edge so in-degree equals out-degree at each vertex.
 
-    Returns ``directed[e] = (tail, head)`` per edge id.  Each connected
-    component is traversed as one closed trail (Hierholzer), starting at the
-    component's smallest vertex and consuming edges in ascending id order.
+    Returns ``directed[e] = (tail, head)`` per edge id.  One Hierholzer walk
+    over the edge-id list 0..m-1 (the same walk that Euler splitting runs on
+    its id lists) traverses each connected component as one closed trail,
+    starting at the component's smallest vertex and consuming edges in
+    ascending id order.
     """
     for v in range(g.n):
         if g.degree(v) % 2:
             raise ValueError(f"vertex {v} has odd degree {g.degree(v)}, cannot balance")
-    directed = [(0, 0)] * g.m  # (tail, head), filled once per edge by the traversal
-    used = [False] * g.m
-    ptr = [0] * g.n
-    for start in range(g.n):
-        stack = [start]
+    tails = _euler_tails(g.n, g.edges, range(g.m))
+    return [(u, v) if t == u else (v, u) for t, (u, v) in zip(tails, g.edges)]
+
+
+def _euler_tails(n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int]) -> list[int]:
+    """Tails of one balanced orientation of the edges ``ids`` (ascending).
+
+    ``edges`` maps an edge id to its endpoints in 0..n-1, and every vertex
+    must have even degree within ``ids``.  Hierholzer's walk starts at each
+    vertex in turn and, standing at v, leaves v along its unused edge of
+    smallest id.  Returns ``tails[i]``, the vertex the walk left edge
+    ``ids[i]`` from.  No graph is built: the walk reads ``edges`` directly.
+    """
+    inc: list[list[int]] = [[] for _ in range(n)]
+    far = [0] * len(ids)  # u ^ v: from one end x of ids[i], the other is far[i] ^ x
+    for i in range(len(ids) - 1, -1, -1):  # descending, so pop() yields the smallest id
+        u, v = edges[ids[i]]
+        inc[u].append(i)
+        inc[v].append(i)
+        far[i] = u ^ v
+    used = [False] * len(ids)
+    tails = [0] * len(ids)
+    for start in range(n):
+        stack = [start]  # vertices the walk can resume from, the latest last
         while stack:
-            v = stack[-1]
-            inc = g.incident(v)
-            while ptr[v] < len(inc) and used[inc[ptr[v]][0]]:
-                ptr[v] += 1
-            if ptr[v] == len(inc):
-                stack.pop()
-                continue
-            e, w = inc[ptr[v]]
-            used[e] = True
-            directed[e] = (v, w)
-            stack.append(w)
-    return directed
+            v = stack.pop()
+            out = inc[v]
+            while out:
+                i = out.pop()
+                if used[i]:
+                    continue
+                used[i] = True
+                tails[i] = v
+                stack.append(v)
+                v = far[i] ^ v
+                out = inc[v]
+    return tails
 
 
 def double_edges(g: MultiGraph) -> MultiGraph:

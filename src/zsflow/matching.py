@@ -13,7 +13,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 
 from .errors import NotRegularError
-from .graphs import Factor, MultiGraph, euler_orientation
+from .graphs import Factor, MultiGraph, _euler_tails
 
 
 def max_matching(g: MultiGraph) -> frozenset[int]:
@@ -22,11 +22,19 @@ def max_matching(g: MultiGraph) -> frozenset[int]:
     Parallel edges collapse to the lowest id between each vertex pair, so
     the result is deterministic on multigraphs.
     """
+    return _max_matching_ids(g.n, g.edges, range(g.m))
+
+
+def _max_matching_ids(
+    n: int, edges: Sequence[tuple[int, int]], ids: Iterable[int]
+) -> frozenset[int]:
+    """``max_matching`` on the edges ``ids`` of ``edges``, with no graph built."""
     rep: dict[tuple[int, int], int] = {}
-    for e, (u, v) in enumerate(g.edges):
+    for e in ids:
+        u, v = edges[e]
         key = (u, v) if u < v else (v, u)
         rep.setdefault(key, e)
-    adj: list[list[int]] = [[] for _ in range(g.n)]
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in rep:
         adj[u].append(v)
         adj[v].append(u)
@@ -196,11 +204,13 @@ def decompose_regular_bipartite(
 ) -> list[frozenset[int]]:
     """Split a k-regular bipartite multigraph into k perfect matchings.
 
-    Euler splitting (Alon 2003): an even-degree edge set is halved by one
-    balanced orientation, left-to-right edges forming one (d/2)-regular half
-    and right-to-left edges the other; an odd degree first removes one
-    perfect matching.  Recursion depth is O(log k).  Rejects non-bipartite
-    or irregular input with a witness.
+    Euler splitting (Alon 2003) after one validation pass, which rejects
+    non-bipartite or irregular input with a witness.  The recursion then
+    works on ascending lists of edge ids of g and builds no graph: an
+    even-degree level is one Hierholzer walk over its id list, left-to-right
+    edges forming one (d/2)-regular half and right-to-left edges the other;
+    an odd degree first peels one perfect matching off with the blossom
+    engine.  Recursion depth is O(log k).
     """
     left_set = set(left)
     left_mask = [v in left_set for v in range(g.n)]
@@ -216,6 +226,18 @@ def decompose_regular_bipartite(
             raise NotRegularError(f"vertex {v} has degree {degs[v]}, expected {r}")
     if k is not None and k != r:
         raise NotRegularError(f"graph is {r}-regular, not {k}-regular")
+    return _euler_split(g.n, g.edges, left_mask, r)
+
+
+def _euler_split(
+    n: int, edges: Sequence[tuple[int, int]], left_mask: Sequence[bool], r: int
+) -> list[frozenset[int]]:
+    """The Euler splitting of ``decompose_regular_bipartite``, unchecked.
+
+    The caller vouches that every edge of ``edges`` crosses ``left_mask`` and
+    that every vertex of 0..n-1 has degree r.  Returns r perfect matchings as
+    sets of edge ids, in the order the recursion closes them.
+    """
     out: list[frozenset[int]] = []
 
     def split(ids: list[int], d: int) -> None:
@@ -224,20 +246,21 @@ def decompose_regular_bipartite(
             out.append(frozenset(ids))
             return
         if d % 2:
-            pm = max_matching(MultiGraph(g.n, [g.edges[e] for e in ids]))
-            if 2 * len(pm) != g.n:  # unreachable on valid input: regular bipartite satisfies Hall
+            pm = _max_matching_ids(n, edges, ids)
+            if 2 * len(pm) != n:  # unreachable on valid input: regular bipartite satisfies Hall
                 raise RuntimeError("internal: regular bipartite graph lost its perfect matching")
-            out.append(frozenset(ids[i] for i in pm))
-            ids = [e for i, e in enumerate(ids) if i not in pm]
+            out.append(pm)
+            ids = [e for e in ids if e not in pm]
             d -= 1
-        directed = euler_orientation(MultiGraph(g.n, [g.edges[e] for e in ids]))
-        forward = [e for e, (tail, _) in zip(ids, directed) if left_mask[tail]]
-        backward = [e for e, (tail, _) in zip(ids, directed) if not left_mask[tail]]
+        forward: list[int] = []
+        backward: list[int] = []
+        for e, tail in zip(ids, _euler_tails(n, edges, ids)):
+            (forward if left_mask[tail] else backward).append(e)
         split(forward, d // 2)
         split(backward, d // 2)
 
     if r:
-        split(list(range(g.m)), r)
+        split(list(range(len(edges))), r)
     return out
 
 

@@ -55,6 +55,20 @@ class TestConstruct:
         path = write_graph(tmp_path, cubic_no_pm())
         assert main(["construct", path, "--budget", "2"]) == 4
 
+    def test_negative_budget_flag_usage_error(self, tmp_path, capsys):
+        # K5 is 4-regular, so construct never reaches the solver's own check
+        path = write_graph(tmp_path, complete(5))
+        assert main(["construct", path, "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "budget" in captured.err and not captured.out
+
+    def test_negative_budget_env_var_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ZSFLOW_BUDGET", "-1")
+        path = write_graph(tmp_path, complete(5))
+        assert main(["construct", path]) == 2
+        captured = capsys.readouterr()
+        assert "budget" in captured.err and not captured.out
+
     def test_factor_search_error_exit_5(self, tmp_path, capsys, monkeypatch):
         def give_up(g, budget=None):
             raise FactorSearchError("regular-component factor not found")

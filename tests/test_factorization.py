@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 import sys
+import zlib
 
 import pytest
 
@@ -21,12 +23,13 @@ from zsflow.graphs import (
     components,
     cubic_no_pm,
     cycle,
+    double_cover,
     double_edges,
     petersen,
     random_regular,
     regular_degree,
 )
-from zsflow.matching import has_perfect_matching
+from zsflow.matching import decompose_regular_bipartite, has_perfect_matching
 
 
 def check_balance(g: MultiGraph, directed):
@@ -64,6 +67,122 @@ def check_regular_component_factor(rcf: RegularComponentFactor, k: int):
         assert degrees_in_comp == {comp.degree}
         covered.update(comp.vertices)
     assert covered == set(range(g.n))
+
+
+def _union(*parts: MultiGraph) -> MultiGraph:
+    pairs, offset = [], 0
+    for g in parts:
+        pairs += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return build(offset, pairs)
+
+
+def _permutation_union(k: int) -> MultiGraph:
+    # k random perfect matchings between 0..5 and 6..11; parallel edges for k >= 2
+    s = 6
+    rng = random.Random(5)
+    perms = [rng.sample(range(s), s) for _ in range(k)]
+    return build(2 * s, [(u, s + p[u]) for p in perms for u in range(s)])
+
+
+def layer_digests(g: MultiGraph, left=None) -> dict[str, int]:
+    """crc32 of what each splitting layer returns on g.
+
+    ``left`` names one side when g itself is bipartite; otherwise the
+    bipartite layer runs on g's double cover.
+    """
+
+    def crc(obj) -> int:
+        return zlib.crc32(repr(obj).encode())
+
+    out = {}
+    if all(d % 2 == 0 for d in g.degrees()):
+        out["euler"] = crc(euler_orientation(g))
+    r = regular_degree(g)
+    if r and r % 2 == 0:
+        out["two_factor"] = crc([sorted(f.edge_ids) for f in two_factorization(g)])
+    bip, side = (double_cover(g), range(g.n)) if left is None else (g, left)
+    out["bipartite"] = crc([sorted(pm) for pm in decompose_regular_bipartite(bip, side)])
+    return out
+
+
+# name -> (graph, bipartite side or None, {layer: crc32}).  These pin the Euler
+# walk order itself: any change to the start vertex, the edge order at a
+# vertex or the forward/backward split moves the factors and matchings.
+GOLDEN_DECOMPOSITION = {
+    "rr40_2_s1": (
+        random_regular(40, 2, 1), None,
+        {"euler": 1284056311, "two_factor": 459957440, "bipartite": 3444646583},
+    ),
+    "rr30_4_s2": (
+        random_regular(30, 4, 2), None,
+        {"euler": 870158089, "two_factor": 1513361608, "bipartite": 1041884552},
+    ),
+    "rr36_6_s3": (
+        random_regular(36, 6, 3), None,
+        {"euler": 3418460844, "two_factor": 4266730599, "bipartite": 269822906},
+    ),
+    "rr40_8_s4": (
+        random_regular(40, 8, 4), None,
+        {"euler": 2996838275, "two_factor": 4152982019, "bipartite": 1537714712},
+    ),
+    "rr44_10_s5": (
+        random_regular(44, 10, 5), None,
+        {"euler": 3285246249, "two_factor": 1668694363, "bipartite": 3997758851},
+    ),
+    "doubled_rr20_3_s6": (
+        double_edges(random_regular(20, 3, 6)), None,
+        {"euler": 2607657443, "two_factor": 57282967, "bipartite": 3757522754},
+    ),
+    "doubled_rr24_5_s7": (
+        double_edges(random_regular(24, 5, 7)), None,
+        {"euler": 194190807, "two_factor": 4041711187, "bipartite": 2017024562},
+    ),
+    "doubled_rr30_7_s8": (
+        double_edges(random_regular(30, 7, 8)), None,
+        {"euler": 2638687555, "two_factor": 2062846183, "bipartite": 2541452367},
+    ),
+    "odd_rr30_9_s9": (
+        random_regular(30, 9, 9), None,
+        {"bipartite": 259987228},
+    ),
+    "disconnected": (
+        _union(random_regular(11, 4, 1), complete(5), random_regular(12, 4, 2)), None,
+        {"euler": 3755158353, "two_factor": 814695904, "bipartite": 1089154289},
+    ),
+    "perm_union_k1": (
+        _permutation_union(1), range(6),
+        {"bipartite": 2891997037},
+    ),
+    "perm_union_k2": (
+        _permutation_union(2), range(6),
+        {"euler": 3536165744, "two_factor": 3750134357, "bipartite": 2720001238},
+    ),
+    "perm_union_k3": (
+        _permutation_union(3), range(6),
+        {"bipartite": 3808755470},
+    ),
+    "perm_union_k4": (
+        _permutation_union(4), range(6),
+        {"euler": 3287337571, "two_factor": 2127998126, "bipartite": 3130070331},
+    ),
+    "perm_union_k5": (
+        _permutation_union(5), range(6),
+        {"bipartite": 3078832912},
+    ),
+    "perm_union_k6": (
+        _permutation_union(6), range(6),
+        {"euler": 188951660, "two_factor": 3158715281, "bipartite": 2822297758},
+    ),
+    "perm_union_k7": (
+        _permutation_union(7), range(6),
+        {"bipartite": 1873595320},
+    ),
+    "perm_union_k8": (
+        _permutation_union(8), range(6),
+        {"euler": 3988351146, "two_factor": 3591368387, "bipartite": 3053943265},
+    ),
+}
 
 
 class TestEulerOrientation:
@@ -164,6 +283,12 @@ class TestTwoFactorization:
         a = [sorted(f.edge_ids) for f in two_factorization(g)]
         b = [sorted(f.edge_ids) for f in two_factorization(g)]
         assert a == b
+
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DECOMPOSITION))
+    def test_golden_decomposition(self, name):
+        g, left, expected = GOLDEN_DECOMPOSITION[name]
+        assert layer_digests(g, left) == expected
 
 
 class TestRegularComponentFactor:
