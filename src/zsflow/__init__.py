@@ -28,8 +28,6 @@ from .graphs import (
     components,
     cubic_no_pm,
     cycle,
-    double_edges,
-    doubled_partner,
     euler_orientation,
     parse_edge_list,
     parse_graph6,
@@ -119,8 +117,6 @@ __all__ = [
     "cycle",
     "decompose_regular_bipartite",
     "degree_range_factor",
-    "double_edges",
-    "doubled_partner",
     "find_exact_factor",
     "has_perfect_matching",
     "max_matching",

@@ -16,12 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    FactorSearchError,
-    FlowNonexistentError,
-    FlowUndecidedError,
-    UnsupportedDegreeError,
-)
+from .errors import FlowUndecidedError, UnsupportedDegreeError
 from .flows import construct, parse_flow, verify_flow, write_flow
 from .graphs import (
     MultiGraph,
@@ -78,10 +73,6 @@ def _graph_block(source: str, fmt: str, g: MultiGraph) -> list[str]:
     ]
 
 
-def _flow_block(g: MultiGraph, values) -> list[str]:
-    return ["flow:"] + [f"{e} {u} {v} {values[e]}" for e, (u, v) in enumerate(g.edges)]
-
-
 def _cmd_construct(args) -> int:
     g = _load_graph(args.graph, args.format)
     start = time.perf_counter()
@@ -89,10 +80,11 @@ def _cmd_construct(args) -> int:
     wall = time.perf_counter() - start
     lines = _header("construct") + _graph_block(args.graph, args.format, g)
     lines += ["outcome: flow", f"k: {flow.k}", "verified: pass", f"wall_time_s: {wall:.3f}"]
-    lines += _flow_block(g, flow.values)
+    text = write_flow(flow)
+    lines += ["flow:", *text.splitlines()[1:]]  # the flow file's body, without its header
     _emit(lines, args.out)
     if args.flow_out:
-        Path(args.flow_out).write_text(write_flow(flow))
+        Path(args.flow_out).write_text(text)
     return 0
 
 
@@ -136,9 +128,10 @@ def _cmd_solve(args) -> int:
     lines += [f"k: {args.k}", f"budget: {budget}", f"outcome: {outcome.status}", f"nodes: {outcome.nodes}"]
     if outcome.status == "found":
         lines += ["verified: pass", f"wall_time_s: {wall:.3f}"]
-        lines += _flow_block(g, outcome.flow.values)
+        text = write_flow(outcome.flow)
+        lines += ["flow:", *text.splitlines()[1:]]
         if args.flow_out:
-            Path(args.flow_out).write_text(write_flow(outcome.flow))
+            Path(args.flow_out).write_text(text)
     else:
         lines += [f"wall_time_s: {wall:.3f}"]
     _emit(lines, args.out)
@@ -240,14 +233,12 @@ def main(argv: list[str] | None = None) -> int:
     except FlowUndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 4
-    except (FlowNonexistentError, FactorSearchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except (ValueError, IndexError, OSError) as exc:
         # graph/flow format errors, bad parameters, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
+        # FlowNonexistentError, FactorSearchError and internal check failures
         print(f"error: {exc}", file=sys.stderr)
         return 5
 

@@ -19,12 +19,7 @@ from .graphs import (
     regular_degree,
     subgraph_from_edges,
 )
-from .matching import (
-    _euler_split,
-    bipartite_perfect_matching,
-    find_exact_factor,
-    max_matching,
-)
+from .matching import _euler_split, _max_matching_ids, find_exact_factor, max_matching
 
 _PARTITION_VERTEX_LIMIT = 18
 _PARTITION_FACTOR_BUDGET = 4000
@@ -91,9 +86,6 @@ class RegularComponentFactor:
                 out |= comp.edge_ids
         return frozenset(out)
 
-    def as_factor(self) -> Factor:
-        return Factor(self.host, self.edge_ids)
-
 
 def _component_analysis(
     g: MultiGraph, edge_ids: frozenset[int], k: int
@@ -141,8 +133,9 @@ def _edge_and_cycle_cover(g: MultiGraph) -> frozenset[int]:
     copies isolate as 1-regular pairs, the rest close into disjoint cycles.
     Always exists when the graph is regular.
     """
-    pm = bipartite_perfect_matching(double_cover(g), left=range(g.n))
-    if pm is None:  # regular double cover always has one
+    arcs = double_cover(g)
+    pm = _max_matching_ids(2 * g.n, arcs, range(len(arcs)))
+    if len(pm) != g.n:  # a regular double cover always has a perfect matching
         raise RuntimeError("internal: regular bipartite double cover has no perfect matching")
     return frozenset(b // 2 for b in pm)
 

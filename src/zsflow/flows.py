@@ -20,7 +20,7 @@ from .errors import (
 )
 from .factorization import regular_component_factor, two_factorization
 from .graphs import MultiGraph, components, double_cover, regular_degree, subgraph_from_edges
-from .matching import decompose_regular_bipartite
+from .matching import _euler_split
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +145,7 @@ def constant_sum_weighting(g: MultiGraph, q: int) -> tuple[int, ...]:
                 out[e] = w
     else:
         twos = (q - 2 * r) // 2
-        matchings = decompose_regular_bipartite(double_cover(g), left=range(g.n))
+        matchings = _euler_split(2 * g.n, double_cover(g), [True] * g.n + [False] * g.n, r)
         for i, pm in enumerate(matchings):
             w = 2 if i < twos else 1
             for arc in pm:

@@ -63,17 +63,6 @@ class MultiGraph:
         """Pairs ``(edge_id, other_endpoint)`` for vertex ``v``, ascending id."""
         return self._adj[v]
 
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
-
-    def other(self, e: int, v: int) -> int:
-        u, w = self.edges[e]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise ValueError(f"vertex {v} is not an endpoint of edge {e}")
-
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m})"
 
@@ -99,9 +88,6 @@ class Factor:
         bad = [e for e in self.edge_ids if not (0 <= e < m)]
         if bad:
             raise GraphError(f"factor edge ids not in host: {sorted(bad)[:5]}")
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e, _ in self.host.incident(v) if e in self.edge_ids)
 
     def degrees(self) -> tuple[int, ...]:
         """Per-vertex degree vector inside the factor."""
@@ -197,34 +183,15 @@ def _euler_tails(n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int]) -
     return tails
 
 
-def double_edges(g: MultiGraph) -> MultiGraph:
-    """Add a parallel copy of every edge.
-
-    The copy of edge ``e`` gets id ``e + g.m``, so the pairing between an
-    edge and its copy is ``doubled_partner``.  Every vertex degree doubles.
-    """
-    return MultiGraph(g.n, list(g.edges) + list(g.edges))
-
-
-def doubled_partner(e: int, m: int) -> int:
-    """Partner id of edge ``e`` in a graph produced by ``double_edges``.
-
-    ``m`` is the edge count of the graph before doubling.  The pairing is an
-    involution covering ids 0..2m-1.
-    """
-    if not (0 <= e < 2 * m):
-        raise ValueError(f"edge id {e} out of range for doubled graph with 2m={2 * m}")
-    return e + m if e < m else e - m
-
-
-def double_cover(g: MultiGraph) -> MultiGraph:
-    """Bipartite double cover: vertex v splits into v and g.n + v.
+def double_cover(g: MultiGraph) -> list[tuple[int, int]]:
+    """Arc list of the bipartite double cover: vertex v splits into v and g.n + v.
 
     Edge e = (u, v) becomes the arcs 2e = (u, g.n + v) and 2e + 1 =
     (v, g.n + u), so an r-regular graph gives an r-regular bipartite one
-    with sides 0..n-1 and n..2n-1.
+    with sides 0..n-1 and n..2n-1.  The arcs are valid by construction and
+    go straight to the edge-id engines; no graph is built.
     """
-    return MultiGraph(2 * g.n, [a for u, v in g.edges for a in ((u, g.n + v), (v, g.n + u))])
+    return [a for u, v in g.edges for a in ((u, g.n + v), (v, g.n + u))]
 
 
 def subgraph_from_edges(

@@ -275,42 +275,29 @@ def find_exact_factor(g: MultiGraph, target: Sequence[int]) -> frozenset[int] | 
     vertex additionally gets degree(v) - target[v] core vertices joined to
     all of its stubs, and each host edge joins its two stubs.  Perfect
     matchings of the gadget select exactly the wanted edge sets (an edge is
-    chosen iff its stub-stub edge is matched).
+    chosen iff its stub-stub edge is matched).  Edge e = (u, v) has stubs
+    2e (at u) and 2e + 1 (at v); core vertices follow from 2m on.
     """
     n, m = g.n, g.m
     if any(not (0 <= target[v] <= g.degree(v)) for v in range(n)):
         return None
     if sum(target) % 2:
         return None
-    stub_of = [0] * (2 * m)  # gadget vertex per (edge, endpoint-slot)
-    gadget_adj: list[list[int]] = []
-
-    def new_vertex() -> int:
-        gadget_adj.append([])
-        return len(gadget_adj) - 1
-
+    gadget_adj: list[list[int]] = [[] for _ in range(2 * m)]
     for v in range(n):
-        stubs = []
-        for e, _ in g.incident(v):
-            s = new_vertex()
-            u, w = g.edges[e]
-            slot = 2 * e if v == u else 2 * e + 1
-            stub_of[slot] = s
-            stubs.append(s)
+        stubs = [2 * e + (v != g.edges[e][0]) for e, _ in g.incident(v)]
         for _ in range(g.degree(v) - target[v]):
-            c = new_vertex()
             for s in stubs:
-                gadget_adj[c].append(s)
-                gadget_adj[s].append(c)
+                gadget_adj[s].append(len(gadget_adj))
+            gadget_adj.append(stubs)  # v's cores share one read-only list
     for e in range(m):
-        a, b = stub_of[2 * e], stub_of[2 * e + 1]
-        gadget_adj[a].append(b)
-        gadget_adj[b].append(a)
+        gadget_adj[2 * e].append(2 * e + 1)
+        gadget_adj[2 * e + 1].append(2 * e)
 
     match = _blossom_matching(gadget_adj)
     if any(mate == -1 for mate in match):
         return None
-    chosen = frozenset(e for e in range(m) if match[stub_of[2 * e]] == stub_of[2 * e + 1])
+    chosen = frozenset(e for e in range(m) if match[2 * e] == 2 * e + 1)
     deg = Factor(g, chosen).degrees()
     if any(deg[v] != target[v] for v in range(n)):  # sanity: gadget bijection broke
         raise RuntimeError("internal: gadget matching decoded to a wrong-degree edge set")

@@ -15,11 +15,11 @@ from oracles import flow_exists_by_enumeration
 from zsflow.flows import constant_sum_weighting, construct, verify_flow
 from zsflow.graphs import (
     MultiGraph,
+    build,
     circulant,
     complete,
     components,
     cubic_no_pm,
-    double_edges,
     random_regular,
     regular_degree,
 )
@@ -280,7 +280,7 @@ def run_criterion_5() -> str:
             n += 1
         g = random_regular(n, r, seed=51_000 + i)
         if r % 2:
-            corpus.append((f"doubled-r{r}/n{n}/{i}", double_edges(g)))
+            corpus.append((f"doubled-r{r}/n{n}/{i}", build(g.n, list(g.edges) * 2)))
         else:
             corpus.append((f"even-r{r}/n{n}/{i}", g))
     lines = []

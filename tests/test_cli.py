@@ -4,7 +4,7 @@ import pytest
 
 from zsflow import cli
 from zsflow.cli import main
-from zsflow.errors import FactorSearchError
+from zsflow.errors import FactorSearchError, FlowNonexistentError
 from zsflow.flows import parse_flow, verify_flow
 from zsflow.graphs import complete, cubic_no_pm, cycle, parse_edge_list, write_edge_list
 
@@ -51,6 +51,15 @@ class TestConstruct:
         assert main(["verify", gpath, fpath]) == 0
         assert "outcome: pass" in capsys.readouterr().out
 
+    def test_report_flow_lines_are_the_flow_file_body(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, complete(8))
+        fpath, rpath = tmp_path / "flow.txt", tmp_path / "r.txt"
+        assert main(["construct", gpath, "--flow-out", str(fpath), "--out", str(rpath)]) == 0
+        report = rpath.read_text().splitlines()
+        body = fpath.read_text().splitlines()[1:]
+        assert len(body) == complete(8).m
+        assert report[report.index("flow:") + 1 :] == body
+
     def test_undecided_budget(self, tmp_path, capsys):
         path = write_graph(tmp_path, cubic_no_pm())
         assert main(["construct", path, "--budget", "2"]) == 4
@@ -77,6 +86,15 @@ class TestConstruct:
         path = write_graph(tmp_path, complete(8))
         assert main(["construct", path]) == 5
         assert "not found" in capsys.readouterr().err
+
+    def test_flow_nonexistent_error_exit_5(self, tmp_path, capsys, monkeypatch):
+        def refute(g, budget=None):
+            raise FlowNonexistentError("exhaustive search found no zero-sum 5-flow")
+
+        monkeypatch.setattr(cli, "construct", refute)
+        path = write_graph(tmp_path, complete(8))
+        assert main(["construct", path]) == 5
+        assert "error: exhaustive search" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -15,7 +15,7 @@ from zsflow.factorization import (
     regular_component_factor,
     two_factorization,
 )
-from zsflow.flows import construct, verify_flow
+from zsflow.flows import constant_sum_weighting, construct, verify_flow
 from zsflow.graphs import (
     MultiGraph,
     build,
@@ -23,8 +23,6 @@ from zsflow.graphs import (
     components,
     cubic_no_pm,
     cycle,
-    double_cover,
-    double_edges,
     petersen,
     random_regular,
     regular_degree,
@@ -77,6 +75,26 @@ def _union(*parts: MultiGraph) -> MultiGraph:
     return build(offset, pairs)
 
 
+def _doubled(g: MultiGraph) -> MultiGraph:
+    # every edge plus a parallel copy: 2r-regular when g is r-regular
+    return build(g.n, list(g.edges) * 2)
+
+
+def _cover(g: MultiGraph) -> MultiGraph:
+    # bipartite double cover with sides 0..n-1 and n..2n-1, arcs 2e and 2e + 1
+    return build(2 * g.n, [a for u, v in g.edges for a in ((u, g.n + v), (v, g.n + u))])
+
+
+def _multigraph_hub() -> MultiGraph:
+    # a centre joined to five 3-vertex gadgets (edges ab and ac doubled, bc
+    # tripled): 5-regular with parallel edges and no perfect matching
+    pairs = []
+    for i in range(5):
+        a, b, c = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
+        pairs += [(0, a)] + [(a, b)] * 2 + [(a, c)] * 2 + [(b, c)] * 3
+    return build(16, pairs)
+
+
 def _permutation_union(k: int) -> MultiGraph:
     # k random perfect matchings between 0..5 and 6..11; parallel edges for k >= 2
     s = 6
@@ -89,7 +107,9 @@ def layer_digests(g: MultiGraph, left=None) -> dict[str, int]:
     """crc32 of what each splitting layer returns on g.
 
     ``left`` names one side when g itself is bipartite; otherwise the
-    bipartite layer runs on g's double cover.
+    bipartite layer runs on g's double cover.  Regular graphs also pin the
+    edge-and-cycle cover, and odd-regular ones the {2,3,4} weighting at
+    every admissible vertex sum; both split g's double cover internally.
     """
 
     def crc(obj) -> int:
@@ -101,86 +121,128 @@ def layer_digests(g: MultiGraph, left=None) -> dict[str, int]:
     r = regular_degree(g)
     if r and r % 2 == 0:
         out["two_factor"] = crc([sorted(f.edge_ids) for f in two_factorization(g)])
-    bip, side = (double_cover(g), range(g.n)) if left is None else (g, left)
+    bip, side = (_cover(g), range(g.n)) if left is None else (g, left)
     out["bipartite"] = crc([sorted(pm) for pm in decompose_regular_bipartite(bip, side)])
+    if r:
+        out["cover"] = crc(sorted(_edge_and_cycle_cover(g)))
+    if r and r % 2:
+        out["weighting"] = crc([constant_sum_weighting(g, q) for q in range(2 * r, 4 * r + 1, 2)])
     return out
 
 
 # name -> (graph, bipartite side or None, {layer: crc32}).  These pin the Euler
 # walk order itself: any change to the start vertex, the edge order at a
-# vertex or the forward/backward split moves the factors and matchings.
+# vertex or the forward/backward split moves the factors and matchings.  The
+# cover and weighting layers pin the two library callers of the double cover.
 GOLDEN_DECOMPOSITION = {
     "rr40_2_s1": (
         random_regular(40, 2, 1), None,
-        {"euler": 1284056311, "two_factor": 459957440, "bipartite": 3444646583},
+        {"euler": 1284056311, "two_factor": 459957440,
+         "bipartite": 3444646583, "cover": 2027085058},
     ),
     "rr30_4_s2": (
         random_regular(30, 4, 2), None,
-        {"euler": 870158089, "two_factor": 1513361608, "bipartite": 1041884552},
+        {"euler": 870158089, "two_factor": 1513361608,
+         "bipartite": 1041884552, "cover": 1581257696},
     ),
     "rr36_6_s3": (
         random_regular(36, 6, 3), None,
-        {"euler": 3418460844, "two_factor": 4266730599, "bipartite": 269822906},
+        {"euler": 3418460844, "two_factor": 4266730599,
+         "bipartite": 269822906, "cover": 292835666},
     ),
     "rr40_8_s4": (
         random_regular(40, 8, 4), None,
-        {"euler": 2996838275, "two_factor": 4152982019, "bipartite": 1537714712},
+        {"euler": 2996838275, "two_factor": 4152982019,
+         "bipartite": 1537714712, "cover": 1650917749},
     ),
     "rr44_10_s5": (
         random_regular(44, 10, 5), None,
-        {"euler": 3285246249, "two_factor": 1668694363, "bipartite": 3997758851},
+        {"euler": 3285246249, "two_factor": 1668694363,
+         "bipartite": 3997758851, "cover": 2502407015},
     ),
     "doubled_rr20_3_s6": (
-        double_edges(random_regular(20, 3, 6)), None,
-        {"euler": 2607657443, "two_factor": 57282967, "bipartite": 3757522754},
+        _doubled(random_regular(20, 3, 6)), None,
+        {"euler": 2607657443, "two_factor": 57282967,
+         "bipartite": 3757522754, "cover": 2813738410},
     ),
     "doubled_rr24_5_s7": (
-        double_edges(random_regular(24, 5, 7)), None,
-        {"euler": 194190807, "two_factor": 4041711187, "bipartite": 2017024562},
+        _doubled(random_regular(24, 5, 7)), None,
+        {"euler": 194190807, "two_factor": 4041711187,
+         "bipartite": 2017024562, "cover": 1653827252},
     ),
     "doubled_rr30_7_s8": (
-        double_edges(random_regular(30, 7, 8)), None,
-        {"euler": 2638687555, "two_factor": 2062846183, "bipartite": 2541452367},
+        _doubled(random_regular(30, 7, 8)), None,
+        {"euler": 2638687555, "two_factor": 2062846183,
+         "bipartite": 2541452367, "cover": 4182407894},
+    ),
+    "rr20_3_s6": (
+        random_regular(20, 3, 6), None,
+        {"bipartite": 895449508, "cover": 2813738410, "weighting": 34524049},
+    ),
+    "rr24_5_s7": (
+        random_regular(24, 5, 7), None,
+        {"bipartite": 2526817303, "cover": 1653827252, "weighting": 1826311901},
+    ),
+    "rr30_7_s8": (
+        random_regular(30, 7, 8), None,
+        {"bipartite": 882169255, "cover": 4182407894, "weighting": 3319322883},
+    ),
+    "rr26_11_s10": (
+        random_regular(26, 11, 10), None,
+        {"bipartite": 1833343696, "cover": 4090005124, "weighting": 2699242666},
+    ),
+    "cubic_no_pm": (
+        cubic_no_pm(), None,
+        {"bipartite": 3194851497, "cover": 3056886824, "weighting": 4040983884},
+    ),
+    "multigraph_hub5": (
+        _multigraph_hub(), None,
+        {"bipartite": 3828278554, "cover": 1132626692, "weighting": 3769859524},
     ),
     "odd_rr30_9_s9": (
         random_regular(30, 9, 9), None,
-        {"bipartite": 259987228},
+        {"bipartite": 259987228, "cover": 3792186433, "weighting": 3787759505},
     ),
     "disconnected": (
         _union(random_regular(11, 4, 1), complete(5), random_regular(12, 4, 2)), None,
-        {"euler": 3755158353, "two_factor": 814695904, "bipartite": 1089154289},
+        {"euler": 3755158353, "two_factor": 814695904,
+         "bipartite": 1089154289, "cover": 3107592488},
     ),
     "perm_union_k1": (
         _permutation_union(1), range(6),
-        {"bipartite": 2891997037},
+        {"bipartite": 2891997037, "cover": 2590119804, "weighting": 957333180},
     ),
     "perm_union_k2": (
         _permutation_union(2), range(6),
-        {"euler": 3536165744, "two_factor": 3750134357, "bipartite": 2720001238},
+        {"euler": 3536165744, "two_factor": 3750134357,
+         "bipartite": 2720001238, "cover": 3566295466},
     ),
     "perm_union_k3": (
         _permutation_union(3), range(6),
-        {"bipartite": 3808755470},
+        {"bipartite": 3808755470, "cover": 1861047072, "weighting": 1944310716},
     ),
     "perm_union_k4": (
         _permutation_union(4), range(6),
-        {"euler": 3287337571, "two_factor": 2127998126, "bipartite": 3130070331},
+        {"euler": 3287337571, "two_factor": 2127998126,
+         "bipartite": 3130070331, "cover": 2496030562},
     ),
     "perm_union_k5": (
         _permutation_union(5), range(6),
-        {"bipartite": 3078832912},
+        {"bipartite": 3078832912, "cover": 2496030562, "weighting": 3122370984},
     ),
     "perm_union_k6": (
         _permutation_union(6), range(6),
-        {"euler": 188951660, "two_factor": 3158715281, "bipartite": 2822297758},
+        {"euler": 188951660, "two_factor": 3158715281,
+         "bipartite": 2822297758, "cover": 2496030562},
     ),
     "perm_union_k7": (
         _permutation_union(7), range(6),
-        {"bipartite": 1873595320},
+        {"bipartite": 1873595320, "cover": 2496030562, "weighting": 2267446861},
     ),
     "perm_union_k8": (
         _permutation_union(8), range(6),
-        {"euler": 3988351146, "two_factor": 3591368387, "bipartite": 3053943265},
+        {"euler": 3988351146, "two_factor": 3591368387,
+         "bipartite": 3053943265, "cover": 2496030562},
     ),
 }
 
@@ -211,7 +273,7 @@ class TestEulerOrientation:
         check_balance(g, euler_orientation(g))
 
     def test_deterministic(self):
-        g = double_edges(petersen())
+        g = _doubled(petersen())
         assert euler_orientation(g) == euler_orientation(g)
 
 
@@ -223,7 +285,7 @@ class TestTwoFactorization:
         check_two_factorization(g, factors)
 
     def test_doubled_triangle(self):
-        g = double_edges(cycle(3))
+        g = _doubled(cycle(3))
         factors = two_factorization(g)
         assert len(factors) == 2
         for f in factors:
@@ -255,7 +317,7 @@ class TestTwoFactorization:
 
     def test_doubled_odd_regular_sweep(self):
         for n, r, seed in [(10, 3, 0), (12, 5, 1), (20, 7, 2), (30, 11, 3)]:
-            g = double_edges(random_regular(n, r, seed))
+            g = _doubled(random_regular(n, r, seed))
             factors = two_factorization(g)
             assert len(factors) == r
             check_two_factorization(g, factors)
@@ -335,11 +397,7 @@ class TestRegularComponentFactor:
         # a centre joined to five 3-vertex gadgets (edges ab and ac doubled,
         # bc tripled): no perfect matching, no 2- or 3-factor, so only the
         # split search can find the mixed [2, 3]-factor
-        pairs = []
-        for i in range(5):
-            a, b, c = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
-            pairs += [(0, a)] + [(a, b)] * 2 + [(a, c)] * 2 + [(b, c)] * 3
-        g = build(16, pairs)
+        g = _multigraph_hub()
         assert regular_degree(g) == 5
         assert not has_perfect_matching(g)
         rcf = regular_component_factor(g, 3)

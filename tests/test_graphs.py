@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import zsflow
 from zsflow.errors import GraphError, GraphFormatError
 from zsflow.graphs import (
     MultiGraph,
@@ -11,8 +12,7 @@ from zsflow.graphs import (
     components,
     cubic_no_pm,
     cycle,
-    double_edges,
-    doubled_partner,
+    double_cover,
     parse_edge_list,
     parse_graph6,
     petersen,
@@ -45,7 +45,6 @@ class TestBuild:
     def test_edge_ids_dense_in_input_order(self):
         g = build(4, [(3, 2), (0, 1)])
         assert g.edges == ((3, 2), (0, 1))
-        assert g.other(0, 3) == 2
 
 
 class TestQueries:
@@ -69,32 +68,42 @@ class TestQueries:
         assert components(build(3, [])) == [[0], [1], [2]]
 
 
-class TestDoubleEdges:
-    def test_triangle_doubles(self):
-        g = double_edges(cycle(3))
-        assert g.m == 6
-        assert regular_degree(g) == 4
+def test_every_public_name_resolves():
+    missing = [name for name in zsflow.__all__ if not hasattr(zsflow, name)]
+    assert not missing
+
+
+class TestDoubleCover:
+    def test_triangle(self):
+        cover = build(6, double_cover(cycle(3)))
+        assert cover.m == 6
+        assert regular_degree(cover) == 2
 
     def test_single_edge(self):
-        g = double_edges(build(2, [(0, 1)]))
-        assert g.degrees() == (2, 2)
+        assert double_cover(build(2, [(0, 1)])) == [(0, 3), (1, 2)]
 
     def test_k4(self):
-        g = double_edges(complete(4))
-        assert regular_degree(g) == 6 and g.m == 12
+        cover = build(8, double_cover(complete(4)))
+        assert regular_degree(cover) == 3 and cover.m == 12
 
-    def test_degree_profile_doubles_componentwise(self):
+    def test_degree_profile_repeats_on_both_sides(self):
         g = build(4, [(0, 1), (1, 2), (1, 3)])
-        d = double_edges(g)
-        assert d.degrees() == tuple(2 * x for x in g.degrees())
+        cover = build(2 * g.n, double_cover(g))
+        assert cover.degrees() == g.degrees() * 2
 
-    def test_pairing_is_involution_with_same_endpoints(self):
+    def test_arcs_project_onto_their_edge(self):
+        g = build(4, [(0, 1), (1, 2), (1, 3), (0, 1)])
+        arcs = double_cover(g)
+        assert len(arcs) == 2 * g.m
+        for e, (u, v) in enumerate(g.edges):
+            assert arcs[2 * e] == (u, g.n + v)
+            assert arcs[2 * e + 1] == (v, g.n + u)
+
+    def test_sides_are_the_two_vertex_copies(self):
         g = petersen()
-        d = double_edges(g)
-        for e in range(d.m):
-            p = doubled_partner(e, g.m)
-            assert doubled_partner(p, g.m) == e
-            assert sorted(d.edges[e]) == sorted(d.edges[p])
+        for a, b in double_cover(g):
+            assert 0 <= a < g.n <= b < 2 * g.n
+            assert a != b - g.n
 
 
 class TestGenerators:
