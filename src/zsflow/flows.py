@@ -110,39 +110,35 @@ def verify_flow(
 
 
 # ---------------------------------------------------------------------------
-# the {2,3,4} weighting with constant vertex sums
+# edge weightings with constant vertex sums
 
 
 def constant_sum_weighting(g: MultiGraph, q: int) -> tuple[int, ...]:
-    """Edge weights from {2, 3, 4} whose sum at every vertex is exactly q.
+    """Positive edge weights whose sum at every vertex is exactly q.
 
-    Exists for every r-regular graph and every even q with 2r <= q <= 4r.
-    Even r: weight the r/2 two-factors with 4s, at most one 3, then 2s.
-    Odd r: weight the r perfect matchings of the bipartite double cover
-    with 2s then 1s; an edge's weight is the sum over its two arcs, and
-    every vertex is the tail of one arc and the head of one arc in each
-    matching.
+    Every weight is floor(q/r) or ceil(q/r), so it lies in {2, 3, 4}
+    whenever q >= 2r.  Even r accepts every even q with r <= q <= 4r:
+    two-factor i (0 <= i < s = r/2, in `two_factorization`'s order) gets
+    weight (q/2 + i) // s, and these s weights add up to exactly q/2
+    (Hermite's identity).  Odd r accepts every even q with 2r <= q <= 4r:
+    weight the r perfect matchings of the bipartite double cover with 2s
+    then 1s; an edge's weight is the sum over its two arcs, and every
+    vertex is the tail of one arc and the head of one arc in each matching.
     """
     r = regular_degree(g)
     if r is None or r < 1:
         raise NotRegularError("constant_sum_weighting needs a regular graph with r >= 1")
     if q % 2:
         raise ValueError(f"q must be even, got {q}")
-    if not (2 * r <= q <= 4 * r):
-        raise ValueError(f"q must lie in [{2 * r}, {4 * r}], got {q}")
+    lo = r if r % 2 == 0 else 2 * r
+    if not (lo <= q <= 4 * r):
+        raise ValueError(f"q must lie in [{lo}, {4 * r}], got {q}")
     out = [0] * g.m
     if r % 2 == 0:
-        spread = q - 2 * r
-        fours, leftover = divmod(spread, 4)
+        s = r // 2
         for i, factor in enumerate(two_factorization(g)):
-            if i < fours:
-                w = 4
-            elif i == fours and leftover == 2:
-                w = 3
-            else:
-                w = 2
             for e in factor.edge_ids:
-                out[e] = w
+                out[e] = (q // 2 + i) // s
     else:
         twos = (q - 2 * r) // 2
         matchings = _euler_split(2 * g.n, double_cover(g), [True] * g.n + [False] * g.n, r)
@@ -192,21 +188,7 @@ def flow_seven_regular(g: MultiGraph) -> IntFlow:
     r = regular_degree(g)
     if r != 7:
         raise UnsupportedDegreeError(f"need a 7-regular graph, got r={r}")
-    rcf = regular_component_factor(g, 4)
-    values: list[int | None] = [None] * g.m
-    quartic = rcf.edges_with_degree(4)
-    if quartic:
-        sub, _, emap = subgraph_from_edges(g, quartic)
-        for val, factor in zip((1, 2), two_factorization(sub)):
-            for se in factor.edge_ids:
-                values[emap[se]] = val
-    cubic = rcf.edges_with_degree(3)
-    if cubic:
-        sub, _, emap = subgraph_from_edges(g, cubic)
-        for se, val in enumerate(constant_sum_weighting(sub, 8)):
-            values[emap[se]] = val
-    filled = [(-2 if v is None else v) for v in values]
-    return _checked(g, filled, 5)
+    return _factor_flow(g, 4, {4: 6, 3: 8}, -2)
 
 
 def flow_odd_regular(g: MultiGraph) -> IntFlow:
@@ -223,18 +205,24 @@ def flow_odd_regular(g: MultiGraph) -> IntFlow:
         raise UnsupportedDegreeError(f"need odd r >= 9, got r={r}")
     k = 2 * r // 3
     kp = r - k
-    if not (k <= 2 * kp <= 2 * k - 4):  # holds for every odd r >= 9
-        raise RuntimeError(f"internal: degree split broke for r={r}: k={k}, k'={kp}")
+    return _factor_flow(g, k, {k - 1: 4 * kp + 4, k: 4 * kp}, -4)
+
+
+def _factor_flow(g: MultiGraph, k: int, sums: Mapping[int, int], outside: int) -> IntFlow:
+    """5-flow from a [k-1, k]-factor with regular components.
+
+    Each non-empty d-regular part gets the constant-sum weighting with
+    vertex sums ``sums[d]``; every edge outside the factor gets ``outside``.
+    """
     rcf = regular_component_factor(g, k)
-    values: list[int | None] = [None] * g.m
-    for degree, q in ((k - 1, 4 * kp + 4), (k, 4 * kp)):
+    values = [outside] * g.m
+    for degree, q in sums.items():
         part = rcf.edges_with_degree(degree)
         if part:
             sub, _, emap = subgraph_from_edges(g, part)
-            for se, val in enumerate(constant_sum_weighting(sub, q)):
-                values[emap[se]] = val
-    filled = [(-4 if v is None else v) for v in values]
-    return _checked(g, filled, 5)
+            for e, val in zip(emap, constant_sum_weighting(sub, q)):
+                values[e] = val
+    return _checked(g, values, 5)
 
 
 def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
@@ -269,8 +257,8 @@ def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
     for comp, ids in zip(comps, inside):
         sub, _, emap = subgraph_from_edges(g, ids, vertices=comp)
         flow = _construct_connected(sub, r, budget)
-        for se, val in enumerate(flow.values):
-            values[emap[se]] = val
+        for e, val in zip(emap, flow.values):
+            values[e] = val
         k = flow.k
     return _checked(g, values, k)
 
@@ -350,6 +338,8 @@ def parse_flow(text: str) -> FlowDocument:
         k, n, m = map(int, head)
     except ValueError:
         raise GraphFormatError(f"non-integer header {lines[0]!r}", line=1) from None
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"negative size in header {lines[0]!r}", line=1)
     values: dict[int, int] = {}
     endpoints: dict[int, tuple[int, int]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):

@@ -121,6 +121,15 @@ class TestVerify:
         assert main(["verify", gpath, str(fpath)]) == 2
         assert "edge-count mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["3 3 -1", "3 -1 3"])
+    def test_negative_header_size_usage_error(self, tmp_path, capsys, header):
+        gpath = write_graph(tmp_path, cycle(3))
+        fpath = tmp_path / "flow.txt"
+        fpath.write_text(header + "\n")
+        assert main(["verify", gpath, str(fpath)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "negative" in err
+
     def test_endpoint_mismatch(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, cycle(4))
         fpath = tmp_path / "flow.txt"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import zlib
 from itertools import product
 
 import pytest
@@ -162,6 +163,21 @@ class TestConstantSumWeighting:
                 assert set(w) <= {2, 3, 4}, (r, q)
                 assert vertex_sums(g, w) == [q] * g.n, (r, q)
 
+    def test_even_r_balanced_over_full_range(self):
+        for n, r, seed in [(9, 4, 0), (10, 6, 1), (12, 8, 2), (14, 10, 3)]:
+            g = random_regular(n, r, seed)
+            for q in range(r, 4 * r + 1, 2):
+                w = constant_sum_weighting(g, q)
+                assert vertex_sums(g, w) == [q] * g.n, (r, q)
+                assert set(w) <= {q // r, -(-q // r)}, (r, q)
+
+    def test_range_lower_ends(self):
+        for r, g in [(4, complete(5)), (6, complete(7)), (3, complete(4)), (5, complete(6))]:
+            lo = r if r % 2 == 0 else 2 * r
+            assert vertex_sums(g, constant_sum_weighting(g, lo)) == [lo] * g.n
+            with pytest.raises(ValueError, match="lie in"):
+                constant_sum_weighting(g, lo - 2)
+
     def test_rejections(self):
         with pytest.raises(ValueError, match="even"):
             constant_sum_weighting(complete(4), 7)
@@ -228,7 +244,7 @@ class TestSevenRegular:
     @pytest.mark.xfail(
         strict=True,
         raises=FactorSearchError,
-        reason="mixed-component factors above n=18 are not searched yet (ROADMAP item 3)",
+        reason="mixed-component factors above n=18 are not searched yet (ROADMAP item 1)",
     )
     def test_hub_of_gadgets(self):
         # guaranteed by the paper, but with no perfect matching and no exact
@@ -284,7 +300,28 @@ class TestOddRegular:
             flow_odd_regular(complete(8))
 
 
+# name -> (graph, crc32 of construct(g).values).  The r = 7 graphs pin the
+# quartic part's 1/2 split and the -2 outside; the r = 9 part of degree 6 has
+# q = 2r (all 2s), and the r = 11 factors are exact 7-factors with no even part.
+GOLDEN_CONSTRUCT = {
+    "r7_n20": (random_regular(20, 7, seed=1), 0x8F70BB9A),
+    "r7_n100": (random_regular(100, 7, seed=2), 0x764AD8B5),
+    "r7_n400": (random_regular(400, 7, seed=3), 0x849857E5),
+    "r7_circulant": (circulant(10, {1, 2, 3, 5}), 0xF6A70A48),
+    "r7_k8": (complete(8), 0x5A5AE3A9),
+    "r9_n60": (random_regular(60, 9, seed=4), 0xD85CA869),
+    "r9_k10": (complete(10), 0x2BBBE98E),
+    "r11_n60": (random_regular(60, 11, seed=5), 0x1A625B7F),
+    "r11_k12": (complete(12), 0x4538C144),
+}
+
+
 class TestConstruct:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONSTRUCT))
+    def test_golden_construct(self, name):
+        g, expected = GOLDEN_CONSTRUCT[name]
+        assert zlib.crc32(repr(construct(g).values).encode()) == expected
+
     def test_petersen_via_search(self):
         flow = construct(petersen())
         assert flow.k == 5

@@ -10,6 +10,7 @@ from zsflow import matching
 from zsflow.errors import NotRegularError
 from zsflow.graphs import MultiGraph, build, complete, cubic_no_pm, cycle, petersen
 from zsflow.matching import (
+    bipartite_perfect_matching,
     decompose_regular_bipartite,
     degree_range_factor,
     find_exact_factor,
@@ -131,6 +132,27 @@ class TestHasPerfectMatching:
 
     def test_odd_order(self):
         assert not has_perfect_matching(cycle(5))
+
+
+class TestBipartitePerfectMatching:
+    def test_edge_inside_a_side_rejected(self):
+        g = build(4, [(0, 2), (0, 1), (1, 3)])
+        with pytest.raises(ValueError, match="edge 1 .* does not cross"):
+            bipartite_perfect_matching(g, left={0, 1})
+
+    def test_unequal_sides_have_none(self):
+        assert bipartite_perfect_matching(build(3, [(0, 1), (0, 2)]), left={0}) is None
+
+    def test_regular_multigraph_keeps_lowest_parallel_id(self):
+        # a tripled perfect matching is 3-regular and its only matching up to
+        # parallels; the lowest ids of (2, 5), (0, 3), (1, 4) are 0, 1, 3
+        g = build(6, [(2, 5), (0, 3), (2, 5), (1, 4), (0, 3), (1, 4), (0, 3), (2, 5), (1, 4)])
+        assert bipartite_perfect_matching(g, left={0, 1, 2}) == {0, 1, 3}
+
+    def test_hall_violation_has_none(self):
+        # left vertices 0 and 1 both see only vertex 3
+        g = build(6, [(0, 3), (1, 3), (2, 4), (2, 5)])
+        assert bipartite_perfect_matching(g, left={0, 1, 2}) is None
 
 
 class TestBipartiteDecomposition:
