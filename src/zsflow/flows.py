@@ -74,13 +74,12 @@ def verify_flow(
         values = list(flow.values)
         k = flow.k if k is None else k
     elif isinstance(flow, Mapping):
-        missing = [e for e in range(g.m) if e not in flow]
-        if missing:
-            raise ValueError(f"flow is missing edge {missing[0]}")
-        extra = [e for e in flow if not (0 <= e < g.m)]
-        if extra:
-            raise ValueError(f"flow has unknown edge id {extra[0]}")
-        values = [flow[e] for e in range(g.m)]
+        values = list(map(flow.get, range(g.m)))
+        if None in values:
+            raise ValueError(f"flow is missing edge {values.index(None)}")
+        if len(flow) != g.m:  # every id 0..m-1 is present, so some id is unknown
+            extra = next(e for e in flow if not (0 <= e < g.m))
+            raise ValueError(f"flow has unknown edge id {extra}")
     else:
         values = list(flow)
         if len(values) != g.m:
@@ -88,24 +87,23 @@ def verify_flow(
     if k is None:
         raise ValueError("a claimed bound k is required")
 
+    max_abs = max(map(abs, values), default=0)
     violation = None
-    for e, val in enumerate(values):
-        if val == 0:
-            violation = f"zero value at edge {e}"
-            break
-        if abs(val) > k - 1:
-            violation = f"edge {e} value {val} exceeds |value| <= {k - 1}"
-            break
-    sums = [0] * g.n
-    for e, (u, v) in enumerate(g.edges):
-        sums[u] += values[e]
-        sums[v] += values[e]
-    if violation is None:
-        for v in range(g.n):
-            if sums[v] != 0:
-                violation = f"vertex {v} sum {sums[v]}"
+    if 0 in values or max_abs > k - 1:  # find the first bad value by edge id
+        for e, val in enumerate(values):
+            if val == 0:
+                violation = f"zero value at edge {e}"
                 break
-    max_abs = max((abs(v) for v in values), default=0)
+            if abs(val) > k - 1:
+                violation = f"edge {e} value {val} exceeds |value| <= {k - 1}"
+                break
+    sums = [0] * g.n
+    for (u, v), val in zip(g.edges, values):
+        sums[u] += val
+        sums[v] += val
+    if violation is None and any(sums):
+        v = next(v for v, total in enumerate(sums) if total)
+        violation = f"vertex {v} sum {sums[v]}"
     return FlowReport(tuple(sums), max_abs, violation is None, violation, k)
 
 

@@ -3,7 +3,9 @@
 Vertices are dense integers 0..n-1 and edge ids are dense integers 0..m-1
 assigned in construction order.  Parallel edges are allowed everywhere,
 loops are rejected everywhere.  Graphs are immutable after construction and
-all operations on them are pure, so instances can be shared freely.
+all operations on them are pure, so instances can be shared freely.  A
+graph's incidence lists are built on the first `MultiGraph.incident` call,
+so graphs that are only parsed, generated or written never build them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ class MultiGraph:
 
     ``edges[e]`` is the endpoint pair ``(u, v)`` of the edge with id ``e``,
     in the orientation it was supplied.  Loops (``u == v``) are rejected.
+    Degrees are counted on construction; the incidence lists are built on
+    the first `incident` call and cached.  Either way an instance is
+    immutable in every observable way.
     """
 
     __slots__ = ("n", "edges", "_adj", "_degrees")
@@ -31,22 +36,19 @@ class MultiGraph:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         edges = []
+        deg = [0] * n
         for idx, (u, v) in enumerate(pairs):
             if not (0 <= u < n) or not (0 <= v < n):
                 raise GraphError(f"edge {idx}: endpoint out of range for n={n}: ({u}, {v})")
             if u == v:
                 raise GraphError(f"edge {idx}: loop at vertex {u} rejected")
             edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
         self.n = n
         self.edges = tuple(edges)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(edges):
-            adj[u].append((e, v))
-            adj[v].append((e, u))
-        # filled in edge-id order, so every incidence list is ascending by id,
-        # which keeps every traversal deterministic
-        self._adj = tuple(map(tuple, adj))
-        self._degrees = tuple(len(a) for a in adj)
+        self._degrees = tuple(deg)
+        self._adj: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
     @property
     def m(self) -> int:
@@ -61,6 +63,14 @@ class MultiGraph:
 
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """Pairs ``(edge_id, other_endpoint)`` for vertex ``v``, ascending id."""
+        if self._adj is None:
+            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+            for e, (u, w) in enumerate(self.edges):
+                adj[u].append((e, w))
+                adj[w].append((e, u))
+            # filled in edge-id order, so every incidence list is ascending by
+            # id, which keeps every traversal deterministic
+            self._adj = tuple(map(tuple, adj))
         return self._adj[v]
 
     def __repr__(self) -> str:
@@ -103,11 +113,8 @@ def regular_degree(g: MultiGraph) -> int | None:
     """Return r if every vertex has degree exactly r, else None."""
     if g.n == 0:
         return None
-    r = g.degree(0)
-    for v in range(1, g.n):
-        if g.degree(v) != r:
-            return None
-    return r
+    degs = g.degrees()
+    return degs[0] if degs.count(degs[0]) == g.n else None
 
 
 def components(g: MultiGraph) -> list[list[int]]:
@@ -379,6 +386,8 @@ def parse_edge_list(text: str) -> MultiGraph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphFormatError(f"non-integer header {lines[0]!r}", line=1) from None
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"negative size in header {lines[0]!r}", line=1)
     pairs = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():

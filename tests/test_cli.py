@@ -136,12 +136,45 @@ class TestVerify:
         fpath.write_text("2 4 4\n0 0 2 1\n1 1 2 -1\n2 2 3 1\n3 3 0 -1\n")
         assert main(["verify", gpath, str(fpath)]) == 2
 
+    def test_reordered_and_swapped_body_passes(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, complete(5))
+        fpath = tmp_path / "flow.txt"
+        assert main(["construct", gpath, "--flow-out", str(fpath), "--out", str(tmp_path / "r.txt")]) == 0
+        head, *body = fpath.read_text().splitlines()
+        rows = [line.split() for line in reversed(body)]
+        for row in rows[::2]:
+            row[1], row[2] = row[2], row[1]
+        fpath.write_text("\n".join([head, *map(" ".join, rows)]) + "\n")
+        assert main(["verify", gpath, str(fpath)]) == 0
+        assert "outcome: pass" in capsys.readouterr().out
+
     def test_k_override(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, cycle(4))
         fpath = tmp_path / "flow.txt"
         fpath.write_text("5 4 4\n0 0 1 1\n1 1 2 -1\n2 2 3 1\n3 3 0 -1\n")
         assert main(["verify", gpath, str(fpath), "--k", "2"]) == 0
         assert "k: 2" in capsys.readouterr().out
+
+
+class TestReentry:
+    """Several main() calls in one process share nothing but the parser."""
+
+    def test_flow_out_does_not_carry_over(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, complete(5))
+        fpath = tmp_path / "flow.txt"
+        assert main(["construct", gpath, "--flow-out", str(fpath)]) == 0
+        fpath.unlink()
+        assert main(["construct", gpath]) == 0
+        assert not fpath.exists()
+
+    def test_k_override_does_not_carry_over(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, cycle(4))
+        fpath = tmp_path / "flow.txt"
+        fpath.write_text("5 4 4\n0 0 1 1\n1 1 2 -1\n2 2 3 1\n3 3 0 -1\n")
+        assert main(["verify", gpath, str(fpath), "--k", "2"]) == 0
+        assert "k: 2" in capsys.readouterr().out
+        assert main(["verify", gpath, str(fpath)]) == 0
+        assert "k: 5" in capsys.readouterr().out
 
 
 class TestSolve:

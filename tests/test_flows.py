@@ -106,6 +106,14 @@ class TestVerify:
         with pytest.raises(ValueError, match="missing edge 2"):
             verify_flow(g, {0: 1, 1: -1, 3: -1}, k=2)
 
+    def test_unknown_edge_id_rejected(self):
+        with pytest.raises(ValueError, match="unknown edge id 4"):
+            verify_flow(cycle(4), {0: 1, 1: -1, 2: 1, 3: -1, 4: 1}, k=2)
+
+    def test_missing_edge_reported_before_unknown_id(self):
+        with pytest.raises(ValueError, match="missing edge 1"):
+            verify_flow(cycle(4), {0: 1, 2: 1, 3: -1, 7: -1}, k=2)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="3 values"):
             verify_flow(cycle(4), [1, -1, 1], k=2)

@@ -21,6 +21,8 @@ from zsflow.graphs import (
     subgraph_from_edges,
     write_edge_list,
 )
+from zsflow.matching import find_exact_factor
+from zsflow.solver import solve
 
 
 class TestBuild:
@@ -66,6 +68,49 @@ class TestQueries:
 
     def test_components_isolated(self):
         assert components(build(3, [])) == [[0], [1], [2]]
+
+
+def _multigraph() -> MultiGraph:
+    """Parallel edges 0/2 and 1/5, a degree-3 vertex 3 and the isolated vertex 4."""
+    return build(5, [(1, 2), (0, 1), (2, 1), (0, 2), (1, 3), (1, 0), (3, 0), (2, 3)])
+
+
+class TestIncident:
+    def test_pairs_are_edge_id_and_other_endpoint_ascending(self):
+        g = _multigraph()
+        assert g.incident(1) == ((0, 2), (1, 0), (2, 2), (4, 3), (5, 0))
+        assert g.incident(3) == ((4, 1), (6, 0), (7, 2))
+        assert g.incident(4) == ()
+        for v in range(g.n):
+            ids = [e for e, _ in g.incident(v)]
+            assert ids == sorted(ids)
+            assert all(v in g.edges[e] and w in g.edges[e] for e, w in g.incident(v))
+
+    def test_repeated_calls_are_equal(self):
+        g = _multigraph()
+        first = [g.incident(v) for v in range(g.n)]
+        assert [g.incident(v) for v in range(g.n)] == first
+
+    def test_degrees_count_parallel_edges_at_both_ends(self):
+        g = _multigraph()
+        assert g.degrees() == (4, 5, 4, 3, 0)
+        assert g.degrees() == tuple(len(g.incident(v)) for v in range(g.n))
+
+    def test_results_do_not_depend_on_a_prior_incident_read(self):
+        def results(g):
+            outcome = solve(g, 3, 10_000)
+            return (
+                components(g),
+                find_exact_factor(g, [1, 2, 1, 0, 0]),
+                find_exact_factor(g, [1, 1, 1, 1, 0]),
+                (outcome.status, outcome.nodes, outcome.flow.values),
+            )
+
+        warm = _multigraph()
+        for v in range(warm.n):
+            warm.incident(v)
+        assert results(_multigraph()) == results(warm)
+        assert results(_multigraph())[0] == [[0, 1, 2, 3], [4]]
 
 
 def test_every_public_name_resolves():
@@ -196,6 +241,11 @@ class TestSerialization:
     def test_edge_list_bad_header(self):
         with pytest.raises(GraphFormatError, match="line 1"):
             parse_edge_list("three edges")
+
+    @pytest.mark.parametrize("text", ["-1 0", "3 -2", "-2 1\n0 1"])
+    def test_edge_list_negative_header_size(self, text):
+        with pytest.raises(GraphFormatError, match="line 1: negative size"):
+            parse_edge_list(text)
 
     def test_edge_list_count_mismatch(self):
         with pytest.raises(GraphFormatError):
