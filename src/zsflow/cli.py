@@ -98,9 +98,8 @@ def _cmd_verify(args) -> int:
     if doc.m != g.m:
         print(f"error: edge-count mismatch: graph has {g.m}, flow file says {doc.m}", file=sys.stderr)
         return 2
-    if doc.endpoints != dict(enumerate(g.edges)):  # some pair is swapped or wrong
-        for e, (u, v) in enumerate(g.edges):
-            fu, fv = doc.endpoints[e]
+    if doc.endpoints != g.edges:  # some pair is swapped or wrong
+        for e, ((u, v), (fu, fv)) in enumerate(zip(g.edges, doc.endpoints)):
             if {u, v} != {fu, fv}:
                 print(f"error: edge {e} endpoints differ: graph ({u}, {v}), flow ({fu}, {fv})", file=sys.stderr)
                 return 2

@@ -192,15 +192,18 @@ def regular_component_factor(g: MultiGraph, k: int) -> RegularComponentFactor:
     Requires r odd, r >= 3, and 1 <= k <= 2r/3; such a factor always exists
     (Kano 1986).  The stages, in order, each with the reason it succeeds:
 
-    - k = 1: a maximum matching; its matched edges and unmatched vertices
-      are 1- and 0-regular components.
     - k = 2: the double-cover edge-and-cycle cover, which a regular graph
       always has.
-    - an exact k-factor, then an exact (k-1)-factor.  Both exist whenever G
-      has a perfect matching M: M (when k is odd) plus floor(k/2) of the
-      2-factors of the even-regular G - M.  The (k-1) query is skipped when
-      k - 1 = r - k (r = 7 at k = 4, r = 5 at k = 3): a (k-1)-factor is then
-      the complement of a k-factor, which was just ruled out.
+    - k = 1: a maximum matching; its matched edges and unmatched vertices
+      are 1- and 0-regular components.
+    - k >= 3 when that matching M is perfect: the exact k-factor made of M
+      (when k is odd) plus the first floor(k/2) 2-factors of the
+      even-regular G - M (Petersen 1891), in `two_factorization`'s order.
+    - k >= 3 otherwise: an exact k-factor, then an exact (k-1)-factor, from
+      the gadget queries of `find_exact_factor`.  The (k-1) query is
+      skipped when k - 1 = r - k (r = 7 at k = 4, r = 5 at k = 3): a
+      (k-1)-factor is then the complement of a k-factor, which was just
+      ruled out.
     - for n <= 18, the exhaustive search over vertex splits, complete
       within its budget of gadget-matching calls.
 
@@ -221,10 +224,19 @@ def regular_component_factor(g: MultiGraph, k: int) -> RegularComponentFactor:
             raise RuntimeError("internal: candidate factor failed its component check")
         return RegularComponentFactor(g, edge_ids, k, comps)
 
-    if k == 1:
-        return finish(max_matching(g))
     if k == 2:
         return finish(_edge_and_cycle_cover(g))
+    matching = max_matching(g)
+    if k == 1:
+        return finish(matching)
+    if 2 * len(matching) == g.n:
+        rest, _, emap = subgraph_from_edges(
+            g, [e for e in range(g.m) if e not in matching], vertices=range(g.n)
+        )
+        chosen = set(matching) if k % 2 else set()
+        for factor in two_factorization(rest)[: k // 2]:
+            chosen.update(emap[e] for e in factor.edge_ids)
+        return finish(frozenset(chosen))
     for target in (k,) if k - 1 == r - k else (k, k - 1):
         found = find_exact_factor(g, [target] * g.n)
         if found is not None:

@@ -38,13 +38,15 @@ class IntFlow:
     k: int
 
     def __post_init__(self):
-        if len(self.values) != self.host.m:
-            raise ValueError(f"flow has {len(self.values)} values for {self.host.m} edges")
-        for e, val in enumerate(self.values):
-            if val == 0:
-                raise ValueError(f"zero value at edge {e}")
-            if abs(val) > self.k - 1:
-                raise ValueError(f"edge {e} value {val} exceeds |value| <= {self.k - 1}")
+        values = self.values
+        if len(values) != self.host.m:
+            raise ValueError(f"flow has {len(values)} values for {self.host.m} edges")
+        if 0 in values or max(map(abs, values), default=0) > self.k - 1:
+            for e, val in enumerate(values):  # name the first bad value by edge id
+                if val == 0:
+                    raise ValueError(f"zero value at edge {e}")
+                if abs(val) > self.k - 1:
+                    raise ValueError(f"edge {e} value {val} exceeds |value| <= {self.k - 1}")
 
 
 @dataclass(frozen=True)
@@ -313,15 +315,16 @@ def write_flow(flow: IntFlow) -> str:
 class FlowDocument:
     """Raw parsed flow file: claimed bound, sizes, values, edge endpoints.
 
-    Values arrive unvalidated: a zero or out-of-range value is a verifier
-    verdict, not a parse error.
+    ``values[e]`` and ``endpoints[e]`` belong to the edge with id e, whatever
+    the order of the file's lines.  Values arrive unvalidated: a zero or
+    out-of-range value is a verifier verdict, not a parse error.
     """
 
     k: int
     n: int
     m: int
-    values: dict[int, int]
-    endpoints: dict[int, tuple[int, int]]
+    values: tuple[int, ...]
+    endpoints: tuple[tuple[int, int], ...]
 
 
 def parse_flow(text: str) -> FlowDocument:
@@ -338,8 +341,13 @@ def parse_flow(text: str) -> FlowDocument:
         raise GraphFormatError(f"non-integer header {lines[0]!r}", line=1) from None
     if n < 0 or m < 0:
         raise GraphFormatError(f"negative size in header {lines[0]!r}", line=1)
-    values: dict[int, int] = {}
-    endpoints: dict[int, tuple[int, int]] = {}
+    # A body of fewer than m lines misses some id below len(lines), so no slot
+    # past that bound is needed and a huge header allocates nothing; the ids
+    # past it are still range- and duplicate-checked line by line.
+    size = min(m, len(lines))
+    values: list[int | None] = [None] * size
+    endpoints: list[tuple[int, int] | None] = [None] * size
+    beyond: set[int] = set()
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -352,11 +360,13 @@ def parse_flow(text: str) -> FlowDocument:
             raise GraphFormatError(f"non-integer fields in {raw!r}", line=lineno) from None
         if not (0 <= e < m):
             raise GraphFormatError(f"edge id {e} out of range for m={m}", line=lineno)
-        if e in values:
+        if e < size and values[e] is None:
+            values[e] = val
+            endpoints[e] = (u, v)
+        elif e < size or e in beyond:
             raise GraphFormatError(f"duplicate edge id {e}", line=lineno)
-        values[e] = val
-        endpoints[e] = (u, v)
-    if len(values) != m:
-        missing = next(e for e in range(m) if e not in values)
-        raise GraphFormatError(f"flow is missing edge {missing}", line=1)
-    return FlowDocument(k, n, m, values, endpoints)
+        else:
+            beyond.add(e)
+    if None in values:
+        raise GraphFormatError(f"flow is missing edge {values.index(None)}", line=1)
+    return FlowDocument(k, n, m, tuple(values), tuple(endpoints))

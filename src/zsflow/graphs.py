@@ -94,9 +94,9 @@ class Factor:
     edge_ids: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        m = self.host.m
-        bad = [e for e in self.edge_ids if not (0 <= e < m)]
-        if bad:
+        ids, m = self.edge_ids, self.host.m
+        if ids and (min(ids) < 0 or max(ids) >= m):
+            bad = [e for e in ids if not (0 <= e < m)]
             raise GraphError(f"factor edge ids not in host: {sorted(bad)[:5]}")
 
     def degrees(self) -> tuple[int, ...]:
@@ -119,6 +119,10 @@ def regular_degree(g: MultiGraph) -> int | None:
 
 def components(g: MultiGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest vertex."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     seen = [False] * g.n
     out: list[list[int]] = []
     for s in range(g.n):
@@ -129,7 +133,7 @@ def components(g: MultiGraph) -> list[list[int]]:
         stack = [s]
         while stack:
             v = stack.pop()
-            for _, w in g.incident(v):
+            for w in nbrs[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)

@@ -6,6 +6,7 @@ import zlib
 
 import pytest
 
+from zsflow import factorization
 from zsflow.errors import NotRegularError
 from zsflow.factorization import (
     RegularComponentFactor,
@@ -101,6 +102,17 @@ def _permutation_union(k: int) -> MultiGraph:
     rng = random.Random(5)
     perms = [rng.sample(range(s), s) for _ in range(k)]
     return build(2 * s, [(u, s + p[u]) for p in perms for u in range(s)])
+
+
+def _matching_union(r: int, n: int, seed: int) -> MultiGraph:
+    # r random perfect matchings on 0..n-1: r-regular, with a perfect matching
+    # by construction, and with parallel edges wherever two of them agree
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(r):
+        order = rng.sample(range(n), n)
+        pairs += zip(order[::2], order[1::2])
+    return build(n, pairs)
 
 
 def layer_digests(g: MultiGraph, left=None) -> dict[str, int]:
@@ -392,6 +404,26 @@ class TestRegularComponentFactor:
             if has_perfect_matching(g):
                 # the perfect matching guarantees an exact k-factor
                 assert {c.degree for c in rcf.components} == {k}
+
+    @pytest.mark.parametrize("r", [5, 7, 9, 11])
+    def test_perfect_matching_gives_exact_k_factors(self, r, monkeypatch):
+        def refuse(g, target):
+            raise AssertionError("the gadget ran on a graph with a perfect matching")
+
+        monkeypatch.setattr(factorization, "find_exact_factor", refuse)
+        multi = _matching_union(r, 12, seed=r)
+        assert len(set(map(frozenset, multi.edges))) < multi.m  # parallel edges
+        for g in (multi, random_regular(2 * r + 4, r, seed=r), complete(r + 1)):
+            for k in range(3, 2 * r // 3 + 1):
+                rcf = regular_component_factor(g, k)
+                deg = [0] * g.n
+                for e in rcf.edge_ids:
+                    u, v = g.edges[e]
+                    deg[u] += 1
+                    deg[v] += 1
+                assert deg == [k] * g.n, (r, k)
+                assert {c.degree for c in rcf.components} == {k}
+                assert set().union(*(c.edge_ids for c in rcf.components)) == rcf.edge_ids
 
     def test_multigraph_hub_needs_split_search(self):
         # a centre joined to five 3-vertex gadgets (edges ab and ac doubled,

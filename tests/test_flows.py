@@ -137,6 +137,19 @@ class TestIntFlowInvariants:
         with pytest.raises(ValueError):
             IntFlow(cycle(3), (1, 1), 3)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((1, -5, 0, 1), "edge 1 value -5 exceeds |value| <= 2"),
+            ((1, 0, 5, 1), "zero value at edge 1"),
+            ((2, -2, 1, 3), "edge 3 value 3 exceeds |value| <= 2"),
+        ],
+    )
+    def test_first_bad_value_by_edge_id(self, values, message):
+        with pytest.raises(ValueError) as info:
+            IntFlow(cycle(4), values, 3)
+        assert str(info.value) == message
+
 
 class TestConstantSumWeighting:
     def test_low_end_constant_two(self):
@@ -311,16 +324,42 @@ class TestOddRegular:
 # name -> (graph, crc32 of construct(g).values).  The r = 7 graphs pin the
 # quartic part's 1/2 split and the -2 outside; the r = 9 part of degree 6 has
 # q = 2r (all 2s), and the r = 11 factors are exact 7-factors with no even part.
+# Every graph here has a perfect matching, so each factor is that matching
+# (odd k) plus the first floor(k/2) 2-factors of the rest.
 GOLDEN_CONSTRUCT = {
-    "r7_n20": (random_regular(20, 7, seed=1), 0x8F70BB9A),
-    "r7_n100": (random_regular(100, 7, seed=2), 0x764AD8B5),
-    "r7_n400": (random_regular(400, 7, seed=3), 0x849857E5),
-    "r7_circulant": (circulant(10, {1, 2, 3, 5}), 0xF6A70A48),
-    "r7_k8": (complete(8), 0x5A5AE3A9),
-    "r9_n60": (random_regular(60, 9, seed=4), 0xD85CA869),
-    "r9_k10": (complete(10), 0x2BBBE98E),
-    "r11_n60": (random_regular(60, 11, seed=5), 0x1A625B7F),
-    "r11_k12": (complete(12), 0x4538C144),
+    "r7_n20": (random_regular(20, 7, seed=1), 0xC4E31841),
+    "r7_n100": (random_regular(100, 7, seed=2), 0x47FB96B3),
+    "r7_n400": (random_regular(400, 7, seed=3), 0x5FFA5964),
+    "r7_circulant": (circulant(10, {1, 2, 3, 5}), 0x99F2ACBF),
+    "r7_k8": (complete(8), 0x54842677),
+    "r9_n60": (random_regular(60, 9, seed=4), 0x9B1517C7),
+    "r9_k10": (complete(10), 0x77727E29),
+    "r11_n60": (random_regular(60, 11, seed=5), 0xD85F3358),
+    "r11_k12": (complete(12), 0xE1A6B9CE),
+}
+
+# (name, target) -> crc32 of the sorted edge ids of find_exact_factor on the
+# GOLDEN_CONSTRUCT graph at its k and k - 1; construct no longer queries the
+# gadget on these graphs, so this pins it directly.
+GOLDEN_EXACT_FACTOR = {
+    ("r7_n20", 4): 0x71ACD3A3,
+    ("r7_n20", 3): 0x41F80B99,
+    ("r7_n100", 4): 0x71DF4418,
+    ("r7_n100", 3): 0x7C313CBA,
+    ("r7_n400", 4): 0x2E8ABF7A,
+    ("r7_n400", 3): 0x4F07A8FE,
+    ("r7_circulant", 4): 0xF31DDC1A,
+    ("r7_circulant", 3): 0xB2C3B97B,
+    ("r7_k8", 4): 0xC9955CDF,
+    ("r7_k8", 3): 0xCEEF04A5,
+    ("r9_n60", 6): 0xAD06495C,
+    ("r9_n60", 5): 0xFBBF502C,
+    ("r9_k10", 6): 0x59B1AB63,
+    ("r9_k10", 5): 0xF54EFE50,
+    ("r11_n60", 7): 0x1526D88F,
+    ("r11_n60", 6): 0x168288EC,
+    ("r11_k12", 7): 0xC03AA416,
+    ("r11_k12", 6): 0x47906A02,
 }
 
 
@@ -329,6 +368,28 @@ class TestConstruct:
     def test_golden_construct(self, name):
         g, expected = GOLDEN_CONSTRUCT[name]
         assert zlib.crc32(repr(construct(g).values).encode()) == expected
+
+    @pytest.mark.parametrize("name, target", sorted(GOLDEN_EXACT_FACTOR))
+    def test_golden_exact_factor(self, name, target):
+        g, _ = GOLDEN_CONSTRUCT[name]
+        found = factorization.find_exact_factor(g, [target] * g.n)
+        assert zlib.crc32(repr(sorted(found)).encode()) == GOLDEN_EXACT_FACTOR[name, target]
+
+    @pytest.mark.parametrize("r", [7, 9, 11, 13])
+    def test_perfect_matching_skips_the_gadget(self, r, monkeypatch):
+        targets = []
+        real = factorization.find_exact_factor
+
+        def spy(g, target):
+            targets.append(set(target))
+            return real(g, target)
+
+        monkeypatch.setattr(factorization, "find_exact_factor", spy)
+        for g in (random_regular(30, r, seed=r), random_regular(60, r, seed=r + 1), complete(r + 1)):
+            flow = construct(g)
+            assert flow.k == 5
+            assert verify_flow(g, flow).ok
+        assert targets == []
 
     def test_petersen_via_search(self):
         flow = construct(petersen())
@@ -417,6 +478,29 @@ class TestFlowSerialization:
     def test_parse_duplicate_edge(self):
         with pytest.raises(GraphFormatError, match="duplicate"):
             parse_flow("3 3 2\n0 0 1 1\n0 0 1 -1")
+
+    def test_parse_indexes_by_edge_id(self):
+        doc = parse_flow("3 3 3\n2 0 2 1\n0 0 1 -1\n1 2 1 2\n")
+        assert doc.values == (-1, 2, 1)
+        assert doc.endpoints == ((0, 1), (2, 1), (0, 2))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a header far beyond the body: the errors stay those of the lines
+            ("3 3 1000000000000\n999999999999 0 1 1\n", "line 1: flow is missing edge 0"),
+            ("3 3 1000000000000\n0 0 1 1\n", "line 1: flow is missing edge 1"),
+            (
+                "3 3 1000000000000\n999999999999 0 1 1\n999999999999 1 2 1\n",
+                "line 3: duplicate edge id 999999999999",
+            ),
+            ("3 3 2\n1 0 1 1\n2 1 2 1\n", "line 3: edge id 2 out of range for m=2"),
+        ],
+    )
+    def test_parse_errors_keep_their_line(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse_flow(text)
+        assert message in str(info.value)
 
     def test_parse_bad_header(self):
         with pytest.raises(GraphFormatError, match="line 1"):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import zsflow
 from zsflow.errors import GraphError, GraphFormatError
 from zsflow.graphs import (
+    Factor,
     MultiGraph,
     build,
     circulant,
@@ -68,6 +71,33 @@ class TestQueries:
 
     def test_components_isolated(self):
         assert components(build(3, [])) == [[0], [1], [2]]
+
+    def test_components_match_union_find_without_incidence_lists(self):
+        rng = random.Random(3)
+        for n in (1, 7, 30, 60):
+            g = build(n, [tuple(rng.sample(range(n), 2)) for _ in range(n // 2)])
+            root = list(range(n))
+
+            def find(v):
+                while root[v] != v:
+                    v = root[v]
+                return v
+
+            for u, v in g.edges:
+                root[find(u)] = find(v)
+            groups: dict[int, list[int]] = {}
+            for v in range(n):
+                groups.setdefault(find(v), []).append(v)
+            assert components(g) == sorted(groups.values())
+            assert g._adj is None  # answered from the edge list alone
+
+    def test_factor_rejects_ids_outside_the_host(self):
+        g = cycle(3)
+        assert Factor(g, frozenset({0, 2})).degrees() == (2, 1, 1)
+        for ids, bad in (({-1, 1, 3}, "[-1, 3]"), ({-2, 0}, "[-2]"), ({1, 4}, "[4]")):
+            with pytest.raises(GraphError) as info:
+                Factor(g, frozenset(ids))
+            assert str(info.value) == f"factor edge ids not in host: {bad}"
 
 
 def _multigraph() -> MultiGraph:
