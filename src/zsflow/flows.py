@@ -4,6 +4,12 @@ A zero-sum k-flow assigns a value from {±1, ..., ±(k-1)} to every edge so
 that each vertex's incident values sum to zero.  Constructions here cover
 even regular degree r >= 4 with k=3 and odd degrees 7 and >= 9 with k=5;
 degrees 3 and 5 route through the exact search in `solver`.
+
+For r = 7 and odd r >= 9, `construct` picks the cheapest construction the
+input allows: a 3-flow from a perfect matching and one 2-factorization of
+the rest when the graph has a perfect matching, else the signed double
+cover when r ≡ 3 (mod 6), else the paper's [k-1, k]-factor construction
+(`flow_seven_regular`, `flow_odd_regular`).  All three report k = 5.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
 )
 from .factorization import regular_component_factor, two_factorization
 from .graphs import MultiGraph, components, double_cover, regular_degree, subgraph_from_edges
-from .matching import _euler_split
+from .matching import _euler_split, max_matching
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,20 +139,54 @@ def constant_sum_weighting(g: MultiGraph, q: int) -> tuple[int, ...]:
     lo = r if r % 2 == 0 else 2 * r
     if not (lo <= q <= 4 * r):
         raise ValueError(f"q must lie in [{lo}, {4 * r}], got {q}")
-    out = [0] * g.m
-    if r % 2 == 0:
-        s = r // 2
-        for i, factor in enumerate(two_factorization(g)):
-            for e in factor.edge_ids:
-                out[e] = (q // 2 + i) // s
-    else:
+    if r % 2:
         twos = (q - 2 * r) // 2
-        matchings = _euler_split(2 * g.n, double_cover(g), [True] * g.n + [False] * g.n, r)
-        for i, pm in enumerate(matchings):
-            w = 2 if i < twos else 1
-            for arc in pm:
-                out[arc // 2] += w
+        return tuple(_cover_weighting(g, [2] * twos + [1] * (r - twos)))
+    s = r // 2
+    out = [0] * g.m
+    for i, factor in enumerate(two_factorization(g)):
+        for e in factor.edge_ids:
+            out[e] = (q // 2 + i) // s
     return tuple(out)
+
+
+def _cover_weighting(g: MultiGraph, weights: Sequence[int]) -> list[int]:
+    """Edge values from one weight per perfect matching of the double cover.
+
+    The r-regular bipartite double cover splits into r perfect matchings, in
+    `_euler_split`'s order; matching i carries ``weights[i]``, and edge e gets
+    the sum over its arcs 2e and 2e + 1.  Every vertex is the tail of one arc
+    and the head of one arc in each matching, so each vertex sums to
+    2 * sum(weights).
+    """
+    matchings = _euler_split(2 * g.n, double_cover(g), [True] * g.n + [False] * g.n, len(weights))
+    out = [0] * g.m
+    for w, pm in zip(weights, matchings):
+        for arc in pm:
+            out[arc // 2] += w
+    return out
+
+
+# (total, s mod 2) -> the leading factor values of `_two_factor_values`
+_FACTOR_HEADS = {(0, 0): (), (0, 1): (2, -1, -1), (1, 0): (2, -1), (1, 1): (1,)}
+
+
+def _two_factor_values(g: MultiGraph, total: int) -> list[int]:
+    """Edge values giving each 2-factor of an even-regular g one value, summing to ``total``.
+
+    The s = r/2 factors, in `two_factorization`'s order, take a head that
+    fixes the sum by the parity of s, then alternating +1, -1 pairs: no head
+    or (2, -1, -1) for total 0, and (2, -1) or (1) for total 1.  Each factor
+    adds twice its value at every vertex, so every vertex sums to 2 * total.
+    """
+    factors = two_factorization(g)
+    head = _FACTOR_HEADS[total, len(factors) % 2]
+    seq = [*head, *[1, -1] * ((len(factors) - len(head)) // 2)]
+    values = [0] * g.m
+    for factor, val in zip(factors, seq):
+        for e in factor.edge_ids:
+            values[e] = val
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +205,7 @@ def flow_even_regular(g: MultiGraph) -> IntFlow:
         raise NotRegularError("flow_even_regular needs a regular graph")
     if r % 2 or r < 4:
         raise UnsupportedDegreeError(f"need even r >= 4, got r={r}")
-    s = r // 2
-    if s % 2 == 0:
-        seq = [1, -1] * (s // 2)
-    else:
-        seq = [2, -1, -1] + [1, -1] * ((s - 3) // 2)
-    values = [0] * g.m
-    for factor, val in zip(two_factorization(g), seq):
-        for e in factor.edge_ids:
-            values[e] = val
-    return _checked(g, values, 3)
+    return _checked(g, _two_factor_values(g, 0), 3)
 
 
 def flow_seven_regular(g: MultiGraph) -> IntFlow:
@@ -225,13 +256,45 @@ def _factor_flow(g: MultiGraph, k: int, sums: Mapping[int, int], outside: int) -
     return _checked(g, values, 5)
 
 
+def _matching_flow(g: MultiGraph, matching: frozenset[int]) -> IntFlow:
+    """Zero-sum 3-flow of an odd-regular graph from a perfect matching M, reported as k = 5.
+
+    Every edge of M gets -2.  G - M is (r-1)-regular, and its 2-factors get
+    values from {±1, ±2} that add up to 1, so every vertex sums to
+    2 - 2 = 0.  One 2-factorization, no factor search.
+    """
+    rest, _, emap = subgraph_from_edges(
+        g, [e for e in range(g.m) if e not in matching], vertices=range(g.n)
+    )
+    values = [-2] * g.m
+    for e, val in zip(emap, _two_factor_values(rest, 1)):
+        values[e] = val
+    return _checked(g, values, 5)
+
+
+def _signed_cover_flow(g: MultiGraph, r: int) -> IntFlow:
+    """Zero-sum 5-flow of an r-regular graph with r ≡ 3 (mod 6); no matching of g needed.
+
+    Of the r perfect matchings of the double cover, 2r/3 get weight +1 and
+    r/3 get -2, so the weights add up to 0 and every vertex sums to 0.  An
+    edge's two arcs give it 2, -1 or -4, never 0.
+    """
+    third = r // 3
+    return _checked(g, _cover_weighting(g, [1] * (2 * third) + [-2] * third), 5)
+
+
 def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
     """Build a verified zero-sum flow for any regular graph with r >= 3.
 
     Dispatch: even r >= 4 gives k=3, r=7 and odd r >= 9 give k=5, and
     r in {3, 5} runs the exact search for a 5-flow (existence is a theorem
-    for r=3 and an open conjecture for r=5).  Disconnected inputs are
-    handled per component.  The result always re-verifies before returning.
+    for r=3 and an open conjecture for r=5).  For r=7 and odd r >= 9 the
+    input picks the branch: a graph with a perfect matching gets the
+    matching 3-flow (values in {±1, ±2}), one without gets the signed
+    double cover when r ≡ 3 (mod 6) (values 2, -1, -4), and otherwise the
+    paper's [k-1, k]-factor construction; every branch reports k=5.
+    Disconnected inputs are handled per component.  The result always
+    re-verifies before returning.
     """
     r = regular_degree(g)
     if r is None:
@@ -266,10 +329,13 @@ def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
 def _construct_connected(g: MultiGraph, r: int, budget: int | None) -> IntFlow:
     if r % 2 == 0:
         return flow_even_regular(g)
-    if r == 7:
-        return flow_seven_regular(g)
-    if r >= 9:
-        return flow_odd_regular(g)
+    if r >= 7:
+        matching = max_matching(g)
+        if 2 * len(matching) == g.n:
+            return _matching_flow(g, matching)
+        if r % 3 == 0:
+            return _signed_cover_flow(g, r)
+        return flow_seven_regular(g) if r == 7 else flow_odd_regular(g)
     # r in {3, 5}: no direct construction; run the exact search at k=5
     from .solver import DEFAULT_BUDGET, solve
 

@@ -5,8 +5,9 @@ import zlib
 from itertools import product
 
 import pytest
+from test_factorization import _matching_union
 
-from zsflow import factorization
+from zsflow import factorization, flows
 from zsflow.errors import (
     FactorSearchError,
     FlowUndecidedError,
@@ -265,7 +266,7 @@ class TestSevenRegular:
     @pytest.mark.xfail(
         strict=True,
         raises=FactorSearchError,
-        reason="mixed-component factors above n=18 are not searched yet (ROADMAP item 1)",
+        reason="mixed-component factors above n=18 are not searched yet (ROADMAP item 3)",
     )
     def test_hub_of_gadgets(self):
         # guaranteed by the paper, but with no perfect matching and no exact
@@ -321,21 +322,22 @@ class TestOddRegular:
             flow_odd_regular(complete(8))
 
 
-# name -> (graph, crc32 of construct(g).values).  The r = 7 graphs pin the
-# quartic part's 1/2 split and the -2 outside; the r = 9 part of degree 6 has
-# q = 2r (all 2s), and the r = 11 factors are exact 7-factors with no even part.
-# Every graph here has a perfect matching, so each factor is that matching
-# (odd k) plus the first floor(k/2) 2-factors of the rest.
+# name -> (graph, crc32 of construct(g).values).  Every graph but the hub has
+# a perfect matching M, so its flow is -2 on M plus one value per 2-factor of
+# G - M: (1, 1, -1) for r = 7, (2, -1, 1, -1) for r = 9 and (1, 1, -1, 1, -1)
+# for r = 11, in `two_factorization`'s order.  r9_hub has no perfect matching
+# and pins the signed double cover.
 GOLDEN_CONSTRUCT = {
-    "r7_n20": (random_regular(20, 7, seed=1), 0xC4E31841),
-    "r7_n100": (random_regular(100, 7, seed=2), 0x47FB96B3),
-    "r7_n400": (random_regular(400, 7, seed=3), 0x5FFA5964),
-    "r7_circulant": (circulant(10, {1, 2, 3, 5}), 0x99F2ACBF),
-    "r7_k8": (complete(8), 0x54842677),
-    "r9_n60": (random_regular(60, 9, seed=4), 0x9B1517C7),
-    "r9_k10": (complete(10), 0x77727E29),
-    "r11_n60": (random_regular(60, 11, seed=5), 0xD85F3358),
-    "r11_k12": (complete(12), 0xE1A6B9CE),
+    "r7_n20": (random_regular(20, 7, seed=1), 0xCAE16D93),
+    "r7_n100": (random_regular(100, 7, seed=2), 0x3D1827FF),
+    "r7_n400": (random_regular(400, 7, seed=3), 0x8237FB1C),
+    "r7_circulant": (circulant(10, {1, 2, 3, 5}), 0x470A29F3),
+    "r7_k8": (complete(8), 0xA91B1665),
+    "r9_n60": (random_regular(60, 9, seed=4), 0xA2E3B55B),
+    "r9_k10": (complete(10), 0x1D4F9E09),
+    "r9_hub": (build(*hub_pairs(9)), 0xE46BF83C),
+    "r11_n60": (random_regular(60, 11, seed=5), 0x41FC3902),
+    "r11_k12": (complete(12), 0x95CED3D6),
 }
 
 # (name, target) -> crc32 of the sorted edge ids of find_exact_factor on the
@@ -390,6 +392,22 @@ class TestConstruct:
             assert flow.k == 5
             assert verify_flow(g, flow).ok
         assert targets == []
+
+    @pytest.mark.parametrize("r", [7, 9, 11, 13])
+    def test_perfect_matching_takes_one_two_factorization(self, r, monkeypatch):
+        calls = {"two_factorization": 0, "regular_component_factor": 0}
+        for name in calls:
+            real = getattr(flows, name)
+
+            def spy(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(flows, name, spy)
+        g = random_regular(60, r, seed=r + 2)
+        flow = construct(g)
+        assert verify_flow(g, flow).ok
+        assert calls == {"two_factorization": 1, "regular_component_factor": 0}
 
     def test_petersen_via_search(self):
         flow = construct(petersen())
@@ -460,6 +478,40 @@ class TestConstruct:
             flow = construct(g)
             assert verify_flow(g, flow).ok, r
             assert flow.k == (3 if r % 2 == 0 else 5)
+
+
+class TestOddBranches:
+    @pytest.mark.parametrize("r", [9, 15])
+    def test_hub_gets_the_signed_cover(self, r, monkeypatch):
+        queries = []
+        real = factorization.find_exact_factor
+
+        def spy(g, target):
+            queries.append(set(target))
+            return real(g, target)
+
+        monkeypatch.setattr(factorization, "find_exact_factor", spy)
+        g = build(*hub_pairs(r))
+        flow = construct(g)
+        assert flow.k == 5
+        assert verify_flow(g, flow).ok
+        assert set(flow.values) <= {2, -1, -4}
+        assert queries == []
+
+    @pytest.mark.parametrize("r", [7, 9, 11, 13, 15])
+    def test_matching_unions(self, r):
+        # vertex sums counted here, not by verify_flow
+        for seed, n in enumerate((r + 1, 2 * r, 24, 40)):
+            g = _matching_union(r, n, seed)
+            flow = construct(g)  # values in {±1, ±2}: the perfect-matching branch
+            assert flow.k == 5
+            assert set(flow.values) <= {1, -1, 2, -2}, (r, n)
+            assert vertex_sums(g, flow.values) == [0] * g.n, (r, n)
+            if r % 6 == 3:
+                flow = flows._signed_cover_flow(g, r)
+                assert flow.k == 5
+                assert set(flow.values) <= {2, -1, -4}, (r, n)
+                assert vertex_sums(g, flow.values) == [0] * g.n, (r, n)
 
 
 class TestFlowSerialization:
