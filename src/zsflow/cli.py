@@ -158,23 +158,22 @@ def _cmd_flownumber(args) -> int:
     return 4 if result.status == "undecided" else 0
 
 
-_FAMILIES = ("cycle", "complete", "petersen", "circulant", "random-regular", "cubic-no-pm")
+_FAMILIES = {  # family -> (its parameter names, its generator, called with them and --seed)
+    "cycle": (("N",), lambda n, seed: cycle(int(n))),
+    "complete": (("N",), lambda n, seed: complete(int(n))),
+    "petersen": ((), lambda seed: petersen()),
+    "circulant": (("N", "OFFSETS"), lambda n, ds, seed: circulant(int(n), map(int, ds.split(",")))),
+    "random-regular": (("N", "R"), lambda n, r, seed: random_regular(int(n), int(r), seed=seed)),
+    "cubic-no-pm": ((), lambda seed: cubic_no_pm()),
+}
 
 
 def _cmd_generate(args) -> int:
-    family, params = args.family, args.params
-    if family == "cycle":
-        g = cycle(int(params[0]))
-    elif family == "complete":
-        g = complete(int(params[0]))
-    elif family == "petersen":
-        g = petersen()
-    elif family == "circulant":
-        g = circulant(int(params[0]), [int(d) for d in params[1].split(",")])
-    elif family == "random-regular":
-        g = random_regular(int(params[0]), int(params[1]), seed=args.seed)
-    else:
-        g = cubic_no_pm()
+    names, generate = _FAMILIES[args.family]
+    if len(args.params) != len(names):
+        usage = " ".join(("generate", args.family, *names))
+        raise ValueError(f"expected '{usage}', got {len(args.params)} parameter(s)")
+    g = generate(*args.params, seed=args.seed)
     _emit(write_edge_list(g).splitlines(), args.out)
     return 0
 

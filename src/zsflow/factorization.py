@@ -196,14 +196,11 @@ def regular_component_factor(g: MultiGraph, k: int) -> RegularComponentFactor:
       always has.
     - k = 1: a maximum matching; its matched edges and unmatched vertices
       are 1- and 0-regular components.
-    - k >= 3 when that matching M is perfect: the exact k-factor made of M
-      (when k is odd) plus the first floor(k/2) 2-factors of the
-      even-regular G - M (Petersen 1891), in `two_factorization`'s order.
-    - k >= 3 otherwise: an exact k-factor, then an exact (k-1)-factor, from
-      the gadget queries of `find_exact_factor`.  The (k-1) query is
-      skipped when k - 1 = r - k (r = 7 at k = 4, r = 5 at k = 3): a
-      (k-1)-factor is then the complement of a k-factor, which was just
-      ruled out.
+    - k >= 3: an exact k-factor, then an exact (k-1)-factor, from the
+      gadget queries of `find_exact_factor`, which find one if it exists.
+      The (k-1) query is skipped when k - 1 = r - k (r = 7 at k = 4,
+      r = 5 at k = 3): a (k-1)-factor is then the complement of a
+      k-factor, which was just ruled out.
     - for n <= 18, the exhaustive search over vertex splits, complete
       within its budget of gadget-matching calls.
 
@@ -226,17 +223,8 @@ def regular_component_factor(g: MultiGraph, k: int) -> RegularComponentFactor:
 
     if k == 2:
         return finish(_edge_and_cycle_cover(g))
-    matching = max_matching(g)
     if k == 1:
-        return finish(matching)
-    if 2 * len(matching) == g.n:
-        rest, _, emap = subgraph_from_edges(
-            g, [e for e in range(g.m) if e not in matching], vertices=range(g.n)
-        )
-        chosen = set(matching) if k % 2 else set()
-        for factor in two_factorization(rest)[: k // 2]:
-            chosen.update(emap[e] for e in factor.edge_ids)
-        return finish(frozenset(chosen))
+        return finish(max_matching(g))
     for target in (k,) if k - 1 == r - k else (k, k - 1):
         found = find_exact_factor(g, [target] * g.n)
         if found is not None:

@@ -72,9 +72,10 @@ def verify_flow(
     """Check a candidate flow against a graph; read-only.
 
     Accepts an IntFlow, a dense value sequence, or an edge-id mapping.  A
-    missing edge is a usage error and raises; zero values, out-of-range
-    values, and nonzero vertex sums are verdict failures.  The first
-    violation is reported scanning edges by id and then vertices.
+    missing edge or a claimed bound k < 2 is a usage error and raises;
+    zero values, out-of-range values, and nonzero vertex sums are verdict
+    failures.  The first violation is reported scanning edges by id and
+    then vertices.
     """
     if isinstance(flow, IntFlow):
         if flow.host is not g and flow.host.edges != g.edges:
@@ -94,6 +95,8 @@ def verify_flow(
             raise ValueError(f"flow has {len(values)} values for {g.m} edges")
     if k is None:
         raise ValueError("a claimed bound k is required")
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
 
     max_abs = max(map(abs, values), default=0)
     violation = None

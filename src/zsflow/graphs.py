@@ -261,6 +261,8 @@ def circulant(n: int, offsets: Iterable[int]) -> MultiGraph:
     nonzero.  An offset d < n/2 contributes degree 2, the offset n/2
     (even n) contributes degree 1.
     """
+    if n < 1:
+        raise GraphError(f"circulant needs at least 1 vertex, got {n}")
     norm = []
     for d in offsets:
         d = d % n

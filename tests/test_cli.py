@@ -155,6 +155,17 @@ class TestVerify:
         assert main(["verify", gpath, str(fpath), "--k", "2"]) == 0
         assert "k: 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("header_k, override", [("5", "1"), ("5", "-3"), ("1", None)])
+    def test_bound_below_two_is_input_error(self, tmp_path, capsys, header_k, override):
+        gpath = write_graph(tmp_path, cycle(4))
+        fpath = tmp_path / "flow.txt"
+        fpath.write_text(f"{header_k} 4 4\n0 0 1 1\n1 1 2 -1\n2 2 3 1\n3 3 0 -1\n")
+        argv = ["verify", gpath, str(fpath)] + (["--k", override] if override else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"need k >= 2, got {override or header_k}" in captured.err
+
 
 class TestReentry:
     """Several main() calls in one process share nothing but the parser."""
@@ -231,6 +242,28 @@ class TestGenerate:
         assert main(["generate", "circulant", "10", "1,2,3,5"]) == 0
         g = parse_edge_list(capsys.readouterr().out)
         assert g.n == 10 and g.degrees() == tuple([7] * 10)
+
+    def test_circulant_without_vertices_is_input_error(self, capsys):
+        assert main(["generate", "circulant", "0", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "circulant needs at least 1 vertex, got 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["cycle"], "generate cycle N"),
+            (["random-regular", "12"], "generate random-regular N R"),
+            (["cycle", "5", "9"], "generate cycle N"),
+            (["petersen", "3"], "generate petersen"),
+            (["cubic-no-pm", "1", "2"], "generate cubic-no-pm"),
+        ],
+    )
+    def test_wrong_parameter_count_is_input_error(self, capsys, argv, usage):
+        assert main(["generate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: expected '{usage}', got {len(argv) - 1} parameter(s)" in captured.err
 
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -406,11 +406,9 @@ class TestRegularComponentFactor:
                 assert {c.degree for c in rcf.components} == {k}
 
     @pytest.mark.parametrize("r", [5, 7, 9, 11])
-    def test_perfect_matching_gives_exact_k_factors(self, r, monkeypatch):
-        def refuse(g, target):
-            raise AssertionError("the gadget ran on a graph with a perfect matching")
-
-        monkeypatch.setattr(factorization, "find_exact_factor", refuse)
+    def test_perfect_matching_gives_exact_k_factors(self, r):
+        # a perfect matching guarantees a k-factor (Petersen), which the
+        # exact k query finds; degrees counted here
         multi = _matching_union(r, 12, seed=r)
         assert len(set(map(frozenset, multi.edges))) < multi.m  # parallel edges
         for g in (multi, random_regular(2 * r + 4, r, seed=r), complete(r + 1)):
@@ -424,6 +422,23 @@ class TestRegularComponentFactor:
                 assert deg == [k] * g.n, (r, k)
                 assert {c.degree for c in rcf.components} == {k}
                 assert set().union(*(c.edge_ids for c in rcf.components)) == rcf.edge_ids
+
+    def test_perfect_matching_takes_no_matching_or_two_factorization(self, monkeypatch):
+        calls = []
+        for name in ("max_matching", "two_factorization"):
+            real = getattr(factorization, name)
+
+            def spy(g, _name=name, _real=real):
+                calls.append(_name)
+                return _real(g)
+
+            monkeypatch.setattr(factorization, name, spy)
+        for r, k in [(5, 3), (7, 4), (9, 6), (11, 7)]:
+            for g in (_matching_union(r, 12, seed=r), random_regular(20, r, seed=r)):
+                assert has_perfect_matching(g)
+                rcf = regular_component_factor(g, k)
+                assert {c.degree for c in rcf.components} == {k}
+        assert calls == []
 
     def test_multigraph_hub_needs_split_search(self):
         # a centre joined to five 3-vertex gadgets (edges ab and ac doubled,

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from test_factorization import _matching_union
 
-from zsflow import factorization, flows
+from zsflow import factorization, flows, matching
 from zsflow.errors import (
     FactorSearchError,
     FlowUndecidedError,
@@ -123,6 +123,17 @@ class TestVerify:
         g = cycle(4)
         flow = IntFlow(g, (1, -1, 1, -1), 2)
         assert verify_flow(g, flow).k == 2
+
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_bound_below_two_rejected(self, k):
+        g = cycle(4)
+        with pytest.raises(ValueError, match=f"need k >= 2, got {k}"):
+            verify_flow(g, [1, -1, 1, -1], k=k)
+        with pytest.raises(ValueError, match=f"need k >= 2, got {k}"):
+            verify_flow(g, IntFlow(g, (1, -1, 1, -1), 2), k=k)
+        edgeless = build(2, [])
+        with pytest.raises(ValueError, match=f"need k >= 2, got {k}"):
+            verify_flow(edgeless, IntFlow(edgeless, (), k))
 
 
 class TestIntFlowInvariants:
@@ -408,6 +419,24 @@ class TestConstruct:
         flow = construct(g)
         assert verify_flow(g, flow).ok
         assert calls == {"two_factorization": 1, "regular_component_factor": 0}
+
+    @pytest.mark.parametrize("r", [7, 11, 13])
+    def test_hub_runs_max_matching_once(self, r, monkeypatch):
+        # the branch choice's matching is the only one: the factor stage
+        # goes straight to its exact-factor queries
+        calls = []
+        real = flows.max_matching
+
+        def spy(g):
+            calls.append(g.n)
+            return real(g)
+
+        for module in (flows, factorization, matching):
+            monkeypatch.setattr(module, "max_matching", spy)
+        g = build(*hub_pairs(r))
+        with pytest.raises(FactorSearchError):
+            construct(g)
+        assert calls == [g.n]
 
     def test_petersen_via_search(self):
         flow = construct(petersen())

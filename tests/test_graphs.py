@@ -205,6 +205,11 @@ class TestGenerators:
         with pytest.raises(GraphError):
             circulant(8, {1, 7})  # 7 == -1 mod 8
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_circulant_needs_a_vertex(self, n):
+        with pytest.raises(GraphError, match="at least 1 vertex"):
+            circulant(n, {1})
+
     def test_random_regular_is_regular_and_simple(self):
         g = random_regular(10, 3, seed=1)
         assert regular_degree(g) == 3
