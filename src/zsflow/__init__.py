@@ -20,7 +20,6 @@ from .errors import (
     ZsflowError,
 )
 from .graphs import (
-    Factor,
     MultiGraph,
     build,
     circulant,
@@ -98,7 +97,6 @@ __all__ = [
     "two_factorization",
     "verify_flow",
     "write_flow",
-    "Factor",
     "FactorSearchError",
     "FlowNonexistentError",
     "FlowUndecidedError",

@@ -1,8 +1,9 @@
 """Structural factorization of regular multigraphs.
 
 Two layers: 2-factorization of even-regular multigraphs through a balanced
-orientation and its bipartite out/in split, and extraction of spanning
-[k-1, k]-factors whose connected components are all regular.
+orientation and its bipartite out/in split, and, for odd r >= 5, the one
+spanning [k-1, k]-factor with regular components that both odd-degree
+constructions take, at k = floor(2r/3).  Edge sets are frozensets of edge ids.
 """
 
 from __future__ import annotations
@@ -12,28 +13,27 @@ from itertools import combinations
 
 from .errors import FactorSearchError, NotRegularError
 from .graphs import (
-    Factor,
     MultiGraph,
-    double_cover,
+    _factor_degrees,
     euler_orientation,
     regular_degree,
     subgraph_from_edges,
 )
-from .matching import _euler_split, _max_matching_ids, find_exact_factor, max_matching
+from .matching import _euler_split, find_exact_factor
 
 _PARTITION_VERTEX_LIMIT = 18
 _PARTITION_FACTOR_BUDGET = 4000
 
 
-def two_factorization(g: MultiGraph) -> list[Factor]:
+def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
     """Partition a 2k-regular multigraph into k spanning 2-regular factors.
 
     Balanced orientation first; each vertex then splits into an out-copy v
     and an in-copy n + v, so the pairs ``(tail, n + head)`` form a k-regular
     bipartite edge list under the same edge ids.  Its perfect matchings,
     found by the shared Euler split on edge-id lists with no intermediate
-    graph, pull back to spanning unions of cycles.  Factors are returned
-    sorted by their smallest edge id and re-verified before returning.
+    graph, pull back to spanning unions of cycles.  The factors' edge-id
+    sets are returned sorted by their smallest id and re-verified first.
     """
     r = regular_degree(g)
     if r is None:
@@ -43,14 +43,14 @@ def two_factorization(g: MultiGraph) -> list[Factor]:
     n = g.n
     arcs = [(tail, n + head) for tail, head in euler_orientation(g)]
     matchings = _euler_split(2 * n, arcs, [True] * n + [False] * n, r // 2)
-    factors = sorted((Factor(g, pm) for pm in matchings), key=lambda f: min(f.edge_ids))
+    factors = sorted(matchings, key=min)
     seen: set[int] = set()
     for f in factors:
-        if any(d != 2 for d in f.degrees()):
+        if any(d != 2 for d in _factor_degrees(g, f)):
             raise RuntimeError("internal: two-factorization produced a non-2-regular factor")
-        if seen & f.edge_ids:
+        if seen & f:
             raise RuntimeError("internal: two-factorization factors overlap")
-        seen |= f.edge_ids
+        seen |= f
     if seen != set(range(g.m)):
         raise RuntimeError("internal: two-factorization does not cover the edge set")
     return factors
@@ -91,17 +91,14 @@ def _component_analysis(
     g: MultiGraph, edge_ids: frozenset[int], k: int
 ) -> tuple[RegularComponent, ...] | None:
     """Split a factor into components; None unless each is (k-1)- or k-regular."""
-    allowed = {k - 1, k} if k >= 2 else {0, 1}
-    deg = [0] * g.n
+    deg = _factor_degrees(g, edge_ids)
+    if any(d not in (k - 1, k) for d in deg):
+        return None
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for e in edge_ids:
         u, v = g.edges[e]
-        deg[u] += 1
-        deg[v] += 1
         adj[u].append((e, v))
         adj[v].append((e, u))
-    if any(d not in allowed for d in deg):
-        return None
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
@@ -123,21 +120,6 @@ def _component_analysis(
             return None
         comps.append(RegularComponent(tuple(sorted(verts)), frozenset(ces), deg[s]))
     return tuple(comps)
-
-
-def _edge_and_cycle_cover(g: MultiGraph) -> frozenset[int]:
-    """Spanning subgraph whose components are single edges or cycles.
-
-    A perfect matching of the bipartite double cover selects every vertex
-    once as a tail and once as a head; edges picked through both of their
-    copies isolate as 1-regular pairs, the rest close into disjoint cycles.
-    Always exists when the graph is regular.
-    """
-    arcs = double_cover(g)
-    pm = _max_matching_ids(2 * g.n, arcs, range(len(arcs)))
-    if len(pm) != g.n:  # a regular double cover always has a perfect matching
-        raise RuntimeError("internal: regular bipartite double cover has no perfect matching")
-    return frozenset(b // 2 for b in pm)
 
 
 def _induced(g: MultiGraph, verts: set[int]):
@@ -186,21 +168,19 @@ def _partition_search(g: MultiGraph, k: int, factor_budget: int) -> frozenset[in
     return None
 
 
-def regular_component_factor(g: MultiGraph, k: int) -> RegularComponentFactor:
-    """Spanning [k-1, k]-factor of an odd-regular graph with regular components.
+def regular_component_factor(g: MultiGraph) -> RegularComponentFactor:
+    """Spanning [k-1, k]-factor with regular components, k = floor(2r/3).
 
-    Requires r odd, r >= 3, and 1 <= k <= 2r/3; such a factor always exists
-    (Kano 1986).  The stages, in order, each with the reason it succeeds:
+    Requires an r-regular graph with r odd, r >= 5.  This is the factor both
+    odd-degree constructions take (r = 7 gives the [3, 4]-factor), and it
+    always exists (Kano 1986).  The stages, in order, each with the reason
+    it succeeds:
 
-    - k = 2: the double-cover edge-and-cycle cover, which a regular graph
-      always has.
-    - k = 1: a maximum matching; its matched edges and unmatched vertices
-      are 1- and 0-regular components.
-    - k >= 3: an exact k-factor, then an exact (k-1)-factor, from the
-      gadget queries of `find_exact_factor`, which find one if it exists.
-      The (k-1) query is skipped when k - 1 = r - k (r = 7 at k = 4,
-      r = 5 at k = 3): a (k-1)-factor is then the complement of a
-      k-factor, which was just ruled out.
+    - an exact k-factor, then an exact (k-1)-factor, from the gadget
+      queries of `find_exact_factor`, which find one if it exists.  The
+      (k-1) query is skipped when k - 1 = r - k (r = 5 and r = 7): a
+      (k-1)-factor is then the complement of a k-factor, which was just
+      ruled out.
     - for n <= 18, the exhaustive search over vertex splits, complete
       within its budget of gadget-matching calls.
 
@@ -210,10 +190,9 @@ def regular_component_factor(g: MultiGraph, k: int) -> RegularComponentFactor:
     r = regular_degree(g)
     if r is None:
         raise NotRegularError("regular_component_factor needs a regular graph")
-    if r < 3 or r % 2 == 0:
-        raise ValueError(f"need odd regular degree r >= 3, got r={r}")
-    if not (1 <= k and 3 * k <= 2 * r):
-        raise ValueError(f"need 1 <= k <= 2r/3, got k={k} for r={r}")
+    if r < 5 or r % 2 == 0:
+        raise ValueError(f"need odd regular degree r >= 5, got r={r}")
+    k = 2 * r // 3
 
     def finish(edge_ids: frozenset[int]) -> RegularComponentFactor:
         comps = _component_analysis(g, edge_ids, k)
@@ -221,10 +200,6 @@ def regular_component_factor(g: MultiGraph, k: int) -> RegularComponentFactor:
             raise RuntimeError("internal: candidate factor failed its component check")
         return RegularComponentFactor(g, edge_ids, k, comps)
 
-    if k == 2:
-        return finish(_edge_and_cycle_cover(g))
-    if k == 1:
-        return finish(max_matching(g))
     for target in (k,) if k - 1 == r - k else (k, k - 1):
         found = find_exact_factor(g, [target] * g.n)
         if found is not None:

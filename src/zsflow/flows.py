@@ -148,7 +148,7 @@ def constant_sum_weighting(g: MultiGraph, q: int) -> tuple[int, ...]:
     s = r // 2
     out = [0] * g.m
     for i, factor in enumerate(two_factorization(g)):
-        for e in factor.edge_ids:
+        for e in factor:
             out[e] = (q // 2 + i) // s
     return tuple(out)
 
@@ -187,7 +187,7 @@ def _two_factor_values(g: MultiGraph, total: int) -> list[int]:
     seq = [*head, *[1, -1] * ((len(factors) - len(head)) // 2)]
     values = [0] * g.m
     for factor, val in zip(factors, seq):
-        for e in factor.edge_ids:
+        for e in factor:
             values[e] = val
     return values
 
@@ -222,7 +222,7 @@ def flow_seven_regular(g: MultiGraph) -> IntFlow:
     r = regular_degree(g)
     if r != 7:
         raise UnsupportedDegreeError(f"need a 7-regular graph, got r={r}")
-    return _factor_flow(g, 4, {4: 6, 3: 8}, -2)
+    return _factor_flow(g, {4: 6, 3: 8}, -2)
 
 
 def flow_odd_regular(g: MultiGraph) -> IntFlow:
@@ -239,16 +239,16 @@ def flow_odd_regular(g: MultiGraph) -> IntFlow:
         raise UnsupportedDegreeError(f"need odd r >= 9, got r={r}")
     k = 2 * r // 3
     kp = r - k
-    return _factor_flow(g, k, {k - 1: 4 * kp + 4, k: 4 * kp}, -4)
+    return _factor_flow(g, {k - 1: 4 * kp + 4, k: 4 * kp}, -4)
 
 
-def _factor_flow(g: MultiGraph, k: int, sums: Mapping[int, int], outside: int) -> IntFlow:
-    """5-flow from a [k-1, k]-factor with regular components.
+def _factor_flow(g: MultiGraph, sums: Mapping[int, int], outside: int) -> IntFlow:
+    """5-flow from the [k-1, k]-factor with regular components, k = floor(2r/3).
 
     Each non-empty d-regular part gets the constant-sum weighting with
     vertex sums ``sums[d]``; every edge outside the factor gets ``outside``.
     """
-    rcf = regular_component_factor(g, k)
+    rcf = regular_component_factor(g)
     values = [outside] * g.m
     for degree, q in sums.items():
         part = rcf.edges_with_degree(degree)
@@ -296,8 +296,9 @@ def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
     matching 3-flow (values in {±1, ±2}), one without gets the signed
     double cover when r ≡ 3 (mod 6) (values 2, -1, -4), and otherwise the
     paper's [k-1, k]-factor construction; every branch reports k=5.
-    Disconnected inputs are handled per component.  The result always
-    re-verifies before returning.
+    Disconnected inputs are handled per component; each component's
+    construction verifies its own flow, so the assembled whole is verified
+    once, component by component.
     """
     r = regular_degree(g)
     if r is None:
@@ -326,7 +327,7 @@ def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
         for e, val in zip(emap, flow.values):
             values[e] = val
         k = flow.k
-    return _checked(g, values, k)
+    return IntFlow(g, tuple(values), k)
 
 
 def _construct_connected(g: MultiGraph, r: int, budget: int | None) -> IntFlow:

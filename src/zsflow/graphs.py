@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 
 from .errors import GraphError, GraphFormatError
 
@@ -82,31 +81,14 @@ def build(n: int, pairs: Iterable[tuple[int, int]]) -> MultiGraph:
     return MultiGraph(n, pairs)
 
 
-@dataclass(frozen=True, eq=False)
-class Factor:
-    """Spanning subgraph of a host graph, given as an edge-id subset.
-
-    Spanning by convention: the vertex set is the host's vertex set, so
-    vertices may be isolated within the factor.
-    """
-
-    host: MultiGraph
-    edge_ids: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        ids, m = self.edge_ids, self.host.m
-        if ids and (min(ids) < 0 or max(ids) >= m):
-            bad = [e for e in ids if not (0 <= e < m)]
-            raise GraphError(f"factor edge ids not in host: {sorted(bad)[:5]}")
-
-    def degrees(self) -> tuple[int, ...]:
-        """Per-vertex degree vector inside the factor."""
-        deg = [0] * self.host.n
-        for e in self.edge_ids:
-            u, v = self.host.edges[e]
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
+def _factor_degrees(g: MultiGraph, edge_ids: Iterable[int]) -> list[int]:
+    """Per-vertex degree vector of the spanning subgraph on the given edge ids."""
+    deg = [0] * g.n
+    for e in edge_ids:
+        u, v = g.edges[e]
+        deg[u] += 1
+        deg[v] += 1
+    return deg
 
 
 def regular_degree(g: MultiGraph) -> int | None:

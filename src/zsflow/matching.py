@@ -13,7 +13,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 
 from .errors import NotRegularError
-from .graphs import Factor, MultiGraph, _euler_tails
+from .graphs import MultiGraph, _euler_tails, _factor_degrees
 
 
 def max_matching(g: MultiGraph) -> frozenset[int]:
@@ -298,14 +298,13 @@ def find_exact_factor(g: MultiGraph, target: Sequence[int]) -> frozenset[int] | 
     if any(mate == -1 for mate in match):
         return None
     chosen = frozenset(e for e in range(m) if match[2 * e] == 2 * e + 1)
-    deg = Factor(g, chosen).degrees()
-    if any(deg[v] != target[v] for v in range(n)):  # sanity: gadget bijection broke
+    if _factor_degrees(g, chosen) != list(target):  # sanity: gadget bijection broke
         raise RuntimeError("internal: gadget matching decoded to a wrong-degree edge set")
     return chosen
 
 
-def degree_range_factor(g: MultiGraph, lo: int, hi: int) -> Factor | None:
-    """Spanning factor with every vertex degree in [lo, hi], or None.
+def degree_range_factor(g: MultiGraph, lo: int, hi: int) -> frozenset[int] | None:
+    """Edge set in which every vertex degree lies in [lo, hi], or None.
 
     Only range widths 0 and 1 are supported (the widths the factor pipeline
     needs); wider requests are rejected.  Width 1 adds one private slack
@@ -317,8 +316,7 @@ def degree_range_factor(g: MultiGraph, lo: int, hi: int) -> Factor | None:
     if hi - lo > 1:
         raise ValueError(f"range width {hi - lo} unsupported, only [k, k] and [k-1, k]")
     if lo == hi:
-        chosen = find_exact_factor(g, [lo] * g.n)
-        return None if chosen is None else Factor(g, chosen)
+        return find_exact_factor(g, [lo] * g.n)
 
     n = g.n
     # slack leftovers pair inside the clique; a dummy fixes the forced parity
@@ -334,8 +332,7 @@ def degree_range_factor(g: MultiGraph, lo: int, hi: int) -> Factor | None:
     chosen = find_exact_factor(aux, target)
     if chosen is None:
         return None
-    factor = Factor(g, frozenset(e for e in chosen if e < g.m))
-    deg = factor.degrees()
-    if any(not (lo <= deg[v] <= hi) for v in range(n)):
+    factor = frozenset(e for e in chosen if e < g.m)
+    if any(not (lo <= d <= hi) for d in _factor_degrees(g, factor)):
         raise RuntimeError("internal: slack reduction produced out-of-range degrees")
     return factor

@@ -37,17 +37,22 @@ def brute_max_matching_size(g: MultiGraph) -> int:
     return best
 
 
+def edge_degrees(g: MultiGraph, edge_ids) -> list[int]:
+    """Degree of every vertex of g within the given edge ids, counted directly."""
+    deg = [0] * g.n
+    for e in edge_ids:
+        u, v = g.edges[e]
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
 def subset_factor_exists(g: MultiGraph, lo: int, hi: int) -> bool:
     """Does any edge subset give every vertex degree in [lo, hi]?  O(2^m)."""
     m = g.m
     for size in range(m + 1):
         for subset in combinations(range(m), size):
-            deg = [0] * g.n
-            for e in subset:
-                u, v = g.edges[e]
-                deg[u] += 1
-                deg[v] += 1
-            if all(lo <= d <= hi for d in deg):
+            if all(lo <= d <= hi for d in edge_degrees(g, subset)):
                 return True
     return False
 

@@ -5,12 +5,12 @@ import sys
 import zlib
 
 import pytest
+from oracles import edge_degrees
 
 from zsflow import factorization
 from zsflow.errors import NotRegularError
 from zsflow.factorization import (
     RegularComponentFactor,
-    _edge_and_cycle_cover,
     _partition_search,
     euler_orientation,
     regular_component_factor,
@@ -28,7 +28,13 @@ from zsflow.graphs import (
     random_regular,
     regular_degree,
 )
-from zsflow.matching import decompose_regular_bipartite, has_perfect_matching
+from zsflow.matching import (
+    decompose_regular_bipartite,
+    degree_range_factor,
+    find_exact_factor,
+    has_perfect_matching,
+    max_matching,
+)
 
 
 def check_balance(g: MultiGraph, directed):
@@ -42,24 +48,20 @@ def check_balance(g: MultiGraph, directed):
 
 
 def check_two_factorization(g: MultiGraph, factors):
-    assert sum(len(f.edge_ids) for f in factors) == g.m
+    assert sum(len(f) for f in factors) == g.m
     union = set()
     for f in factors:
-        assert f.degrees() == tuple([2] * g.n)
-        assert union.isdisjoint(f.edge_ids)
-        union |= f.edge_ids
+        assert edge_degrees(g, f) == [2] * g.n
+        assert union.isdisjoint(f)
+        union |= f
     assert union == set(range(g.m))
 
 
 def check_regular_component_factor(rcf: RegularComponentFactor, k: int):
     g = rcf.host
-    deg = [0] * g.n
-    for e in rcf.edge_ids:
-        u, v = g.edges[e]
-        deg[u] += 1
-        deg[v] += 1
-    allowed = {k - 1, k} if k >= 2 else {0, 1}
-    assert set(deg) <= allowed
+    assert rcf.k == k == 2 * regular_degree(g) // 3
+    deg = edge_degrees(g, rcf.edge_ids)
+    assert set(deg) <= {k - 1, k}
     covered = set()
     for comp in rcf.components:
         degrees_in_comp = {deg[v] for v in comp.vertices}
@@ -119,9 +121,9 @@ def layer_digests(g: MultiGraph, left=None) -> dict[str, int]:
     """crc32 of what each splitting layer returns on g.
 
     ``left`` names one side when g itself is bipartite; otherwise the
-    bipartite layer runs on g's double cover.  Regular graphs also pin the
-    edge-and-cycle cover, and odd-regular ones the {2,3,4} weighting at
-    every admissible vertex sum; both split g's double cover internally.
+    bipartite layer runs on g's double cover.  Odd-regular graphs also pin
+    the {2,3,4} weighting at every admissible vertex sum, which splits g's
+    double cover internally.
     """
 
     def crc(obj) -> int:
@@ -132,11 +134,9 @@ def layer_digests(g: MultiGraph, left=None) -> dict[str, int]:
         out["euler"] = crc(euler_orientation(g))
     r = regular_degree(g)
     if r and r % 2 == 0:
-        out["two_factor"] = crc([sorted(f.edge_ids) for f in two_factorization(g)])
+        out["two_factor"] = crc([sorted(f) for f in two_factorization(g)])
     bip, side = (_cover(g), range(g.n)) if left is None else (g, left)
     out["bipartite"] = crc([sorted(pm) for pm in decompose_regular_bipartite(bip, side)])
-    if r:
-        out["cover"] = crc(sorted(_edge_and_cycle_cover(g)))
     if r and r % 2:
         out["weighting"] = crc([constant_sum_weighting(g, q) for q in range(2 * r, 4 * r + 1, 2)])
     return out
@@ -145,116 +145,116 @@ def layer_digests(g: MultiGraph, left=None) -> dict[str, int]:
 # name -> (graph, bipartite side or None, {layer: crc32}).  These pin the Euler
 # walk order itself: any change to the start vertex, the edge order at a
 # vertex or the forward/backward split moves the factors and matchings.  The
-# cover and weighting layers pin the two library callers of the double cover.
+# weighting layer pins the split of the double cover.
 GOLDEN_DECOMPOSITION = {
     "rr40_2_s1": (
         random_regular(40, 2, 1), None,
         {"euler": 1284056311, "two_factor": 459957440,
-         "bipartite": 3444646583, "cover": 2027085058},
+         "bipartite": 3444646583},
     ),
     "rr30_4_s2": (
         random_regular(30, 4, 2), None,
         {"euler": 870158089, "two_factor": 1513361608,
-         "bipartite": 1041884552, "cover": 1581257696},
+         "bipartite": 1041884552},
     ),
     "rr36_6_s3": (
         random_regular(36, 6, 3), None,
         {"euler": 3418460844, "two_factor": 4266730599,
-         "bipartite": 269822906, "cover": 292835666},
+         "bipartite": 269822906},
     ),
     "rr40_8_s4": (
         random_regular(40, 8, 4), None,
         {"euler": 2996838275, "two_factor": 4152982019,
-         "bipartite": 1537714712, "cover": 1650917749},
+         "bipartite": 1537714712},
     ),
     "rr44_10_s5": (
         random_regular(44, 10, 5), None,
         {"euler": 3285246249, "two_factor": 1668694363,
-         "bipartite": 3997758851, "cover": 2502407015},
+         "bipartite": 3997758851},
     ),
     "doubled_rr20_3_s6": (
         _doubled(random_regular(20, 3, 6)), None,
         {"euler": 2607657443, "two_factor": 57282967,
-         "bipartite": 3757522754, "cover": 2813738410},
+         "bipartite": 3757522754},
     ),
     "doubled_rr24_5_s7": (
         _doubled(random_regular(24, 5, 7)), None,
         {"euler": 194190807, "two_factor": 4041711187,
-         "bipartite": 2017024562, "cover": 1653827252},
+         "bipartite": 2017024562},
     ),
     "doubled_rr30_7_s8": (
         _doubled(random_regular(30, 7, 8)), None,
         {"euler": 2638687555, "two_factor": 2062846183,
-         "bipartite": 2541452367, "cover": 4182407894},
+         "bipartite": 2541452367},
     ),
     "rr20_3_s6": (
         random_regular(20, 3, 6), None,
-        {"bipartite": 895449508, "cover": 2813738410, "weighting": 34524049},
+        {"bipartite": 895449508, "weighting": 34524049},
     ),
     "rr24_5_s7": (
         random_regular(24, 5, 7), None,
-        {"bipartite": 2526817303, "cover": 1653827252, "weighting": 1826311901},
+        {"bipartite": 2526817303, "weighting": 1826311901},
     ),
     "rr30_7_s8": (
         random_regular(30, 7, 8), None,
-        {"bipartite": 882169255, "cover": 4182407894, "weighting": 3319322883},
+        {"bipartite": 882169255, "weighting": 3319322883},
     ),
     "rr26_11_s10": (
         random_regular(26, 11, 10), None,
-        {"bipartite": 1833343696, "cover": 4090005124, "weighting": 2699242666},
+        {"bipartite": 1833343696, "weighting": 2699242666},
     ),
     "cubic_no_pm": (
         cubic_no_pm(), None,
-        {"bipartite": 3194851497, "cover": 3056886824, "weighting": 4040983884},
+        {"bipartite": 3194851497, "weighting": 4040983884},
     ),
     "multigraph_hub5": (
         _multigraph_hub(), None,
-        {"bipartite": 3828278554, "cover": 1132626692, "weighting": 3769859524},
+        {"bipartite": 3828278554, "weighting": 3769859524},
     ),
     "odd_rr30_9_s9": (
         random_regular(30, 9, 9), None,
-        {"bipartite": 259987228, "cover": 3792186433, "weighting": 3787759505},
+        {"bipartite": 259987228, "weighting": 3787759505},
     ),
     "disconnected": (
         _union(random_regular(11, 4, 1), complete(5), random_regular(12, 4, 2)), None,
         {"euler": 3755158353, "two_factor": 814695904,
-         "bipartite": 1089154289, "cover": 3107592488},
+         "bipartite": 1089154289},
     ),
     "perm_union_k1": (
         _permutation_union(1), range(6),
-        {"bipartite": 2891997037, "cover": 2590119804, "weighting": 957333180},
+        {"bipartite": 2891997037, "weighting": 957333180},
     ),
     "perm_union_k2": (
         _permutation_union(2), range(6),
         {"euler": 3536165744, "two_factor": 3750134357,
-         "bipartite": 2720001238, "cover": 3566295466},
+         "bipartite": 2720001238},
     ),
     "perm_union_k3": (
         _permutation_union(3), range(6),
-        {"bipartite": 3808755470, "cover": 1861047072, "weighting": 1944310716},
+        {"bipartite": 3808755470, "weighting": 1944310716},
     ),
     "perm_union_k4": (
         _permutation_union(4), range(6),
         {"euler": 3287337571, "two_factor": 2127998126,
-         "bipartite": 3130070331, "cover": 2496030562},
+         "bipartite": 3130070331},
     ),
     "perm_union_k5": (
         _permutation_union(5), range(6),
-        {"bipartite": 3078832912, "cover": 2496030562, "weighting": 3122370984},
+        {"bipartite": 3078832912, "weighting": 3122370984},
     ),
     "perm_union_k6": (
         _permutation_union(6), range(6),
         {"euler": 188951660, "two_factor": 3158715281,
-         "bipartite": 2822297758, "cover": 2496030562},
+         "bipartite": 2822297758},
     ),
     "perm_union_k7": (
         _permutation_union(7), range(6),
-        {"bipartite": 1873595320, "cover": 2496030562, "weighting": 2267446861},
+        {"bipartite": 1873595320, "weighting": 2267446861},
     ),
     "perm_union_k8": (
         _permutation_union(8), range(6),
         {"euler": 3988351146, "two_factor": 3591368387,
-         "bipartite": 3053943265, "cover": 2496030562},
+         "bipartite": 3053943265},
     ),
 }
 
@@ -301,14 +301,14 @@ class TestTwoFactorization:
         factors = two_factorization(g)
         assert len(factors) == 2
         for f in factors:
-            assert len(f.edge_ids) == 3
+            assert len(f) == 3
         check_two_factorization(g, factors)
 
     def test_c6_single_factor(self):
         g = cycle(6)
         factors = two_factorization(g)
         assert len(factors) == 1
-        assert factors[0].edge_ids == frozenset(range(6))
+        assert factors[0] == frozenset(range(6))
 
     def test_not_even_regular_rejected(self):
         with pytest.raises(NotRegularError):
@@ -319,7 +319,7 @@ class TestTwoFactorization:
     def test_factors_are_disjoint_cycle_covers(self):
         g = random_regular(12, 6, seed=2)
         for f in two_factorization(g):
-            sub_edges = sorted(f.edge_ids)
+            sub_edges = sorted(f)
             adj = {v: [] for v in range(g.n)}
             for e in sub_edges:
                 u, v = g.edges[e]
@@ -354,8 +354,8 @@ class TestTwoFactorization:
 
     def test_deterministic(self):
         g = random_regular(14, 4, seed=9)
-        a = [sorted(f.edge_ids) for f in two_factorization(g)]
-        b = [sorted(f.edge_ids) for f in two_factorization(g)]
+        a = [sorted(f) for f in two_factorization(g)]
+        b = [sorted(f) for f in two_factorization(g)]
         assert a == b
 
 
@@ -366,77 +366,64 @@ class TestTwoFactorization:
 
 
 class TestRegularComponentFactor:
-    def test_k4(self):
-        rcf = regular_component_factor(complete(4), 2)
-        check_regular_component_factor(rcf, 2)
-
-    def test_petersen(self):
-        rcf = regular_component_factor(petersen(), 2)
-        check_regular_component_factor(rcf, 2)
-
     def test_k8(self):
-        rcf = regular_component_factor(complete(8), 4)
+        rcf = regular_component_factor(complete(8))
         check_regular_component_factor(rcf, 4)
         assert {c.degree for c in rcf.components} <= {3, 4}
 
-    def test_cubic_no_pm_needs_mixed_components(self):
-        g = cubic_no_pm()
-        rcf = regular_component_factor(g, 2)
-        check_regular_component_factor(rcf, 2)
-        # no perfect matching means no 2-factor either in a cubic graph,
-        # so both degrees must occur
-        assert {c.degree for c in rcf.components} == {1, 2}
-
-    def test_cubic_no_pm_k1(self):
-        rcf = regular_component_factor(cubic_no_pm(), 1)
-        check_regular_component_factor(rcf, 1)
-
     def test_k10_and_k12(self):
         for n, k in [(10, 6), (12, 7)]:
-            rcf = regular_component_factor(complete(n), k)
+            rcf = regular_component_factor(complete(n))
             check_regular_component_factor(rcf, k)
 
     def test_random_sweep(self):
         for r, k, n, seed in [(7, 4, 16, 0), (9, 6, 20, 1), (11, 7, 18, 2)]:
             g = random_regular(n, r, seed)
-            rcf = regular_component_factor(g, k)
+            rcf = regular_component_factor(g)
             check_regular_component_factor(rcf, k)
             if has_perfect_matching(g):
                 # the perfect matching guarantees an exact k-factor
                 assert {c.degree for c in rcf.components} == {k}
 
+    @pytest.mark.parametrize("r", [5, 7, 9, 11, 13])
+    def test_derived_k(self, r):
+        # k is floor(2r/3), the one value both odd-degree constructions use
+        k = 2 * r // 3
+        for g in (random_regular(2 * r + 2, r, seed=r), complete(r + 1)):
+            rcf = regular_component_factor(g)
+            assert rcf.k == k
+            assert set(edge_degrees(g, rcf.edge_ids)) <= {k - 1, k}
+            assert {c.degree for c in rcf.components} <= {k - 1, k}
+
     @pytest.mark.parametrize("r", [5, 7, 9, 11])
     def test_perfect_matching_gives_exact_k_factors(self, r):
         # a perfect matching guarantees a k-factor (Petersen), which the
         # exact k query finds; degrees counted here
+        k = 2 * r // 3
         multi = _matching_union(r, 12, seed=r)
         assert len(set(map(frozenset, multi.edges))) < multi.m  # parallel edges
         for g in (multi, random_regular(2 * r + 4, r, seed=r), complete(r + 1)):
-            for k in range(3, 2 * r // 3 + 1):
-                rcf = regular_component_factor(g, k)
-                deg = [0] * g.n
-                for e in rcf.edge_ids:
-                    u, v = g.edges[e]
-                    deg[u] += 1
-                    deg[v] += 1
-                assert deg == [k] * g.n, (r, k)
-                assert {c.degree for c in rcf.components} == {k}
-                assert set().union(*(c.edge_ids for c in rcf.components)) == rcf.edge_ids
+            rcf = regular_component_factor(g)
+            assert edge_degrees(g, rcf.edge_ids) == [k] * g.n, r
+            assert {c.degree for c in rcf.components} == {k}
+            assert set().union(*(c.edge_ids for c in rcf.components)) == rcf.edge_ids
 
     def test_perfect_matching_takes_no_matching_or_two_factorization(self, monkeypatch):
+        # the module imports no matching entry point, only the exact-factor
+        # gadget, so two_factorization is the one call left to rule out
+        assert not hasattr(factorization, "max_matching")
         calls = []
-        for name in ("max_matching", "two_factorization"):
-            real = getattr(factorization, name)
+        real = factorization.two_factorization
 
-            def spy(g, _name=name, _real=real):
-                calls.append(_name)
-                return _real(g)
+        def spy(g):
+            calls.append("two_factorization")
+            return real(g)
 
-            monkeypatch.setattr(factorization, name, spy)
+        monkeypatch.setattr(factorization, "two_factorization", spy)
         for r, k in [(5, 3), (7, 4), (9, 6), (11, 7)]:
             for g in (_matching_union(r, 12, seed=r), random_regular(20, r, seed=r)):
                 assert has_perfect_matching(g)
-                rcf = regular_component_factor(g, k)
+                rcf = regular_component_factor(g)
                 assert {c.degree for c in rcf.components} == {k}
         assert calls == []
 
@@ -447,33 +434,24 @@ class TestRegularComponentFactor:
         g = _multigraph_hub()
         assert regular_degree(g) == 5
         assert not has_perfect_matching(g)
-        rcf = regular_component_factor(g, 3)
+        rcf = regular_component_factor(g)
         check_regular_component_factor(rcf, 3)
         assert {c.degree for c in rcf.components} == {2, 3}
 
     def test_disconnected_host(self):
-        tri = complete(4).edges
-        g = build(8, list(tri) + [(u + 4, v + 4) for u, v in tri])
-        rcf = regular_component_factor(g, 2)
-        check_regular_component_factor(rcf, 2)
+        g = _union(complete(8), random_regular(16, 7, seed=3))
+        rcf = regular_component_factor(g)
+        check_regular_component_factor(rcf, 4)
 
     def test_rejections(self):
         with pytest.raises(NotRegularError):
-            regular_component_factor(build(3, [(0, 1), (1, 2)]), 1)
-        with pytest.raises(ValueError, match="odd"):
-            regular_component_factor(complete(5), 2)  # r=4 even
-        with pytest.raises(ValueError, match="2r/3"):
-            regular_component_factor(complete(8), 5)  # k=5 > 14/3
-
-    def test_edge_and_cycle_cover_structure(self):
-        g = cubic_no_pm()
-        chosen = _edge_and_cycle_cover(g)
-        deg = [0] * g.n
-        for e in chosen:
-            u, v = g.edges[e]
-            deg[u] += 1
-            deg[v] += 1
-        assert set(deg) <= {1, 2}
+            regular_component_factor(build(3, [(0, 1), (1, 2)]))
+        for g in (cycle(6), complete(5), complete(7)):  # r = 2, 4, 6
+            with pytest.raises(ValueError, match="odd"):
+                regular_component_factor(g)
+        for g in (complete(4), petersen(), cubic_no_pm()):
+            with pytest.raises(ValueError, match="r >= 5, got r=3"):
+                regular_component_factor(g)
 
     def test_partition_search_finds_forced_mix(self):
         # cubic_no_pm with k=2 has neither a 1-factor nor a 2-factor, so the
@@ -481,9 +459,32 @@ class TestRegularComponentFactor:
         g = cubic_no_pm()
         split = _partition_search(g, 2, 4000)
         assert split is not None
-        deg = [0] * g.n
-        for e in split:
-            u, v = g.edges[e]
-            deg[u] += 1
-            deg[v] += 1
-        assert set(deg) == {1, 2}
+        assert set(edge_degrees(g, split)) == {1, 2}
+
+
+# name -> the edge-id sets one layer returns; every layer answers in frozensets
+EDGE_SETS = {
+    "max_matching": lambda: [max_matching(petersen())],
+    "find_exact_factor": lambda: [find_exact_factor(complete(8), [4] * 8)],
+    "degree_range_factor": lambda: [
+        degree_range_factor(complete(4), 1, 1),
+        degree_range_factor(cycle(5), 1, 2),
+    ],
+    "two_factorization": lambda: two_factorization(complete(7)),
+    "decompose_regular_bipartite": lambda: decompose_regular_bipartite(
+        _cover(petersen()), range(10)
+    ),
+    "RegularComponentFactor.edge_ids": lambda: [regular_component_factor(complete(8)).edge_ids],
+    "RegularComponent.edge_ids": lambda: [
+        c.edge_ids for c in regular_component_factor(_multigraph_hub()).components
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_SETS))
+def test_edge_sets_are_frozensets(name):
+    sets = EDGE_SETS[name]()
+    assert sets
+    for ids in sets:
+        assert type(ids) is frozenset, (name, type(ids))
+        assert ids and all(type(e) is int for e in ids), name

@@ -5,7 +5,7 @@ import zlib
 from itertools import product
 
 import pytest
-from test_factorization import _matching_union
+from test_factorization import _matching_union, _union
 
 from zsflow import factorization, flows, matching
 from zsflow.errors import (
@@ -431,7 +431,7 @@ class TestConstruct:
             calls.append(g.n)
             return real(g)
 
-        for module in (flows, factorization, matching):
+        for module in (flows, matching):
             monkeypatch.setattr(module, "max_matching", spy)
         g = build(*hub_pairs(r))
         with pytest.raises(FactorSearchError):
@@ -476,6 +476,39 @@ class TestConstruct:
         flow = construct(g)
         assert flow.k == 3
         assert verify_flow(g, flow).ok
+
+    def test_disconnected_verifies_each_component_once(self, monkeypatch):
+        # each component's construction verifies its own flow; the assembled
+        # whole is not verified again
+        calls = []
+        real = flows.verify_flow
+
+        def spy(g, flow, k=None):
+            calls.append(g.n)
+            return real(g, flow, k)
+
+        monkeypatch.setattr(flows, "verify_flow", spy)
+        g = _union(*[complete(5)] * 40)
+        assert construct(g).k == 3
+        assert calls == [5] * 40
+
+    @pytest.mark.parametrize(
+        "parts, k",
+        [
+            ([random_regular(11, 4, seed=1), complete(5)], 3),
+            ([complete(8), random_regular(20, 7, seed=1)], 5),  # perfect matchings
+            ([build(*hub_pairs(9)), complete(10)], 5),  # signed cover beside a matching
+            ([cubic_no_pm(), cubic_no_pm()], 5),  # the r = 3 search
+        ],
+        ids=["r4", "r7_matching", "r9_hub_and_k10", "two_cubic_no_pm"],
+    )
+    def test_disconnected_sums_vanish_on_every_branch(self, parts, k):
+        # vertex sums counted here, not by verify_flow
+        g = _union(*parts)
+        flow = construct(g)
+        assert flow.k == k
+        assert all(0 < abs(val) < k for val in flow.values)
+        assert vertex_sums(g, flow.values) == [0] * g.n
 
     def test_tiny_budget_is_undecided(self):
         with pytest.raises(FlowUndecidedError):

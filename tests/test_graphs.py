@@ -7,7 +7,6 @@ import pytest
 import zsflow
 from zsflow.errors import GraphError, GraphFormatError
 from zsflow.graphs import (
-    Factor,
     MultiGraph,
     build,
     circulant,
@@ -90,14 +89,6 @@ class TestQueries:
                 groups.setdefault(find(v), []).append(v)
             assert components(g) == sorted(groups.values())
             assert g._adj is None  # answered from the edge list alone
-
-    def test_factor_rejects_ids_outside_the_host(self):
-        g = cycle(3)
-        assert Factor(g, frozenset({0, 2})).degrees() == (2, 1, 1)
-        for ids, bad in (({-1, 1, 3}, "[-1, 3]"), ({-2, 0}, "[-2]"), ({1, 4}, "[4]")):
-            with pytest.raises(GraphError) as info:
-                Factor(g, frozenset(ids))
-            assert str(info.value) == f"factor edge ids not in host: {bad}"
 
 
 def _multigraph() -> MultiGraph:
