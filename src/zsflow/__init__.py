@@ -37,8 +37,6 @@ from .graphs import (
     write_edge_list,
 )
 from .factorization import (
-    RegularComponent,
-    RegularComponentFactor,
     regular_component_factor,
     two_factorization,
 )
@@ -80,8 +78,6 @@ __all__ = [
     "FlowNumberResult",
     "FlowReport",
     "IntFlow",
-    "RegularComponent",
-    "RegularComponentFactor",
     "SearchOutcome",
     "constant_sum_weighting",
     "construct",

@@ -3,12 +3,12 @@
 Two layers: 2-factorization of even-regular multigraphs through a balanced
 orientation and its bipartite out/in split, and, for odd r >= 5, the one
 spanning [k-1, k]-factor with regular components that both odd-degree
-constructions take, at k = floor(2r/3).  Edge sets are frozensets of edge ids.
+constructions take, at k = floor(2r/3), returned as its (k-1)-regular and
+its k-regular part.  Edge sets are frozensets of edge ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import FactorSearchError, NotRegularError
@@ -60,79 +60,20 @@ def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
 # regular-component [k-1, k]-factors
 
 
-@dataclass(frozen=True, eq=False)
-class RegularComponent:
-    """One connected component of a factor, with its uniform degree."""
-
-    vertices: tuple[int, ...]
-    edge_ids: frozenset[int]
-    degree: int
-
-
-@dataclass(frozen=True, eq=False)
-class RegularComponentFactor:
-    """Spanning [k-1, k]-factor whose components are each regular."""
-
-    host: MultiGraph
-    edge_ids: frozenset[int]
-    k: int
-    components: tuple[RegularComponent, ...]
-
-    def edges_with_degree(self, d: int) -> frozenset[int]:
-        """Union of the edge sets of all components of the given degree."""
-        out: set[int] = set()
-        for comp in self.components:
-            if comp.degree == d:
-                out |= comp.edge_ids
-        return frozenset(out)
-
-
-def _component_analysis(
-    g: MultiGraph, edge_ids: frozenset[int], k: int
-) -> tuple[RegularComponent, ...] | None:
-    """Split a factor into components; None unless each is (k-1)- or k-regular."""
-    deg = _factor_degrees(g, edge_ids)
-    if any(d not in (k - 1, k) for d in deg):
-        return None
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e in edge_ids:
-        u, v = g.edges[e]
-        adj[u].append((e, v))
-        adj[v].append((e, u))
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        verts = [s]
-        ces: set[int] = set()
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for e, w in adj[v]:
-                ces.add(e)
-                if not seen[w]:
-                    seen[w] = True
-                    verts.append(w)
-                    stack.append(w)
-        if len({deg[v] for v in verts}) != 1:
-            return None
-        comps.append(RegularComponent(tuple(sorted(verts)), frozenset(ces), deg[s]))
-    return tuple(comps)
-
-
 def _induced(g: MultiGraph, verts: set[int]):
     inside = [e for e, (u, v) in enumerate(g.edges) if u in verts and v in verts]
     return subgraph_from_edges(g, inside, vertices=verts)
 
 
-def _partition_search(g: MultiGraph, k: int, factor_budget: int) -> frozenset[int] | None:
+def _partition_search(
+    g: MultiGraph, k: int, factor_budget: int
+) -> tuple[frozenset[int], frozenset[int]] | None:
     """Exact search over vertex splits: one side gets a (k-1)-factor, the other a k-factor.
 
     Any regular-component [k-1, k]-factor induces such a split (no factor
     edge crosses), so enumerating splits by ascending side size is complete.
-    Budgeted by the number of gadget-matching calls.
+    Returns the two sides' factors as (lower, upper).  Budgeted by the
+    number of gadget-matching calls.
     """
     n = g.n
     incs = [g.incident(v) for v in range(n)]
@@ -160,7 +101,7 @@ def _partition_search(g: MultiGraph, k: int, factor_budget: int) -> frozenset[in
                 fb = find_exact_factor(sub_b, [k] * sub_b.n)
                 calls += 1
                 if fb is not None:
-                    return frozenset(emap_a[e] for e in fa) | frozenset(emap_b[e] for e in fb)
+                    return frozenset(emap_a[e] for e in fa), frozenset(emap_b[e] for e in fb)
             if calls >= factor_budget:
                 raise FactorSearchError(
                     f"regular-component factor not found within {factor_budget} matching calls"
@@ -168,13 +109,15 @@ def _partition_search(g: MultiGraph, k: int, factor_budget: int) -> frozenset[in
     return None
 
 
-def regular_component_factor(g: MultiGraph) -> RegularComponentFactor:
+def regular_component_factor(g: MultiGraph) -> tuple[frozenset[int], frozenset[int]]:
     """Spanning [k-1, k]-factor with regular components, k = floor(2r/3).
 
     Requires an r-regular graph with r odd, r >= 5.  This is the factor both
     odd-degree constructions take (r = 7 gives the [3, 4]-factor), and it
-    always exists (Kano 1986).  The stages, in order, each with the reason
-    it succeeds:
+    always exists (Kano 1986).  Returns ``(lower, upper)``: the edge ids of
+    its (k-1)-regular part and of its k-regular part; either may be empty,
+    and no vertex meets both.  The stages, in order, each with the reason it
+    succeeds:
 
     - an exact k-factor, then an exact (k-1)-factor, from the gadget
       queries of `find_exact_factor`, which find one if it exists.  The
@@ -194,20 +137,25 @@ def regular_component_factor(g: MultiGraph) -> RegularComponentFactor:
         raise ValueError(f"need odd regular degree r >= 5, got r={r}")
     k = 2 * r // 3
 
-    def finish(edge_ids: frozenset[int]) -> RegularComponentFactor:
-        comps = _component_analysis(g, edge_ids, k)
-        if comps is None:
+    def finish(lower: frozenset[int], upper: frozenset[int]):
+        # every vertex lies in exactly one part, with that part's degree, so
+        # no factor edge joins the parts and each component is regular
+        pairs = zip(_factor_degrees(g, lower), _factor_degrees(g, upper))
+        if any(pair not in ((k - 1, 0), (0, k)) for pair in pairs):
             raise RuntimeError("internal: candidate factor failed its component check")
-        return RegularComponentFactor(g, edge_ids, k, comps)
+        return lower, upper
 
-    for target in (k,) if k - 1 == r - k else (k, k - 1):
-        found = find_exact_factor(g, [target] * g.n)
+    found = find_exact_factor(g, [k] * g.n)
+    if found is not None:
+        return finish(frozenset(), found)
+    if k - 1 != r - k:
+        found = find_exact_factor(g, [k - 1] * g.n)
         if found is not None:
-            return finish(found)
+            return finish(found, frozenset())
     if g.n <= _PARTITION_VERTEX_LIMIT:
         split = _partition_search(g, k, _PARTITION_FACTOR_BUDGET)
         if split is not None:
-            return finish(split)
+            return finish(*split)
         raise FactorSearchError(
             "partition search exhausted: no regular-component factor found "
             "(contradicts the guaranteed existence; please report)"

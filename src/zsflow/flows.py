@@ -47,12 +47,20 @@ class IntFlow:
         values = self.values
         if len(values) != self.host.m:
             raise ValueError(f"flow has {len(values)} values for {self.host.m} edges")
-        if 0 in values or max(map(abs, values), default=0) > self.k - 1:
-            for e, val in enumerate(values):  # name the first bad value by edge id
-                if val == 0:
-                    raise ValueError(f"zero value at edge {e}")
-                if abs(val) > self.k - 1:
-                    raise ValueError(f"edge {e} value {val} exceeds |value| <= {self.k - 1}")
+        bad = _first_bad_value(values, max(map(abs, values), default=0), self.k)
+        if bad is not None:
+            raise ValueError(bad)
+
+
+def _first_bad_value(values: Sequence[int], max_abs: int, k: int) -> str | None:
+    """Name the first zero or |value| > k - 1 by edge id; None when there is none."""
+    if 0 in values or max_abs > k - 1:
+        for e, val in enumerate(values):
+            if val == 0:
+                return f"zero value at edge {e}"
+            if abs(val) > k - 1:
+                return f"edge {e} value {val} exceeds |value| <= {k - 1}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -99,15 +107,7 @@ def verify_flow(
         raise ValueError(f"need k >= 2, got {k}")
 
     max_abs = max(map(abs, values), default=0)
-    violation = None
-    if 0 in values or max_abs > k - 1:  # find the first bad value by edge id
-        for e, val in enumerate(values):
-            if val == 0:
-                violation = f"zero value at edge {e}"
-                break
-            if abs(val) > k - 1:
-                violation = f"edge {e} value {val} exceeds |value| <= {k - 1}"
-                break
+    violation = _first_bad_value(values, max_abs, k)
     sums = [0] * g.n
     for (u, v), val in zip(g.edges, values):
         sums[u] += val
@@ -222,7 +222,7 @@ def flow_seven_regular(g: MultiGraph) -> IntFlow:
     r = regular_degree(g)
     if r != 7:
         raise UnsupportedDegreeError(f"need a 7-regular graph, got r={r}")
-    return _factor_flow(g, {4: 6, 3: 8}, -2)
+    return _factor_flow(g, (8, 6), -2)
 
 
 def flow_odd_regular(g: MultiGraph) -> IntFlow:
@@ -239,19 +239,18 @@ def flow_odd_regular(g: MultiGraph) -> IntFlow:
         raise UnsupportedDegreeError(f"need odd r >= 9, got r={r}")
     k = 2 * r // 3
     kp = r - k
-    return _factor_flow(g, {k - 1: 4 * kp + 4, k: 4 * kp}, -4)
+    return _factor_flow(g, (4 * kp + 4, 4 * kp), -4)
 
 
-def _factor_flow(g: MultiGraph, sums: Mapping[int, int], outside: int) -> IntFlow:
+def _factor_flow(g: MultiGraph, sums: tuple[int, int], outside: int) -> IntFlow:
     """5-flow from the [k-1, k]-factor with regular components, k = floor(2r/3).
 
-    Each non-empty d-regular part gets the constant-sum weighting with
-    vertex sums ``sums[d]``; every edge outside the factor gets ``outside``.
+    ``sums`` zips with the factor's (lower, upper) parts, its (k-1)-regular
+    and k-regular edges: each non-empty part gets the constant-sum weighting
+    with its vertex sum, and every edge outside the factor gets ``outside``.
     """
-    rcf = regular_component_factor(g)
     values = [outside] * g.m
-    for degree, q in sums.items():
-        part = rcf.edges_with_degree(degree)
+    for part, q in zip(regular_component_factor(g), sums):
         if part:
             sub, _, emap = subgraph_from_edges(g, part)
             for e, val in zip(emap, constant_sum_weighting(sub, q)):

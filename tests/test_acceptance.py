@@ -309,19 +309,13 @@ def run_criterion_6() -> str:
     for r in (7, 9, 11):
         k = 2 * r // 3
         for name, g in construction_corpus(r):
-            rcf = regular_component_factor(g)  # FactorSearchError = suite failure
-            deg = [0] * g.n
-            for e in rcf.edge_ids:
-                u, v = g.edges[e]
-                deg[u] += 1
-                deg[v] += 1
-            assert set(deg) <= {k - 1, k}, name
-            covered: set[int] = set()
-            for comp in rcf.components:
-                assert {deg[v] for v in comp.vertices} == {comp.degree}, name
-                covered.update(comp.vertices)
-            assert covered == set(range(g.n)), name
-            tags = sorted(c.degree for c in rcf.components)
+            lower, upper = regular_component_factor(g)  # FactorSearchError = suite failure
+            assert lower.isdisjoint(upper), name
+            # every vertex lies in exactly one part, with that part's degree:
+            # then no factor edge joins the parts and every component is regular
+            pairs = set(zip(edge_degrees(g, lower), edge_degrees(g, upper)))
+            assert pairs and pairs <= {(k - 1, 0), (0, k)}, name
+            tags = sorted(lo + up for lo, up in pairs)
             lines.append(f"{name} k={k} component_degrees={tags[0]}..{tags[-1]}")
     return "\n".join(lines)
 

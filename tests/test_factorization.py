@@ -10,7 +10,6 @@ from oracles import edge_degrees
 from zsflow import factorization
 from zsflow.errors import NotRegularError
 from zsflow.factorization import (
-    RegularComponentFactor,
     _partition_search,
     euler_orientation,
     regular_component_factor,
@@ -57,16 +56,29 @@ def check_two_factorization(g: MultiGraph, factors):
     assert union == set(range(g.m))
 
 
-def check_regular_component_factor(rcf: RegularComponentFactor, k: int):
-    g = rcf.host
-    assert rcf.k == k == 2 * regular_degree(g) // 3
-    deg = edge_degrees(g, rcf.edge_ids)
-    assert set(deg) <= {k - 1, k}
+def check_regular_component_factor(g: MultiGraph, parts, k: int):
+    # walk the components of lower | upper: each must be (k-1)-regular inside
+    # lower or k-regular inside upper, and together they cover every vertex
+    lower, upper = parts
+    assert k == 2 * regular_degree(g) // 3
+    assert lower.isdisjoint(upper)
+    adj = {v: set() for v in range(g.n)}
+    for e in lower | upper:
+        u, v = g.edges[e]
+        adj[u].add(v)
+        adj[v].add(u)
+    low, up = edge_degrees(g, lower), edge_degrees(g, upper)
     covered = set()
-    for comp in rcf.components:
-        degrees_in_comp = {deg[v] for v in comp.vertices}
-        assert degrees_in_comp == {comp.degree}
-        covered.update(comp.vertices)
+    for s in range(g.n):
+        if s in covered:
+            continue
+        comp, todo = {s}, [s]
+        while todo:
+            for w in adj[todo.pop()] - comp:
+                comp.add(w)
+                todo.append(w)
+        covered |= comp
+        assert {(low[v], up[v]) for v in comp} in ({(k - 1, 0)}, {(0, k)})
     assert covered == set(range(g.n))
 
 
@@ -88,14 +100,24 @@ def _cover(g: MultiGraph) -> MultiGraph:
     return build(2 * g.n, [a for u, v in g.edges for a in ((u, g.n + v), (v, g.n + u))])
 
 
+def _gadget_hub(r: int, attach) -> MultiGraph:
+    # odd r: a centre joined to one 3-vertex gadget (a, b, c) per entry of
+    # attach, through its first attach[i] vertices; ab and ac each appear
+    # (r-1)/2 times, bc (r+1)/2 times when one vertex attaches, else (r-1)/2
+    # times.  r-regular when the attach counts add up to r.
+    h = (r - 1) // 2
+    pairs = []
+    for i, t in enumerate(attach):
+        a, b, c = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
+        pairs += [(0, v) for v in (a, b, c)[:t]]
+        pairs += [(a, b)] * h + [(a, c)] * h + [(b, c)] * (h + 1 if t == 1 else h)
+    return build(1 + 3 * len(attach), pairs)
+
+
 def _multigraph_hub() -> MultiGraph:
     # a centre joined to five 3-vertex gadgets (edges ab and ac doubled, bc
     # tripled): 5-regular with parallel edges and no perfect matching
-    pairs = []
-    for i in range(5):
-        a, b, c = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
-        pairs += [(0, a)] + [(a, b)] * 2 + [(a, c)] * 2 + [(b, c)] * 3
-    return build(16, pairs)
+    return _gadget_hub(5, (1, 1, 1, 1, 1))
 
 
 def _permutation_union(k: int) -> MultiGraph:
@@ -367,33 +389,29 @@ class TestTwoFactorization:
 
 class TestRegularComponentFactor:
     def test_k8(self):
-        rcf = regular_component_factor(complete(8))
-        check_regular_component_factor(rcf, 4)
-        assert {c.degree for c in rcf.components} <= {3, 4}
+        g = complete(8)
+        check_regular_component_factor(g, regular_component_factor(g), 4)
 
     def test_k10_and_k12(self):
         for n, k in [(10, 6), (12, 7)]:
-            rcf = regular_component_factor(complete(n))
-            check_regular_component_factor(rcf, k)
+            g = complete(n)
+            check_regular_component_factor(g, regular_component_factor(g), k)
 
     def test_random_sweep(self):
         for r, k, n, seed in [(7, 4, 16, 0), (9, 6, 20, 1), (11, 7, 18, 2)]:
             g = random_regular(n, r, seed)
-            rcf = regular_component_factor(g)
-            check_regular_component_factor(rcf, k)
+            lower, upper = regular_component_factor(g)
+            check_regular_component_factor(g, (lower, upper), k)
             if has_perfect_matching(g):
                 # the perfect matching guarantees an exact k-factor
-                assert {c.degree for c in rcf.components} == {k}
+                assert not lower
 
     @pytest.mark.parametrize("r", [5, 7, 9, 11, 13])
     def test_derived_k(self, r):
         # k is floor(2r/3), the one value both odd-degree constructions use
         k = 2 * r // 3
         for g in (random_regular(2 * r + 2, r, seed=r), complete(r + 1)):
-            rcf = regular_component_factor(g)
-            assert rcf.k == k
-            assert set(edge_degrees(g, rcf.edge_ids)) <= {k - 1, k}
-            assert {c.degree for c in rcf.components} <= {k - 1, k}
+            check_regular_component_factor(g, regular_component_factor(g), k)
 
     @pytest.mark.parametrize("r", [5, 7, 9, 11])
     def test_perfect_matching_gives_exact_k_factors(self, r):
@@ -403,10 +421,9 @@ class TestRegularComponentFactor:
         multi = _matching_union(r, 12, seed=r)
         assert len(set(map(frozenset, multi.edges))) < multi.m  # parallel edges
         for g in (multi, random_regular(2 * r + 4, r, seed=r), complete(r + 1)):
-            rcf = regular_component_factor(g)
-            assert edge_degrees(g, rcf.edge_ids) == [k] * g.n, r
-            assert {c.degree for c in rcf.components} == {k}
-            assert set().union(*(c.edge_ids for c in rcf.components)) == rcf.edge_ids
+            lower, upper = regular_component_factor(g)
+            assert lower == frozenset(), r
+            assert edge_degrees(g, upper) == [k] * g.n, r
 
     def test_perfect_matching_takes_no_matching_or_two_factorization(self, monkeypatch):
         # the module imports no matching entry point, only the exact-factor
@@ -423,8 +440,8 @@ class TestRegularComponentFactor:
         for r, k in [(5, 3), (7, 4), (9, 6), (11, 7)]:
             for g in (_matching_union(r, 12, seed=r), random_regular(20, r, seed=r)):
                 assert has_perfect_matching(g)
-                rcf = regular_component_factor(g)
-                assert {c.degree for c in rcf.components} == {k}
+                lower, upper = regular_component_factor(g)
+                assert not lower and edge_degrees(g, upper) == [k] * g.n
         assert calls == []
 
     def test_multigraph_hub_needs_split_search(self):
@@ -434,14 +451,13 @@ class TestRegularComponentFactor:
         g = _multigraph_hub()
         assert regular_degree(g) == 5
         assert not has_perfect_matching(g)
-        rcf = regular_component_factor(g)
-        check_regular_component_factor(rcf, 3)
-        assert {c.degree for c in rcf.components} == {2, 3}
+        lower, upper = regular_component_factor(g)
+        check_regular_component_factor(g, (lower, upper), 3)
+        assert lower and upper
 
     def test_disconnected_host(self):
         g = _union(complete(8), random_regular(16, 7, seed=3))
-        rcf = regular_component_factor(g)
-        check_regular_component_factor(rcf, 4)
+        check_regular_component_factor(g, regular_component_factor(g), 4)
 
     def test_rejections(self):
         with pytest.raises(NotRegularError):
@@ -453,13 +469,34 @@ class TestRegularComponentFactor:
             with pytest.raises(ValueError, match="r >= 5, got r=3"):
                 regular_component_factor(g)
 
+    def test_component_check_rejects_a_wrong_exact_factor(self, monkeypatch):
+        # a perfect matching of K8 answering the 4-factor query has degree 1
+        # everywhere, so the factor check must refuse it
+        monkeypatch.setattr(factorization, "find_exact_factor", lambda g, target: max_matching(g))
+        with pytest.raises(RuntimeError, match="failed its component check"):
+            regular_component_factor(complete(8))
+
+    def test_component_check_rejects_parts_that_meet(self, monkeypatch):
+        # one edge of the upper part moved into the lower part: the union is
+        # still the hub's [2, 3]-factor, but the lower part now touches
+        # vertices of the upper part
+        g = _multigraph_hub()
+        lower, upper = _partition_search(g, 3, 4000)
+        e = min(upper)
+        monkeypatch.setattr(
+            factorization, "_partition_search", lambda g, k, budget: (lower | {e}, upper - {e})
+        )
+        with pytest.raises(RuntimeError, match="failed its component check"):
+            regular_component_factor(g)
+
     def test_partition_search_finds_forced_mix(self):
         # cubic_no_pm with k=2 has neither a 1-factor nor a 2-factor, so the
         # split enumeration must produce a genuinely mixed factor
         g = cubic_no_pm()
-        split = _partition_search(g, 2, 4000)
-        assert split is not None
-        assert set(edge_degrees(g, split)) == {1, 2}
+        lower, upper = _partition_search(g, 2, 4000)
+        assert set(edge_degrees(g, lower)) == {0, 1}
+        assert set(edge_degrees(g, upper)) == {0, 2}
+        assert set(edge_degrees(g, lower | upper)) == {1, 2}
 
 
 # name -> the edge-id sets one layer returns; every layer answers in frozensets
@@ -474,10 +511,7 @@ EDGE_SETS = {
     "decompose_regular_bipartite": lambda: decompose_regular_bipartite(
         _cover(petersen()), range(10)
     ),
-    "RegularComponentFactor.edge_ids": lambda: [regular_component_factor(complete(8)).edge_ids],
-    "RegularComponent.edge_ids": lambda: [
-        c.edge_ids for c in regular_component_factor(_multigraph_hub()).components
-    ],
+    "regular_component_factor": lambda: regular_component_factor(_multigraph_hub()),
 }
 
 

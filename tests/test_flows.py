@@ -5,7 +5,7 @@ import zlib
 from itertools import product
 
 import pytest
-from test_factorization import _matching_union, _union
+from test_factorization import _gadget_hub, _matching_union, _union
 
 from zsflow import factorization, flows, matching
 from zsflow.errors import (
@@ -333,11 +333,12 @@ class TestOddRegular:
             flow_odd_regular(complete(8))
 
 
-# name -> (graph, crc32 of construct(g).values).  Every graph but the hub has
-# a perfect matching M, so its flow is -2 on M plus one value per 2-factor of
-# G - M: (1, 1, -1) for r = 7, (2, -1, 1, -1) for r = 9 and (1, 1, -1, 1, -1)
-# for r = 11, in `two_factorization`'s order.  r9_hub has no perfect matching
-# and pins the signed double cover.
+# name -> (graph, crc32 of construct(g).values).  Every graph but the two hubs
+# has a perfect matching M, so its flow is -2 on M plus one value per 2-factor
+# of G - M: (1, 1, -1) for r = 7, (2, -1, 1, -1) for r = 9 and
+# (1, 1, -1, 1, -1) for r = 11, in `two_factorization`'s order.  The hubs have
+# no perfect matching: r9_hub pins the signed double cover, and r7_mixed_hub
+# (7 ≢ 3 mod 6) pins the paper's construction on a mixed [3, 4]-factor.
 GOLDEN_CONSTRUCT = {
     "r7_n20": (random_regular(20, 7, seed=1), 0xCAE16D93),
     "r7_n100": (random_regular(100, 7, seed=2), 0x3D1827FF),
@@ -347,6 +348,7 @@ GOLDEN_CONSTRUCT = {
     "r9_n60": (random_regular(60, 9, seed=4), 0xA2E3B55B),
     "r9_k10": (complete(10), 0x1D4F9E09),
     "r9_hub": (build(*hub_pairs(9)), 0xE46BF83C),
+    "r7_mixed_hub": (_gadget_hub(7, (1, 1, 1, 1, 3)), 0x4AE617B4),
     "r11_n60": (random_regular(60, 11, seed=5), 0x41FC3902),
     "r11_k12": (complete(12), 0x95CED3D6),
 }
@@ -375,12 +377,30 @@ GOLDEN_EXACT_FACTOR = {
     ("r11_k12", 6): 0x47906A02,
 }
 
+# name -> (construction, graph, crc32 of its values).  These call the paper's
+# [k-1, k]-factor construction directly: r7_mixed_hub weights both a 3-regular
+# and a 4-regular part (found by the split search), r9_lower_hub only a
+# 5-regular part (the exact (k-1) query), the others only a k-regular part.
+GOLDEN_FACTOR_FLOW = {
+    "r7_mixed_hub": (flow_seven_regular, _gadget_hub(7, (1, 1, 1, 1, 3)), 0x4AE617B4),
+    "r9_lower_hub": (flow_odd_regular, _gadget_hub(9, (1, 1, 1, 3, 3)), 0x26E6DAE4),
+    "r7_k8": (flow_seven_regular, complete(8), 0x5A5AE3A9),
+    "r9_k10": (flow_odd_regular, complete(10), 0x2BBBE98E),
+    "r11_n60": (flow_odd_regular, random_regular(60, 11, seed=5), 0x1A625B7F),
+    "r13_n40": (flow_odd_regular, random_regular(40, 13, seed=6), 0x80D7DD1C),
+}
+
 
 class TestConstruct:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONSTRUCT))
     def test_golden_construct(self, name):
         g, expected = GOLDEN_CONSTRUCT[name]
         assert zlib.crc32(repr(construct(g).values).encode()) == expected
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FACTOR_FLOW))
+    def test_golden_factor_flow(self, name):
+        build_flow, g, expected = GOLDEN_FACTOR_FLOW[name]
+        assert zlib.crc32(repr(build_flow(g).values).encode()) == expected
 
     @pytest.mark.parametrize("name, target", sorted(GOLDEN_EXACT_FACTOR))
     def test_golden_exact_factor(self, name, target):
