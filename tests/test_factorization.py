@@ -511,7 +511,11 @@ EDGE_SETS = {
     "decompose_regular_bipartite": lambda: decompose_regular_bipartite(
         _cover(petersen()), range(10)
     ),
-    "regular_component_factor": lambda: regular_component_factor(_multigraph_hub()),
+    # the factor layer's two cases keep the names of the records that once
+    # held these sets: the whole factor (K8's k-regular part) and its
+    # regular parts (both non-empty on the r = 5 hub)
+    "RegularComponentFactor.edge_ids": lambda: [regular_component_factor(complete(8))[1]],
+    "RegularComponent.edge_ids": lambda: regular_component_factor(_multigraph_hub()),
 }
 
 
