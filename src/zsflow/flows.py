@@ -5,16 +5,18 @@ that each vertex's incident values sum to zero.  Constructions here cover
 even regular degree r >= 4 with k=3 and odd degrees 7 and >= 9 with k=5;
 degrees 3 and 5 route through the exact search in `solver`.
 
-For r = 7 and odd r >= 9, `construct` picks the cheapest construction the
-input allows: a 3-flow from a perfect matching and one 2-factorization of
-the rest when the graph has a perfect matching, else the signed double
-cover when r ≡ 3 (mod 6), else the paper's [k-1, k]-factor construction
-(`flow_seven_regular`, `flow_odd_regular`).  All three report k = 5.
+Every construction gives regular parts of g weightings with a constant
+vertex sum q (`_weighting`) and one value to every other edge.  For r = 7
+and odd r >= 9, `construct` picks the cheapest the input allows: with a
+perfect matching M, the 3-flow with -2 on M and q = 2 on G - M; else, for
+r ≡ 3 (mod 6), the signed double cover, which like even r is q = 0 on all
+of g; else the paper's [k-1, k]-factor construction (`flow_seven_regular`,
+`flow_odd_regular`).  All three report k = 5.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -125,14 +127,10 @@ def verify_flow(
 def constant_sum_weighting(g: MultiGraph, q: int) -> tuple[int, ...]:
     """Positive edge weights whose sum at every vertex is exactly q.
 
-    Every weight is floor(q/r) or ceil(q/r), so it lies in {2, 3, 4}
-    whenever q >= 2r.  Even r accepts every even q with r <= q <= 4r:
-    two-factor i (0 <= i < s = r/2, in `two_factorization`'s order) gets
-    weight (q/2 + i) // s, and these s weights add up to exactly q/2
-    (Hermite's identity).  Odd r accepts every even q with 2r <= q <= 4r:
-    weight the r perfect matchings of the bipartite double cover with 2s
-    then 1s; an edge's weight is the sum over its two arcs, and every
-    vertex is the tail of one arc and the head of one arc in each matching.
+    Even r accepts every even q with r <= q <= 4r, and every weight is
+    floor(q/r) or ceil(q/r), so it lies in {2, 3, 4} whenever q >= 2r.  Odd
+    r accepts every even q with 2r <= q <= 4r, and every weight lies in
+    {2, 3, 4}.  `_weighting` builds both.
     """
     r = regular_degree(g)
     if r is None or r < 1:
@@ -142,54 +140,66 @@ def constant_sum_weighting(g: MultiGraph, q: int) -> tuple[int, ...]:
     lo = r if r % 2 == 0 else 2 * r
     if not (lo <= q <= 4 * r):
         raise ValueError(f"q must lie in [{lo}, {4 * r}], got {q}")
-    if r % 2:
-        twos = (q - 2 * r) // 2
-        return tuple(_cover_weighting(g, [2] * twos + [1] * (r - twos)))
-    s = r // 2
-    out = [0] * g.m
-    for i, factor in enumerate(two_factorization(g)):
-        for e in factor:
-            out[e] = (q // 2 + i) // s
-    return tuple(out)
+    return tuple(_weighting(g, r, q))
 
 
-def _cover_weighting(g: MultiGraph, weights: Sequence[int]) -> list[int]:
-    """Edge values from one weight per perfect matching of the double cover.
-
-    The r-regular bipartite double cover splits into r perfect matchings, in
-    `_euler_split`'s order; matching i carries ``weights[i]``, and edge e gets
-    the sum over its arcs 2e and 2e + 1.  Every vertex is the tail of one arc
-    and the head of one arc in each matching, so each vertex sums to
-    2 * sum(weights).
-    """
-    matchings = _euler_split(2 * g.n, double_cover(g), [True] * g.n + [False] * g.n, len(weights))
-    out = [0] * g.m
-    for w, pm in zip(weights, matchings):
-        for arc in pm:
-            out[arc // 2] += w
-    return out
-
-
-# (total, s mod 2) -> the leading factor values of `_two_factor_values`
+# (t, count mod 2) -> the leading values of `_split_sum` for t < count
 _FACTOR_HEADS = {(0, 0): (), (0, 1): (2, -1, -1), (1, 0): (2, -1), (1, 1): (1,)}
 
 
-def _two_factor_values(g: MultiGraph, total: int) -> list[int]:
-    """Edge values giving each 2-factor of an even-regular g one value, summing to ``total``.
+def _split_sum(t: int, count: int) -> list[int]:
+    """``count`` nonzero values in [-2, 4] that add up to t.
 
-    The s = r/2 factors, in `two_factorization`'s order, take a head that
-    fixes the sum by the parity of s, then alternating +1, -1 pairs: no head
-    or (2, -1, -1) for total 0, and (2, -1) or (1) for total 1.  Each factor
-    adds twice its value at every vertex, so every vertex sums to 2 * total.
+    For count <= t <= 4 * count, value i is (t + i) // count (Hermite's
+    identity); t in {0, 1} takes a head fixed by the parity of count, then
+    +1, -1 pairs (t = 0 needs count >= 2).
     """
-    factors = two_factorization(g)
-    head = _FACTOR_HEADS[total, len(factors) % 2]
-    seq = [*head, *[1, -1] * ((len(factors) - len(head)) // 2)]
+    if t >= count:
+        return [(t + i) // count for i in range(count)]
+    head = _FACTOR_HEADS[t, count % 2]
+    return [*head, *[1, -1] * ((count - len(head)) // 2)]
+
+
+def _weighting(g: MultiGraph, r: int, q: int) -> list[int]:
+    """Nonzero edge values of the r-regular g that sum to q at every vertex.
+
+    Even r takes q = 0 (r >= 4), q = 2 or an even q in [r, 4r]: 2-factor i
+    gets value i of `_split_sum(q/2, r/2)`.  Odd r takes an even q in
+    [2r, 4r], or q = 0 when 3 divides r: the double cover's r perfect
+    matchings get weights 2s then 1s, or +1 on 2r/3 and -2 on r/3, and edge
+    e sums its arcs 2e and 2e + 1.  Each vertex meets every 2-factor twice
+    and every matching once as tail and once as head.
+    """
     values = [0] * g.m
-    for factor, val in zip(factors, seq):
-        for e in factor:
-            values[e] = val
+    if r % 2 == 0:
+        for val, factor in zip(_split_sum(q // 2, r // 2), two_factorization(g)):
+            for e in factor:
+                values[e] = val
+        return values
+    twos, third = (q - 2 * r) // 2, r // 3
+    weights = [2] * twos + [1] * (r - twos) if q else [1] * (2 * third) + [-2] * third
+    matchings = _euler_split(2 * g.n, double_cover(g), [True] * g.n + [False] * g.n, r)
+    for w, pm in zip(weights, matchings):
+        for arc in pm:
+            values[arc // 2] += w
     return values
+
+
+def _parts_flow(
+    g: MultiGraph, parts: Iterable[tuple[Collection[int], int]], outside: int
+) -> IntFlow:
+    """Checked 5-flow: each (edge ids, q) part gets its q weighting, other edges ``outside``.
+
+    Every non-empty part spans a regular subgraph of g.
+    """
+    values = [outside] * g.m
+    for part, q in parts:
+        if part:
+            sub, _, emap = subgraph_from_edges(g, part)
+            # sub is regular, so its degree is its mean degree
+            for e, val in zip(emap, _weighting(sub, 2 * sub.m // sub.n, q)):
+                values[e] = val
+    return _checked(g, values, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +209,15 @@ def _two_factor_values(g: MultiGraph, total: int) -> list[int]:
 def flow_even_regular(g: MultiGraph) -> IntFlow:
     """Zero-sum 3-flow of an r-regular graph with even r >= 4.
 
-    The r/2 two-factors get a fixed value sequence summing to zero:
-    alternating +1/-1 when their count is even, else 2, -1, -1 followed by
-    alternating pairs.  Each factor contributes twice its value per vertex.
+    The q = 0 weighting: the r/2 two-factors get alternating +1/-1, led by
+    2, -1, -1 when their count is odd.
     """
     r = regular_degree(g)
     if r is None:
         raise NotRegularError("flow_even_regular needs a regular graph")
     if r % 2 or r < 4:
         raise UnsupportedDegreeError(f"need even r >= 4, got r={r}")
-    return _checked(g, _two_factor_values(g, 0), 3)
+    return _checked(g, _weighting(g, r, 0), 3)
 
 
 def flow_seven_regular(g: MultiGraph) -> IntFlow:
@@ -222,7 +231,7 @@ def flow_seven_regular(g: MultiGraph) -> IntFlow:
     r = regular_degree(g)
     if r != 7:
         raise UnsupportedDegreeError(f"need a 7-regular graph, got r={r}")
-    return _factor_flow(g, (8, 6), -2)
+    return _parts_flow(g, zip(regular_component_factor(g), (8, 6)), -2)
 
 
 def flow_odd_regular(g: MultiGraph) -> IntFlow:
@@ -239,50 +248,7 @@ def flow_odd_regular(g: MultiGraph) -> IntFlow:
         raise UnsupportedDegreeError(f"need odd r >= 9, got r={r}")
     k = 2 * r // 3
     kp = r - k
-    return _factor_flow(g, (4 * kp + 4, 4 * kp), -4)
-
-
-def _factor_flow(g: MultiGraph, sums: tuple[int, int], outside: int) -> IntFlow:
-    """5-flow from the [k-1, k]-factor with regular components, k = floor(2r/3).
-
-    ``sums`` zips with the factor's (lower, upper) parts, its (k-1)-regular
-    and k-regular edges: each non-empty part gets the constant-sum weighting
-    with its vertex sum, and every edge outside the factor gets ``outside``.
-    """
-    values = [outside] * g.m
-    for part, q in zip(regular_component_factor(g), sums):
-        if part:
-            sub, _, emap = subgraph_from_edges(g, part)
-            for e, val in zip(emap, constant_sum_weighting(sub, q)):
-                values[e] = val
-    return _checked(g, values, 5)
-
-
-def _matching_flow(g: MultiGraph, matching: frozenset[int]) -> IntFlow:
-    """Zero-sum 3-flow of an odd-regular graph from a perfect matching M, reported as k = 5.
-
-    Every edge of M gets -2.  G - M is (r-1)-regular, and its 2-factors get
-    values from {±1, ±2} that add up to 1, so every vertex sums to
-    2 - 2 = 0.  One 2-factorization, no factor search.
-    """
-    rest, _, emap = subgraph_from_edges(
-        g, [e for e in range(g.m) if e not in matching], vertices=range(g.n)
-    )
-    values = [-2] * g.m
-    for e, val in zip(emap, _two_factor_values(rest, 1)):
-        values[e] = val
-    return _checked(g, values, 5)
-
-
-def _signed_cover_flow(g: MultiGraph, r: int) -> IntFlow:
-    """Zero-sum 5-flow of an r-regular graph with r ≡ 3 (mod 6); no matching of g needed.
-
-    Of the r perfect matchings of the double cover, 2r/3 get weight +1 and
-    r/3 get -2, so the weights add up to 0 and every vertex sums to 0.  An
-    edge's two arcs give it 2, -1 or -4, never 0.
-    """
-    third = r // 3
-    return _checked(g, _cover_weighting(g, [1] * (2 * third) + [-2] * third), 5)
+    return _parts_flow(g, zip(regular_component_factor(g), (4 * kp + 4, 4 * kp)), -4)
 
 
 def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
@@ -297,8 +263,10 @@ def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
     paper's [k-1, k]-factor construction; every branch reports k=5.
     Disconnected inputs are handled per component; each component's
     construction verifies its own flow, so the assembled whole is verified
-    once, component by component.
+    once, component by component.  A negative budget raises ValueError.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     r = regular_degree(g)
     if r is None:
         if g.n == 0:
@@ -335,9 +303,10 @@ def _construct_connected(g: MultiGraph, r: int, budget: int | None) -> IntFlow:
     if r >= 7:
         matching = max_matching(g)
         if 2 * len(matching) == g.n:
-            return _matching_flow(g, matching)
+            return _parts_flow(g, [([e for e in range(g.m) if e not in matching], 2)], -2)
         if r % 3 == 0:
-            return _signed_cover_flow(g, r)
+            # the signed double cover, with values 2, -1, -4
+            return _checked(g, _weighting(g, r, 0), 5)
         return flow_seven_regular(g) if r == 7 else flow_odd_regular(g)
     # r in {3, 5}: no direct construction; run the exact search at k=5
     from .solver import DEFAULT_BUDGET, solve

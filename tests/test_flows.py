@@ -219,6 +219,30 @@ class TestConstantSumWeighting:
         with pytest.raises(NotRegularError):
             constant_sum_weighting(build(3, [(0, 1), (1, 2)]), 4)
 
+    def test_split_sum_domain(self):
+        for count in range(1, 41):
+            ts = {1, *range(count, 4 * count + 1)} | ({0} if count >= 2 else set())
+            for t in sorted(ts):
+                values = flows._split_sum(t, count)
+                assert len(values) == count, (t, count)
+                assert sum(values) == t, (t, count)
+                assert 0 not in values, (t, count)
+                assert all(-2 <= val <= 4 for val in values), (t, count)
+
+    @pytest.mark.parametrize("r", range(2, 14))
+    def test_weighting_every_admitted_sum(self, r):
+        # vertex sums counted here, not by verify_flow
+        if r % 2:
+            qs = list(range(2 * r, 4 * r + 1, 2)) + ([0] if r % 3 == 0 else [])
+        else:
+            qs = list(range(r, 4 * r + 1, 2)) + [2] + ([0] if r >= 4 else [])
+        for seed, n in enumerate((12, 30)):
+            g = _matching_union(r, n, seed)
+            for q in qs:
+                values = flows._weighting(g, r, q)
+                assert len(values) == g.m and 0 not in values, (r, n, q)
+                assert vertex_sums(g, values) == [q] * g.n, (r, n, q)
+
 
 class TestEvenRegular:
     def test_k5(self):
@@ -530,6 +554,11 @@ class TestConstruct:
         assert all(0 < abs(val) < k for val in flow.values)
         assert vertex_sums(g, flow.values) == [0] * g.n
 
+    @pytest.mark.parametrize("g", [complete(5), complete(8)], ids=["r4", "r7"])
+    def test_negative_budget_rejected_without_search(self, g):
+        with pytest.raises(ValueError, match="need budget >= 0, got -1"):
+            construct(g, budget=-1)
+
     def test_tiny_budget_is_undecided(self):
         with pytest.raises(FlowUndecidedError):
             construct(petersen(), budget=2)
@@ -590,7 +619,7 @@ class TestOddBranches:
             assert set(flow.values) <= {1, -1, 2, -2}, (r, n)
             assert vertex_sums(g, flow.values) == [0] * g.n, (r, n)
             if r % 6 == 3:
-                flow = flows._signed_cover_flow(g, r)
+                flow = flows._checked(g, flows._weighting(g, r, 0), 5)
                 assert flow.k == 5
                 assert set(flow.values) <= {2, -1, -4}, (r, n)
                 assert vertex_sums(g, flow.values) == [0] * g.n, (r, n)
