@@ -185,19 +185,20 @@ def _weighting(g: MultiGraph, r: int, q: int) -> list[int]:
     return values
 
 
-def _parts_flow(
-    g: MultiGraph, parts: Iterable[tuple[Collection[int], int]], outside: int
-) -> IntFlow:
-    """Checked 5-flow: each (edge ids, q) part gets its q weighting, other edges ``outside``.
+def _parts_flow(g: MultiGraph, parts: Iterable[Collection[int]], outside: int) -> IntFlow:
+    """Checked 5-flow: each part's weighting cancels ``outside`` on every other edge.
 
-    Every non-empty part spans a regular subgraph of g.
+    Every non-empty part spans a d-regular subgraph of the r-regular g and
+    no vertex lies in two parts, so each part vertex meets r - d edges
+    valued ``outside``; the part gets the weighting with q = -outside * (r - d).
     """
+    r = 2 * g.m // g.n
     values = [outside] * g.m
-    for part, q in parts:
+    for part in parts:
         if part:
             sub, _, emap = subgraph_from_edges(g, part)
-            # sub is regular, so its degree is its mean degree
-            for e, val in zip(emap, _weighting(sub, 2 * sub.m // sub.n, q)):
+            d = 2 * sub.m // sub.n  # sub is regular, so its degree is its mean degree
+            for e, val in zip(emap, _weighting(sub, d, -outside * (r - d))):
                 values[e] = val
     return _checked(g, values, 5)
 
@@ -231,7 +232,7 @@ def flow_seven_regular(g: MultiGraph) -> IntFlow:
     r = regular_degree(g)
     if r != 7:
         raise UnsupportedDegreeError(f"need a 7-regular graph, got r={r}")
-    return _parts_flow(g, zip(regular_component_factor(g), (8, 6)), -2)
+    return _parts_flow(g, regular_component_factor(g), -2)
 
 
 def flow_odd_regular(g: MultiGraph) -> IntFlow:
@@ -246,9 +247,7 @@ def flow_odd_regular(g: MultiGraph) -> IntFlow:
     r = regular_degree(g)
     if r is None or r % 2 == 0 or r < 9:
         raise UnsupportedDegreeError(f"need odd r >= 9, got r={r}")
-    k = 2 * r // 3
-    kp = r - k
-    return _parts_flow(g, zip(regular_component_factor(g), (4 * kp + 4, 4 * kp)), -4)
+    return _parts_flow(g, regular_component_factor(g), -4)
 
 
 def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
@@ -303,7 +302,7 @@ def _construct_connected(g: MultiGraph, r: int, budget: int | None) -> IntFlow:
     if r >= 7:
         matching = max_matching(g)
         if 2 * len(matching) == g.n:
-            return _parts_flow(g, [([e for e in range(g.m) if e not in matching], 2)], -2)
+            return _parts_flow(g, [[e for e in range(g.m) if e not in matching]], -2)
         if r % 3 == 0:
             # the signed double cover, with values 2, -1, -4
             return _checked(g, _weighting(g, r, 0), 5)

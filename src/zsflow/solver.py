@@ -15,22 +15,21 @@ O(max degree + size of that bucket) rather than O(n).  The first assigned
 edge only tries positive values (negating a flow preserves every
 constraint), and a partial sum that the remaining edges cannot cancel
 prunes the branch.  Everything is deterministic: equal inputs give equal
-outcomes and node counts.
+outcomes and node counts.  The search is one loop over an explicit stack
+of the assigned edges and the values left to try at each, so its depth is
+bounded by memory, not by the recursion limit, and it changes no
+interpreter-wide setting.
 """
 
 from __future__ import annotations
 
-import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .flows import IntFlow, verify_flow
 from .graphs import MultiGraph
 
 DEFAULT_BUDGET = 100_000_000
-
-_FOUND = 0
-_EXHAUSTED = 1
-_BUDGET = 2
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,6 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     n, m = g.n, g.m
-    if m == 0:
-        return SearchOutcome("found", IntFlow(g, (), k), 0, budget)
-
     inc = [g.incident(v) for v in range(n)]
     edges = g.edges
     kmax = k - 1
@@ -84,19 +80,14 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     val = [0] * m
     psum = [0] * n
     rem = list(g.degrees())
-    bucket: list[set[int]] = [set() for _ in range(max(rem) + 1)]  # bucket[r]: rem[v] == r > 0
+    bucket: list[set[int]] = [set() for _ in range(max(rem, default=0) + 1)]  # bucket[r]: rem[v] == r > 0
     levels = range(1, len(bucket))
     for v in range(n):
         if rem[v]:
             bucket[rem[v]].add(v)
-    found: list[int] | None = None
+    stack: list[tuple[int, int, int, Iterator[int]]] = []  # (e, u, w, values left to try at e)
     nodes = 0
-
-    def dfs(assigned: int) -> int:
-        nonlocal nodes, found
-        if assigned == m:
-            found = val.copy()
-            return _FOUND
+    while len(stack) < m:
         for r in levels:
             if bucket[r]:
                 break
@@ -109,73 +100,66 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                     break
         u, w = edges[e]
         if rem[u] == 1:
-            c = -psum[u]
-            if rem[w] == 1 and c != -psum[w]:
-                return _EXHAUSTED
-            cands = (c,)
+            cands = (-psum[u],) if rem[w] > 1 or psum[u] == psum[w] else ()
         elif rem[w] == 1:
             cands = (-psum[w],)
-        elif assigned == 0:
-            cands = positives
         else:
-            cands = alphabet
-        for c in cands:
-            if c == 0 or abs(c) > kmax:
+            cands = alphabet if stack else positives
+        values = iter(cands)
+        while True:
+            for c in values:
+                if c == 0 or abs(c) > kmax:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    return SearchOutcome("undecided", None, nodes, budget)
+                su = psum[u] + c
+                ru = rem[u] - 1
+                if abs(su) > kmax * ru:
+                    continue
+                sw = psum[w] + c
+                rw = rem[w] - 1
+                if abs(sw) <= kmax * rw:
+                    break
+            else:
+                # e has no value left: undo its parent and resume the parent's values
+                if not stack:
+                    return SearchOutcome("nonexistent", None, nodes, budget)
+                e, u, w, values = stack.pop()
+                c = val[e]
+                ru = rem[u]
+                rw = rem[w]
+                if ru:
+                    bucket[ru].remove(u)
+                if rw:
+                    bucket[rw].remove(w)
+                bucket[ru + 1].add(u)
+                bucket[rw + 1].add(w)
+                val[e] = 0
+                psum[u] -= c
+                psum[w] -= c
+                rem[u] = ru + 1
+                rem[w] = rw + 1
                 continue
-            nodes += 1
-            if nodes > budget:
-                return _BUDGET
-            su = psum[u] + c
-            ru = rem[u] - 1
-            if abs(su) > kmax * ru:
-                continue
-            sw = psum[w] + c
-            rw = rem[w] - 1
-            if abs(sw) > kmax * rw:
-                continue
-            val[e] = c
-            psum[u] = su
-            psum[w] = sw
-            rem[u] = ru
-            rem[w] = rw
-            bucket[ru + 1].remove(u)
-            bucket[rw + 1].remove(w)
-            if ru:
-                bucket[ru].add(u)
-            if rw:
-                bucket[rw].add(w)
-            res = dfs(assigned + 1)
-            if ru:
-                bucket[ru].remove(u)
-            if rw:
-                bucket[rw].remove(w)
-            bucket[ru + 1].add(u)
-            bucket[rw + 1].add(w)
-            val[e] = 0
-            psum[u] = su - c
-            psum[w] = sw - c
-            rem[u] = ru + 1
-            rem[w] = rw + 1
-            if res != _EXHAUSTED:
-                return res
-        return _EXHAUSTED
+            break
+        val[e] = c
+        psum[u] = su
+        psum[w] = sw
+        rem[u] = ru
+        rem[w] = rw
+        bucket[ru + 1].remove(u)
+        bucket[rw + 1].remove(w)
+        if ru:
+            bucket[ru].add(u)
+        if rw:
+            bucket[rw].add(w)
+        stack.append((e, u, w, values))
 
-    limit = sys.getrecursionlimit()
-    if m + 100 > limit:  # dfs recurses once per edge; the caller's limit is restored below
-        sys.setrecursionlimit(m + 500)
-    try:
-        res = dfs(0)
-    finally:
-        sys.setrecursionlimit(limit)
-    if res == _FOUND:
-        flow = IntFlow(g, tuple(found), k)
-        report = verify_flow(g, flow)
-        if not report.ok:  # cannot happen: the search enforces every constraint
-            raise RuntimeError(f"internal: found flow fails verification: {report.violation}")
-        return SearchOutcome("found", flow, nodes, budget)
-    if res == _BUDGET:
-        return SearchOutcome("undecided", None, nodes, budget)
-    return SearchOutcome("nonexistent", None, nodes, budget)
+    flow = IntFlow(g, tuple(val), k)
+    report = verify_flow(g, flow)
+    if not report.ok:  # cannot happen: the search enforces every constraint
+        raise RuntimeError(f"internal: found flow fails verification: {report.violation}")
+    return SearchOutcome("found", flow, nodes, budget)
 
 
 def flow_number(g: MultiGraph, k_max: int, budget: int = DEFAULT_BUDGET) -> FlowNumberResult:

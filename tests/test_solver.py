@@ -151,6 +151,24 @@ class TestSolve:
         finally:
             sys.setrecursionlimit(before)
 
+    def test_deep_caller_needs_no_recursion_headroom(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"solve set the recursion limit to {limit}")
+
+        def at_depth(depth, fn):
+            return fn() if depth == 0 else at_depth(depth - 1, fn)
+
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        try:
+            for n in (300, 2000):  # a search one frame per edge deep would overflow at both
+                outcome = at_depth(800, lambda: solve(cycle(n), 3))
+                assert (outcome.status, outcome.nodes) == ("found", n)
+        finally:
+            monkeypatch.undo()
+            sys.setrecursionlimit(before)
+
     def test_no_matching_cubic_graph(self):
         g = cubic_no_pm()
         assert solve(g, 4).status == "nonexistent"
