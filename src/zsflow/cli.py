@@ -43,11 +43,12 @@ def _load_graph(path: str, fmt: str) -> MultiGraph:
 
 
 def _resolve_budget(value: int | None) -> int:
-    if value is None:
+    if value is None:  # a negative budget is left to construct, solve and flow_number
         env = os.environ.get(BUDGET_ENV_VAR)
-        value = int(env) if env else DEFAULT_BUDGET
-    if value < 0:
-        raise ValueError(f"need budget >= 0, got {value}")
+        try:
+            value = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
     return value
 
 

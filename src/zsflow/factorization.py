@@ -9,16 +9,12 @@ its k-regular part.  Edge sets are frozensets of edge ids.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 
 from .errors import FactorSearchError, NotRegularError
-from .graphs import (
-    MultiGraph,
-    _factor_degrees,
-    euler_orientation,
-    regular_degree,
-    subgraph_from_edges,
-)
+from .graphs import MultiGraph, _euler_tails, _factor_degrees, regular_degree, subgraph_from_edges
+from .graphs import euler_orientation  # no caller here; importable as factorization.euler_orientation
 from .matching import _euler_split, find_exact_factor
 
 _PARTITION_VERTEX_LIMIT = 18
@@ -28,22 +24,14 @@ _PARTITION_FACTOR_BUDGET = 4000
 def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
     """Partition a 2k-regular multigraph into k spanning 2-regular factors.
 
-    Balanced orientation first; each vertex then splits into an out-copy v
-    and an in-copy n + v, so the pairs ``(tail, n + head)`` form a k-regular
-    bipartite edge list under the same edge ids.  Its perfect matchings,
-    found by the shared Euler split on edge-id lists with no intermediate
-    graph, pull back to spanning unions of cycles.  The factors' edge-id
-    sets are returned sorted by their smallest id and re-verified first.
+    `_two_factors` over all of g's edge ids, each factor re-verified.
     """
     r = regular_degree(g)
     if r is None:
         raise NotRegularError("two_factorization needs a regular graph")
     if r == 0 or r % 2:
         raise NotRegularError(f"need an even-regular graph with r >= 2, got r={r}")
-    n = g.n
-    arcs = [(tail, n + head) for tail, head in euler_orientation(g)]
-    matchings = _euler_split(2 * n, arcs, [True] * n + [False] * n, r // 2)
-    factors = sorted(matchings, key=min)
+    factors = _two_factors(g, range(g.m), r)
     seen: set[int] = set()
     for f in factors:
         if any(d != 2 for d in _factor_degrees(g, f)):
@@ -54,6 +42,19 @@ def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
     if seen != set(range(g.m)):
         raise RuntimeError("internal: two-factorization does not cover the edge set")
     return factors
+
+
+def _two_factors(g: MultiGraph, ids: Sequence[int], d: int) -> list[frozenset[int]]:
+    """2-factors of the d-regular part ``ids`` (ascending edge ids of g), unchecked.
+
+    A balanced orientation gives ``ids[i]`` the arc i = ``(tail, n + head)``
+    from an out-copy to an in-copy vertex; the arcs' d/2 perfect matchings are
+    the 2-factors, as sets of positions in ``ids`` sorted by their smallest.
+    """
+    n, edges = g.n, g.edges
+    pairs = zip(_euler_tails(n, edges, ids), (edges[e] for e in ids))
+    arcs = [(u, n + v) if t == u else (v, n + u) for t, (u, v) in pairs]
+    return sorted(_euler_split(2 * n, arcs, [True] * n + [False] * n, d // 2), key=min)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ even regular degree r >= 4 with k=3 and odd degrees 7 and >= 9 with k=5;
 degrees 3 and 5 route through the exact search in `solver`.
 
 Every construction gives regular parts of g weightings with a constant
-vertex sum q (`_weighting`) and one value to every other edge.  For r = 7
-and odd r >= 9, `construct` picks the cheapest the input allows: with a
-perfect matching M, the 3-flow with -2 on M and q = 2 on G - M; else, for
-r ≡ 3 (mod 6), the signed double cover, which like even r is q = 0 on all
-of g; else the paper's [k-1, k]-factor construction (`flow_seven_regular`,
+vertex sum q (`_weighting`) and one value to every other edge; a part is a
+list of g's edge ids, and no subgraph is built.  For r = 7 and odd r >= 9,
+`construct` picks the cheapest the input allows: with a perfect matching
+M, the 3-flow with -2 on M and q = 2 on G - M; else, for r ≡ 3 (mod 6),
+the signed double cover, which like even r is q = 0 on all of g; else the
+paper's [k-1, k]-factor construction (`flow_seven_regular`,
 `flow_odd_regular`).  All three report k = 5.
 """
 
@@ -26,8 +27,8 @@ from .errors import (
     NotRegularError,
     UnsupportedDegreeError,
 )
-from .factorization import regular_component_factor, two_factorization
-from .graphs import MultiGraph, components, double_cover, regular_degree, subgraph_from_edges
+from .factorization import _two_factors, regular_component_factor
+from .graphs import MultiGraph, components, regular_degree, subgraph_from_edges
 from .matching import _euler_split, max_matching
 
 
@@ -140,7 +141,7 @@ def constant_sum_weighting(g: MultiGraph, q: int) -> tuple[int, ...]:
     lo = r if r % 2 == 0 else 2 * r
     if not (lo <= q <= 4 * r):
         raise ValueError(f"q must lie in [{lo}, {4 * r}], got {q}")
-    return tuple(_weighting(g, r, q))
+    return tuple(_weighting(g, range(g.m), r, q))
 
 
 # (t, count mod 2) -> the leading values of `_split_sum` for t < count
@@ -160,26 +161,26 @@ def _split_sum(t: int, count: int) -> list[int]:
     return [*head, *[1, -1] * ((count - len(head)) // 2)]
 
 
-def _weighting(g: MultiGraph, r: int, q: int) -> list[int]:
-    """Nonzero edge values of the r-regular g that sum to q at every vertex.
+def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
+    """Nonzero values, one per id, of the d-regular part ``ids`` of g that sum to q.
 
-    Even r takes q = 0 (r >= 4), q = 2 or an even q in [r, 4r]: 2-factor i
-    gets value i of `_split_sum(q/2, r/2)`.  Odd r takes an even q in
-    [2r, 4r], or q = 0 when 3 divides r: the double cover's r perfect
-    matchings get weights 2s then 1s, or +1 on 2r/3 and -2 on r/3, and edge
-    e sums its arcs 2e and 2e + 1.  Each vertex meets every 2-factor twice
-    and every matching once as tail and once as head.
+    ``ids`` ascend and may leave vertices of g uncovered.  Even d takes q = 0
+    (d >= 4), q = 2 or an even q in [d, 4d]: 2-factor i gets value i of
+    `_split_sum(q/2, d/2)`.  Odd d takes an even q in [2d, 4d], or q = 0 when
+    3 divides d: the double cover's d perfect matchings get weights 2s then
+    1s, or +1 on 2d/3 and -2 on d/3, and ``ids[i]`` sums its arcs 2i and 2i + 1.
+    Each vertex meets every 2-factor twice and every matching as tail and as head.
     """
-    values = [0] * g.m
-    if r % 2 == 0:
-        for val, factor in zip(_split_sum(q // 2, r // 2), two_factorization(g)):
-            for e in factor:
-                values[e] = val
+    values = [0] * len(ids)
+    if d % 2 == 0:
+        for val, factor in zip(_split_sum(q // 2, d // 2), _two_factors(g, ids, d)):
+            for i in factor:
+                values[i] = val
         return values
-    twos, third = (q - 2 * r) // 2, r // 3
-    weights = [2] * twos + [1] * (r - twos) if q else [1] * (2 * third) + [-2] * third
-    matchings = _euler_split(2 * g.n, double_cover(g), [True] * g.n + [False] * g.n, r)
-    for w, pm in zip(weights, matchings):
+    twos, third = (q - 2 * d) // 2, d // 3
+    weights = [2] * twos + [1] * (d - twos) if q else [1] * (2 * third) + [-2] * third
+    arcs = [a for u, v in (g.edges[e] for e in ids) for a in ((u, g.n + v), (v, g.n + u))]
+    for w, pm in zip(weights, _euler_split(2 * g.n, arcs, [True] * g.n + [False] * g.n, d)):
         for arc in pm:
             values[arc // 2] += w
     return values
@@ -196,9 +197,9 @@ def _parts_flow(g: MultiGraph, parts: Iterable[Collection[int]], outside: int) -
     values = [outside] * g.m
     for part in parts:
         if part:
-            sub, _, emap = subgraph_from_edges(g, part)
-            d = 2 * sub.m // sub.n  # sub is regular, so its degree is its mean degree
-            for e, val in zip(emap, _weighting(sub, d, -outside * (r - d))):
+            ids = sorted(part)
+            d = 2 * len(ids) // len({v for e in ids for v in g.edges[e]})  # regular: d is the mean
+            for e, val in zip(ids, _weighting(g, ids, d, -outside * (r - d))):
                 values[e] = val
     return _checked(g, values, 5)
 
@@ -218,7 +219,7 @@ def flow_even_regular(g: MultiGraph) -> IntFlow:
         raise NotRegularError("flow_even_regular needs a regular graph")
     if r % 2 or r < 4:
         raise UnsupportedDegreeError(f"need even r >= 4, got r={r}")
-    return _checked(g, _weighting(g, r, 0), 3)
+    return _checked(g, _weighting(g, range(g.m), r, 0), 3)
 
 
 def flow_seven_regular(g: MultiGraph) -> IntFlow:
@@ -305,7 +306,7 @@ def _construct_connected(g: MultiGraph, r: int, budget: int | None) -> IntFlow:
             return _parts_flow(g, [[e for e in range(g.m) if e not in matching]], -2)
         if r % 3 == 0:
             # the signed double cover, with values 2, -1, -4
-            return _checked(g, _weighting(g, r, 0), 5)
+            return _checked(g, _weighting(g, range(g.m), r, 0), 5)
         return flow_seven_regular(g) if r == 7 else flow_odd_regular(g)
     # r in {3, 5}: no direct construction; run the exact search at k=5
     from .solver import DEFAULT_BUDGET, solve

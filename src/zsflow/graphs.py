@@ -34,8 +34,11 @@ class MultiGraph:
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
+        try:
+            deg = [0] * n
+        except (MemoryError, OverflowError):  # n is past what one list can hold
+            raise GraphError(f"vertex count {n} is too large to hold") from None
         edges = []
-        deg = [0] * n
         for idx, (u, v) in enumerate(pairs):
             if not (0 <= u < n) or not (0 <= v < n):
                 raise GraphError(f"edge {idx}: endpoint out of range for n={n}: ({u}, {v})")
@@ -174,17 +177,6 @@ def _euler_tails(n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int]) -
                 v = far[i] ^ v
                 out = inc[v]
     return tails
-
-
-def double_cover(g: MultiGraph) -> list[tuple[int, int]]:
-    """Arc list of the bipartite double cover: vertex v splits into v and g.n + v.
-
-    Edge e = (u, v) becomes the arcs 2e = (u, g.n + v) and 2e + 1 =
-    (v, g.n + u), so an r-regular graph gives an r-regular bipartite one
-    with sides 0..n-1 and n..2n-1.  The arcs are valid by construction and
-    go straight to the edge-id engines; no graph is built.
-    """
-    return [a for u, v in g.edges for a in ((u, g.n + v), (v, g.n + u))]
 
 
 def subgraph_from_edges(

@@ -235,19 +235,23 @@ def _euler_split(
     """The Euler splitting of ``decompose_regular_bipartite``, unchecked.
 
     The caller vouches that every edge of ``edges`` crosses ``left_mask`` and
-    that every vertex of 0..n-1 has degree r.  Returns r perfect matchings as
-    sets of edge ids, in the order the recursion closes them.
+    that every vertex of 0..n-1 meets r edges or none.  Returns r matchings,
+    perfect on the vertices met, as sets of edge ids, in closing order.
     """
     out: list[frozenset[int]] = []
-
-    def split(ids: list[int], d: int) -> None:
-        # ids is a d-regular spanning edge set; append d matchings partitioning it
+    # d-regular edge sets still to split; the forward half is popped first,
+    # so the matchings close in the order of a depth-first recursion.  A
+    # recursive nested function would be a reference cycle that keeps
+    # ``edges`` alive after the return, until the cyclic collector runs.
+    stack = [(list(range(len(edges))), r)] if r else []
+    while stack:
+        ids, d = stack.pop()
         if d == 1:
             out.append(frozenset(ids))
-            return
+            continue
         if d % 2:
             pm = _max_matching_ids(n, edges, ids)
-            if 2 * len(pm) != n:  # unreachable on valid input: regular bipartite satisfies Hall
+            if len(pm) * d != len(ids):  # unreachable: a regular bipartite graph satisfies Hall
                 raise RuntimeError("internal: regular bipartite graph lost its perfect matching")
             out.append(pm)
             ids = [e for e in ids if e not in pm]
@@ -256,11 +260,7 @@ def _euler_split(
         backward: list[int] = []
         for e, tail in zip(ids, _euler_tails(n, edges, ids)):
             (forward if left_mask[tail] else backward).append(e)
-        split(forward, d // 2)
-        split(backward, d // 2)
-
-    if r:
-        split(list(range(len(edges))), r)
+        stack += ((backward, d // 2), (forward, d // 2))
     return out
 
 

@@ -78,6 +78,14 @@ class TestConstruct:
         captured = capsys.readouterr()
         assert "budget" in captured.err and not captured.out
 
+    def test_non_integer_budget_env_var_names_the_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ZSFLOW_BUDGET", "abc")
+        path = write_graph(tmp_path, complete(5))
+        assert main(["construct", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: ZSFLOW_BUDGET must be an integer, got 'abc'\n"
+        assert not captured.out
+
     def test_factor_search_error_exit_5(self, tmp_path, capsys, monkeypatch):
         def give_up(g, budget=None):
             raise FactorSearchError("regular-component factor not found")
@@ -165,6 +173,22 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"need k >= 2, got {override or header_k}" in captured.err
+
+
+class TestOversizedHeader:
+    # n >= 2**61: Python refuses the n-slot degree list before allocating it
+    @pytest.mark.parametrize("n", [2**62, 10**20])
+    @pytest.mark.parametrize("command", ["construct", "verify"])
+    def test_usage_error(self, tmp_path, capsys, n, command):
+        gpath = tmp_path / "g.txt"
+        gpath.write_text(f"{n} 0\n")
+        fpath = tmp_path / "flow.txt"
+        fpath.write_text(f"2 {n} 0\n")
+        argv = [command, str(gpath)] + ([str(fpath)] if command == "verify" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: vertex count {n} is too large to hold\n"
+        assert not captured.out
 
 
 class TestReentry:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import zlib
 from itertools import product
@@ -34,6 +35,7 @@ from zsflow.graphs import (
     cycle,
     petersen,
     random_regular,
+    subgraph_from_edges,
 )
 
 
@@ -239,9 +241,38 @@ class TestConstantSumWeighting:
         for seed, n in enumerate((12, 30)):
             g = _matching_union(r, n, seed)
             for q in qs:
-                values = flows._weighting(g, r, q)
+                values = flows._weighting(g, range(g.m), r, q)
                 assert len(values) == g.m and 0 not in values, (r, n, q)
                 assert vertex_sums(g, values) == [q] * g.n, (r, n, q)
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_weighting_on_a_part_that_leaves_vertices_uncovered(self, d):
+        # K_{d+1} on the odd vertices; a cycle on the even ones and one
+        # isolated vertex stay outside the part, and the two components'
+        # edge ids interleave
+        size = d + 1
+        pairs = []
+        for i in range(size):
+            pairs.append((2 * i, 2 * ((i + 1) % size)))
+            pairs += [(2 * i + 1, 2 * j + 1) for j in range(i + 1, size)]
+        g = build(2 * size + 1, pairs)
+        ids = [e for e, (u, _) in enumerate(g.edges) if u % 2]
+        sub, _, _ = subgraph_from_edges(g, ids)
+        if d % 2:
+            qs = list(range(2 * d, 4 * d + 1, 2)) + ([0] if d % 3 == 0 else [])
+        else:
+            qs = list(range(d, 4 * d + 1, 2)) + [2, 0]
+        for q in qs:
+            values = flows._weighting(g, ids, d, q)
+            if q >= (d if d % 2 == 0 else 2 * d):
+                assert tuple(values) == constant_sum_weighting(sub, q), q
+            else:  # outside the public range: the spanning weighting of the part
+                assert values == flows._weighting(sub, range(sub.m), d, q), q
+            sums = [0] * g.n
+            for e, val in zip(ids, values):
+                for v in g.edges[e]:
+                    sums[v] += val
+            assert sums == [0, q] * size + [0], q
 
 
 class TestEvenRegular:
@@ -450,7 +481,7 @@ class TestConstruct:
 
     @pytest.mark.parametrize("r", [7, 9, 11, 13])
     def test_perfect_matching_takes_one_two_factorization(self, r, monkeypatch):
-        calls = {"two_factorization": 0, "regular_component_factor": 0}
+        calls = {"_two_factors": 0, "regular_component_factor": 0}
         for name in calls:
             real = getattr(flows, name)
 
@@ -462,7 +493,33 @@ class TestConstruct:
         g = random_regular(60, r, seed=r + 2)
         flow = construct(g)
         assert verify_flow(g, flow).ok
-        assert calls == {"two_factorization": 1, "regular_component_factor": 0}
+        assert calls == {"_two_factors": 1, "regular_component_factor": 0}
+
+    @pytest.mark.parametrize("r", [4, 7, 8, 9, 11, 13])
+    def test_connected_input_builds_no_subgraph(self, r, monkeypatch):
+        # weightings read edge-id parts of the host; random_regular(60, r)
+        # is connected, and for odd r it has a perfect matching
+        calls = []
+        real = flows.subgraph_from_edges
+        monkeypatch.setattr(
+            flows, "subgraph_from_edges", lambda *args, **kw: calls.append(1) or real(*args, **kw)
+        )
+        g = random_regular(60, r, seed=r + 2)
+        assert verify_flow(g, construct(g)).ok
+        assert calls == []
+
+    @pytest.mark.parametrize("r", [4, 6, 7, 9])
+    def test_construct_leaves_no_garbage_cycles(self, r):
+        # a cycle would keep the Euler split's arc list alive after the
+        # return, until the cyclic collector happens to run
+        g = random_regular(60, r, seed=r)
+        gc.collect()
+        gc.disable()
+        try:
+            construct(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("r", [7, 11, 13])
     def test_hub_runs_max_matching_once(self, r, monkeypatch):
@@ -619,7 +676,7 @@ class TestOddBranches:
             assert set(flow.values) <= {1, -1, 2, -2}, (r, n)
             assert vertex_sums(g, flow.values) == [0] * g.n, (r, n)
             if r % 6 == 3:
-                flow = flows._checked(g, flows._weighting(g, r, 0), 5)
+                flow = flows._checked(g, flows._weighting(g, range(g.m), r, 0), 5)
                 assert flow.k == 5
                 assert set(flow.values) <= {2, -1, -4}, (r, n)
                 assert vertex_sums(g, flow.values) == [0] * g.n, (r, n)

@@ -14,7 +14,6 @@ from zsflow.graphs import (
     components,
     cubic_no_pm,
     cycle,
-    double_cover,
     parse_edge_list,
     parse_graph6,
     petersen,
@@ -137,39 +136,6 @@ class TestIncident:
 def test_every_public_name_resolves():
     missing = [name for name in zsflow.__all__ if not hasattr(zsflow, name)]
     assert not missing
-
-
-class TestDoubleCover:
-    def test_triangle(self):
-        cover = build(6, double_cover(cycle(3)))
-        assert cover.m == 6
-        assert regular_degree(cover) == 2
-
-    def test_single_edge(self):
-        assert double_cover(build(2, [(0, 1)])) == [(0, 3), (1, 2)]
-
-    def test_k4(self):
-        cover = build(8, double_cover(complete(4)))
-        assert regular_degree(cover) == 3 and cover.m == 12
-
-    def test_degree_profile_repeats_on_both_sides(self):
-        g = build(4, [(0, 1), (1, 2), (1, 3)])
-        cover = build(2 * g.n, double_cover(g))
-        assert cover.degrees() == g.degrees() * 2
-
-    def test_arcs_project_onto_their_edge(self):
-        g = build(4, [(0, 1), (1, 2), (1, 3), (0, 1)])
-        arcs = double_cover(g)
-        assert len(arcs) == 2 * g.m
-        for e, (u, v) in enumerate(g.edges):
-            assert arcs[2 * e] == (u, g.n + v)
-            assert arcs[2 * e + 1] == (v, g.n + u)
-
-    def test_sides_are_the_two_vertex_copies(self):
-        g = petersen()
-        for a, b in double_cover(g):
-            assert 0 <= a < g.n <= b < 2 * g.n
-            assert a != b - g.n
 
 
 class TestGenerators:
