@@ -3,7 +3,8 @@
 A zero-sum k-flow assigns a value from {±1, ..., ±(k-1)} to every edge so
 that each vertex's incident values sum to zero.  Constructions here cover
 even regular degree r >= 4 with k=3 and odd degrees 7 and >= 9 with k=5;
-degrees 3 and 5 route through the exact search in `solver`.
+degrees 3 and 5 route through the exact search in `solver`, which tries a
+constructed flow first wherever one is known (`_search_hint`).
 
 Every construction gives regular parts of g weightings with a constant
 vertex sum q (`_weighting`) and one value to every other edge; a part is a
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .factorization import _two_factors, regular_component_factor
 from .graphs import MultiGraph, components, regular_degree, subgraph_from_edges
-from .matching import _euler_split, max_matching
+from .matching import _euler_split, find_exact_factor, max_matching
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +188,12 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
 
 
 def _parts_flow(g: MultiGraph, parts: Iterable[Collection[int]], outside: int) -> IntFlow:
-    """Checked 5-flow: each part's weighting cancels ``outside`` on every other edge.
+    """Checked 5-flow of `_parts_values`."""
+    return _checked(g, _parts_values(g, parts, outside), 5)
+
+
+def _parts_values(g: MultiGraph, parts: Iterable[Collection[int]], outside: int) -> list[int]:
+    """Flow values: each part's weighting cancels ``outside`` on every other edge.
 
     Every non-empty part spans a d-regular subgraph of the r-regular g and
     no vertex lies in two parts, so each part vertex meets r - d edges
@@ -201,7 +207,7 @@ def _parts_flow(g: MultiGraph, parts: Iterable[Collection[int]], outside: int) -
             d = 2 * len(ids) // len({v for e in ids for v in g.edges[e]})  # regular: d is the mean
             for e, val in zip(ids, _weighting(g, ids, d, -outside * (r - d))):
                 values[e] = val
-    return _checked(g, values, 5)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +262,11 @@ def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
 
     Dispatch: even r >= 4 gives k=3, r=7 and odd r >= 9 give k=5, and
     r in {3, 5} runs the exact search for a 5-flow (existence is a theorem
-    for r=3 and an open conjecture for r=5).  For r=7 and odd r >= 9 the
+    for r=3 and an open conjecture for r=5).  The search first tries a
+    hint, which it then reaches in exactly m nodes: the signed double cover
+    for r=3; for r=5 the matching 3-flow when the graph has a perfect
+    matching, else the 4-flow with -3 on a 2-factor and 2 elsewhere when it
+    has one, else no hint.  For r=7 and odd r >= 9 the
     input picks the branch: a graph with a perfect matching gets the
     matching 3-flow (values in {±1, ±2}), one without gets the signed
     double cover when r ≡ 3 (mod 6) (values 2, -1, -4), and otherwise the
@@ -308,10 +318,10 @@ def _construct_connected(g: MultiGraph, r: int, budget: int | None) -> IntFlow:
             # the signed double cover, with values 2, -1, -4
             return _checked(g, _weighting(g, range(g.m), r, 0), 5)
         return flow_seven_regular(g) if r == 7 else flow_odd_regular(g)
-    # r in {3, 5}: no direct construction; run the exact search at k=5
+    # r in {3, 5}: the exact search at k=5, which tries a constructed flow first
     from .solver import DEFAULT_BUDGET, solve
 
-    outcome = solve(g, 5, DEFAULT_BUDGET if budget is None else budget)
+    outcome = solve(g, 5, DEFAULT_BUDGET if budget is None else budget, hint=_search_hint(g, r))
     if outcome.status == "found":
         return outcome.flow
     if outcome.status == "undecided":
@@ -328,6 +338,23 @@ def _construct_connected(g: MultiGraph, r: int, budget: int | None) -> IntFlow:
         "exhaustive search proved this 5-regular graph has no zero-sum 5-flow: "
         "a counterexample to the open 5-flow conjecture; please report this input"
     )
+
+
+def _search_hint(g: MultiGraph, r: int) -> list[int] | None:
+    """Values of a zero-sum 5-flow of g for the r in {3, 5} search to try first.
+
+    r = 3: the signed double cover, values 2, -1, -4.  r = 5 with a perfect
+    matching M: the 3-flow with -2 on M and 2, -1 on the 2-factors of G - M.
+    r = 5 with a 2-factor F: the 4-flow with -3 on F and 2 elsewhere, since
+    3 * 2 = 2 * 3.  None when r = 5 has neither.
+    """
+    if r == 3:
+        return _weighting(g, range(g.m), 3, 0)
+    matching = max_matching(g)
+    if 2 * len(matching) == g.n:
+        return _parts_values(g, [[e for e in range(g.m) if e not in matching]], -2)
+    factor = find_exact_factor(g, [2] * g.n)
+    return None if factor is None else [-3 if e in factor else 2 for e in range(g.m)]
 
 
 def _checked(g: MultiGraph, values: Sequence[int], k: int) -> IntFlow:

@@ -7,23 +7,32 @@ exhausting the value alphabet {±1, ..., ±(k-1)} over the edges, so a
 Edge order is most-constrained-vertex first, so the last edge at each
 vertex is forced to the negated partial sum.  A vertex with r > 0
 unassigned incident edges sits in bucket r, and no bucket holds a vertex
-with r = 0.  The next edge comes from the lowest non-empty bucket: for each
-of its vertices take the lowest unassigned incident edge id, and assign the
-smallest of these.  Assigning an edge moves its two endpoints down one
-bucket and backtracking moves them back, so choosing an edge costs
-O(max degree + size of that bucket) rather than O(n).  The first assigned
-edge only tries positive values (negating a flow preserves every
+with r = 0.  Each bucket is an insertion-ordered dict, and the next edge
+is the lowest unassigned incident edge id of the vertex most recently put
+into the lowest non-empty bucket (LIFO).  Assigning an edge moves its two
+endpoints down one bucket and backtracking moves them back, so choosing an
+edge costs O(max degree), whatever the size of the graph.  The first
+assigned edge only tries positive values (negating a flow preserves every
 constraint), and a partial sum that the remaining edges cannot cancel
-prunes the branch.  Everything is deterministic: equal inputs give equal
-outcomes and node counts.  The search is one loop over an explicit stack
-of the assigned edges and the values left to try at each, so its depth is
-bounded by memory, not by the recursion limit, and it changes no
-interpreter-wide setting.
+prunes the branch.
+
+An optional hint gives one value per edge that every branching edge tries
+first; the hint is negated as a whole when its value on the first edge is
+negative.  A hint that is a zero-sum k-flow is never pruned and agrees
+with every forced value, so the search reaches it in exactly m nodes.  A
+wrong hint only reorders the values tried: it prunes nothing, so the
+status is the same as without it.
+
+Everything is deterministic: equal inputs give equal outcomes and node
+counts.  The search is one loop over an explicit stack of the assigned
+edges and the values left to try at each, so its depth is bounded by
+memory, not by the recursion limit, and it changes no interpreter-wide
+setting.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .flows import IntFlow, verify_flow
@@ -65,46 +74,56 @@ class CrossCheckReport:
     smaller_k: int | None
 
 
-def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
-    """Decide whether a zero-sum k-flow exists, exhaustively up to budget."""
+def solve(
+    g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET, *, hint: Sequence[int] | None = None
+) -> SearchOutcome:
+    """Decide whether a zero-sum k-flow exists, exhaustively up to budget.
+
+    ``hint`` holds one value per edge, tried first wherever the edge
+    branches; it orders the search and never prunes it.
+    """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     n, m = g.n, g.m
+    if hint is not None and len(hint) != m:
+        raise ValueError(f"hint has {len(hint)} values for {m} edges")
     inc = [g.incident(v) for v in range(n)]
     edges = g.edges
     kmax = k - 1
     alphabet = tuple(s * a for a in range(1, k) for s in (1, -1))
-    positives = tuple(range(1, k))
+    first = {a: (a, *(b for b in alphabet if b != a)) for a in alphabet}  # a, then the rest
+    tries = [alphabet] * m  # the values a branching edge tries, in order
     val = [0] * m
     psum = [0] * n
     rem = list(g.degrees())
-    bucket: list[set[int]] = [set() for _ in range(max(rem, default=0) + 1)]  # bucket[r]: rem[v] == r > 0
+    bucket: list[dict[int, None]] = [{} for _ in range(max(rem, default=0) + 1)]  # bucket[r]: rem[v] == r > 0
     levels = range(1, len(bucket))
     for v in range(n):
         if rem[v]:
-            bucket[rem[v]].add(v)
+            bucket[rem[v]][v] = None
     stack: list[tuple[int, int, int, Iterator[int]]] = []  # (e, u, w, values left to try at e)
     nodes = 0
     while len(stack) < m:
         for r in levels:
             if bucket[r]:
                 break
-        e = m
-        for v in bucket[r]:
-            for eid, _ in inc[v]:
-                if val[eid] == 0:
-                    if eid < e:
-                        e = eid
-                    break
+        for e, _ in inc[next(reversed(bucket[r]))]:
+            if val[e] == 0:
+                break
         u, w = edges[e]
         if rem[u] == 1:
             cands = (-psum[u],) if rem[w] > 1 or psum[u] == psum[w] else ()
         elif rem[w] == 1:
             cands = (-psum[w],)
-        else:
-            cands = alphabet if stack else positives
+        elif stack:
+            cands = tries[e]
+        else:  # the first edge: a negated flow is a flow, so it tries positive values only
+            if hint is not None:
+                sign = -1 if hint[e] < 0 else 1
+                tries = [first.get(sign * h, alphabet) for h in hint]
+            cands = tuple(c for c in tries[e] if c > 0)
         values = iter(cands)
         while True:
             for c in values:
@@ -130,11 +149,11 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                 ru = rem[u]
                 rw = rem[w]
                 if ru:
-                    bucket[ru].remove(u)
+                    del bucket[ru][u]
                 if rw:
-                    bucket[rw].remove(w)
-                bucket[ru + 1].add(u)
-                bucket[rw + 1].add(w)
+                    del bucket[rw][w]
+                bucket[ru + 1][u] = None
+                bucket[rw + 1][w] = None
                 val[e] = 0
                 psum[u] -= c
                 psum[w] -= c
@@ -147,12 +166,12 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         psum[w] = sw
         rem[u] = ru
         rem[w] = rw
-        bucket[ru + 1].remove(u)
-        bucket[rw + 1].remove(w)
+        del bucket[ru + 1][u]
+        del bucket[rw + 1][w]
         if ru:
-            bucket[ru].add(u)
+            bucket[ru][u] = None
         if rw:
-            bucket[rw].add(w)
+            bucket[rw][w] = None
         stack.append((e, u, w, values))
 
     flow = IntFlow(g, tuple(val), k)

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from test_factorization import _gadget_hub, _matching_union, _union
 
-from zsflow import factorization, flows, matching
+from zsflow import factorization, flows, matching, solver
 from zsflow.errors import (
     FactorSearchError,
     FlowUndecidedError,
@@ -680,6 +680,56 @@ class TestOddBranches:
                 assert flow.k == 5
                 assert set(flow.values) <= {2, -1, -4}, (r, n)
                 assert vertex_sums(g, flow.values) == [0] * g.n, (r, n)
+
+
+class TestSearchHints:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        # (hint, outcome) of every solve call that construct makes
+        calls = []
+        real = solver.solve
+
+        def spy(g, k, budget=solver.DEFAULT_BUDGET, *, hint=None):
+            outcome = real(g, k, budget, hint=hint)
+            calls.append((hint, outcome))
+            return outcome
+
+        monkeypatch.setattr(solver, "solve", spy)
+        return calls
+
+    @pytest.mark.parametrize("r, values", [(3, {2, -1, -4}), (5, {2, -1, -2})])
+    def test_random_regular_found_in_m_nodes(self, r, values, searches):
+        g = random_regular(10**4, r, seed=1)
+        flow = construct(g)
+        assert flow.k == 5
+        assert verify_flow(g, flow).ok
+        [(hint, outcome)] = searches
+        assert set(hint) == values  # the signed cover, or the matching 3-flow
+        assert outcome.nodes == g.m
+
+    @pytest.mark.parametrize("g", [cubic_no_pm(), build(*hub_pairs(3))], ids=["cubic_no_pm", "hub3"])
+    def test_cubic_without_matching_takes_the_cover(self, g, searches):
+        assert 2 * len(matching.max_matching(g)) < g.n
+        assert verify_flow(g, construct(g)).ok
+        [(hint, outcome)] = searches
+        assert set(hint) == {2, -1, -4}
+        assert outcome.nodes == g.m
+
+    def test_five_regular_without_matching_takes_a_two_factor(self, searches):
+        g = _gadget_hub(5, (1, 1, 3))
+        assert 2 * len(matching.max_matching(g)) < g.n
+        assert verify_flow(g, construct(g)).ok
+        [(hint, outcome)] = searches
+        assert set(hint) == {-3, 2}
+        assert outcome.nodes == g.m
+
+    def test_five_regular_hub_gets_no_hint(self, searches):
+        g = build(*hub_pairs(5))  # neither a perfect matching nor a 2-factor
+        with pytest.raises(FlowUndecidedError):
+            construct(g, budget=10**4)
+        [(hint, outcome)] = searches
+        assert hint is None
+        assert outcome.status == "undecided"
 
 
 class TestFlowSerialization:

@@ -19,6 +19,11 @@ def random_sparse_graph(rng: random.Random) -> MultiGraph:
     return MultiGraph(n, rng.sample(pool, m))
 
 
+def random_multigraph(rng: random.Random) -> MultiGraph:
+    n = rng.randint(2, 6)
+    return MultiGraph(n, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n - 1, n + 3))])
+
+
 def search_digest(outcome) -> tuple[str, int, int | None]:
     flow_crc = zlib.crc32(repr(outcome.flow.values).encode()) if outcome.flow else None
     return outcome.status, outcome.nodes, flow_crc
@@ -33,33 +38,33 @@ ISOLATED = build(6, [(0, 1), (0, 1), (2, 3), (2, 3), (3, 4), (2, 4)])  # vertex 
 # the pruning moves the node counts or the flows even where the status holds.
 GOLDEN_SEARCH = {
     "rr10_3_s1": (random_regular(10, 3, 1), 200_000, {
-        2: ("nonexistent", 3, None), 3: ("found", 26, 1828036000),
-        4: ("found", 40, 1828036000), 5: ("found", 51, 1828036000)}),
+        2: ("nonexistent", 3, None), 3: ("found", 19, 440039372),
+        4: ("found", 20, 440039372), 5: ("found", 20, 440039372)}),
     "rr20_3_s2": (random_regular(20, 3, 2), 200_000, {
-        2: ("nonexistent", 3, None), 3: ("found", 55, 503333438),
-        4: ("found", 75, 3900668039), 5: ("found", 36, 1205376301)}),
+        2: ("nonexistent", 3, None), 3: ("found", 30, 3195924263),
+        4: ("found", 30, 3195924263), 5: ("found", 30, 3195924263)}),
     "rr30_3_s3": (random_regular(30, 3, 3), 200_000, {
-        2: ("nonexistent", 3, None), 3: ("found", 53, 2135128069),
-        4: ("found", 55, 2135128069), 5: ("found", 663, 932692490)}),
+        2: ("nonexistent", 3, None), 3: ("found", 51, 1355936215),
+        4: ("found", 54, 1355936215), 5: ("found", 51, 2859156356)}),
     "rr8_5_s4": (random_regular(8, 5, 4), 200_000, {
-        2: ("nonexistent", 13, None), 3: ("found", 127, 3137831330),
-        4: ("found", 42, 2037809062), 5: ("found", 54, 989741412)}),
+        2: ("nonexistent", 13, None), 3: ("found", 306, 4120501758),
+        4: ("found", 25, 4150656497), 5: ("found", 20, 4020145034)}),
     "rr12_5_s5": (random_regular(12, 5, 5), 200_000, {
-        2: ("nonexistent", 13, None), 3: ("found", 121, 2527974016),
-        4: ("found", 37, 3414089315), 5: ("found", 73, 3371186425)}),
+        2: ("nonexistent", 13, None), 3: ("found", 70, 1389709692),
+        4: ("found", 178, 1389709692), 5: ("found", 43, 3409531804)}),
     "rr20_5_s6": (random_regular(20, 5, 6), 200_000, {
-        2: ("nonexistent", 13, None), 3: ("found", 632, 2848068117),
-        4: ("found", 69, 3881036363), 5: ("found", 93, 3348279071)}),
+        2: ("nonexistent", 13, None), 3: ("found", 277, 946723061),
+        4: ("found", 3170, 309093077), 5: ("found", 805, 1699661311)}),
     "cubic_no_pm": (cubic_no_pm(), DEFAULT_BUDGET, {
-        4: ("nonexistent", 1932, None), 5: ("found", 891, 3578366929)}),
-    "petersen": (petersen(), DEFAULT_BUDGET, {3: ("found", 15, 1158883210)}),
+        4: ("nonexistent", 1932, None), 5: ("found", 1188, 925762086)}),
+    "petersen": (petersen(), DEFAULT_BUDGET, {3: ("found", 15, 3833609416)}),
     "triple": (TRIPLE, DEFAULT_BUDGET, {
         2: ("nonexistent", 3, None), 3: ("found", 3, 324800987),
         4: ("found", 3, 324800987), 5: ("found", 3, 324800987)}),
     "dumbbell": (DUMBBELL, DEFAULT_BUDGET, {
         2: ("nonexistent", 3, None), 3: ("found", 6, 959037243),
         4: ("found", 6, 959037243), 5: ("found", 6, 959037243)}),
-    "rr200_3_s5": (random_regular(200, 3, 5), 10_000, {5: ("found", 2383, 746309467)}),
+    "rr200_3_s5": (random_regular(200, 3, 5), 10_000, {5: ("found", 324, 1337760840)}),
     "rr200_3_s7": (random_regular(200, 3, 7), 10_000, {5: ("undecided", 10_001, None)}),
 }
 
@@ -173,6 +178,42 @@ class TestSolve:
         g = cubic_no_pm()
         assert solve(g, 4).status == "nonexistent"
         assert solve(g, 5).status == "found"
+
+
+class TestHint:
+    @pytest.mark.parametrize("g", [petersen(), cubic_no_pm(), random_regular(20, 5, 6), DUMBBELL])
+    def test_a_flow_is_reached_in_m_nodes(self, g):
+        found = solve(g, 5).flow
+        negated = [-val for val in found.values]
+        for hint in (found.values, negated):  # the search's flow is positive on the first edge
+            outcome = solve(g, 5, hint=hint)
+            assert (outcome.status, outcome.nodes) == ("found", g.m)
+            assert outcome.flow.values == found.values
+
+    def test_wrong_hints_keep_the_status(self):
+        rng = random.Random(18)
+        for _ in range(40):
+            g = random_multigraph(rng)
+            for k in (2, 3, 4):
+                plain = solve(g, k).status
+                assert (plain == "found") == flow_exists_by_enumeration(g, k)
+                # values past k - 1 are not in the alphabet: they lead nothing
+                signs = [rng.choice((1, -1)) * rng.randint(1, k) for _ in range(g.m)]
+                for hint in ([1] * g.m, signs):
+                    outcome = solve(g, k, hint=hint)
+                    assert outcome.status == plain
+                    if outcome.flow is not None:
+                        assert verify_flow(g, outcome.flow).ok
+
+    def test_budget_still_bounds_a_hinted_search(self):
+        g = petersen()
+        hint = solve(g, 5).flow.values
+        outcome = solve(g, 5, budget=3, hint=hint)
+        assert (outcome.status, outcome.nodes) == ("undecided", 4)
+
+    def test_hint_length_rejected(self):
+        with pytest.raises(ValueError, match="hint has 14 values for 15 edges"):
+            solve(petersen(), 5, hint=[1] * 14)
 
 
 class TestFlowNumber:
