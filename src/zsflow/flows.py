@@ -2,18 +2,19 @@
 
 A zero-sum k-flow assigns a value from {±1, ..., ±(k-1)} to every edge so
 that each vertex's incident values sum to zero.  Constructions here cover
-even regular degree r >= 4 with k=3 and odd degrees 7 and >= 9 with k=5;
-degrees 3 and 5 route through the exact search in `solver`, which tries a
-constructed flow first wherever one is known (`_search_hint`).
+even regular degree r >= 4 with k=3 and every odd degree with k=5, except
+the 5-regular graphs with neither a perfect matching nor a 2-factor, which
+route through the exact search in `solver`.
 
 Every construction gives regular parts of g weightings with a constant
 vertex sum q (`_weighting`) and one value to every other edge; a part is a
-list of g's edge ids, and no subgraph is built.  For r = 7 and odd r >= 9,
-`construct` picks the cheapest the input allows: with a perfect matching
-M, the 3-flow with -2 on M and q = 2 on G - M; else, for r ≡ 3 (mod 6),
-the signed double cover, which like even r is q = 0 on all of g; else the
-paper's [k-1, k]-factor construction (`flow_seven_regular`,
-`flow_odd_regular`).  All three report k = 5.
+list of g's edge ids, and no subgraph is built.  For odd r, `construct`
+picks the cheapest the input allows: with a perfect matching M, the 3-flow
+with -2 on M and q = 2 on G - M; else, for r ≡ 3 (mod 6), the signed
+double cover, which like even r is q = 0 on all of g; else, for r = 5,
+-3 on a 2-factor and 2 elsewhere; else the paper's [k-1, k]-factor
+construction (`flow_seven_regular`, `flow_odd_regular`).  All of them
+report k = 5.
 """
 
 from __future__ import annotations
@@ -188,12 +189,7 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
 
 
 def _parts_flow(g: MultiGraph, parts: Iterable[Collection[int]], outside: int) -> IntFlow:
-    """Checked 5-flow of `_parts_values`."""
-    return _checked(g, _parts_values(g, parts, outside), 5)
-
-
-def _parts_values(g: MultiGraph, parts: Iterable[Collection[int]], outside: int) -> list[int]:
-    """Flow values: each part's weighting cancels ``outside`` on every other edge.
+    """Checked 5-flow: each part's weighting cancels ``outside`` on every other edge.
 
     Every non-empty part spans a d-regular subgraph of the r-regular g and
     no vertex lies in two parts, so each part vertex meets r - d edges
@@ -207,7 +203,7 @@ def _parts_values(g: MultiGraph, parts: Iterable[Collection[int]], outside: int)
             d = 2 * len(ids) // len({v for e in ids for v in g.edges[e]})  # regular: d is the mean
             for e, val in zip(ids, _weighting(g, ids, d, -outside * (r - d))):
                 values[e] = val
-    return values
+    return _checked(g, values, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +256,16 @@ def flow_odd_regular(g: MultiGraph) -> IntFlow:
 def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
     """Build a verified zero-sum flow for any regular graph with r >= 3.
 
-    Dispatch: even r >= 4 gives k=3, r=7 and odd r >= 9 give k=5, and
-    r in {3, 5} runs the exact search for a 5-flow (existence is a theorem
-    for r=3 and an open conjecture for r=5).  The search first tries a
-    hint, which it then reaches in exactly m nodes: the signed double cover
-    for r=3; for r=5 the matching 3-flow when the graph has a perfect
-    matching, else the 4-flow with -3 on a 2-factor and 2 elsewhere when it
-    has one, else no hint.  For r=7 and odd r >= 9 the
+    Dispatch: even r >= 4 gives k=3 and odd r gives k=5.  For odd r the
     input picks the branch: a graph with a perfect matching gets the
-    matching 3-flow (values in {±1, ±2}), one without gets the signed
-    double cover when r ≡ 3 (mod 6) (values 2, -1, -4), and otherwise the
-    paper's [k-1, k]-factor construction; every branch reports k=5.
+    matching 3-flow (values in {±1, ±2}); one without gets the signed
+    double cover when r ≡ 3 (mod 6) (values 2, -1, -4), the 4-flow with -3
+    on a 2-factor and 2 elsewhere when r=5 and a 2-factor exists, the
+    paper's [k-1, k]-factor construction when r >= 7, and otherwise (r=5
+    with neither) the exact search for a 5-flow, whose existence there is
+    an open conjecture.  For r in {3, 5} the budget bounds that search; a
+    flow built directly counts as the m nodes in which the search would
+    assign every edge, so a budget below m raises FlowUndecidedError.
     Disconnected inputs are handled per component; each component's
     construction verifies its own flow, so the assembled whole is verified
     once, component by component.  A negative budget raises ValueError.
@@ -310,51 +305,38 @@ def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
 def _construct_connected(g: MultiGraph, r: int, budget: int | None) -> IntFlow:
     if r % 2 == 0:
         return flow_even_regular(g)
-    if r >= 7:
-        matching = max_matching(g)
-        if 2 * len(matching) == g.n:
-            return _parts_flow(g, [[e for e in range(g.m) if e not in matching]], -2)
-        if r % 3 == 0:
-            # the signed double cover, with values 2, -1, -4
-            return _checked(g, _weighting(g, range(g.m), r, 0), 5)
-        return flow_seven_regular(g) if r == 7 else flow_odd_regular(g)
-    # r in {3, 5}: the exact search at k=5, which tries a constructed flow first
-    from .solver import DEFAULT_BUDGET, solve
-
-    outcome = solve(g, 5, DEFAULT_BUDGET if budget is None else budget, hint=_search_hint(g, r))
-    if outcome.status == "found":
-        return outcome.flow
-    if outcome.status == "undecided":
-        note = "; whether every 5-regular graph has one is an open conjecture" if r == 5 else ""
-        raise FlowUndecidedError(
-            f"degree-{r} search hit its budget of {outcome.budget} nodes undecided{note}"
-        )
-    if r == 3:
-        raise FlowNonexistentError(
-            "exhaustive search found no zero-sum 5-flow on a cubic graph, "
-            "which contradicts its guaranteed existence; please report this input"
-        )
-    raise FlowNonexistentError(
-        "exhaustive search proved this 5-regular graph has no zero-sum 5-flow: "
-        "a counterexample to the open 5-flow conjecture; please report this input"
-    )
-
-
-def _search_hint(g: MultiGraph, r: int) -> list[int] | None:
-    """Values of a zero-sum 5-flow of g for the r in {3, 5} search to try first.
-
-    r = 3: the signed double cover, values 2, -1, -4.  r = 5 with a perfect
-    matching M: the 3-flow with -2 on M and 2, -1 on the 2-factors of G - M.
-    r = 5 with a 2-factor F: the 4-flow with -3 on F and 2 elsewhere, since
-    3 * 2 = 2 * 3.  None when r = 5 has neither.
-    """
-    if r == 3:
-        return _weighting(g, range(g.m), 3, 0)
     matching = max_matching(g)
     if 2 * len(matching) == g.n:
-        return _parts_values(g, [[e for e in range(g.m) if e not in matching]], -2)
-    factor = find_exact_factor(g, [2] * g.n)
-    return None if factor is None else [-3 if e in factor else 2 for e in range(g.m)]
+        flow = _parts_flow(g, [[e for e in range(g.m) if e not in matching]], -2)
+    elif r % 3 == 0:
+        # the signed double cover, with values 2, -1, -4
+        flow = _checked(g, _weighting(g, range(g.m), r, 0), 5)
+    elif r >= 7:
+        return flow_seven_regular(g) if r == 7 else flow_odd_regular(g)
+    else:
+        # r = 5: -3 on a 2-factor and 2 on the 3 other edges at each vertex
+        factor = find_exact_factor(g, [2] * g.n)
+        flow = None if factor is None else _checked(g, [-3 if e in factor else 2 for e in range(g.m)], 5)
+    if r >= 7:
+        return flow
+    # r in {3, 5}: the budget bounds the exact search at k=5.  A flow built
+    # above stands for the search it spares, which would assign each of the
+    # m edges once, so a budget below m leaves the graph undecided as well.
+    from .solver import DEFAULT_BUDGET, solve
+
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if flow is None:  # r = 5 with neither a perfect matching nor a 2-factor
+        outcome = solve(g, 5, budget)
+        if outcome.status == "nonexistent":
+            raise FlowNonexistentError(
+                "exhaustive search proved this 5-regular graph has no zero-sum 5-flow: "
+                "a counterexample to the open 5-flow conjecture; please report this input"
+            )
+        flow = outcome.flow
+    if flow is None or budget < g.m:
+        note = "; whether every 5-regular graph has one is an open conjecture" if r == 5 else ""
+        raise FlowUndecidedError(f"degree-{r} search hit its budget of {budget} nodes undecided{note}")
+    return flow
 
 
 def _checked(g: MultiGraph, values: Sequence[int], k: int) -> IntFlow:

@@ -14,25 +14,16 @@ endpoints down one bucket and backtracking moves them back, so choosing an
 edge costs O(max degree), whatever the size of the graph.  The first
 assigned edge only tries positive values (negating a flow preserves every
 constraint), and a partial sum that the remaining edges cannot cancel
-prunes the branch.
-
-An optional hint gives one value per edge that every branching edge tries
-first; the hint is negated as a whole when its value on the first edge is
-negative.  A hint that is a zero-sum k-flow is never pruned and agrees
-with every forced value, so the search reaches it in exactly m nodes.  A
-wrong hint only reorders the values tried: it prunes nothing, so the
-status is the same as without it.
-
-Everything is deterministic: equal inputs give equal outcomes and node
-counts.  The search is one loop over an explicit stack of the assigned
-edges and the values left to try at each, so its depth is bounded by
-memory, not by the recursion limit, and it changes no interpreter-wide
-setting.
+prunes the branch.  Everything is deterministic: equal inputs give equal
+outcomes and node counts.  The search is one loop over an explicit stack
+of the assigned edges and the values left to try at each, so its depth is
+bounded by memory, not by the recursion limit, and it changes no
+interpreter-wide setting.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .flows import IntFlow, verify_flow
@@ -74,27 +65,18 @@ class CrossCheckReport:
     smaller_k: int | None
 
 
-def solve(
-    g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET, *, hint: Sequence[int] | None = None
-) -> SearchOutcome:
-    """Decide whether a zero-sum k-flow exists, exhaustively up to budget.
-
-    ``hint`` holds one value per edge, tried first wherever the edge
-    branches; it orders the search and never prunes it.
-    """
+def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
+    """Decide whether a zero-sum k-flow exists, exhaustively up to budget."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     n, m = g.n, g.m
-    if hint is not None and len(hint) != m:
-        raise ValueError(f"hint has {len(hint)} values for {m} edges")
     inc = [g.incident(v) for v in range(n)]
     edges = g.edges
     kmax = k - 1
     alphabet = tuple(s * a for a in range(1, k) for s in (1, -1))
-    first = {a: (a, *(b for b in alphabet if b != a)) for a in alphabet}  # a, then the rest
-    tries = [alphabet] * m  # the values a branching edge tries, in order
+    positives = tuple(range(1, k))
     val = [0] * m
     psum = [0] * n
     rem = list(g.degrees())
@@ -117,13 +99,8 @@ def solve(
             cands = (-psum[u],) if rem[w] > 1 or psum[u] == psum[w] else ()
         elif rem[w] == 1:
             cands = (-psum[w],)
-        elif stack:
-            cands = tries[e]
-        else:  # the first edge: a negated flow is a flow, so it tries positive values only
-            if hint is not None:
-                sign = -1 if hint[e] < 0 else 1
-                tries = [first.get(sign * h, alphabet) for h in hint]
-            cands = tuple(c for c in tries[e] if c > 0)
+        else:
+            cands = alphabet if stack else positives
         values = iter(cands)
         while True:
             for c in values:

@@ -599,7 +599,7 @@ class TestConstruct:
             ([random_regular(11, 4, seed=1), complete(5)], 3),
             ([complete(8), random_regular(20, 7, seed=1)], 5),  # perfect matchings
             ([build(*hub_pairs(9)), complete(10)], 5),  # signed cover beside a matching
-            ([cubic_no_pm(), cubic_no_pm()], 5),  # the r = 3 search
+            ([cubic_no_pm(), cubic_no_pm()], 5),  # the r = 3 signed cover
         ],
         ids=["r4", "r7_matching", "r9_hub_and_k10", "two_cubic_no_pm"],
     )
@@ -682,54 +682,58 @@ class TestOddBranches:
                 assert vertex_sums(g, flow.values) == [0] * g.n, (r, n)
 
 
-class TestSearchHints:
+class TestSmallOddDegrees:
     @pytest.fixture
     def searches(self, monkeypatch):
-        # (hint, outcome) of every solve call that construct makes
+        # the outcome of every solve call that construct makes
         calls = []
         real = solver.solve
 
-        def spy(g, k, budget=solver.DEFAULT_BUDGET, *, hint=None):
-            outcome = real(g, k, budget, hint=hint)
-            calls.append((hint, outcome))
-            return outcome
+        def spy(g, k, budget=solver.DEFAULT_BUDGET):
+            calls.append(real(g, k, budget))
+            return calls[-1]
 
         monkeypatch.setattr(solver, "solve", spy)
         return calls
 
-    @pytest.mark.parametrize("r, values", [(3, {2, -1, -4}), (5, {2, -1, -2})])
-    def test_random_regular_found_in_m_nodes(self, r, values, searches):
+    @pytest.mark.parametrize("r, values", [(3, {1, -2}), (5, {2, -1, -2})])
+    def test_random_regular_takes_the_matching_flow(self, r, values, searches):
         g = random_regular(10**4, r, seed=1)
         flow = construct(g)
         assert flow.k == 5
-        assert verify_flow(g, flow).ok
-        [(hint, outcome)] = searches
-        assert set(hint) == values  # the signed cover, or the matching 3-flow
-        assert outcome.nodes == g.m
+        assert set(flow.values) == values
+        assert vertex_sums(g, flow.values) == [0] * g.n
+        assert searches == []
 
     @pytest.mark.parametrize("g", [cubic_no_pm(), build(*hub_pairs(3))], ids=["cubic_no_pm", "hub3"])
     def test_cubic_without_matching_takes_the_cover(self, g, searches):
         assert 2 * len(matching.max_matching(g)) < g.n
-        assert verify_flow(g, construct(g)).ok
-        [(hint, outcome)] = searches
-        assert set(hint) == {2, -1, -4}
-        assert outcome.nodes == g.m
+        flow = construct(g)
+        assert set(flow.values) == {2, -1, -4}
+        assert vertex_sums(g, flow.values) == [0] * g.n
+        assert searches == []
 
     def test_five_regular_without_matching_takes_a_two_factor(self, searches):
         g = _gadget_hub(5, (1, 1, 3))
         assert 2 * len(matching.max_matching(g)) < g.n
-        assert verify_flow(g, construct(g)).ok
-        [(hint, outcome)] = searches
-        assert set(hint) == {-3, 2}
-        assert outcome.nodes == g.m
+        flow = construct(g)
+        assert set(flow.values) == {-3, 2}
+        assert vertex_sums(g, flow.values) == [0] * g.n
+        assert searches == []
 
-    def test_five_regular_hub_gets_no_hint(self, searches):
+    @pytest.mark.parametrize("g", [petersen(), cubic_no_pm(), _gadget_hub(5, (1, 1, 3))], ids=["petersen", "cubic_no_pm", "hub5"])
+    def test_budget_below_m_is_undecided(self, g, searches):
+        assert verify_flow(g, construct(g, budget=g.m)).ok
+        with pytest.raises(FlowUndecidedError, match=f"budget of {g.m - 1} nodes"):
+            construct(g, budget=g.m - 1)
+        assert searches == []
+
+    def test_five_regular_hub_runs_the_search(self, searches):
         g = build(*hub_pairs(5))  # neither a perfect matching nor a 2-factor
-        with pytest.raises(FlowUndecidedError):
+        with pytest.raises(FlowUndecidedError, match="open conjecture"):
             construct(g, budget=10**4)
-        [(hint, outcome)] = searches
-        assert hint is None
-        assert outcome.status == "undecided"
+        [outcome] = searches
+        assert (outcome.status, outcome.nodes) == ("undecided", 10**4 + 1)
 
 
 class TestFlowSerialization:

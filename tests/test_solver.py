@@ -19,11 +19,6 @@ def random_sparse_graph(rng: random.Random) -> MultiGraph:
     return MultiGraph(n, rng.sample(pool, m))
 
 
-def random_multigraph(rng: random.Random) -> MultiGraph:
-    n = rng.randint(2, 6)
-    return MultiGraph(n, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n - 1, n + 3))])
-
-
 def search_digest(outcome) -> tuple[str, int, int | None]:
     flow_crc = zlib.crc32(repr(outcome.flow.values).encode()) if outcome.flow else None
     return outcome.status, outcome.nodes, flow_crc
@@ -178,42 +173,6 @@ class TestSolve:
         g = cubic_no_pm()
         assert solve(g, 4).status == "nonexistent"
         assert solve(g, 5).status == "found"
-
-
-class TestHint:
-    @pytest.mark.parametrize("g", [petersen(), cubic_no_pm(), random_regular(20, 5, 6), DUMBBELL])
-    def test_a_flow_is_reached_in_m_nodes(self, g):
-        found = solve(g, 5).flow
-        negated = [-val for val in found.values]
-        for hint in (found.values, negated):  # the search's flow is positive on the first edge
-            outcome = solve(g, 5, hint=hint)
-            assert (outcome.status, outcome.nodes) == ("found", g.m)
-            assert outcome.flow.values == found.values
-
-    def test_wrong_hints_keep_the_status(self):
-        rng = random.Random(18)
-        for _ in range(40):
-            g = random_multigraph(rng)
-            for k in (2, 3, 4):
-                plain = solve(g, k).status
-                assert (plain == "found") == flow_exists_by_enumeration(g, k)
-                # values past k - 1 are not in the alphabet: they lead nothing
-                signs = [rng.choice((1, -1)) * rng.randint(1, k) for _ in range(g.m)]
-                for hint in ([1] * g.m, signs):
-                    outcome = solve(g, k, hint=hint)
-                    assert outcome.status == plain
-                    if outcome.flow is not None:
-                        assert verify_flow(g, outcome.flow).ok
-
-    def test_budget_still_bounds_a_hinted_search(self):
-        g = petersen()
-        hint = solve(g, 5).flow.values
-        outcome = solve(g, 5, budget=3, hint=hint)
-        assert (outcome.status, outcome.nodes) == ("undecided", 4)
-
-    def test_hint_length_rejected(self):
-        with pytest.raises(ValueError, match="hint has 14 values for 15 edges"):
-            solve(petersen(), 5, hint=[1] * 14)
 
 
 class TestFlowNumber:
