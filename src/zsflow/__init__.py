@@ -1,8 +1,9 @@
 """Zero-sum integer flows on regular multigraphs.
 
-Constructions cover even-regular graphs (3-flows), 7-regular and odd r >= 9
-regular graphs (5-flows), with an exact backtracking solver as independent
-oracle and as the search path for degrees 3 and 5.
+Constructions cover even-regular graphs (3-flows) and odd-regular graphs
+(5-flows).  An exact backtracking solver is the independent oracle, and the
+fallback for the 5-regular graphs with neither a perfect matching nor a
+2-factor.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .graphs import (
     components,
     cubic_no_pm,
     cycle,
-    euler_orientation,
     parse_edge_list,
     parse_graph6,
     petersen,
@@ -37,6 +37,7 @@ from .graphs import (
     write_edge_list,
 )
 from .factorization import (
+    euler_orientation,
     regular_component_factor,
     two_factorization,
 )
@@ -48,7 +49,6 @@ from .flows import (
     construct,
     flow_even_regular,
     flow_odd_regular,
-    flow_seven_regular,
     parse_flow,
     verify_flow,
     write_flow,
@@ -86,7 +86,6 @@ __all__ = [
     "flow_even_regular",
     "flow_number",
     "flow_odd_regular",
-    "flow_seven_regular",
     "parse_flow",
     "regular_component_factor",
     "solve",

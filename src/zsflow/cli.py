@@ -60,8 +60,8 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _header(command: str, seed: int | str = "-") -> list[str]:
-    return [f"command: {command}", f"version: {__version__}", f"seed: {seed}"]
+def _header(command: str) -> list[str]:
+    return [f"command: {command}", f"version: {__version__}", "seed: -"]
 
 
 def _graph_block(source: str, fmt: str, g: MultiGraph) -> list[str]:

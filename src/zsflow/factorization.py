@@ -1,10 +1,11 @@
 """Structural factorization of regular multigraphs.
 
-Two layers: 2-factorization of even-regular multigraphs through a balanced
-orientation and its bipartite out/in split, and, for odd r >= 5, the one
-spanning [k-1, k]-factor with regular components that both odd-degree
-constructions take, at k = floor(2r/3), returned as its (k-1)-regular and
-its k-regular part.  Edge sets are frozensets of edge ids.
+A balanced orientation of even-degree multigraphs; 2-factorization of
+even-regular multigraphs through such an orientation and its bipartite
+out/in split; and, for odd r >= 5, the one spanning [k-1, k]-factor with
+regular components that the odd-degree construction takes, at
+k = floor(2r/3), returned as its (k-1)-regular and its k-regular part.
+Edge sets are frozensets of edge ids.
 """
 
 from __future__ import annotations
@@ -14,11 +15,26 @@ from itertools import combinations
 
 from .errors import FactorSearchError, NotRegularError
 from .graphs import MultiGraph, _euler_tails, _factor_degrees, regular_degree, subgraph_from_edges
-from .graphs import euler_orientation  # no caller here; importable as factorization.euler_orientation
 from .matching import _euler_split, find_exact_factor
 
 _PARTITION_VERTEX_LIMIT = 18
 _PARTITION_FACTOR_BUDGET = 4000
+
+
+def euler_orientation(g: MultiGraph) -> list[tuple[int, int]]:
+    """Orient every edge so in-degree equals out-degree at each vertex.
+
+    Returns ``directed[e] = (tail, head)`` per edge id.  One Hierholzer walk
+    over the edge-id list 0..m-1 (the same walk that Euler splitting runs on
+    its id lists) traverses each connected component as one closed trail,
+    starting at the component's smallest vertex and consuming edges in
+    ascending id order.
+    """
+    for v in range(g.n):
+        if g.degree(v) % 2:
+            raise ValueError(f"vertex {v} has odd degree {g.degree(v)}, cannot balance")
+    tails = _euler_tails(g.n, g.edges, range(g.m))
+    return [(u, v) if t == u else (v, u) for t, (u, v) in zip(tails, g.edges)]
 
 
 def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
@@ -113,8 +129,8 @@ def _partition_search(
 def regular_component_factor(g: MultiGraph) -> tuple[frozenset[int], frozenset[int]]:
     """Spanning [k-1, k]-factor with regular components, k = floor(2r/3).
 
-    Requires an r-regular graph with r odd, r >= 5.  This is the factor both
-    odd-degree constructions take (r = 7 gives the [3, 4]-factor), and it
+    Requires an r-regular graph with r odd, r >= 5.  This is the factor the
+    odd-degree construction takes (r = 7 gives the [3, 4]-factor), and it
     always exists (Kano 1986).  Returns ``(lower, upper)``: the edge ids of
     its (k-1)-regular part and of its k-regular part; either may be empty,
     and no vertex meets both.  The stages, in order, each with the reason it

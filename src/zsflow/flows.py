@@ -9,12 +9,11 @@ route through the exact search in `solver`.
 Every construction gives regular parts of g weightings with a constant
 vertex sum q (`_weighting`) and one value to every other edge; a part is a
 list of g's edge ids, and no subgraph is built.  For odd r, `construct`
-picks the cheapest the input allows: with a perfect matching M, the 3-flow
-with -2 on M and q = 2 on G - M; else, for r ≡ 3 (mod 6), the signed
-double cover, which like even r is q = 0 on all of g; else, for r = 5,
--3 on a 2-factor and 2 elsewhere; else the paper's [k-1, k]-factor
-construction (`flow_seven_regular`, `flow_odd_regular`).  All of them
-report k = 5.
+takes the first construction the input allows: with a perfect matching M,
+the 3-flow with -2 on M and q = 2 on G - M; for r ≡ 3 (mod 6), the signed
+double cover, which like even r is q = 0 on all of g; for r >= 7, the
+paper's [k-1, k]-factor construction (`flow_odd_regular`); for r = 5, -3
+on a 2-factor and 2 elsewhere.  All of them report k = 5.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ from .errors import (
 from .factorization import _two_factors, regular_component_factor
 from .graphs import MultiGraph, components, regular_degree, subgraph_from_edges
 from .matching import _euler_split, find_exact_factor, max_matching
+
+DEFAULT_BUDGET = 100_000_000  # search nodes, for `construct` and every `solver` entry point
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,53 +225,39 @@ def flow_even_regular(g: MultiGraph) -> IntFlow:
     return _checked(g, _weighting(g, range(g.m), r, 0), 3)
 
 
-def flow_seven_regular(g: MultiGraph) -> IntFlow:
-    """Zero-sum 5-flow of a 7-regular graph.
-
-    Take a [3, 4]-factor with regular components.  The 4-regular part
-    splits into two 2-factors valued 1 and 2 (1 on the factor holding the
-    smallest edge id); the 3-regular part gets the {2,3,4} weighting with
-    vertex sums 8; everything outside the factor gets -2.
-    """
-    r = regular_degree(g)
-    if r != 7:
-        raise UnsupportedDegreeError(f"need a 7-regular graph, got r={r}")
-    return _parts_flow(g, regular_component_factor(g), -2)
-
-
 def flow_odd_regular(g: MultiGraph) -> IntFlow:
-    """Zero-sum 5-flow of an r-regular graph with odd r >= 9.
+    """Zero-sum 5-flow of an r-regular graph with odd r >= 7.
 
     With k = floor(2r/3) and k' = r - k, take a [k-1, k]-factor with
-    regular components.  The (k-1)-regular part gets the {2,3,4} weighting
-    with vertex sums 4k'+4, the k-regular part the weighting with sums 4k',
-    and every edge outside the factor gets -4; each vertex then cancels
-    exactly against its 4(k'+1) or 4k' of outside weight.
+    regular components and give every edge outside it -2 at r = 7 and -4
+    above.  Each part gets the {2,3,4} weighting that cancels its outside
+    weight: at r = 7 the 4-regular part has vertex sums 6 (two 2-factors
+    valued 1 and 2, 1 on the factor holding the smallest edge id) and the
+    3-regular part sums 8; above, the (k-1)-regular part has sums 4k'+4
+    and the k-regular part sums 4k'.
     """
     r = regular_degree(g)
-    if r is None or r % 2 == 0 or r < 9:
-        raise UnsupportedDegreeError(f"need odd r >= 9, got r={r}")
-    return _parts_flow(g, regular_component_factor(g), -4)
+    if r is None or r % 2 == 0 or r < 7:
+        raise UnsupportedDegreeError(f"need odd r >= 7, got r={r}")
+    return _parts_flow(g, regular_component_factor(g), -2 if r == 7 else -4)
 
 
-def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
+def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
     """Build a verified zero-sum flow for any regular graph with r >= 3.
 
-    Dispatch: even r >= 4 gives k=3 and odd r gives k=5.  For odd r the
-    input picks the branch: a graph with a perfect matching gets the
-    matching 3-flow (values in {±1, ±2}); one without gets the signed
-    double cover when r ≡ 3 (mod 6) (values 2, -1, -4), the 4-flow with -3
-    on a 2-factor and 2 elsewhere when r=5 and a 2-factor exists, the
-    paper's [k-1, k]-factor construction when r >= 7, and otherwise (r=5
-    with neither) the exact search for a 5-flow, whose existence there is
-    an open conjecture.  For r in {3, 5} the budget bounds that search; a
-    flow built directly counts as the m nodes in which the search would
-    assign every edge, so a budget below m raises FlowUndecidedError.
-    Disconnected inputs are handled per component; each component's
-    construction verifies its own flow, so the assembled whole is verified
-    once, component by component.  A negative budget raises ValueError.
+    Even r >= 4 gives k=3 and odd r gives k=5.  For odd r the first branch
+    that applies builds the flow: a perfect matching gives the matching
+    3-flow (values in {±1, ±2}); r ≡ 3 (mod 6) the signed double cover
+    (values 2, -1, -4); r >= 7 the paper's [k-1, k]-factor construction;
+    r = 5 with a 2-factor -3 on it and 2 elsewhere; any other r = 5 the
+    exact search for a 5-flow, whose existence there is an open
+    conjecture.  On r in {3, 5} a direct flow stands for the m nodes in
+    which that search would assign every edge, so a budget below m raises
+    FlowUndecidedError before any work.  Disconnected inputs are handled
+    per component; each component's construction verifies its own flow,
+    so the whole is verified once.  A negative budget raises ValueError.
     """
-    if budget is not None and budget < 0:
+    if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     r = regular_degree(g)
     if r is None:
@@ -302,41 +289,39 @@ def construct(g: MultiGraph, budget: int | None = None) -> IntFlow:
     return IntFlow(g, tuple(values), k)
 
 
-def _construct_connected(g: MultiGraph, r: int, budget: int | None) -> IntFlow:
+def _construct_connected(g: MultiGraph, r: int, budget: int) -> IntFlow:
     if r % 2 == 0:
         return flow_even_regular(g)
+    if r < 7 and budget < g.m:  # a direct flow stands for m search nodes
+        raise _undecided(r, budget)
     matching = max_matching(g)
     if 2 * len(matching) == g.n:
-        flow = _parts_flow(g, [[e for e in range(g.m) if e not in matching]], -2)
-    elif r % 3 == 0:
+        return _parts_flow(g, [[e for e in range(g.m) if e not in matching]], -2)
+    if r % 3 == 0:
         # the signed double cover, with values 2, -1, -4
-        flow = _checked(g, _weighting(g, range(g.m), r, 0), 5)
-    elif r >= 7:
-        return flow_seven_regular(g) if r == 7 else flow_odd_regular(g)
-    else:
-        # r = 5: -3 on a 2-factor and 2 on the 3 other edges at each vertex
-        factor = find_exact_factor(g, [2] * g.n)
-        flow = None if factor is None else _checked(g, [-3 if e in factor else 2 for e in range(g.m)], 5)
+        return _checked(g, _weighting(g, range(g.m), r, 0), 5)
     if r >= 7:
-        return flow
-    # r in {3, 5}: the budget bounds the exact search at k=5.  A flow built
-    # above stands for the search it spares, which would assign each of the
-    # m edges once, so a budget below m leaves the graph undecided as well.
-    from .solver import DEFAULT_BUDGET, solve
+        return flow_odd_regular(g)
+    # r = 5: -3 on a 2-factor and 2 on the 3 other edges at each vertex
+    factor = find_exact_factor(g, [2] * g.n)
+    if factor is not None:
+        return _checked(g, [-3 if e in factor else 2 for e in range(g.m)], 5)
+    from .solver import solve
 
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if flow is None:  # r = 5 with neither a perfect matching nor a 2-factor
-        outcome = solve(g, 5, budget)
-        if outcome.status == "nonexistent":
-            raise FlowNonexistentError(
-                "exhaustive search proved this 5-regular graph has no zero-sum 5-flow: "
-                "a counterexample to the open 5-flow conjecture; please report this input"
-            )
-        flow = outcome.flow
-    if flow is None or budget < g.m:
-        note = "; whether every 5-regular graph has one is an open conjecture" if r == 5 else ""
-        raise FlowUndecidedError(f"degree-{r} search hit its budget of {budget} nodes undecided{note}")
-    return flow
+    outcome = solve(g, 5, budget)
+    if outcome.status == "nonexistent":
+        raise FlowNonexistentError(
+            "exhaustive search proved this 5-regular graph has no zero-sum 5-flow: "
+            "a counterexample to the open 5-flow conjecture; please report this input"
+        )
+    if outcome.flow is None:
+        raise _undecided(r, budget)
+    return outcome.flow
+
+
+def _undecided(r: int, budget: int) -> FlowUndecidedError:
+    note = "; whether every 5-regular graph has one is an open conjecture" if r == 5 else ""
+    return FlowUndecidedError(f"degree-{r} search hit its budget of {budget} nodes undecided{note}")
 
 
 def _checked(g: MultiGraph, values: Sequence[int], k: int) -> IntFlow:

@@ -1,4 +1,4 @@
-"""Multigraph data model, balanced orientation, generators, and serialization.
+"""Multigraph data model, the Euler walk, generators, and serialization.
 
 Vertices are dense integers 0..n-1 and edge ids are dense integers 0..m-1
 assigned in construction order.  Parallel edges are allowed everywhere,
@@ -128,22 +128,6 @@ def components(g: MultiGraph) -> list[list[int]]:
     return out
 
 
-def euler_orientation(g: MultiGraph) -> list[tuple[int, int]]:
-    """Orient every edge so in-degree equals out-degree at each vertex.
-
-    Returns ``directed[e] = (tail, head)`` per edge id.  One Hierholzer walk
-    over the edge-id list 0..m-1 (the same walk that Euler splitting runs on
-    its id lists) traverses each connected component as one closed trail,
-    starting at the component's smallest vertex and consuming edges in
-    ascending id order.
-    """
-    for v in range(g.n):
-        if g.degree(v) % 2:
-            raise ValueError(f"vertex {v} has odd degree {g.degree(v)}, cannot balance")
-    tails = _euler_tails(g.n, g.edges, range(g.m))
-    return [(u, v) if t == u else (v, u) for t, (u, v) in zip(tails, g.edges)]
-
-
 def _euler_tails(n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int]) -> list[int]:
     """Tails of one balanced orientation of the edges ``ids`` (ascending).
 
@@ -188,8 +172,12 @@ def subgraph_from_edges(
     vertex ``i`` and ``emap[j]`` the host edge id of sub edge ``j``.  The
     vertex set defaults to the endpoints of the edges; pass ``vertices`` to
     keep extra isolated vertices.  Sub ids preserve ascending host order.
+    An edge id outside 0..m-1 raises ValueError.
     """
     emap = sorted(set(edge_ids))
+    if emap and (emap[0] < 0 or emap[-1] >= g.m):
+        bad = emap[0] if emap[0] < 0 else emap[-1]
+        raise ValueError(f"edge id {bad} out of range for m={g.m}")
     if vertices is None:
         vset = {v for e in emap for v in g.edges[e]}
     else:

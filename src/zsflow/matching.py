@@ -199,10 +199,8 @@ def bipartite_perfect_matching(g: MultiGraph, left: Iterable[int]) -> frozenset[
     return pm if 2 * len(pm) == g.n else None
 
 
-def decompose_regular_bipartite(
-    g: MultiGraph, left: Iterable[int], k: int | None = None
-) -> list[frozenset[int]]:
-    """Split a k-regular bipartite multigraph into k perfect matchings.
+def decompose_regular_bipartite(g: MultiGraph, left: Iterable[int]) -> list[frozenset[int]]:
+    """Split an r-regular bipartite multigraph into r perfect matchings.
 
     Euler splitting (Alon 2003) after one validation pass, which rejects
     non-bipartite or irregular input with a witness.  The recursion then
@@ -210,7 +208,7 @@ def decompose_regular_bipartite(
     even-degree level is one Hierholzer walk over its id list, left-to-right
     edges forming one (d/2)-regular half and right-to-left edges the other;
     an odd degree first peels one perfect matching off with the blossom
-    engine.  Recursion depth is O(log k).
+    engine.  Recursion depth is O(log r).
     """
     left_set = set(left)
     left_mask = [v in left_set for v in range(g.n)]
@@ -224,8 +222,6 @@ def decompose_regular_bipartite(
     for v in range(g.n):
         if degs[v] != r:
             raise NotRegularError(f"vertex {v} has degree {degs[v]}, expected {r}")
-    if k is not None and k != r:
-        raise NotRegularError(f"graph is {r}-regular, not {k}-regular")
     return _euler_split(g.n, g.edges, left_mask, r)
 
 
@@ -276,9 +272,12 @@ def find_exact_factor(g: MultiGraph, target: Sequence[int]) -> frozenset[int] | 
     all of its stubs, and each host edge joins its two stubs.  Perfect
     matchings of the gadget select exactly the wanted edge sets (an edge is
     chosen iff its stub-stub edge is matched).  Edge e = (u, v) has stubs
-    2e (at u) and 2e + 1 (at v); core vertices follow from 2m on.
+    2e (at u) and 2e + 1 (at v); core vertices follow from 2m on.  A
+    ``target`` of any length other than n raises ValueError.
     """
     n, m = g.n, g.m
+    if len(target) != n:
+        raise ValueError(f"target has {len(target)} entries for {n} vertices")
     if any(not (0 <= target[v] <= g.degree(v)) for v in range(n)):
         return None
     if sum(target) % 2:

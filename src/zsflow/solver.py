@@ -26,10 +26,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .flows import IntFlow, verify_flow
+from .flows import DEFAULT_BUDGET, IntFlow, verify_flow
 from .graphs import MultiGraph
-
-DEFAULT_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from zsflow.flows import (
     construct,
     flow_even_regular,
     flow_odd_regular,
-    flow_seven_regular,
     parse_flow,
     verify_flow,
     write_flow,
@@ -308,26 +307,26 @@ class TestEvenRegular:
 class TestSevenRegular:
     def test_k8(self):
         g = complete(8)
-        flow = flow_seven_regular(g)
+        flow = flow_odd_regular(g)
         assert flow.k == 5
         assert verify_flow(g, flow).ok
         assert set(flow.values) <= {1, 2, 3, 4, -2}
 
     def test_circulant(self):
         g = circulant(10, {1, 2, 3, 5})
-        flow = flow_seven_regular(g)
+        flow = flow_odd_regular(g)
         assert verify_flow(g, flow).ok
 
     def test_random(self):
         g = random_regular(16, 7, seed=11)
-        flow = flow_seven_regular(g)
+        flow = flow_odd_regular(g)
         assert verify_flow(g, flow).ok
         negatives = {v for v in flow.values if v < 0}
         assert negatives <= {-2}
 
     def test_wrong_degree_rejected(self):
         with pytest.raises(UnsupportedDegreeError):
-            flow_seven_regular(complete(5))
+            flow_odd_regular(complete(5))
 
     @pytest.mark.xfail(
         strict=True,
@@ -383,9 +382,9 @@ class TestOddRegular:
             assert verify_flow(g, flow).ok
             assert set(flow.values) <= {1, 2, 3, 4, -4}
 
-    def test_r7_rejected(self):
-        with pytest.raises(UnsupportedDegreeError):
-            flow_odd_regular(complete(8))
+    def test_r5_rejected(self):
+        with pytest.raises(UnsupportedDegreeError, match=r"^need odd r >= 7, got r=5$"):
+            flow_odd_regular(complete(6))
 
 
 # name -> (graph, crc32 of construct(g).values).  Every graph but the two hubs
@@ -437,9 +436,9 @@ GOLDEN_EXACT_FACTOR = {
 # and a 4-regular part (found by the split search), r9_lower_hub only a
 # 5-regular part (the exact (k-1) query), the others only a k-regular part.
 GOLDEN_FACTOR_FLOW = {
-    "r7_mixed_hub": (flow_seven_regular, _gadget_hub(7, (1, 1, 1, 1, 3)), 0x4AE617B4),
+    "r7_mixed_hub": (flow_odd_regular, _gadget_hub(7, (1, 1, 1, 1, 3)), 0x4AE617B4),
     "r9_lower_hub": (flow_odd_regular, _gadget_hub(9, (1, 1, 1, 3, 3)), 0x26E6DAE4),
-    "r7_k8": (flow_seven_regular, complete(8), 0x5A5AE3A9),
+    "r7_k8": (flow_odd_regular, complete(8), 0x5A5AE3A9),
     "r9_k10": (flow_odd_regular, complete(10), 0x2BBBE98E),
     "r11_n60": (flow_odd_regular, random_regular(60, 11, seed=5), 0x1A625B7F),
     "r13_n40": (flow_odd_regular, random_regular(40, 13, seed=6), 0x80D7DD1C),
@@ -734,6 +733,10 @@ class TestSmallOddDegrees:
             construct(g, budget=10**4)
         [outcome] = searches
         assert (outcome.status, outcome.nodes) == ("undecided", 10**4 + 1)
+        searches.clear()
+        with pytest.raises(FlowUndecidedError, match=f"budget of {g.m - 1} nodes"):
+            construct(g, budget=g.m - 1)
+        assert searches == []
 
 
 class TestFlowSerialization:

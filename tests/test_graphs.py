@@ -70,6 +70,12 @@ class TestQueries:
     def test_components_isolated(self):
         assert components(build(3, [])) == [[0], [1], [2]]
 
+    @pytest.mark.parametrize("bad", [-1, -6, 6])
+    def test_subgraph_rejects_edge_ids_out_of_range(self, bad):
+        # -6 is edge 0 counted from the end: it must not give a second copy of (0, 1)
+        with pytest.raises(ValueError, match=f"^edge id {bad} out of range for m=6$"):
+            subgraph_from_edges(complete(4), [0, bad])
+
     def test_components_match_union_find_without_incidence_lists(self):
         rng = random.Random(3)
         for n in (1, 7, 30, 60):

@@ -225,6 +225,11 @@ class TestExactFactor:
     def test_odd_total_impossible(self):
         assert find_exact_factor(complete(4), [1, 1, 1, 2]) is None
 
+    @pytest.mark.parametrize("target", [[2] * 4 + [0], [2] * 4 + [1], [2] * 3])
+    def test_target_length_must_be_n(self, target):
+        with pytest.raises(ValueError, match=f"^target has {len(target)} entries for 4 vertices$"):
+            find_exact_factor(complete(4), target)
+
     def test_mixed_targets(self):
         g = cycle(5)
         f = find_exact_factor(g, [2, 2, 2, 2, 2])
