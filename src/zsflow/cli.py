@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import time
 from pathlib import Path
@@ -34,22 +33,10 @@ from .graphs import (
 )
 from .solver import DEFAULT_BUDGET, flow_number, solve
 
-BUDGET_ENV_VAR = "ZSFLOW_BUDGET"
-
 
 def _load_graph(path: str, fmt: str) -> MultiGraph:
     text = Path(path).read_text()
     return parse_graph6(text) if fmt == "graph6" else parse_edge_list(text)
-
-
-def _resolve_budget(value: int | None) -> int:
-    if value is None:  # a negative budget is left to construct, solve and flow_number
-        env = os.environ.get(BUDGET_ENV_VAR)
-        try:
-            value = int(env) if env else DEFAULT_BUDGET
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    return value
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -78,7 +65,7 @@ def _graph_block(source: str, fmt: str, g: MultiGraph) -> list[str]:
 def _cmd_construct(args) -> int:
     g = _load_graph(args.graph, args.format)
     start = time.perf_counter()
-    flow = construct(g, budget=_resolve_budget(args.budget))
+    flow = construct(g, budget=args.budget)
     wall = time.perf_counter() - start
     lines = _header("construct") + _graph_block(args.graph, args.format, g)
     lines += ["outcome: flow", f"k: {flow.k}", "verified: pass", f"wall_time_s: {wall:.3f}"]
@@ -122,12 +109,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph, args.format)
-    budget = _resolve_budget(args.budget)
     start = time.perf_counter()
-    outcome = solve(g, args.k, budget)
+    outcome = solve(g, args.k, args.budget)
     wall = time.perf_counter() - start
     lines = _header("solve") + _graph_block(args.graph, args.format, g)
-    lines += [f"k: {args.k}", f"budget: {budget}", f"outcome: {outcome.status}", f"nodes: {outcome.nodes}"]
+    lines += [f"k: {args.k}", f"budget: {args.budget}", f"outcome: {outcome.status}", f"nodes: {outcome.nodes}"]
     if outcome.status == "found":
         lines += ["verified: pass", f"wall_time_s: {wall:.3f}"]
         text = write_flow(outcome.flow)
@@ -142,14 +128,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_flownumber(args) -> int:
     g = _load_graph(args.graph, args.format)
-    budget = _resolve_budget(args.budget)
     start = time.perf_counter()
-    result = flow_number(g, args.kmax, budget)
+    result = flow_number(g, args.kmax, args.budget)
     wall = time.perf_counter() - start
     lines = _header("flownumber") + _graph_block(args.graph, args.format, g)
     lines += [
         f"kmax: {args.kmax}",
-        f"budget: {budget}",
+        f"budget: {args.budget}",
         f"outcome: {result.status}",
         f"flow_number: {'-' if result.k is None else result.k}",
         f"nodes: {sum(o.nodes for o in result.outcomes.values())}",
@@ -195,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("construct", help="build and verify a zero-sum flow")
     _add_io_options(p, flow_out=True)
-    p.add_argument("--budget", type=int, help=f"solver node budget (env {BUDGET_ENV_VAR})")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="solver node budget")
     p.set_defaults(func=_cmd_construct)
 
     p = subs.add_parser("verify", help="check a flow file against a graph")
@@ -207,13 +192,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("solve", help="exhaustive search for a zero-sum k-flow")
     _add_io_options(p, flow_out=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, help=f"node budget (env {BUDGET_ENV_VAR})")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node budget")
     p.set_defaults(func=_cmd_solve)
 
     p = subs.add_parser("flownumber", help="minimal k admitting a zero-sum k-flow")
     _add_io_options(p)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--budget", type=int, help=f"node budget per k (env {BUDGET_ENV_VAR})")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node budget per k")
     p.set_defaults(func=_cmd_flownumber)
 
     p = subs.add_parser("generate", help="write a generated graph as an edge list")

@@ -70,7 +70,7 @@ def _two_factors(g: MultiGraph, ids: Sequence[int], d: int) -> list[frozenset[in
     n, edges = g.n, g.edges
     pairs = zip(_euler_tails(n, edges, ids), (edges[e] for e in ids))
     arcs = [(u, n + v) if t == u else (v, n + u) for t, (u, v) in pairs]
-    return sorted(_euler_split(2 * n, arcs, [True] * n + [False] * n, d // 2), key=min)
+    return sorted(_euler_split(2 * n, arcs, d // 2), key=min)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def _two_factors(g: MultiGraph, ids: Sequence[int], d: int) -> list[frozenset[in
 
 def _induced(g: MultiGraph, verts: set[int]):
     inside = [e for e, (u, v) in enumerate(g.edges) if u in verts and v in verts]
-    return subgraph_from_edges(g, inside, vertices=verts)
+    return subgraph_from_edges(g, inside)
 
 
 def _partition_search(

@@ -18,7 +18,7 @@ on a 2-factor and 2 elsewhere.  All of them report k = 5.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -80,13 +80,12 @@ class FlowReport:
     k: int
 
 
-def verify_flow(
-    g: MultiGraph, flow: IntFlow | Mapping[int, int] | Sequence[int], k: int | None = None
-) -> FlowReport:
+def verify_flow(g: MultiGraph, flow: IntFlow | Sequence[int], k: int | None = None) -> FlowReport:
     """Check a candidate flow against a graph; read-only.
 
-    Accepts an IntFlow, a dense value sequence, or an edge-id mapping.  A
-    missing edge or a claimed bound k < 2 is a usage error and raises;
+    Accepts an IntFlow or a sequence of m values, value e on edge e; any
+    other type, a dict included, raises TypeError.  A wrong value count or
+    a claimed bound k < 2 is a usage error and raises ValueError;
     zero values, out-of-range values, and nonzero vertex sums are verdict
     failures.  The first violation is reported scanning edges by id and
     then vertices.
@@ -96,13 +95,8 @@ def verify_flow(
             raise ValueError("flow belongs to a different graph")
         values = list(flow.values)
         k = flow.k if k is None else k
-    elif isinstance(flow, Mapping):
-        values = list(map(flow.get, range(g.m)))
-        if None in values:
-            raise ValueError(f"flow is missing edge {values.index(None)}")
-        if len(flow) != g.m:  # every id 0..m-1 is present, so some id is unknown
-            extra = next(e for e in flow if not (0 <= e < g.m))
-            raise ValueError(f"flow has unknown edge id {extra}")
+    elif not isinstance(flow, Sequence):  # list() of a dict would read its keys as values
+        raise TypeError(f"flow must be an IntFlow or a sequence of values, got {type(flow).__name__}")
     else:
         values = list(flow)
         if len(values) != g.m:
@@ -183,7 +177,7 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
     twos, third = (q - 2 * d) // 2, d // 3
     weights = [2] * twos + [1] * (d - twos) if q else [1] * (2 * third) + [-2] * third
     arcs = [a for u, v in (g.edges[e] for e in ids) for a in ((u, g.n + v), (v, g.n + u))]
-    for w, pm in zip(weights, _euler_split(2 * g.n, arcs, [True] * g.n + [False] * g.n, d)):
+    for w, pm in zip(weights, _euler_split(2 * g.n, arcs, d)):
         for arc in pm:
             values[arc // 2] += w
     return values
@@ -252,10 +246,11 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
     r = 5 with a 2-factor -3 on it and 2 elsewhere; any other r = 5 the
     exact search for a 5-flow, whose existence there is an open
     conjecture.  On r in {3, 5} a direct flow stands for the m nodes in
-    which that search would assign every edge, so a budget below m raises
-    FlowUndecidedError before any work.  Disconnected inputs are handled
-    per component; each component's construction verifies its own flow,
-    so the whole is verified once.  A negative budget raises ValueError.
+    which that search would assign every edge, so a budget below the whole
+    graph's m raises FlowUndecidedError before any work.  Disconnected
+    inputs are handled per component; each component's construction
+    verifies its own flow, so the whole is verified once.  A negative
+    budget raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
@@ -268,6 +263,8 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
         raise NotRegularError(f"graph is not regular: vertex {v} has degree {degs[v]}")
     if r < 3:
         raise UnsupportedDegreeError(f"no zero-sum flow construction for r={r} < 3")
+    if r < 7 and r % 2 and budget < g.m:  # a direct flow stands for m search nodes
+        raise _undecided(r, budget)
     comps = components(g)
     if len(comps) == 1:
         return _construct_connected(g, r, budget)
@@ -280,8 +277,8 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
         inside[label[u]].append(e)
     values = [0] * g.m
     k = 0
-    for comp, ids in zip(comps, inside):
-        sub, _, emap = subgraph_from_edges(g, ids, vertices=comp)
+    for ids in inside:
+        sub, _, emap = subgraph_from_edges(g, ids)
         flow = _construct_connected(sub, r, budget)
         for e, val in zip(emap, flow.values):
             values[e] = val
@@ -292,8 +289,6 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
 def _construct_connected(g: MultiGraph, r: int, budget: int) -> IntFlow:
     if r % 2 == 0:
         return flow_even_regular(g)
-    if r < 7 and budget < g.m:  # a direct flow stands for m search nodes
-        raise _undecided(r, budget)
     matching = max_matching(g)
     if 2 * len(matching) == g.n:
         return _parts_flow(g, [[e for e in range(g.m) if e not in matching]], -2)
@@ -325,10 +320,11 @@ def _undecided(r: int, budget: int) -> FlowUndecidedError:
 
 
 def _checked(g: MultiGraph, values: Sequence[int], k: int) -> IntFlow:
+    """The post-check of every flow that a construction or the search returns."""
     flow = IntFlow(g, tuple(values), k)
     report = verify_flow(g, flow)
     if not report.ok:
-        raise RuntimeError(f"internal: constructed flow failed verification: {report.violation}")
+        raise RuntimeError(f"internal: returned flow failed verification: {report.violation}")
     return flow
 
 

@@ -163,28 +163,20 @@ def _euler_tails(n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int]) -
     return tails
 
 
-def subgraph_from_edges(
-    g: MultiGraph, edge_ids: Iterable[int], vertices: Iterable[int] | None = None
-) -> tuple[MultiGraph, list[int], list[int]]:
-    """Relabelled subgraph on the given edges.
+def subgraph_from_edges(g: MultiGraph, edge_ids: Iterable[int]) -> tuple[MultiGraph, list[int], list[int]]:
+    """Relabelled subgraph on the given edges and their endpoints.
 
     Returns ``(sub, vmap, emap)`` where ``vmap[i]`` is the host vertex of sub
     vertex ``i`` and ``emap[j]`` the host edge id of sub edge ``j``.  The
-    vertex set defaults to the endpoints of the edges; pass ``vertices`` to
-    keep extra isolated vertices.  Sub ids preserve ascending host order.
-    An edge id outside 0..m-1 raises ValueError.
+    vertices are exactly the endpoints of the edges, so no sub vertex is
+    isolated.  Sub ids preserve ascending host order.  An edge id outside
+    0..m-1 raises ValueError.
     """
     emap = sorted(set(edge_ids))
     if emap and (emap[0] < 0 or emap[-1] >= g.m):
         bad = emap[0] if emap[0] < 0 else emap[-1]
         raise ValueError(f"edge id {bad} out of range for m={g.m}")
-    if vertices is None:
-        vset = {v for e in emap for v in g.edges[e]}
-    else:
-        vset = set(vertices)
-        for e in emap:
-            vset.update(g.edges[e])
-    vmap = sorted(vset)
+    vmap = sorted({v for e in emap for v in g.edges[e]})
     index = {v: i for i, v in enumerate(vmap)}
     sub = MultiGraph(len(vmap), [(index[g.edges[e][0]], index[g.edges[e][1]]) for e in emap])
     return sub, vmap, emap

@@ -211,42 +211,43 @@ def decompose_regular_bipartite(g: MultiGraph, left: Iterable[int]) -> list[froz
     engine.  Recursion depth is O(log r).
     """
     left_set = set(left)
-    left_mask = [v in left_set for v in range(g.n)]
+    arcs = []  # each edge oriented left to right
     for e, (u, v) in enumerate(g.edges):
-        if left_mask[u] == left_mask[v]:
+        if (u in left_set) == (v in left_set):
             raise ValueError(
                 f"not bipartite for the given sides: edge {e} = ({u}, {v}) does not cross"
             )
+        arcs.append((u, v) if u in left_set else (v, u))
     degs = g.degrees()
     r = degs[0] if g.n else 0
     for v in range(g.n):
         if degs[v] != r:
             raise NotRegularError(f"vertex {v} has degree {degs[v]}, expected {r}")
-    return _euler_split(g.n, g.edges, left_mask, r)
+    return _euler_split(g.n, arcs, r)
 
 
-def _euler_split(
-    n: int, edges: Sequence[tuple[int, int]], left_mask: Sequence[bool], r: int
-) -> list[frozenset[int]]:
+def _euler_split(n: int, arcs: Sequence[tuple[int, int]], r: int) -> list[frozenset[int]]:
     """The Euler splitting of ``decompose_regular_bipartite``, unchecked.
 
-    The caller vouches that every edge of ``edges`` crosses ``left_mask`` and
-    that every vertex of 0..n-1 meets r edges or none.  Returns r matchings,
-    perfect on the vertices met, as sets of edge ids, in closing order.
+    ``arcs[e]`` is the pair of edge e with its left endpoint first, so the
+    walk's arc e runs forward iff it leaves ``arcs[e][0]``.  The caller
+    vouches that no arc joins two left or two right vertices and that every
+    vertex of 0..n-1 meets r arcs or none.  Returns r matchings, perfect on
+    the vertices met, as sets of edge ids, in closing order.
     """
     out: list[frozenset[int]] = []
     # d-regular edge sets still to split; the forward half is popped first,
     # so the matchings close in the order of a depth-first recursion.  A
     # recursive nested function would be a reference cycle that keeps
-    # ``edges`` alive after the return, until the cyclic collector runs.
-    stack = [(list(range(len(edges))), r)] if r else []
+    # ``arcs`` alive after the return, until the cyclic collector runs.
+    stack = [(list(range(len(arcs))), r)] if r else []
     while stack:
         ids, d = stack.pop()
         if d == 1:
             out.append(frozenset(ids))
             continue
         if d % 2:
-            pm = _max_matching_ids(n, edges, ids)
+            pm = _max_matching_ids(n, arcs, ids)
             if len(pm) * d != len(ids):  # unreachable: a regular bipartite graph satisfies Hall
                 raise RuntimeError("internal: regular bipartite graph lost its perfect matching")
             out.append(pm)
@@ -254,8 +255,8 @@ def _euler_split(
             d -= 1
         forward: list[int] = []
         backward: list[int] = []
-        for e, tail in zip(ids, _euler_tails(n, edges, ids)):
-            (forward if left_mask[tail] else backward).append(e)
+        for e, tail in zip(ids, _euler_tails(n, arcs, ids)):
+            (forward if tail == arcs[e][0] else backward).append(e)
         stack += ((backward, d // 2), (forward, d // 2))
     return out
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .flows import DEFAULT_BUDGET, IntFlow, verify_flow
+from .flows import DEFAULT_BUDGET, IntFlow, _checked, verify_flow
 from .graphs import MultiGraph
 
 
@@ -149,11 +149,7 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             bucket[rw][w] = None
         stack.append((e, u, w, values))
 
-    flow = IntFlow(g, tuple(val), k)
-    report = verify_flow(g, flow)
-    if not report.ok:  # cannot happen: the search enforces every constraint
-        raise RuntimeError(f"internal: found flow fails verification: {report.violation}")
-    return SearchOutcome("found", flow, nodes, budget)
+    return SearchOutcome("found", _checked(g, val, k), nodes, budget)
 
 
 def flow_number(g: MultiGraph, k_max: int, budget: int = DEFAULT_BUDGET) -> FlowNumberResult:

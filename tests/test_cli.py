@@ -7,6 +7,7 @@ from zsflow.cli import main
 from zsflow.errors import FactorSearchError, FlowNonexistentError
 from zsflow.flows import parse_flow, verify_flow
 from zsflow.graphs import complete, cubic_no_pm, cycle, parse_edge_list, write_edge_list
+from zsflow.solver import DEFAULT_BUDGET
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -70,21 +71,6 @@ class TestConstruct:
         assert main(["construct", path, "--budget", "-1"]) == 2
         captured = capsys.readouterr()
         assert "budget" in captured.err and not captured.out
-
-    def test_negative_budget_env_var_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ZSFLOW_BUDGET", "-1")
-        path = write_graph(tmp_path, complete(5))
-        assert main(["construct", path]) == 2
-        captured = capsys.readouterr()
-        assert "budget" in captured.err and not captured.out
-
-    def test_non_integer_budget_env_var_names_the_variable(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ZSFLOW_BUDGET", "abc")
-        path = write_graph(tmp_path, complete(5))
-        assert main(["construct", path]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: ZSFLOW_BUDGET must be an integer, got 'abc'\n"
-        assert not captured.out
 
     def test_factor_search_error_exit_5(self, tmp_path, capsys, monkeypatch):
         def give_up(g, budget=None):
@@ -229,21 +215,23 @@ class TestSolve:
         doc = parse_flow(open(fpath).read())
         assert verify_flow(cycle(4), doc.values, k=2).ok
 
-    def test_budget_env_var(self, tmp_path, capsys, monkeypatch):
+    def test_budget_flag(self, tmp_path, capsys):
+        path = write_graph(tmp_path, cubic_no_pm())
+        assert main(["solve", path, "--k", "5", "--budget", "2"]) == 4
+        out = capsys.readouterr().out
+        assert "budget: 2" in out and "outcome: undecided" in out
+
+    def test_budget_defaults_whatever_the_environment(self, tmp_path, capsys, monkeypatch):
+        # the flag is the only way to set a budget
         monkeypatch.setenv("ZSFLOW_BUDGET", "2")
         path = write_graph(tmp_path, cubic_no_pm())
-        assert main(["solve", path, "--k", "5"]) == 4
-        assert "outcome: undecided" in capsys.readouterr().out
+        assert main(["solve", path, "--k", "5"]) == 0
+        out = capsys.readouterr().out
+        assert f"budget: {DEFAULT_BUDGET}" in out and "outcome: found" in out
 
     def test_negative_budget_flag_usage_error(self, tmp_path, capsys):
         path = write_graph(tmp_path, cubic_no_pm())
         assert main(["solve", path, "--k", "5", "--budget", "-1"]) == 2
-        assert "budget" in capsys.readouterr().err
-
-    def test_negative_budget_env_var_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ZSFLOW_BUDGET", "-1")
-        path = write_graph(tmp_path, cubic_no_pm())
-        assert main(["solve", path, "--k", "5"]) == 2
         assert "budget" in capsys.readouterr().err
 
 

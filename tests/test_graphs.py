@@ -76,6 +76,11 @@ class TestQueries:
         with pytest.raises(ValueError, match=f"^edge id {bad} out of range for m=6$"):
             subgraph_from_edges(complete(4), [0, bad])
 
+    def test_subgraph_vertices_are_the_endpoints(self):
+        sub, vmap, emap = subgraph_from_edges(cycle(6), [4, 1])
+        assert (vmap, emap) == ([1, 2, 4, 5], [1, 4])
+        assert sub.edges == ((0, 1), (2, 3))
+
     def test_components_match_union_find_without_incidence_lists(self):
         rng = random.Random(3)
         for n in (1, 7, 30, 60):
@@ -153,7 +158,7 @@ class TestGenerators:
     def test_cubic_no_pm_center_separates_three_odd_parts(self):
         g = cubic_no_pm()
         keep = [e for e, (u, v) in enumerate(g.edges) if 15 not in (u, v)]
-        sub, vmap, _ = subgraph_from_edges(g, keep, vertices=range(15))
+        sub, vmap, _ = subgraph_from_edges(g, keep)
         assert sorted(len(c) for c in components(sub)) == [5, 5, 5]
 
     def test_circulant_degree(self):
