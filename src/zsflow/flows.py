@@ -242,15 +242,15 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
     Even r >= 4 gives k=3 and odd r gives k=5.  For odd r the first branch
     that applies builds the flow: a perfect matching gives the matching
     3-flow (values in {±1, ±2}); r ≡ 3 (mod 6) the signed double cover
-    (values 2, -1, -4); r >= 7 the paper's [k-1, k]-factor construction;
-    r = 5 with a 2-factor -3 on it and 2 elsewhere; any other r = 5 the
+    (values 2, -1, -4); r = 5 with a 2-factor -3 on it and 2 elsewhere;
+    r >= 7 the paper's [k-1, k]-factor construction; any other r = 5 the
     exact search for a 5-flow, whose existence there is an open
     conjecture.  On r in {3, 5} a direct flow stands for the m nodes in
     which that search would assign every edge, so a budget below the whole
-    graph's m raises FlowUndecidedError before any work.  Disconnected
-    inputs are handled per component; each component's construction
-    verifies its own flow, so the whole is verified once.  A negative
-    budget raises ValueError.
+    graph's m raises FlowUndecidedError before any work.  Only the factor
+    construction and the search split a disconnected input: each component
+    takes its own branch with the whole budget and verifies its own flow,
+    so the whole is verified once.  A negative budget raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
@@ -265,28 +265,6 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
         raise UnsupportedDegreeError(f"no zero-sum flow construction for r={r} < 3")
     if r < 7 and r % 2 and budget < g.m:  # a direct flow stands for m search nodes
         raise _undecided(r, budget)
-    comps = components(g)
-    if len(comps) == 1:
-        return _construct_connected(g, r, budget)
-    label = [0] * g.n
-    for c, comp in enumerate(comps):
-        for v in comp:
-            label[v] = c
-    inside: list[list[int]] = [[] for _ in comps]
-    for e, (u, _) in enumerate(g.edges):
-        inside[label[u]].append(e)
-    values = [0] * g.m
-    k = 0
-    for ids in inside:
-        sub, _, emap = subgraph_from_edges(g, ids)
-        flow = _construct_connected(sub, r, budget)
-        for e, val in zip(emap, flow.values):
-            values[e] = val
-        k = flow.k
-    return IntFlow(g, tuple(values), k)
-
-
-def _construct_connected(g: MultiGraph, r: int, budget: int) -> IntFlow:
     if r % 2 == 0:
         return flow_even_regular(g)
     matching = max_matching(g)
@@ -295,12 +273,28 @@ def _construct_connected(g: MultiGraph, r: int, budget: int) -> IntFlow:
     if r % 3 == 0:
         # the signed double cover, with values 2, -1, -4
         return _checked(g, _weighting(g, range(g.m), r, 0), 5)
+    if r == 5:
+        # -3 on a 2-factor and 2 on the 3 other edges at each vertex
+        factor = find_exact_factor(g, [2] * g.n)
+        if factor is not None:
+            return _checked(g, [-3 if e in factor else 2 for e in range(g.m)], 5)
+    comps = components(g)
+    if len(comps) > 1:
+        label = [0] * g.n
+        for c, comp in enumerate(comps):
+            for v in comp:
+                label[v] = c
+        inside: list[list[int]] = [[] for _ in comps]
+        for e, (u, _) in enumerate(g.edges):
+            inside[label[u]].append(e)
+        values = [0] * g.m
+        for ids in inside:
+            sub, _, emap = subgraph_from_edges(g, ids)
+            for e, val in zip(emap, construct(sub, budget).values):
+                values[e] = val
+        return IntFlow(g, tuple(values), 5)
     if r >= 7:
         return flow_odd_regular(g)
-    # r = 5: -3 on a 2-factor and 2 on the 3 other edges at each vertex
-    factor = find_exact_factor(g, [2] * g.n)
-    if factor is not None:
-        return _checked(g, [-3 if e in factor else 2 for e in range(g.m)], 5)
     from .solver import solve
 
     outcome = solve(g, 5, budget)

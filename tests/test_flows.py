@@ -500,16 +500,34 @@ class TestConstruct:
         assert verify_flow(g, flow).ok
         assert calls == {"_two_factors": 1, "regular_component_factor": 0}
 
-    @pytest.mark.parametrize("r", [4, 7, 8, 9, 11, 13])
-    def test_connected_input_builds_no_subgraph(self, r, monkeypatch):
-        # weightings read edge-id parts of the host; random_regular(60, r)
-        # is connected, and for odd r it has a perfect matching
+    @pytest.mark.parametrize(
+        "parts",
+        [[random_regular(60, r, seed=r + 2)] for r in (4, 7, 8, 9, 11, 13)]
+        + [
+            [random_regular(11, 4, seed=1), complete(5)],
+            [complete(8), random_regular(20, 7, seed=1)],
+            [build(*hub_pairs(9)), complete(10)],
+            [cubic_no_pm()] * 2,
+            [_gadget_hub(5, (1, 1, 3)), complete(6)],
+        ],
+        ids=["4", "7", "8", "9", "11", "13"]
+        + ["r4_pair", "r7_matchings", "r9_hub_and_k10", "two_cubic_no_pm", "r5_hub_and_k6"],
+    )
+    def test_built_branches_take_the_whole_graph(self, parts, monkeypatch):
+        # weightings read edge-id parts of the host, and every branch but the
+        # factor construction and the search builds one flow on the whole
+        # graph: random_regular(60, r) is connected and for odd r it has a
+        # perfect matching; a disconnected input's branch applies to the
+        # whole when it applies to every component
         calls = []
-        real = flows.subgraph_from_edges
-        monkeypatch.setattr(
-            flows, "subgraph_from_edges", lambda *args, **kw: calls.append(1) or real(*args, **kw)
-        )
-        g = random_regular(60, r, seed=r + 2)
+        for name in ("components", "subgraph_from_edges"):
+
+            def spy(*args, _name=name, _real=getattr(flows, name)):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(flows, name, spy)
+        g = _union(*parts)
         assert verify_flow(g, construct(g)).ok
         assert calls == []
 
@@ -585,9 +603,9 @@ class TestConstruct:
         assert flow.k == 3
         assert verify_flow(g, flow).ok
 
-    def test_disconnected_verifies_each_component_once(self, monkeypatch):
-        # each component's construction verifies its own flow; the assembled
-        # whole is not verified again
+    def test_disconnected_whole_is_verified_once(self, monkeypatch):
+        # the even branch builds one flow on the whole disconnected graph and
+        # verifies it once; no component is verified on its own
         calls = []
         real = flows.verify_flow
 
@@ -598,25 +616,44 @@ class TestConstruct:
         monkeypatch.setattr(flows, "verify_flow", spy)
         g = _union(*[complete(5)] * 40)
         assert construct(g).k == 3
-        assert calls == [5] * 40
+        assert calls == [200]
 
     @pytest.mark.parametrize(
-        "parts, k",
+        "parts, k, factored, searched",
         [
-            ([random_regular(11, 4, seed=1), complete(5)], 3),
-            ([complete(8), random_regular(20, 7, seed=1)], 5),  # perfect matchings
-            ([build(*hub_pairs(9)), complete(10)], 5),  # signed cover beside a matching
-            ([cubic_no_pm(), cubic_no_pm()], 5),  # the r = 3 signed cover
+            ([random_regular(11, 4, seed=1), complete(5)], 3, [], []),
+            ([complete(8), random_regular(20, 7, seed=1)], 5, [], []),  # perfect matchings
+            ([build(*hub_pairs(9)), complete(10)], 5, [], []),  # the signed cover on the whole graph
+            ([cubic_no_pm(), cubic_no_pm()], 5, [], []),  # the r = 3 signed cover
+            # no perfect matching in the whole: K8 takes the matching flow and
+            # only the hub the factor construction
+            ([complete(8), _gadget_hub(7, (1, 1, 1, 1, 3))], 5, [16], []),
+            # neither a perfect matching nor a 2-factor in the whole: K6 takes
+            # the matching flow and only the hub (n = 36) the search
+            ([build(*hub_pairs(5)), complete(6)], None, [], [36]),
         ],
-        ids=["r4", "r7_matching", "r9_hub_and_k10", "two_cubic_no_pm"],
+        ids=["r4", "r7_matching", "r9_hub_and_k10", "two_cubic_no_pm", "r7_k8_and_mixed_hub", "r5_hub_and_k6"],
     )
-    def test_disconnected_sums_vanish_on_every_branch(self, parts, k):
-        # vertex sums counted here, not by verify_flow
+    def test_disconnected_sums_vanish_on_every_branch(self, parts, k, factored, searched, monkeypatch):
+        calls = {"regular_component_factor": [], "solve": []}
+        for module, name in ((flows, "regular_component_factor"), (solver, "solve")):
+
+            def spy(g, *args, _name=name, _real=getattr(module, name)):
+                calls[_name].append(g.n)
+                return _real(g, *args)
+
+            monkeypatch.setattr(module, name, spy)
         g = _union(*parts)
-        flow = construct(g)
-        assert flow.k == k
-        assert all(0 < abs(val) < k for val in flow.values)
-        assert vertex_sums(g, flow.values) == [0] * g.n
+        if k is None:
+            with pytest.raises(FlowUndecidedError):
+                construct(g, budget=10**4)
+        else:
+            # vertex sums counted here, not by verify_flow
+            flow = construct(g, budget=10**4)
+            assert flow.k == k
+            assert all(0 < abs(val) < k for val in flow.values)
+            assert vertex_sums(g, flow.values) == [0] * g.n
+        assert calls == {"regular_component_factor": factored, "solve": searched}
 
     @pytest.mark.parametrize("g", [complete(5), complete(8)], ids=["r4", "r7"])
     def test_negative_budget_rejected_without_search(self, g):
