@@ -70,7 +70,8 @@ def _cmd_construct(args) -> int:
     lines = _header("construct") + _graph_block(args.graph, args.format, g)
     lines += ["outcome: flow", f"k: {flow.k}", "verified: pass", f"wall_time_s: {wall:.3f}"]
     text = write_flow(flow)
-    lines += ["flow:", *text.splitlines()[1:]]  # the flow file's body, without its header
+    # the flow file's body, without its header, as one string ("flow:" alone when m = 0)
+    lines.append("flow:" + text[text.index("\n") :].rstrip("\n"))
     _emit(lines, args.out)
     if args.flow_out:
         Path(args.flow_out).write_text(text)
@@ -117,7 +118,7 @@ def _cmd_solve(args) -> int:
     if outcome.status == "found":
         lines += ["verified: pass", f"wall_time_s: {wall:.3f}"]
         text = write_flow(outcome.flow)
-        lines += ["flow:", *text.splitlines()[1:]]
+        lines.append("flow:" + text[text.index("\n") :].rstrip("\n"))
         if args.flow_out:
             Path(args.flow_out).write_text(text)
     else:

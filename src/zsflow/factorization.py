@@ -33,7 +33,7 @@ def euler_orientation(g: MultiGraph) -> list[tuple[int, int]]:
     for v in range(g.n):
         if g.degree(v) % 2:
             raise ValueError(f"vertex {v} has odd degree {g.degree(v)}, cannot balance")
-    tails = _euler_tails(g.n, g.edges, range(g.m))
+    tails, _ = _euler_tails(g.n, g.edges, range(g.m))
     return [(u, v) if t == u else (v, u) for t, (u, v) in zip(tails, g.edges)]
 
 
@@ -68,7 +68,7 @@ def _two_factors(g: MultiGraph, ids: Sequence[int], d: int) -> list[frozenset[in
     the 2-factors, as sets of positions in ``ids`` sorted by their smallest.
     """
     n, edges = g.n, g.edges
-    pairs = zip(_euler_tails(n, edges, ids), (edges[e] for e in ids))
+    pairs = zip(_euler_tails(n, edges, ids)[0], (edges[e] for e in ids))
     arcs = [(u, n + v) if t == u else (v, n + u) for t, (u, v) in pairs]
     return sorted(_euler_split(2 * n, arcs, d // 2), key=min)
 

@@ -8,12 +8,15 @@ route through the exact search in `solver`.
 
 Every construction gives regular parts of g weightings with a constant
 vertex sum q (`_weighting`) and one value to every other edge; a part is a
-list of g's edge ids, and no subgraph is built.  For odd r, `construct`
-takes the first construction the input allows: with a perfect matching M,
-the 3-flow with -2 on M and q = 2 on G - M; for r ≡ 3 (mod 6), the signed
-double cover, which like even r is q = 0 on all of g; for r >= 7, the
-paper's [k-1, k]-factor construction (`flow_odd_regular`); for r = 5, -3
-on a 2-factor and 2 elsewhere.  All of them report k = 5.
+list of g's edge ids, and no subgraph is built.  Even r is q = 0 on all of
+g: +1/-1 along each component's Euler circuit, a 2-flow, wherever the
+component has an even edge count, and 2-factor values elsewhere.  For odd
+r, `construct` takes the first construction the input allows: with a
+perfect matching M, the 3-flow with -2 on M and q = 2 on G - M; for
+r ≡ 3 (mod 6), the signed double cover, which like even r is q = 0 on all
+of g; for r >= 7, the paper's [k-1, k]-factor construction
+(`flow_odd_regular`); for r = 5, -3 on a 2-factor and 2 elsewhere.  All of
+them report k = 5.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .factorization import _two_factors, regular_component_factor
-from .graphs import MultiGraph, components, regular_degree, subgraph_from_edges
+from .graphs import MultiGraph, _euler_tails, components, regular_degree, subgraph_from_edges
 from .matching import _euler_split, find_exact_factor, max_matching
 
 DEFAULT_BUDGET = 100_000_000  # search nodes, for `construct` and every `solver` entry point
@@ -163,16 +166,24 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
 
     ``ids`` ascend and may leave vertices of g uncovered.  Even d takes q = 0
     (d >= 4), q = 2 or an even q in [d, 4d]: 2-factor i gets value i of
-    `_split_sum(q/2, d/2)`.  Odd d takes an even q in [2d, 4d], or q = 0 when
-    3 divides d: the double cover's d perfect matchings get weights 2s then
+    `_split_sum(q/2, d/2)`.  At q = 0 one Euler walk comes first, and each
+    component whose circuit has an even length gets `_alternate`'s +1 and -1
+    instead.  Only the components of odd length, which have no 2-flow, take
+    the 2-factors, as one part.  Odd d takes an even q in [2d, 4d], or q = 0
+    when 3 divides d: the double cover's d perfect matchings get weights 2s then
     1s, or +1 on 2d/3 and -2 on d/3, and ``ids[i]`` sums its arcs 2i and 2i + 1.
     Each vertex meets every 2-factor twice and every matching as tail and as head.
     """
     values = [0] * len(ids)
     if d % 2 == 0:
-        for val, factor in zip(_split_sum(q // 2, d // 2), _two_factors(g, ids, d)):
-            for i in factor:
-                values[i] = val
+        rest: Sequence[int] = range(len(ids))  # the positions the 2-factors weight
+        if q == 0:
+            rest = _alternate(values, _euler_tails(g.n, g.edges, ids)[1])
+        if rest:
+            part = ids if len(rest) == len(ids) else [ids[i] for i in rest]
+            for val, factor in zip(_split_sum(q // 2, d // 2), _two_factors(g, part, d)):
+                for j in factor:
+                    values[rest[j]] = val
         return values
     twos, third = (q - 2 * d) // 2, d // 3
     weights = [2] * twos + [1] * (d - twos) if q else [1] * (2 * third) + [-2] * third
@@ -181,6 +192,27 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
         for arc in pm:
             values[arc // 2] += w
     return values
+
+
+def _alternate(values: list[int], circuits: Iterable[list[int]]) -> Sequence[int]:
+    """+1 and -1 in turn along each circuit of even length; the positions on the others.
+
+    A circuit lists positions in walk order, so each pass through a vertex
+    enters on one sign and leaves on the other, and an even circuit's last
+    and first values also differ at its start: every vertex it covers sums
+    to zero.  The other positions come back ascending, as a range when they
+    are all of them, so that no list of every position stays alive.
+    """
+    odd: list[int] = []
+    for closed in circuits:
+        if len(closed) % 2:
+            odd += closed
+        else:
+            for i in closed[::2]:
+                values[i] = 1
+            for i in closed[1::2]:
+                values[i] = -1
+    return sorted(odd) if len(odd) < len(values) else range(len(values))
 
 
 def _parts_flow(g: MultiGraph, parts: Iterable[Collection[int]], outside: int) -> IntFlow:
@@ -208,8 +240,11 @@ def _parts_flow(g: MultiGraph, parts: Iterable[Collection[int]], outside: int) -
 def flow_even_regular(g: MultiGraph) -> IntFlow:
     """Zero-sum 3-flow of an r-regular graph with even r >= 4.
 
-    The q = 0 weighting: the r/2 two-factors get alternating +1/-1, led by
-    2, -1, -1 when their count is odd.
+    The q = 0 weighting.  A component with an even edge count (always when
+    4 divides r) gets +1/-1 along its Euler circuit, so the values are all
+    ±1 exactly when the graph has a zero-sum 2-flow.  Any other component
+    takes its r/2 two-factors valued alternating +1/-1, led by 2, -1, -1
+    when their count is odd.
     """
     r = regular_degree(g)
     if r is None:

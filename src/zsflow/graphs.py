@@ -128,14 +128,21 @@ def components(g: MultiGraph) -> list[list[int]]:
     return out
 
 
-def _euler_tails(n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int]) -> list[int]:
-    """Tails of one balanced orientation of the edges ``ids`` (ascending).
+def _euler_tails(
+    n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int]
+) -> tuple[list[int], list[list[int]]]:
+    """One balanced orientation of the edges ``ids`` (ascending), and its circuits.
 
     ``edges`` maps an edge id to its endpoints in 0..n-1, and every vertex
     must have even degree within ``ids``.  Hierholzer's walk starts at each
     vertex in turn and, standing at v, leaves v along its unused edge of
-    smallest id.  Returns ``tails[i]``, the vertex the walk left edge
-    ``ids[i]`` from.  No graph is built: the walk reads ``edges`` directly.
+    smallest id.  Returns ``(tails, circuits)``: ``tails[i]`` is the vertex
+    the walk left edge ``ids[i]`` from, and ``circuits`` holds one list per
+    component, by smallest vertex, of its positions i in the order the walk
+    closes them (backs out over them).  That order is a closed trail read
+    backwards: consecutive edges share a vertex, and the last and the first
+    meet at the component's smallest vertex.  No graph is built: the walk
+    reads ``edges`` directly.
     """
     inc: list[list[int]] = [[] for _ in range(n)]
     far = [0] * len(ids)  # u ^ v: from one end x of ids[i], the other is far[i] ^ x
@@ -144,23 +151,31 @@ def _euler_tails(n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int]) -
         inc[u].append(i)
         inc[v].append(i)
         far[i] = u ^ v
-    used = [False] * len(ids)
-    tails = [0] * len(ids)
+    tails: list = [None] * len(ids)  # None until the walk leaves along the edge
+    circuits: list[list[int]] = []
+    stack: list[int] = []  # the trail from start to v, as edge positions
+    closed: list[int] = []
     for start in range(n):
-        stack = [start]  # vertices the walk can resume from, the latest last
-        while stack:
-            v = stack.pop()
+        v = start
+        while True:
             out = inc[v]
             while out:
                 i = out.pop()
-                if used[i]:
+                if tails[i] is not None:
                     continue
-                used[i] = True
                 tails[i] = v
-                stack.append(v)
+                stack.append(i)
                 v = far[i] ^ v
                 out = inc[v]
-    return tails
+            if not stack:
+                break
+            i = stack.pop()
+            closed.append(i)
+            v = tails[i]
+        if closed:
+            circuits.append(closed)
+            closed = []
+    return tails, circuits
 
 
 def subgraph_from_edges(g: MultiGraph, edge_ids: Iterable[int]) -> tuple[MultiGraph, list[int], list[int]]:

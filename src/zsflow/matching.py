@@ -255,7 +255,7 @@ def _euler_split(n: int, arcs: Sequence[tuple[int, int]], r: int) -> list[frozen
             d -= 1
         forward: list[int] = []
         backward: list[int] = []
-        for e, tail in zip(ids, _euler_tails(n, arcs, ids)):
+        for e, tail in zip(ids, _euler_tails(n, arcs, ids)[0]):
             (forward if tail == arcs[e][0] else backward).append(e)
         stack += ((backward, d // 2), (forward, d // 2))
     return out

@@ -18,6 +18,7 @@ from zsflow.factorization import (
 from zsflow.flows import constant_sum_weighting, construct, verify_flow
 from zsflow.graphs import (
     MultiGraph,
+    _euler_tails,
     build,
     complete,
     components,
@@ -309,6 +310,34 @@ class TestEulerOrientation:
     def test_deterministic(self):
         g = _doubled(petersen())
         assert euler_orientation(g) == euler_orientation(g)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_walk_closes_each_component_as_one_circuit(self, seed):
+        # three components with interleaved ids, parallel edges, and edges
+        # outside the id list that leave vertices uncovered
+        rng = random.Random(seed)
+        g = _union(_doubled(cycle(3)), random_regular(10, 4, seed), cycle(5), complete(5))
+        label = rng.sample(range(g.n), g.n)
+        pairs = [((label[u], label[v]), u < 18) for u, v in g.edges]  # K5 is left out
+        rng.shuffle(pairs)
+        edges = [pair for pair, _ in pairs]
+        ids = [e for e, (_, inside) in enumerate(pairs) if inside]
+        tails, circuits = _euler_tails(g.n, edges, ids)
+        assert sorted(i for closed in circuits for i in closed) == list(range(len(ids)))
+        starts = []
+        for closed in circuits:
+            heads = [edges[ids[i]][0] ^ edges[ids[i]][1] ^ tails[i] for i in closed]
+            for j in range(len(closed) - 1):
+                assert heads[j + 1] == tails[closed[j]]  # consecutive edges share a vertex
+            assert tails[closed[-1]] == heads[0]  # the circuit closes at its start
+            verts = {v for i in closed for v in edges[ids[i]]}
+            assert heads[0] == min(verts)
+            starts.append(min(verts))
+            visited = [0] * g.n
+            for i in closed:
+                visited[tails[i]] += 1
+            assert all(2 * visited[v] == sum(v in edges[ids[i]] for i in closed) for v in verts)
+        assert starts == sorted(starts) and len(starts) == 3
 
 
 class TestTwoFactorization:

@@ -6,7 +6,8 @@ import zlib
 from itertools import product
 
 import pytest
-from test_factorization import _gadget_hub, _matching_union, _union
+from oracles import flow_exists_by_enumeration
+from test_factorization import _doubled, _gadget_hub, _matching_union, _union
 
 from zsflow import factorization, flows, matching, solver
 from zsflow.errors import (
@@ -300,6 +301,73 @@ class TestEvenRegular:
             flow = flow_even_regular(g)
             assert verify_flow(g, flow).ok
             assert set(flow.values) <= {1, -1, 2, -2}
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete(5),
+            build(5, list(cycle(5).edges) * 2),
+            build(3, list(cycle(3).edges) * 3),
+            build(5, list(cycle(5).edges) * 3),
+            *(random_regular(8, r, seed) for r in (4, 6) for seed in range(3)),
+            _union(build(3, list(cycle(3).edges) * 3), random_regular(8, 6, seed=1)),
+        ],
+    )
+    def test_values_are_a_two_flow_iff_one_exists(self, g):
+        # vertex sums counted here, not by verify_flow; the last graph joins a
+        # component with a 2-flow to one without (6-regular, since every
+        # 4-regular graph has an even edge count)
+        flow = construct(g)
+        assert flow.k == 3
+        assert vertex_sums(g, flow.values) == [0] * g.n
+        assert (max(map(abs, flow.values)) == 1) == flow_exists_by_enumeration(g, 2)
+
+    def test_even_components_take_one_walk_and_no_two_factors(self, monkeypatch):
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapped(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(flows, "_two_factors")
+        spy(flows, "_euler_split")
+        spy(flows, "max_matching")
+        spy(matching, "_max_matching_ids")
+        for module in (flows, factorization, matching):
+            spy(module, "_euler_tails")
+        graphs = [random_regular(40, r, seed=r) for r in (4, 6, 8)]
+        graphs += [
+            complete(9),
+            _union(random_regular(11, 4, seed=1), complete(5)),
+            _union(random_regular(10, 6, seed=1), _doubled(complete(4)), random_regular(8, 6, seed=2)),
+        ]
+        for g in graphs:
+            calls.clear()
+            flow = construct(g)
+            assert calls == ["_euler_tails"]
+            assert set(flow.values) == {1, -1}
+            assert vertex_sums(g, flow.values) == [0] * g.n
+
+    def test_only_an_odd_component_takes_the_two_factors(self, monkeypatch):
+        parts = []
+        real = flows._two_factors
+
+        def spy(g, ids, d):
+            parts.append(list(ids))
+            return real(g, ids, d)
+
+        monkeypatch.setattr(flows, "_two_factors", spy)
+        g = _union(complete(7), random_regular(10, 6, seed=1))
+        flow = construct(g)
+        assert parts == [list(range(21))]
+        assert vertex_sums(g, flow.values) == [0] * g.n
+        assert 2 in flow.values[:21]
+        assert set(flow.values[21:]) == {1, -1}
 
     def test_r2_rejected(self):
         with pytest.raises(UnsupportedDegreeError):
