@@ -40,7 +40,10 @@ def _load_graph(path: str, fmt: str) -> MultiGraph:
 
 
 def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+    _write("\n".join(lines) + "\n", out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
@@ -161,7 +164,7 @@ def _cmd_generate(args) -> int:
         usage = " ".join(("generate", args.family, *names))
         raise ValueError(f"expected '{usage}', got {len(args.params)} parameter(s)")
     g = generate(*args.params, seed=args.seed)
-    _emit(write_edge_list(g).splitlines(), args.out)
+    _write(write_edge_list(g), args.out)
     return 0
 
 

@@ -47,7 +47,7 @@ def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
         raise NotRegularError("two_factorization needs a regular graph")
     if r == 0 or r % 2:
         raise NotRegularError(f"need an even-regular graph with r >= 2, got r={r}")
-    factors = _two_factors(g, range(g.m), r)
+    factors = _two_factors(g, range(g.m), r, _euler_tails(g.n, g.edges, range(g.m))[0])
     seen: set[int] = set()
     for f in factors:
         if any(d != 2 for d in _factor_degrees(g, f)):
@@ -60,17 +60,20 @@ def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
     return factors
 
 
-def _two_factors(g: MultiGraph, ids: Sequence[int], d: int) -> list[frozenset[int]]:
+def _two_factors(g: MultiGraph, ids: Sequence[int], d: int, tails: list[int]) -> list[frozenset[int]]:
     """2-factors of the d-regular part ``ids`` (ascending edge ids of g), unchecked.
 
-    A balanced orientation gives ``ids[i]`` the arc i = ``(tail, n + head)``
-    from an out-copy to an in-copy vertex; the arcs' d/2 perfect matchings are
-    the 2-factors, as sets of positions in ``ids`` sorted by their smallest.
+    ``tails[i]`` is the tail of ``ids[i]`` in a balanced orientation, such
+    as the one `_euler_tails` walks.  It gives ``ids[i]`` the arc i =
+    ``(tail, n + head)`` from an out-copy to an in-copy vertex; the arcs' d/2
+    perfect matchings are the 2-factors, as sets of positions in ``ids``
+    sorted by their smallest.  The arcs overwrite ``tails`` in place, so
+    the caller's list of tails is not kept alive through the split.
     """
     n, edges = g.n, g.edges
-    pairs = zip(_euler_tails(n, edges, ids)[0], (edges[e] for e in ids))
-    arcs = [(u, n + v) if t == u else (v, n + u) for t, (u, v) in pairs]
-    return sorted(_euler_split(2 * n, arcs, d // 2), key=min)
+    pairs = zip(tails, (edges[e] for e in ids))
+    tails[:] = [(u, n + v) if t == u else (v, n + u) for t, (u, v) in pairs]
+    return sorted(_euler_split(2 * n, tails, d // 2), key=min)
 
 
 # ---------------------------------------------------------------------------

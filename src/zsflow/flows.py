@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     FlowNonexistentError,
@@ -32,7 +33,14 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .factorization import _two_factors, regular_component_factor
-from .graphs import MultiGraph, _euler_tails, components, regular_degree, subgraph_from_edges
+from .graphs import (
+    MultiGraph,
+    _canonical_ints,
+    _euler_tails,
+    components,
+    regular_degree,
+    subgraph_from_edges,
+)
 from .matching import _euler_split, find_exact_factor, max_matching
 
 DEFAULT_BUDGET = 100_000_000  # search nodes, for `construct` and every `solver` entry point
@@ -166,22 +174,25 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
 
     ``ids`` ascend and may leave vertices of g uncovered.  Even d takes q = 0
     (d >= 4), q = 2 or an even q in [d, 4d]: 2-factor i gets value i of
-    `_split_sum(q/2, d/2)`.  At q = 0 one Euler walk comes first, and each
-    component whose circuit has an even length gets `_alternate`'s +1 and -1
-    instead.  Only the components of odd length, which have no 2-flow, take
-    the 2-factors, as one part.  Odd d takes an even q in [2d, 4d], or q = 0
+    `_split_sum(q/2, d/2)`.  One Euler walk orients the part for the
+    2-factors, and at q = 0 each component whose circuit has an even length
+    gets `_alternate`'s +1 and -1 instead.  Only the components of odd
+    length, which have no 2-flow, take the 2-factors then, as one part with
+    the walk's tails on it.  Odd d takes an even q in [2d, 4d], or q = 0
     when 3 divides d: the double cover's d perfect matchings get weights 2s then
     1s, or +1 on 2d/3 and -2 on d/3, and ``ids[i]`` sums its arcs 2i and 2i + 1.
     Each vertex meets every 2-factor twice and every matching as tail and as head.
     """
     values = [0] * len(ids)
     if d % 2 == 0:
-        rest: Sequence[int] = range(len(ids))  # the positions the 2-factors weight
-        if q == 0:
-            rest = _alternate(values, _euler_tails(g.n, g.edges, ids)[1])
+        tails, circuits = _euler_tails(g.n, g.edges, ids)
+        # the positions the 2-factors weight, oriented by the same walk
+        rest: Sequence[int] = _alternate(values, circuits) if q == 0 else range(len(ids))
+        del circuits  # not kept alive through the split
         if rest:
-            part = ids if len(rest) == len(ids) else [ids[i] for i in rest]
-            for val, factor in zip(_split_sum(q // 2, d // 2), _two_factors(g, part, d)):
+            if len(rest) < len(ids):
+                ids, tails = [ids[i] for i in rest], [tails[i] for i in rest]
+            for val, factor in zip(_split_sum(q // 2, d // 2), _two_factors(g, ids, d, tails)):
                 for j in factor:
                     values[rest[j]] = val
         return values
@@ -362,10 +373,10 @@ def _checked(g: MultiGraph, values: Sequence[int], k: int) -> IntFlow:
 
 
 def write_flow(flow: IntFlow) -> str:
-    g = flow.host
-    lines = [f"{flow.k} {g.n} {g.m}"]
-    lines += [f"{e} {u} {v} {flow.values[e]}" for e, (u, v) in enumerate(g.edges)]
-    return "\n".join(lines) + "\n"
+    g, m = flow.host, flow.host.m
+    us, vs = zip(*g.edges) if m else ((), ())
+    fields = tuple(chain.from_iterable(zip(range(m), us, vs, flow.values)))
+    return f"{flow.k} {g.n} {m}\n" + ("%s %s %s %s\n" * m) % fields
 
 
 @dataclass(frozen=True)
@@ -385,7 +396,17 @@ class FlowDocument:
 
 
 def parse_flow(text: str) -> FlowDocument:
-    """Parse the flow format: header ``k n m`` then lines ``edge_id u v value``."""
+    """Parse the flow format: header ``k n m`` then lines ``edge_id u v value``.
+
+    Canonical text (as `write_flow` writes it, ids in order) takes one bulk
+    pass.  Any other text, or a failed bulk pass, takes the line scan: the
+    same document for every valid text, and each error names its line.
+    """
+    bulk = _canonical_ints(text, "  \n", "   \n")
+    if bulk is not None:
+        ints, m = bulk
+        if ints[2] == m and ints[1] >= 0 and ints[3::4] == list(range(m)):
+            return FlowDocument(*ints[:3], tuple(ints[6::4]), tuple(zip(ints[4::4], ints[5::4])))
     lines = text.splitlines()
     if not lines:
         raise GraphFormatError("empty flow file", line=1)

@@ -10,6 +10,7 @@ so graphs that are only parsed, generated or written never build them.
 
 from __future__ import annotations
 
+import json
 import random
 from collections.abc import Iterable, Sequence
 
@@ -349,8 +350,45 @@ def parse_graph6(text: str) -> MultiGraph:
     return MultiGraph(n, pairs)
 
 
+_FIELD_CHARS = str.maketrans("", "", "0123456789-")  # deleted, they leave the separators
+_COMMAS = str.maketrans(" \n", ",,")
+
+
+def _canonical_ints(text: str, head: str, line: str) -> tuple[list[int], int] | None:
+    """The integers of a canonical text and its count of body lines, or None.
+
+    Canonical: the separators are ``head``, then ``line`` per body line, and
+    a newline ends the text.  Deleting the digits and '-' leaves the
+    separators, and one `json.loads` decodes every field; JSON refuses a
+    stray '-', a leading zero and an int past the digit limit.
+    """
+    seps = text.translate(_FIELD_CHARS)
+    lines, extra = divmod(len(seps) - len(head), len(line))
+    if lines < 0 or extra or seps != head + line * lines or not text.endswith("\n"):
+        return None
+    try:
+        return json.loads("[" + text[:-1].translate(_COMMAS) + "]"), lines
+    except ValueError:
+        return None
+
+
 def parse_edge_list(text: str) -> MultiGraph:
-    """Parse the plain edge-list format: header ``n m`` then m lines ``u v``."""
+    """Parse the plain edge-list format: header ``n m`` then m lines ``u v``.
+
+    Canonical text (as `write_edge_list` writes it) whose n is at most its
+    count of integers takes one bulk pass, in which `MultiGraph` checks the
+    edges.  Any other text, or a failed bulk pass, takes the line scan: the
+    same graph for every valid text, and each error names its line.
+    """
+    bulk = _canonical_ints(text, " \n", " \n")
+    if bulk is not None:
+        ints, m = bulk
+        # a failed bulk pass allocates no more than the text; MultiGraph rejects n < 0
+        if ints[1] == m and ints[0] <= len(ints):
+            try:
+                return MultiGraph(ints[0], zip(ints[2::2], ints[3::2]))
+            except GraphError:
+                pass  # the line scan names the line
     lines = text.splitlines()
     if not lines:
         raise GraphFormatError("empty input", line=1)

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from oracles import flow_exists_by_enumeration
 from test_factorization import _doubled, _gadget_hub, _matching_union, _union
+from test_graphs import _outcome, _scan_variants, _set_line
 
 from zsflow import factorization, flows, matching, solver
 from zsflow.errors import (
@@ -18,6 +19,7 @@ from zsflow.errors import (
     UnsupportedDegreeError,
 )
 from zsflow.flows import (
+    FlowDocument,
     IntFlow,
     constant_sum_weighting,
     construct,
@@ -28,6 +30,7 @@ from zsflow.flows import (
     write_flow,
 )
 from zsflow.graphs import (
+    _canonical_ints,
     build,
     circulant,
     complete,
@@ -357,9 +360,9 @@ class TestEvenRegular:
         parts = []
         real = flows._two_factors
 
-        def spy(g, ids, d):
+        def spy(g, ids, d, tails):
             parts.append(list(ids))
-            return real(g, ids, d)
+            return real(g, ids, d, tails)
 
         monkeypatch.setattr(flows, "_two_factors", spy)
         g = _union(complete(7), random_regular(10, 6, seed=1))
@@ -368,6 +371,33 @@ class TestEvenRegular:
         assert vertex_sums(g, flow.values) == [0] * g.n
         assert 2 in flow.values[:21]
         assert set(flow.values[21:]) == {1, -1}
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete(7),
+            _union(complete(7), random_regular(10, 6, seed=1)),
+            _union(random_regular(9, 6, seed=1), complete(7), random_regular(11, 6, seed=2)),
+            random_regular(41, 6, seed=3),
+        ],
+    )
+    def test_odd_length_components_are_walked_once(self, g, monkeypatch):
+        # the 2-factors of the odd-length components take the first walk's
+        # tails; the split's own walks run on arcs of the bipartite double cover
+        walks = []
+        for module in (flows, factorization, matching):
+            real = module._euler_tails
+
+            def spy(n, edges, ids, _real=real):
+                if edges is g.edges:
+                    walks.append(len(ids))
+                return _real(n, edges, ids)
+
+            monkeypatch.setattr(module, "_euler_tails", spy)
+        flow = flow_even_regular(g)
+        assert walks == [g.m]
+        assert 2 in flow.values
+        assert vertex_sums(g, flow.values) == [0] * g.n
 
     def test_r2_rejected(self):
         with pytest.raises(UnsupportedDegreeError):
@@ -891,3 +921,75 @@ class TestFlowSerialization:
     def test_parse_bad_header(self):
         with pytest.raises(GraphFormatError, match="line 1"):
             parse_flow("nope")
+
+
+# mutations of the canonical flow file of construct(random_regular(12, 4,
+# seed=1)): 24 edge lines, so line 25 is the last
+FLOW_MUTATIONS = {
+    "zero value": lambda t: _set_line(t, 5, "3 0 1 0"),
+    "negative value": lambda t: _set_line(t, 5, "3 0 1 -7"),
+    "loop": lambda t: _set_line(t, 5, "3 4 4 1"),
+    "minus alone": lambda t: _set_line(t, 5, "3 0 1 -"),
+    "leading zeros": lambda t: _set_line(t, 5, "3 0 1 007"),
+    "plus sign": lambda t: _set_line(t, 5, "3 0 1 +1"),
+    "non-ASCII digit": lambda t: _set_line(t, 5, "3 0 1 \u0663"),
+    "5000-digit int": lambda t: _set_line(t, 5, "3 0 1 " + "9" * 5000),
+    "three fields": lambda t: _set_line(t, 5, "3 0 1"),
+    "five fields": lambda t: _set_line(t, 5, "3 0 1 1 1"),
+    "short body": lambda t: _set_line(t, 25, None),
+    "long body": lambda t: t + "24 0 1 1\n",
+    "non-integer header": lambda t: _set_line(t, 1, "3 12 x"),
+    "two-field header": lambda t: _set_line(t, 1, "12 24"),
+    "negative header": lambda t: _set_line(t, 1, "3 -12 24"),
+    "header m far past the body": lambda t: _set_line(t, 1, "3 12 1000000000000"),
+    "duplicate id": lambda t: _set_line(t, 5, "2 " + t.split("\n")[4].split(" ", 1)[1]),
+    "missing id": lambda t: _set_line(t, 5, None),
+    "id out of range": lambda t: _set_line(t, 5, "-3 " + t.split("\n")[4].split(" ", 1)[1]),
+    "field after the last newline": lambda t: t + "55",
+    "line after the last newline": lambda t: t + "24 0 1 55",
+    "permuted ids": lambda t: _set_line(_set_line(t, 4, t.split("\n")[4]), 5, t.split("\n")[3]),
+}
+
+
+class TestFlowBulkPass:
+    """Canonical flow files take one bulk pass; their variants take the line scan."""
+
+    TEXT = write_flow(construct(random_regular(12, 4, seed=1)))
+
+    @pytest.mark.parametrize("g", [random_regular(40, r, seed=r) for r in (3, 4, 7)] + [complete(4)])
+    def test_canonical_text_and_its_variants_parse_alike(self, g):
+        flow = construct(g)
+        text = write_flow(flow)
+        assert _canonical_ints(text, "  \n", "   \n") is not None
+        doc = parse_flow(text)
+        assert doc == FlowDocument(flow.k, g.n, g.m, flow.values, g.edges)
+        for variant in _scan_variants(text):
+            assert _canonical_ints(variant, "  \n", "   \n") is None
+            assert _outcome(parse_flow, variant) == doc
+
+    def test_no_edges(self):
+        text = "3 5 0\n"
+        assert _canonical_ints(text, "  \n", "   \n") == ([3, 5, 0], 0)
+        assert parse_flow(text) == FlowDocument(3, 5, 0, (), ()) == parse_flow("3 5 0")
+
+    @pytest.mark.parametrize("mutate", FLOW_MUTATIONS.values(), ids=FLOW_MUTATIONS)
+    def test_a_mutation_gives_what_its_variants_give(self, mutate):
+        text = mutate(self.TEXT)
+        expected = _outcome(parse_flow, text)
+        for variant in _scan_variants(text):
+            assert _outcome(parse_flow, variant) == expected
+
+    def test_ids_out_of_order_read_by_id(self):
+        assert parse_flow(FLOW_MUTATIONS["permuted ids"](self.TEXT)) == parse_flow(self.TEXT)
+
+    def test_errors_name_their_line(self):
+        for name, message in [
+            ("duplicate id", "line 5: duplicate edge id 2"),
+            ("id out of range", "line 5: edge id -3 out of range for m=24"),
+            ("five fields", "line 5: expected 'edge_id u v value'"),
+            ("missing id", "line 1: flow is missing edge 3"),
+            ("short body", "line 1: flow is missing edge 23"),
+            ("long body", "line 26: edge id 24 out of range for m=24"),
+        ]:
+            with pytest.raises(GraphFormatError, match=message):
+                parse_flow(FLOW_MUTATIONS[name](self.TEXT))

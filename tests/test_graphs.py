@@ -5,9 +5,11 @@ import random
 import pytest
 
 import zsflow
+from zsflow import graphs
 from zsflow.errors import GraphError, GraphFormatError
 from zsflow.graphs import (
     MultiGraph,
+    _canonical_ints,
     build,
     circulant,
     complete,
@@ -260,3 +262,109 @@ class TestSerialization:
         h = parse_edge_list(text)
         assert h.n == g.n and h.edges == g.edges
         assert write_edge_list(h) == text
+
+
+def _set_line(text: str, lineno: int, line: str | None) -> str:
+    """``text`` with its line ``lineno`` (1-based) replaced, or dropped when None."""
+    lines = text.split("\n")
+    lines[lineno - 1 : lineno] = [] if line is None else [line]
+    return "\n".join(lines)
+
+
+def _scan_variants(text: str) -> list[str]:
+    """Spellings of a canonical text with the same lines, none of them canonical."""
+    return [text.replace(" ", "\t"), text.replace("\n", "\r\n"), text + "\n", text.removesuffix("\n")]
+
+
+def _outcome(parse, text: str):
+    """What ``parse`` makes of ``text``: its result, or its error's type, message and line.
+
+    A message quotes its line, so a tab there reads as the space it replaced.
+    """
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc).replace("\\t", " "), getattr(exc, "line", None)
+
+
+def _graph_outcome(text: str):
+    g = _outcome(parse_edge_list, text)
+    return (g.n, g.edges) if isinstance(g, MultiGraph) else g
+
+
+# mutations of the canonical text of random_regular(12, 4, seed=1): 24 edge
+# lines, so line 25 is the last
+EDGE_LIST_MUTATIONS = {
+    "loop": lambda t: _set_line(t, 5, "3 3"),
+    "endpoint out of range": lambda t: _set_line(t, 5, "0 12"),
+    "negative endpoint": lambda t: _set_line(t, 5, "-1 2"),
+    "minus alone": lambda t: _set_line(t, 5, "- 2"),
+    "minus zero": lambda t: _set_line(t, 5, "-0 2"),
+    "leading zeros": lambda t: _set_line(t, 5, "007 2"),
+    "plus sign": lambda t: _set_line(t, 5, "+1 2"),
+    "non-ASCII digit": lambda t: _set_line(t, 5, "\u0663 2"),
+    "5000-digit int": lambda t: _set_line(t, 5, "9" * 5000 + " 2"),
+    "three fields": lambda t: _set_line(t, 5, "1 2 3"),
+    "one field": lambda t: _set_line(t, 5, "1"),
+    "short body": lambda t: _set_line(t, 25, None),
+    "long body": lambda t: t + "0 1\n",
+    "non-integer header": lambda t: _set_line(t, 1, "12 x"),
+    "three-field header": lambda t: _set_line(t, 1, "12 24 1"),
+    "negative header": lambda t: _set_line(t, 1, "-12 24"),
+    "header n too small": lambda t: _set_line(t, 1, "3 24"),
+    "isolated vertices": lambda t: _set_line(t, 1, "1000 24"),
+    "header m far past the body": lambda t: _set_line(t, 1, "12 1000000000000"),
+    "field after the last newline": lambda t: t + "55",
+    "line after the last newline": lambda t: t + "0 55",
+}
+
+
+class TestEdgeListBulkPass:
+    """Canonical text takes one bulk pass; its variants take the line scan."""
+
+    TEXT = write_edge_list(random_regular(12, 4, seed=1))
+
+    @pytest.mark.parametrize(
+        "g", [random_regular(40, r, seed=r) for r in (3, 4, 7)] + [build(5, []), cubic_no_pm()]
+    )
+    def test_canonical_text_and_its_variants_parse_alike(self, g):
+        text = write_edge_list(g)
+        assert _canonical_ints(text, " \n", " \n") is not None
+        h = parse_edge_list(text)
+        assert (h.n, h.edges) == (g.n, g.edges)
+        for variant in _scan_variants(text):
+            assert _canonical_ints(variant, " \n", " \n") is None
+            assert _graph_outcome(variant) == (g.n, g.edges)
+
+    @pytest.mark.parametrize("mutate", EDGE_LIST_MUTATIONS.values(), ids=EDGE_LIST_MUTATIONS)
+    def test_a_mutation_gives_what_its_variants_give(self, mutate):
+        text = mutate(self.TEXT)
+        expected = _graph_outcome(text)
+        for variant in _scan_variants(text):
+            assert _graph_outcome(variant) == expected
+
+    def test_mutations_past_the_structure_check_reach_the_later_checks(self):
+        # canonical in form and decoded whole, so the header checks or MultiGraph turn them back
+        names = ["loop", "endpoint out of range", "negative endpoint", "short body", "long body"]
+        names += ["negative header", "header n too small", "header m far past the body"]
+        for name in names:
+            assert _canonical_ints(EDGE_LIST_MUTATIONS[name](self.TEXT), " \n", " \n") is not None
+
+    def test_a_header_n_past_the_text_builds_nothing_before_the_scan(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(graphs, "MultiGraph", lambda n, pairs: built.append(n))
+        with pytest.raises(GraphFormatError, match="line 2: loop"):
+            parse_edge_list("1000000 1\n0 0\n")
+        assert built == []
+
+    def test_errors_name_their_line(self):
+        for name, line in [("loop", 5), ("endpoint out of range", 5), ("three fields", 5), ("short body", 1)]:
+            with pytest.raises(GraphFormatError) as info:
+                parse_edge_list(EDGE_LIST_MUTATIONS[name](self.TEXT))
+            assert info.value.line == line
+
+    def test_spellings_the_bulk_pass_refuses_are_read_as_int_reads_them(self):
+        # json reads -0 as int() does; 007, +1 and the Arabic-Indic 3 go to the scan
+        for name, edge in [("minus zero", (0, 2)), ("leading zeros", (7, 2)), ("plus sign", (1, 2))]:
+            assert parse_edge_list(EDGE_LIST_MUTATIONS[name](self.TEXT)).edges[3] == edge
+        assert parse_edge_list(EDGE_LIST_MUTATIONS["non-ASCII digit"](self.TEXT)).edges[3] == (3, 2)
