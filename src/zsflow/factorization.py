@@ -10,7 +10,6 @@ Edge sets are frozensets of edge ids.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import combinations
 
 from .errors import FactorSearchError, NotRegularError
@@ -40,14 +39,16 @@ def euler_orientation(g: MultiGraph) -> list[tuple[int, int]]:
 def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
     """Partition a 2k-regular multigraph into k spanning 2-regular factors.
 
-    `_two_factors` over all of g's edge ids, each factor re-verified.
+    A balanced orientation gives edge e the arc (tail, n + head); the arcs'
+    perfect matchings are the factors, sorted by their smallest id and re-verified.
     """
     r = regular_degree(g)
     if r is None:
         raise NotRegularError("two_factorization needs a regular graph")
     if r == 0 or r % 2:
         raise NotRegularError(f"need an even-regular graph with r >= 2, got r={r}")
-    factors = _two_factors(g, range(g.m), r, _euler_tails(g.n, g.edges, range(g.m))[0])
+    arcs = [(t, g.n + u + v - t) for t, (u, v) in zip(_euler_tails(g.n, g.edges, range(g.m))[0], g.edges)]
+    factors = sorted(_euler_split(2 * g.n, arcs, r // 2), key=min)
     seen: set[int] = set()
     for f in factors:
         if any(d != 2 for d in _factor_degrees(g, f)):
@@ -58,22 +59,6 @@ def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
     if seen != set(range(g.m)):
         raise RuntimeError("internal: two-factorization does not cover the edge set")
     return factors
-
-
-def _two_factors(g: MultiGraph, ids: Sequence[int], d: int, tails: list[int]) -> list[frozenset[int]]:
-    """2-factors of the d-regular part ``ids`` (ascending edge ids of g), unchecked.
-
-    ``tails[i]`` is the tail of ``ids[i]`` in a balanced orientation, such
-    as the one `_euler_tails` walks.  It gives ``ids[i]`` the arc i =
-    ``(tail, n + head)`` from an out-copy to an in-copy vertex; the arcs' d/2
-    perfect matchings are the 2-factors, as sets of positions in ``ids``
-    sorted by their smallest.  The arcs overwrite ``tails`` in place, so
-    the caller's list of tails is not kept alive through the split.
-    """
-    n, edges = g.n, g.edges
-    pairs = zip(tails, (edges[e] for e in ids))
-    tails[:] = [(u, n + v) if t == u else (v, n + u) for t, (u, v) in pairs]
-    return sorted(_euler_split(2 * n, tails, d // 2), key=min)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ Every construction gives regular parts of g weightings with a constant
 vertex sum q (`_weighting`) and one value to every other edge; a part is a
 list of g's edge ids, and no subgraph is built.  Even r is q = 0 on all of
 g: +1/-1 along each component's Euler circuit, a 2-flow, wherever the
-component has an even edge count, and 2-factor values elsewhere.  For odd
+component has an even edge count, and 2-factor values elsewhere.  Values
+go to a part's 2-factors or matchings as a multiset, split by value
+(`_value_split`): a piece whose values agree is not split further.  For odd
 r, `construct` takes the first construction the input allows: with a
 perfect matching M, the 3-flow with -2 on M and q = 2 on G - M; for
 r ≡ 3 (mod 6), the signed double cover, which like even r is q = 0 on all
@@ -32,7 +34,7 @@ from .errors import (
     NotRegularError,
     UnsupportedDegreeError,
 )
-from .factorization import _two_factors, regular_component_factor
+from .factorization import regular_component_factor
 from .graphs import (
     MultiGraph,
     _canonical_ints,
@@ -41,7 +43,7 @@ from .graphs import (
     regular_degree,
     subgraph_from_edges,
 )
-from .matching import _euler_split, find_exact_factor, max_matching
+from .matching import _value_split, find_exact_factor, max_matching
 
 DEFAULT_BUDGET = 100_000_000  # search nodes, for `construct` and every `solver` entry point
 
@@ -173,35 +175,35 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
     """Nonzero values, one per id, of the d-regular part ``ids`` of g that sum to q.
 
     ``ids`` ascend and may leave vertices of g uncovered.  Even d takes q = 0
-    (d >= 4), q = 2 or an even q in [d, 4d]: 2-factor i gets value i of
-    `_split_sum(q/2, d/2)`.  One Euler walk orients the part for the
-    2-factors, and at q = 0 each component whose circuit has an even length
-    gets `_alternate`'s +1 and -1 instead.  Only the components of odd
-    length, which have no 2-flow, take the 2-factors then, as one part with
-    the walk's tails on it.  Odd d takes an even q in [2d, 4d], or q = 0
-    when 3 divides d: the double cover's d perfect matchings get weights 2s then
-    1s, or +1 on 2d/3 and -2 on d/3, and ``ids[i]`` sums its arcs 2i and 2i + 1.
-    Each vertex meets every 2-factor twice and every matching as tail and as head.
+    (d >= 4), q = 2 or an even q in [d, 4d]: the 2-factors, the perfect
+    matchings of one Euler walk's out/in arcs, take the multiset
+    `_split_sum(q/2, d/2)`, and at q = 0 each component whose circuit has an
+    even length gets `_alternate`'s +1 and -1 instead, leaving the 2-factors
+    to the odd-length ones, which have no 2-flow.  Odd d takes an even q in
+    [2d, 4d], or q = 0 when 3 divides d: the double cover's d perfect
+    matchings take the multiset of 2s and 1s, or of +1 (2d/3) and -2 (d/3),
+    and ``ids[i]`` sums its arcs 2i and 2i + 1.  `_value_split` assigns
+    both.  Each vertex meets every 2-factor twice and every matching as tail
+    and as head, so only the multiset matters.
     """
+    n, edges = g.n, g.edges
     values = [0] * len(ids)
     if d % 2 == 0:
-        tails, circuits = _euler_tails(g.n, g.edges, ids)
+        tails, circuits = _euler_tails(n, edges, ids)
         # the positions the 2-factors weight, oriented by the same walk
         rest: Sequence[int] = _alternate(values, circuits) if q == 0 else range(len(ids))
         del circuits  # not kept alive through the split
         if rest:
-            if len(rest) < len(ids):
-                ids, tails = [ids[i] for i in rest], [tails[i] for i in rest]
-            for val, factor in zip(_split_sum(q // 2, d // 2), _two_factors(g, ids, d, tails)):
-                for j in factor:
-                    values[rest[j]] = val
+            # arc j: ids[rest[j]] from its tail's out-copy to its head's in-copy, over the tails
+            tails[:] = [(t, n + u + v - t) for t, (u, v) in ((tails[i], edges[ids[i]]) for i in rest)]
+            for i, val in zip(rest, _value_split(2 * n, tails, _split_sum(q // 2, d // 2))):
+                values[i] = val
         return values
     twos, third = (q - 2 * d) // 2, d // 3
     weights = [2] * twos + [1] * (d - twos) if q else [1] * (2 * third) + [-2] * third
-    arcs = [a for u, v in (g.edges[e] for e in ids) for a in ((u, g.n + v), (v, g.n + u))]
-    for w, pm in zip(weights, _euler_split(2 * g.n, arcs, d)):
-        for arc in pm:
-            values[arc // 2] += w
+    arcs = [a for u, v in (edges[e] for e in ids) for a in ((u, n + v), (v, n + u))]
+    for arc, w in enumerate(_value_split(2 * n, arcs, weights)):
+        values[arc // 2] += w
     return values
 
 
@@ -294,9 +296,11 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
     conjecture.  On r in {3, 5} a direct flow stands for the m nodes in
     which that search would assign every edge, so a budget below the whole
     graph's m raises FlowUndecidedError before any work.  Only the factor
-    construction and the search split a disconnected input: each component
-    takes its own branch with the whole budget and verifies its own flow,
-    so the whole is verified once.  A negative budget raises ValueError.
+    construction and the search split a disconnected input: a component
+    that its share of the whole graph's maximum matching covers takes the
+    matching 3-flow from that share, every other component its own branch
+    with the whole budget, and each verifies its own flow, so the whole is
+    verified once.  A negative budget raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
@@ -336,7 +340,11 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
         values = [0] * g.m
         for ids in inside:
             sub, _, emap = subgraph_from_edges(g, ids)
-            for e, val in zip(emap, construct(sub, budget).values):
+            # M is maximum on every component: a share that covers one is its matching
+            rest = [j for j, e in enumerate(emap) if e not in matching]
+            covered = 2 * (sub.m - len(rest)) == sub.n
+            flow = _parts_flow(sub, [rest], -2) if covered else construct(sub, budget)
+            for e, val in zip(emap, flow.values):
                 values[e] = val
         return IntFlow(g, tuple(values), 5)
     if r >= 7:

@@ -2,9 +2,10 @@
 
 One matching engine, the blossom (odd-cycle contraction) method, backs every
 query.  Regular bipartite multigraphs split into perfect matchings by Euler
-splitting, which needs one matching only at odd degrees.  Exact-degree and
-width-1 degree ranges reduce to perfect matching in an auxiliary gadget
-graph.
+splitting, which needs one matching only at odd degrees; given one value per
+matching, it stops at a piece whose matchings all take the same value.
+Exact-degree and width-1 degree ranges reduce to perfect matching in an
+auxiliary gadget graph.
 """
 
 from __future__ import annotations
@@ -229,35 +230,54 @@ def decompose_regular_bipartite(g: MultiGraph, left: Iterable[int]) -> list[froz
 def _euler_split(n: int, arcs: Sequence[tuple[int, int]], r: int) -> list[frozenset[int]]:
     """The Euler splitting of ``decompose_regular_bipartite``, unchecked.
 
-    ``arcs[e]`` is the pair of edge e with its left endpoint first, so the
-    walk's arc e runs forward iff it leaves ``arcs[e][0]``.  The caller
-    vouches that no arc joins two left or two right vertices and that every
-    vertex of 0..n-1 meets r arcs or none.  Returns r matchings, perfect on
-    the vertices met, as sets of edge ids, in closing order.
+    `_value_split` with the distinct values 0..r-1: r matchings, perfect on
+    the vertices met, as sets of edge ids in closing order (i has value i).
     """
-    out: list[frozenset[int]] = []
-    # d-regular edge sets still to split; the forward half is popped first,
-    # so the matchings close in the order of a depth-first recursion.  A
-    # recursive nested function would be a reference cycle that keeps
-    # ``arcs`` alive after the return, until the cyclic collector runs.
-    stack = [(list(range(len(arcs))), r)] if r else []
+    out: list[list[int]] = [[] for _ in range(r)]
+    for e, i in enumerate(_value_split(n, arcs, range(r))):
+        out[i].append(e)
+    return [frozenset(pm) for pm in out]
+
+
+def _value_split(n: int, arcs: Sequence[tuple[int, int]], values: Iterable[int]) -> list[int]:
+    """One value per arc: each of the arcs' perfect matchings takes one of ``values``.
+
+    ``arcs[e]`` is edge e with its left endpoint first, so the walk's arc e
+    runs forward iff it leaves ``arcs[e][0]``.  The caller vouches that no
+    arc joins two left or two right vertices and that every vertex of
+    0..n-1 meets d = len(values) arcs or none; each vertex met then sums to
+    sum(values), as a matching meets it once.  So only the multiset counts:
+    a piece whose values are all equal takes that value whole; an odd d
+    peels one matching with the blossom engine for the smallest value of
+    odd multiplicity; an even d is one Hierholzer walk, its forward half
+    taking the lower half of the sorted values.  Matchings close in
+    ascending value, so distinct values are Alon's (2003) Euler splitting.
+    """
+    out = [0] * len(arcs)
+    # sorted-value pieces still to split, forward half on top; a recursive
+    # nested function would be a reference cycle keeping ``arcs`` alive
+    vals = sorted(values)
+    stack = [(list(range(len(arcs))), vals)] if vals else []
     while stack:
-        ids, d = stack.pop()
-        if d == 1:
-            out.append(frozenset(ids))
+        ids, vals = stack.pop()
+        if vals[0] == vals[-1]:
+            for e in ids:
+                out[e] = vals[0]
             continue
+        d = len(vals)
         if d % 2:
             pm = _max_matching_ids(n, arcs, ids)
             if len(pm) * d != len(ids):  # unreachable: a regular bipartite graph satisfies Hall
                 raise RuntimeError("internal: regular bipartite graph lost its perfect matching")
-            out.append(pm)
-            ids = [e for e in ids if e not in pm]
-            d -= 1
+            val = next(v for v in vals if vals.count(v) % 2)
+            vals.remove(val)
+            stack += (([e for e in ids if e not in pm], vals), (pm, [val]))
+            continue
         forward: list[int] = []
         backward: list[int] = []
         for e, tail in zip(ids, _euler_tails(n, arcs, ids)[0]):
             (forward if tail == arcs[e][0] else backward).append(e)
-        stack += ((backward, d // 2), (forward, d // 2))
+        stack += ((backward, vals[d // 2 :]), (forward, vals[: d // 2]))
     return out
 
 

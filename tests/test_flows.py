@@ -337,8 +337,7 @@ class TestEvenRegular:
 
             monkeypatch.setattr(module, name, wrapped)
 
-        spy(flows, "_two_factors")
-        spy(flows, "_euler_split")
+        spy(flows, "_value_split")
         spy(flows, "max_matching")
         spy(matching, "_max_matching_ids")
         for module in (flows, factorization, matching):
@@ -358,14 +357,16 @@ class TestEvenRegular:
 
     def test_only_an_odd_component_takes_the_two_factors(self, monkeypatch):
         parts = []
-        real = flows._two_factors
-
-        def spy(g, ids, d, tails):
-            parts.append(list(ids))
-            return real(g, ids, d, tails)
-
-        monkeypatch.setattr(flows, "_two_factors", spy)
+        real = flows._value_split
         g = _union(complete(7), random_regular(10, 6, seed=1))
+        ids = {frozenset(pair): e for e, pair in enumerate(g.edges)}  # g is simple
+
+        def spy(n, arcs, values):
+            # each arc runs from an out-copy t to an in-copy g.n + h
+            parts.append(sorted(ids[frozenset((t, h - g.n))] for t, h in arcs))
+            return real(n, arcs, values)
+
+        monkeypatch.setattr(flows, "_value_split", spy)
         flow = construct(g)
         assert parts == [list(range(21))]
         assert vertex_sums(g, flow.values) == [0] * g.n
@@ -492,23 +493,24 @@ class TestOddRegular:
 
 
 # name -> (graph, crc32 of construct(g).values).  Every graph but the two hubs
-# has a perfect matching M, so its flow is -2 on M plus one value per 2-factor
-# of G - M: (1, 1, -1) for r = 7, (2, -1, 1, -1) for r = 9 and
-# (1, 1, -1, 1, -1) for r = 11, in `two_factorization`'s order.  The hubs have
-# no perfect matching: r9_hub pins the signed double cover, and r7_mixed_hub
-# (7 ≢ 3 mod 6) pins the paper's construction on a mixed [3, 4]-factor.
+# has a perfect matching M, so its flow is -2 on M plus the multiset
+# {1, 1, -1} over the 2-factors of G - M for r = 7, {2, -1, 1, -1} for r = 9
+# and {1, 1, -1, 1, -1} for r = 11, as the split by value hands them out.  The
+# hubs have no perfect matching: r9_hub pins the signed double cover, and
+# r7_mixed_hub (7 ≢ 3 mod 6) pins the paper's construction on a mixed
+# [3, 4]-factor.
 GOLDEN_CONSTRUCT = {
-    "r7_n20": (random_regular(20, 7, seed=1), 0xCAE16D93),
-    "r7_n100": (random_regular(100, 7, seed=2), 0x3D1827FF),
+    "r7_n20": (random_regular(20, 7, seed=1), 0x5112EB5D),
+    "r7_n100": (random_regular(100, 7, seed=2), 0x95038FF3),
     "r7_n400": (random_regular(400, 7, seed=3), 0x8237FB1C),
-    "r7_circulant": (circulant(10, {1, 2, 3, 5}), 0x470A29F3),
-    "r7_k8": (complete(8), 0xA91B1665),
-    "r9_n60": (random_regular(60, 9, seed=4), 0xA2E3B55B),
-    "r9_k10": (complete(10), 0x1D4F9E09),
-    "r9_hub": (build(*hub_pairs(9)), 0xE46BF83C),
+    "r7_circulant": (circulant(10, {1, 2, 3, 5}), 0xB28F8642),
+    "r7_k8": (complete(8), 0xDD944F04),
+    "r9_n60": (random_regular(60, 9, seed=4), 0xE8A544C2),
+    "r9_k10": (complete(10), 0xBE1D4878),
+    "r9_hub": (build(*hub_pairs(9)), 0x06E136BD),
     "r7_mixed_hub": (_gadget_hub(7, (1, 1, 1, 1, 3)), 0x4AE617B4),
-    "r11_n60": (random_regular(60, 11, seed=5), 0x41FC3902),
-    "r11_k12": (complete(12), 0x95CED3D6),
+    "r11_n60": (random_regular(60, 11, seed=5), 0x3277C6BF),
+    "r11_k12": (complete(12), 0xFA930D09),
 }
 
 # (name, target) -> crc32 of the sorted edge ids of find_exact_factor on the
@@ -541,11 +543,11 @@ GOLDEN_EXACT_FACTOR = {
 # 5-regular part (the exact (k-1) query), the others only a k-regular part.
 GOLDEN_FACTOR_FLOW = {
     "r7_mixed_hub": (flow_odd_regular, _gadget_hub(7, (1, 1, 1, 1, 3)), 0x4AE617B4),
-    "r9_lower_hub": (flow_odd_regular, _gadget_hub(9, (1, 1, 1, 3, 3)), 0x26E6DAE4),
+    "r9_lower_hub": (flow_odd_regular, _gadget_hub(9, (1, 1, 1, 3, 3)), 0x3B98CC6C),
     "r7_k8": (flow_odd_regular, complete(8), 0x5A5AE3A9),
     "r9_k10": (flow_odd_regular, complete(10), 0x2BBBE98E),
     "r11_n60": (flow_odd_regular, random_regular(60, 11, seed=5), 0x1A625B7F),
-    "r13_n40": (flow_odd_regular, random_regular(40, 13, seed=6), 0x80D7DD1C),
+    "r13_n40": (flow_odd_regular, random_regular(40, 13, seed=6), 0x1DB931C0),
 }
 
 
@@ -582,21 +584,36 @@ class TestConstruct:
             assert verify_flow(g, flow).ok
         assert targets == []
 
-    @pytest.mark.parametrize("r", [7, 9, 11, 13])
-    def test_perfect_matching_takes_one_two_factorization(self, r, monkeypatch):
-        calls = {"_two_factors": 0, "regular_component_factor": 0}
-        for name in calls:
-            real = getattr(flows, name)
+    @pytest.mark.parametrize(
+        "r, peels, walks", [(7, 1, 0), (9, 0, 2), (11, 1, 1), (13, 1, 1)], ids=["7", "9", "11", "13"]
+    )
+    def test_perfect_matching_takes_one_two_factorization(self, r, peels, walks, monkeypatch):
+        # one split of G - M by value: its 2-factors take _split_sum(1, (r - 1) / 2),
+        # so {1, 1, -1} at r = 7 is one peel of the -1 and a uniform rest, and
+        # {2, -1, 1, -1} at r = 9 one walk into {-1, -1} and {1, 2} and one more
+        # for the latter; splitting down to single matchings took (peels,
+        # walks) = (1, 1), (0, 3), (1, 3) and (2, 3)
+        calls = {"regular_component_factor": 0}
+        real = flows.regular_component_factor
 
-            def spy(*args, _name=name, _real=real):
-                calls[_name] += 1
-                return _real(*args)
+        def count(*args):
+            calls["regular_component_factor"] += 1
+            return real(*args)
 
-            monkeypatch.setattr(flows, name, spy)
+        monkeypatch.setattr(flows, "regular_component_factor", count)
         g = random_regular(60, r, seed=r + 2)
+        for name in ("_max_matching_ids", "_euler_tails"):
+            calls[name] = 0
+
+            def spy(n, edges, ids, _name=name, _real=getattr(matching, name)):
+                if edges is not g.edges:  # the split's own work, not max_matching(g)
+                    calls[_name] += 1
+                return _real(n, edges, ids)
+
+            monkeypatch.setattr(matching, name, spy)
         flow = construct(g)
         assert verify_flow(g, flow).ok
-        assert calls == {"_two_factors": 1, "regular_component_factor": 0}
+        assert calls == {"regular_component_factor": 0, "_max_matching_ids": peels, "_euler_tails": walks}
 
     @pytest.mark.parametrize(
         "parts",
@@ -659,6 +676,23 @@ class TestConstruct:
         with pytest.raises(FactorSearchError):
             construct(g)
         assert calls == [g.n]
+
+    def test_covered_component_reuses_the_whole_matching(self, monkeypatch):
+        # K8 ∪ the r = 7 hub has no perfect matching, but the whole graph's
+        # matching covers K8: only the hub runs max_matching again
+        calls = []
+        real = flows.max_matching
+
+        def spy(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(flows, "max_matching", spy)
+        g = _union(complete(8), _gadget_hub(7, (1, 1, 1, 1, 3)))
+        flow = construct(g)
+        assert calls == [24, 16]
+        assert set(flow.values[:28]) <= {1, -1, 2, -2}  # K8's matching 3-flow
+        assert vertex_sums(g, flow.values) == [0] * g.n
 
     def test_petersen_takes_the_matching_flow(self, searches):
         flow = construct(petersen())

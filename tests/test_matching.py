@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -8,8 +9,11 @@ import pytest
 from oracles import brute_max_matching_size, edge_degrees, subset_factor_exists
 from zsflow import matching
 from zsflow.errors import NotRegularError
+from zsflow.flows import _split_sum
 from zsflow.graphs import MultiGraph, build, complete, cubic_no_pm, cycle, petersen
 from zsflow.matching import (
+    _euler_split,
+    _value_split,
     bipartite_perfect_matching,
     decompose_regular_bipartite,
     degree_range_factor,
@@ -204,6 +208,66 @@ class TestBipartiteDecomposition:
     def test_non_bipartite_rejected(self):
         with pytest.raises(ValueError, match="cross"):
             decompose_regular_bipartite(cycle(4), left={0, 1})
+
+
+def _permutation_arcs(k: int, s: int, rng: random.Random) -> list[tuple[int, int]]:
+    # k random perfect matchings from 0..s-1 to s..2s-1, in shuffled order;
+    # parallel arcs wherever two permutations agree
+    arcs = [(u, s + p[u]) for p in (rng.sample(range(s), s) for _ in range(k)) for u in range(s)]
+    rng.shuffle(arcs)
+    return arcs
+
+
+def _value_multisets(k: int, rng: random.Random) -> list[list[int]]:
+    # the multisets the weightings hand the split, plus equal and distinct ones
+    out = [[3] * k, rng.sample(range(-20, 20), k)]
+    out += [_split_sum(t, k) for t in (0, 1, *range(k, 4 * k + 1)) if k >= 2 or t]
+    out += [[2] * a + [1] * (k - a) for a in range(k + 1)]
+    if k % 3 == 0:
+        out.append([1] * (2 * k // 3) + [-2] * (k // 3))
+    for values in out:
+        rng.shuffle(values)
+    return out
+
+
+class TestValueSplit:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_every_vertex_meets_each_value_as_often_as_the_multiset_holds_it(self, k):
+        rng = random.Random(k)
+        for s in (1, 3, 6):
+            arcs = _permutation_arcs(k, s, rng)
+            for values in _value_multisets(k, rng):
+                got = _value_split(2 * s, arcs, values)
+                assert len(got) == len(arcs)
+                sums = [0] * (2 * s)
+                seen = [Counter() for _ in range(2 * s)]
+                for (u, v), val in zip(arcs, got):
+                    for x in (u, v):
+                        sums[x] += val
+                        seen[x][val] += 1
+                assert sums == [sum(values)] * (2 * s), values
+                assert seen == [Counter(values)] * (2 * s), values
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_distinct_values_reproduce_the_euler_split(self, k):
+        # any distinct values split like their ranks 0..k-1: grouped by
+        # ascending value, the arcs are the Euler split's matchings in its
+        # closing order (which GOLDEN_DECOMPOSITION's bipartite layer pins)
+        rng = random.Random(100 + k)
+        for s in (2, 5):
+            arcs = _permutation_arcs(k, s, rng)
+            values = rng.sample(range(-50, 50), k)
+            got = _value_split(2 * s, arcs, values)
+            grouped = [frozenset(e for e, val in enumerate(got) if val == want) for want in sorted(values)]
+            assert grouped == _euler_split(2 * s, arcs, k)
+
+    def test_uniform_values_take_no_walk_and_no_peel(self, monkeypatch):
+        work = []
+        monkeypatch.setattr(matching, "_euler_tails", lambda *args: work.append("walk"))
+        monkeypatch.setattr(matching, "_max_matching_ids", lambda *args: work.append("peel"))
+        arcs = _permutation_arcs(7, 5, random.Random(1))
+        assert _value_split(10, arcs, [-2] * 7) == [-2] * len(arcs)
+        assert work == []
 
 
 class TestExactFactor:
