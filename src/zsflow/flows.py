@@ -37,8 +37,11 @@ from .errors import (
 from .factorization import regular_component_factor
 from .graphs import (
     MultiGraph,
+    _FLOW_COLUMNS,
     _canonical_ints,
     _euler_tails,
+    _scan_ints,
+    _write_ints,
     components,
     regular_degree,
     subgraph_from_edges,
@@ -298,9 +301,10 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
     graph's m raises FlowUndecidedError before any work.  Only the factor
     construction and the search split a disconnected input: a component
     that its share of the whole graph's maximum matching covers takes the
-    matching 3-flow from that share, every other component its own branch
-    with the whole budget, and each verifies its own flow, so the whole is
-    verified once.  A negative budget raises ValueError.
+    matching 3-flow from that share, every other component the factor
+    construction at r >= 7 and its own branch with the whole budget at
+    r = 5, and each verifies its own flow, so the whole is verified once.
+    A negative budget raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
@@ -340,10 +344,12 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
         values = [0] * g.m
         for ids in inside:
             sub, _, emap = subgraph_from_edges(g, ids)
-            # M is maximum on every component: a share that covers one is its matching
+            # M is maximum on every component: its share is a perfect matching or shows there is none
             rest = [j for j, e in enumerate(emap) if e not in matching]
-            covered = 2 * (sub.m - len(rest)) == sub.n
-            flow = _parts_flow(sub, [rest], -2) if covered else construct(sub, budget)
+            if 2 * (sub.m - len(rest)) == sub.n:
+                flow = _parts_flow(sub, [rest], -2)
+            else:
+                flow = flow_odd_regular(sub) if r >= 7 else construct(sub, budget)
             for e, val in zip(emap, flow.values):
                 values[e] = val
         return IntFlow(g, tuple(values), 5)
@@ -377,14 +383,13 @@ def _checked(g: MultiGraph, values: Sequence[int], k: int) -> IntFlow:
 
 
 # ---------------------------------------------------------------------------
-# flow serialization: header "k n m", then one line "edge_id u v value"
+# flow serialization, in the table format of `graphs._FLOW_COLUMNS`
 
 
 def write_flow(flow: IntFlow) -> str:
     g, m = flow.host, flow.host.m
     us, vs = zip(*g.edges) if m else ((), ())
-    fields = tuple(chain.from_iterable(zip(range(m), us, vs, flow.values)))
-    return f"{flow.k} {g.n} {m}\n" + ("%s %s %s %s\n" * m) % fields
+    return _write_ints(_FLOW_COLUMNS, (flow.k, g.n, m), chain.from_iterable(zip(range(m), us, vs, flow.values)))
 
 
 @dataclass(frozen=True)
@@ -410,47 +415,27 @@ def parse_flow(text: str) -> FlowDocument:
     pass.  Any other text, or a failed bulk pass, takes the line scan: the
     same document for every valid text, and each error names its line.
     """
-    bulk = _canonical_ints(text, "  \n", "   \n")
+    bulk = _canonical_ints(text, _FLOW_COLUMNS)
     if bulk is not None:
         ints, m = bulk
         if ints[2] == m and ints[1] >= 0 and ints[3::4] == list(range(m)):
             return FlowDocument(*ints[:3], tuple(ints[6::4]), tuple(zip(ints[4::4], ints[5::4])))
-    lines = text.splitlines()
-    if not lines:
-        raise GraphFormatError("empty flow file", line=1)
-    head = lines[0].split()
-    if len(head) != 3:
-        raise GraphFormatError(f"expected header 'k n m', got {lines[0]!r}", line=1)
-    try:
-        k, n, m = map(int, head)
-    except ValueError:
-        raise GraphFormatError(f"non-integer header {lines[0]!r}", line=1) from None
-    if n < 0 or m < 0:
-        raise GraphFormatError(f"negative size in header {lines[0]!r}", line=1)
-    # A body of fewer than m lines misses some id below len(lines), so no slot
-    # past that bound is needed and a huge header allocates nothing; the ids
-    # past it are still range- and duplicate-checked line by line.
-    size = min(m, len(lines))
+    (k, n, m), lines, rows = _scan_ints(text, _FLOW_COLUMNS)
+    # A body of fewer than m lines misses some id below its line count, so no
+    # slot past that bound is needed and a huge header allocates nothing; the
+    # ids past it are still range- and duplicate-checked line by line.
+    size = min(m, lines)
     values: list[int | None] = [None] * size
     endpoints: list[tuple[int, int] | None] = [None] * size
     beyond: set[int] = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 4:
-            raise GraphFormatError(f"expected 'edge_id u v value', got {raw!r}", line=lineno)
-        try:
-            e, u, v, val = map(int, parts)
-        except ValueError:
-            raise GraphFormatError(f"non-integer fields in {raw!r}", line=lineno) from None
+    for line, (e, u, v, val) in rows:
         if not (0 <= e < m):
-            raise GraphFormatError(f"edge id {e} out of range for m={m}", line=lineno)
+            raise GraphFormatError(f"edge id {e} out of range for m={m}", line=line)
         if e < size and values[e] is None:
             values[e] = val
             endpoints[e] = (u, v)
         elif e < size or e in beyond:
-            raise GraphFormatError(f"duplicate edge id {e}", line=lineno)
+            raise GraphFormatError(f"duplicate edge id {e}", line=line)
         else:
             beyond.add(e)
     if None in values:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 from .errors import GraphError, GraphFormatError
 
@@ -350,18 +351,30 @@ def parse_graph6(text: str) -> MultiGraph:
     return MultiGraph(n, pairs)
 
 
+# The integer-table formats: the columns of the header, then of each body
+# row.  A header ends in the sizes n and m, and m counts the body rows.
+_EDGE_LIST_COLUMNS = ("n m", "u v")
+_FLOW_COLUMNS = ("k n m", "edge_id u v value")
+
 _FIELD_CHARS = str.maketrans("", "", "0123456789-")  # deleted, they leave the separators
 _COMMAS = str.maketrans(" \n", ",,")
 
 
-def _canonical_ints(text: str, head: str, line: str) -> tuple[list[int], int] | None:
-    """The integers of a canonical text and its count of body lines, or None.
+def _write_ints(columns: tuple[str, str], head: tuple[int, ...], body: Iterable[int]) -> str:
+    """Canonical text of a table: the ``head`` row, then ``body``'s fields in m rows."""
+    head_row, row = ("%s " * c.count(" ") + "%s\n" for c in columns)
+    return head_row % head + (row * head[-1]) % tuple(body)
 
-    Canonical: the separators are ``head``, then ``line`` per body line, and
-    a newline ends the text.  Deleting the digits and '-' leaves the
-    separators, and one `json.loads` decodes every field; JSON refuses a
-    stray '-', a leading zero and an int past the digit limit.
+
+def _canonical_ints(text: str, columns: tuple[str, str]) -> tuple[list[int], int] | None:
+    """The integers of a canonical text and its count of body rows, or None.
+
+    Canonical: one space between fields and a newline after each row, the
+    last one included, as `_write_ints` writes it.  Deleting the digits and
+    '-' leaves the separators, and one `json.loads` decodes every field;
+    JSON refuses a stray '-', a leading zero and an int past the digit limit.
     """
+    head, line = (" " * c.count(" ") + "\n" for c in columns)
     seps = text.translate(_FIELD_CHARS)
     lines, extra = divmod(len(seps) - len(head), len(line))
     if lines < 0 or extra or seps != head + line * lines or not text.endswith("\n"):
@@ -372,6 +385,33 @@ def _canonical_ints(text: str, head: str, line: str) -> tuple[list[int], int] | 
         return None
 
 
+def _scan_ints(text: str, columns: tuple[str, str]) -> tuple[list[int], int, Iterator[tuple[int, list[int]]]]:
+    """Line scan of a table: its header's integers, its line count and its rows.
+
+    Any whitespace splits fields.  The rows, ``(line, integers)`` per
+    non-blank body line, come lazily, so a caller checks each before the
+    next is read.  Each error names its line and the columns expected there.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise GraphFormatError(f"empty input, expected '{columns[0]}'", line=1)
+    head = _ints(lines[0], columns[0], 1)
+    if min(head[-2:]) < 0:
+        raise GraphFormatError(f"negative size, expected '{columns[0]}', got {lines[0]!r}", line=1)
+    rows = ((i, _ints(raw, columns[1], i)) for i, raw in enumerate(lines[1:], start=2) if raw.strip())
+    return head, len(lines), rows
+
+
+def _ints(raw: str, columns: str, line: int) -> list[int]:
+    fields = raw.split()
+    if len(fields) != columns.count(" ") + 1:
+        raise GraphFormatError(f"expected '{columns}', got {raw!r}", line=line)
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        raise GraphFormatError(f"non-integer field, expected '{columns}', got {raw!r}", line=line) from None
+
+
 def parse_edge_list(text: str) -> MultiGraph:
     """Parse the plain edge-list format: header ``n m`` then m lines ``u v``.
 
@@ -380,7 +420,7 @@ def parse_edge_list(text: str) -> MultiGraph:
     edges.  Any other text, or a failed bulk pass, takes the line scan: the
     same graph for every valid text, and each error names its line.
     """
-    bulk = _canonical_ints(text, " \n", " \n")
+    bulk = _canonical_ints(text, _EDGE_LIST_COLUMNS)
     if bulk is not None:
         ints, m = bulk
         # a failed bulk pass allocates no more than the text; MultiGraph rejects n < 0
@@ -389,33 +429,13 @@ def parse_edge_list(text: str) -> MultiGraph:
                 return MultiGraph(ints[0], zip(ints[2::2], ints[3::2]))
             except GraphError:
                 pass  # the line scan names the line
-    lines = text.splitlines()
-    if not lines:
-        raise GraphFormatError("empty input", line=1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphFormatError(f"expected header 'n m', got {lines[0]!r}", line=1)
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise GraphFormatError(f"non-integer header {lines[0]!r}", line=1) from None
-    if n < 0 or m < 0:
-        raise GraphFormatError(f"negative size in header {lines[0]!r}", line=1)
+    (n, m), _, rows = _scan_ints(text, _EDGE_LIST_COLUMNS)
     pairs = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"expected 'u v', got {raw!r}", line=lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"non-integer endpoints {raw!r}", line=lineno) from None
+    for line, (u, v) in rows:
         if u == v:
-            raise GraphFormatError(f"loop at vertex {u} rejected", line=lineno)
+            raise GraphFormatError(f"loop at vertex {u} rejected", line=line)
         if not (0 <= u < n) or not (0 <= v < n):
-            raise GraphFormatError(f"endpoint out of range for n={n}: ({u}, {v})", line=lineno)
+            raise GraphFormatError(f"endpoint out of range for n={n}: ({u}, {v})", line=line)
         pairs.append((u, v))
     if len(pairs) != m:
         raise GraphFormatError(f"header promised {m} edges, found {len(pairs)}", line=1)
@@ -424,6 +444,4 @@ def parse_edge_list(text: str) -> MultiGraph:
 
 def write_edge_list(g: MultiGraph) -> str:
     """Serialize to the edge-list format; parse(write(g)) preserves ids."""
-    out = [f"{g.n} {g.m}"]
-    out += [f"{u} {v}" for u, v in g.edges]
-    return "\n".join(out) + "\n"
+    return _write_ints(_EDGE_LIST_COLUMNS, (g.n, g.m), chain.from_iterable(g.edges))

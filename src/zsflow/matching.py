@@ -26,26 +26,22 @@ def max_matching(g: MultiGraph) -> frozenset[int]:
     return _max_matching_ids(g.n, g.edges, range(g.m))
 
 
-def _max_matching_ids(
-    n: int, edges: Sequence[tuple[int, int]], ids: Iterable[int]
-) -> frozenset[int]:
+def _max_matching_ids(n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int]) -> frozenset[int]:
     """``max_matching`` on the edges ``ids`` of ``edges``, with no graph built."""
-    rep: dict[tuple[int, int], int] = {}
+    adj: list[list[int]] = [[] for _ in range(n)]
     for e in ids:
         u, v = edges[e]
-        key = (u, v) if u < v else (v, u)
-        rep.setdefault(key, e)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in rep:
         adj[u].append(v)
         adj[v].append(u)
     for a in adj:
-        a.sort()
+        a.sort()  # a parallel edge repeats a neighbour, which changes no search step
     match = _blossom_matching(adj)
-    out = set()
-    for u, v in rep:
-        if match[u] == v:
-            out.add(rep[(u, v)])
+    out = []
+    for e in ids:
+        u, v = edges[e]
+        if match[u] == v:  # the pair's first edge: clearing its mates skips the others
+            out.append(e)
+            match[u] = match[v] = -1
     return frozenset(out)
 
 

@@ -30,6 +30,7 @@ from zsflow.flows import (
     write_flow,
 )
 from zsflow.graphs import (
+    _FLOW_COLUMNS,
     _canonical_ints,
     build,
     circulant,
@@ -679,7 +680,8 @@ class TestConstruct:
 
     def test_covered_component_reuses_the_whole_matching(self, monkeypatch):
         # K8 ∪ the r = 7 hub has no perfect matching, but the whole graph's
-        # matching covers K8: only the hub runs max_matching again
+        # matching covers K8; the hub's share shows it has none, so no
+        # component runs max_matching again
         calls = []
         real = flows.max_matching
 
@@ -690,7 +692,7 @@ class TestConstruct:
         monkeypatch.setattr(flows, "max_matching", spy)
         g = _union(complete(8), _gadget_hub(7, (1, 1, 1, 1, 3)))
         flow = construct(g)
-        assert calls == [24, 16]
+        assert calls == [24]
         assert set(flow.values[:28]) <= {1, -1, 2, -2}  # K8's matching 3-flow
         assert vertex_sums(g, flow.values) == [0] * g.n
 
@@ -994,16 +996,16 @@ class TestFlowBulkPass:
     def test_canonical_text_and_its_variants_parse_alike(self, g):
         flow = construct(g)
         text = write_flow(flow)
-        assert _canonical_ints(text, "  \n", "   \n") is not None
+        assert _canonical_ints(text, _FLOW_COLUMNS) is not None
         doc = parse_flow(text)
         assert doc == FlowDocument(flow.k, g.n, g.m, flow.values, g.edges)
         for variant in _scan_variants(text):
-            assert _canonical_ints(variant, "  \n", "   \n") is None
+            assert _canonical_ints(variant, _FLOW_COLUMNS) is None
             assert _outcome(parse_flow, variant) == doc
 
     def test_no_edges(self):
         text = "3 5 0\n"
-        assert _canonical_ints(text, "  \n", "   \n") == ([3, 5, 0], 0)
+        assert _canonical_ints(text, _FLOW_COLUMNS) == ([3, 5, 0], 0)
         assert parse_flow(text) == FlowDocument(3, 5, 0, (), ()) == parse_flow("3 5 0")
 
     @pytest.mark.parametrize("mutate", FLOW_MUTATIONS.values(), ids=FLOW_MUTATIONS)

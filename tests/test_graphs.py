@@ -7,8 +7,11 @@ import pytest
 import zsflow
 from zsflow import graphs
 from zsflow.errors import GraphError, GraphFormatError
+from zsflow.flows import parse_flow
 from zsflow.graphs import (
     MultiGraph,
+    _EDGE_LIST_COLUMNS,
+    _FLOW_COLUMNS,
     _canonical_ints,
     build,
     circulant,
@@ -329,11 +332,11 @@ class TestEdgeListBulkPass:
     )
     def test_canonical_text_and_its_variants_parse_alike(self, g):
         text = write_edge_list(g)
-        assert _canonical_ints(text, " \n", " \n") is not None
+        assert _canonical_ints(text, _EDGE_LIST_COLUMNS) is not None
         h = parse_edge_list(text)
         assert (h.n, h.edges) == (g.n, g.edges)
         for variant in _scan_variants(text):
-            assert _canonical_ints(variant, " \n", " \n") is None
+            assert _canonical_ints(variant, _EDGE_LIST_COLUMNS) is None
             assert _graph_outcome(variant) == (g.n, g.edges)
 
     @pytest.mark.parametrize("mutate", EDGE_LIST_MUTATIONS.values(), ids=EDGE_LIST_MUTATIONS)
@@ -348,7 +351,7 @@ class TestEdgeListBulkPass:
         names = ["loop", "endpoint out of range", "negative endpoint", "short body", "long body"]
         names += ["negative header", "header n too small", "header m far past the body"]
         for name in names:
-            assert _canonical_ints(EDGE_LIST_MUTATIONS[name](self.TEXT), " \n", " \n") is not None
+            assert _canonical_ints(EDGE_LIST_MUTATIONS[name](self.TEXT), _EDGE_LIST_COLUMNS) is not None
 
     def test_a_header_n_past_the_text_builds_nothing_before_the_scan(self, monkeypatch):
         built = []
@@ -368,3 +371,40 @@ class TestEdgeListBulkPass:
         for name, edge in [("minus zero", (0, 2)), ("leading zeros", (7, 2)), ("plus sign", (1, 2))]:
             assert parse_edge_list(EDGE_LIST_MUTATIONS[name](self.TEXT)).edges[3] == edge
         assert parse_edge_list(EDGE_LIST_MUTATIONS["non-ASCII digit"](self.TEXT)).edges[3] == (3, 2)
+
+
+# each error of the shared line scan, as (text, its line), from a format's
+# valid header and two valid rows
+SCAN_ERRORS = {
+    "empty text": lambda head, row, row2: ("", 1),
+    "header field count": lambda head, row, row2: (f"{head} 1\n{row}\n{row2}\n", 1),
+    "non-integer header": lambda head, row, row2: (f"{head[:-1]}x\n{row}\n{row2}\n", 1),
+    "negative size": lambda head, row, row2: (f"{head[:-1]}-1\n", 1),
+    "row field count": lambda head, row, row2: (f"{head}\n{row}\n{row2} 1\n", 3),
+    "non-integer row field": lambda head, row, row2: (f"{head}\n{row}\n{row2[:-1]}x\n", 3),
+}
+TABLE_FORMATS = {
+    "edge list": (parse_edge_list, _EDGE_LIST_COLUMNS, ("3 2", "0 1", "1 2")),
+    "flow": (parse_flow, _FLOW_COLUMNS, ("3 3 2", "0 0 1 1", "1 1 2 -1")),
+}
+
+
+@pytest.mark.parametrize("fmt", TABLE_FORMATS)
+@pytest.mark.parametrize("error", SCAN_ERRORS)
+def test_both_formats_word_each_scan_error_alike(fmt, error):
+    parse, columns, lines = TABLE_FORMATS[fmt]
+    assert parse("\n".join(lines))  # the unmutated text parses
+    text, line = SCAN_ERRORS[error](*lines)
+    with pytest.raises(GraphFormatError) as info:
+        parse(text)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: ")
+    assert f"'{columns[line > 1]}'" in str(info.value)
+
+
+def test_a_row_check_comes_before_a_later_rows_scan_error():
+    # the scan reads rows lazily, so the first faulty line is the one named
+    with pytest.raises(GraphFormatError, match="^line 2: loop"):
+        parse_edge_list("3 2\n0 0\n1 x\n")
+    with pytest.raises(GraphFormatError, match="^line 2: edge id 5 out of range"):
+        parse_flow("3 3 2\n5 0 1 1\n1 x\n")

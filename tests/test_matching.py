@@ -63,6 +63,24 @@ class TestMaxMatching:
         g = build(2, [(0, 1), (0, 1)])
         assert len(max_matching(g)) == 1
 
+    def test_multigraphs_keep_the_lowest_id_of_each_matched_pair(self):
+        # an odd cycle, then random edges each repeated in both endpoint orders
+        rng = random.Random(25)
+        for _ in range(60):
+            n = rng.randint(3, 9)
+            odd = rng.choice([c for c in (3, 5, 7, 9) if c <= n])
+            pairs = [(i, (i + 1) % odd) for i in range(odd)]
+            for _ in range(rng.randint(0, 8)):
+                u, v = rng.sample(range(n), 2)
+                pairs += [(u, v), (v, u)][: rng.randint(1, 2)] * rng.randint(1, 2)
+            rng.shuffle(pairs)
+            g = MultiGraph(n, pairs)
+            got = max_matching(g)
+            assert_is_matching(g, got)
+            assert len(got) == brute_max_matching_size(g)
+            for e in got:
+                assert e == min(f for f in range(g.m) if {*g.edges[f]} == {*g.edges[e]})
+
     def test_nested_blossom(self):
         # the triangle 0-2-4 is contracted first, then closes the 5-cycle
         # through 1, 7, 5 and 3, so all its members join the outer blossom
