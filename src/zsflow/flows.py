@@ -13,12 +13,14 @@ g: +1/-1 along each component's Euler circuit, a 2-flow, wherever the
 component has an even edge count, and 2-factor values elsewhere.  Values
 go to a part's 2-factors or matchings as a multiset, split by value
 (`_value_split`): a piece whose values agree is not split further.  For odd
-r, `construct` takes the first construction the input allows: with a
-perfect matching M, the 3-flow with -2 on M and q = 2 on G - M; for
-r ≡ 3 (mod 6), the signed double cover, which like even r is q = 0 on all
-of g; for r >= 7, the paper's [k-1, k]-factor construction
-(`flow_odd_regular`); for r = 5, -3 on a 2-factor and 2 elsewhere.  All of
-them report k = 5.
+r, one dispatch (`_odd_flow`) takes the first construction the input
+allows: with a perfect matching M, the 3-flow with -2 on M and q = 2 on
+G - M; for r ≡ 3 (mod 6), the signed double cover, which like even r is
+q = 0 on all of g; for r = 5, -3 on a 2-factor and 2 elsewhere.  A
+disconnected input that none of these fits splits, and each component
+takes the dispatch again; a connected one takes the paper's
+[k-1, k]-factor construction for r >= 7 (`flow_odd_regular`) and the
+search for r = 5.  All of them report k = 5.
 """
 
 from __future__ import annotations
@@ -184,10 +186,10 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
     even length gets `_alternate`'s +1 and -1 instead, leaving the 2-factors
     to the odd-length ones, which have no 2-flow.  Odd d takes an even q in
     [2d, 4d], or q = 0 when 3 divides d: the double cover's d perfect
-    matchings take the multiset of 2s and 1s, or of +1 (2d/3) and -2 (d/3),
-    and ``ids[i]`` sums its arcs 2i and 2i + 1.  `_value_split` assigns
-    both.  Each vertex meets every 2-factor twice and every matching as tail
-    and as head, so only the multiset matters.
+    matchings take the multiset `_split_sum(q/2, d)` of 2s and 1s, or of +1
+    (2d/3) and -2 (d/3), and ``ids[i]`` sums its arcs 2i and 2i + 1.
+    `_value_split` assigns both.  Each vertex meets every 2-factor twice and
+    every matching as tail and as head, so only the multiset matters.
     """
     n, edges = g.n, g.edges
     values = [0] * len(ids)
@@ -202,8 +204,7 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
             for i, val in zip(rest, _value_split(2 * n, tails, _split_sum(q // 2, d // 2))):
                 values[i] = val
         return values
-    twos, third = (q - 2 * d) // 2, d // 3
-    weights = [2] * twos + [1] * (d - twos) if q else [1] * (2 * third) + [-2] * third
+    weights = _split_sum(q // 2, d) if q else [1] * (2 * d // 3) + [-2] * (d // 3)
     arcs = [a for u, v in (edges[e] for e in ids) for a in ((u, n + v), (v, n + u))]
     for arc, w in enumerate(_value_split(2 * n, arcs, weights)):
         values[arc // 2] += w
@@ -290,21 +291,16 @@ def flow_odd_regular(g: MultiGraph) -> IntFlow:
 def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
     """Build a verified zero-sum flow for any regular graph with r >= 3.
 
-    Even r >= 4 gives k=3 and odd r gives k=5.  For odd r the first branch
-    that applies builds the flow: a perfect matching gives the matching
-    3-flow (values in {±1, ±2}); r ≡ 3 (mod 6) the signed double cover
-    (values 2, -1, -4); r = 5 with a 2-factor -3 on it and 2 elsewhere;
-    r >= 7 the paper's [k-1, k]-factor construction; any other r = 5 the
-    exact search for a 5-flow, whose existence there is an open
-    conjecture.  On r in {3, 5} a direct flow stands for the m nodes in
-    which that search would assign every edge, so a budget below the whole
-    graph's m raises FlowUndecidedError before any work.  Only the factor
-    construction and the search split a disconnected input: a component
-    that its share of the whole graph's maximum matching covers takes the
-    matching 3-flow from that share, every other component the factor
-    construction at r >= 7 and its own branch with the whole budget at
-    r = 5, and each verifies its own flow, so the whole is verified once.
-    A negative budget raises ValueError.
+    Even r >= 4 gives k=3 and odd r gives k=5: one maximum matching feeds
+    `_odd_flow`, where the first branch that applies builds the flow.  A
+    perfect matching gives the matching 3-flow (values in {±1, ±2}); r ≡ 3
+    (mod 6) the signed double cover (values 2, -1, -4); r = 5 with a
+    2-factor -3 on it and 2 elsewhere; r >= 7 the paper's [k-1, k]-factor
+    construction; any other r = 5 the exact search for a 5-flow, whose
+    existence there is an open conjecture.  On r in {3, 5} a direct flow
+    stands for the m nodes in which that search would assign every edge,
+    so a budget below the whole graph's m raises FlowUndecidedError before
+    any work, and a negative budget raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
@@ -321,7 +317,16 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
         raise _undecided(r, budget)
     if r % 2 == 0:
         return flow_even_regular(g)
-    matching = max_matching(g)
+    return _odd_flow(g, r, max_matching(g), budget)
+
+
+def _odd_flow(g: MultiGraph, r: int, matching: Collection[int], budget: int) -> IntFlow:
+    """The first odd-r flow that g allows, given a maximum matching of g.
+
+    Before the factor construction and the search, a disconnected g splits:
+    each component takes this dispatch with its share of ``matching``,
+    maximum there too, and the whole budget, and verifies its own flow.
+    """
     if 2 * len(matching) == g.n:
         return _parts_flow(g, [[e for e in range(g.m) if e not in matching]], -2)
     if r % 3 == 0:
@@ -344,13 +349,8 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
         values = [0] * g.m
         for ids in inside:
             sub, _, emap = subgraph_from_edges(g, ids)
-            # M is maximum on every component: its share is a perfect matching or shows there is none
-            rest = [j for j, e in enumerate(emap) if e not in matching]
-            if 2 * (sub.m - len(rest)) == sub.n:
-                flow = _parts_flow(sub, [rest], -2)
-            else:
-                flow = flow_odd_regular(sub) if r >= 7 else construct(sub, budget)
-            for e, val in zip(emap, flow.values):
+            share = {j for j, e in enumerate(emap) if e in matching}
+            for e, val in zip(emap, _odd_flow(sub, r, share, budget).values):
                 values[e] = val
         return IntFlow(g, tuple(values), 5)
     if r >= 7:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .flows import DEFAULT_BUDGET, IntFlow, _checked, verify_flow
 from .graphs import MultiGraph
@@ -73,8 +74,9 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     inc = [g.incident(v) for v in range(n)]
     edges = g.edges
     kmax = k - 1
-    alphabet = tuple(s * a for a in range(1, k) for s in (1, -1))
-    positives = tuple(range(1, k))
+    # trying entry i of a value tuple makes nodes > i, so entries past budget are never reached
+    alphabet = tuple(islice((s * a for a in range(1, k) for s in (1, -1)), budget + 1))
+    positives = tuple(range(1, min(k, budget + 2)))
     val = [0] * m
     psum = [0] * n
     rem = list(g.degrees())

@@ -696,6 +696,31 @@ class TestConstruct:
         assert set(flow.values[:28]) <= {1, -1, 2, -2}  # K8's matching 3-flow
         assert vertex_sums(g, flow.values) == [0] * g.n
 
+    @pytest.mark.parametrize(
+        "parts, matched, factored",
+        [
+            ([build(*hub_pairs(5)), complete(6)], [42], [42, 36]),
+            # the n = 10 gadget hub takes its own 2-factor inside the split
+            ([_gadget_hub(5, (1, 1, 3)), build(*hub_pairs(5)), complete(6)], [52], [52, 10, 36]),
+        ],
+        ids=["hub_and_k6", "gadget_hub_hub_and_k6"],
+    )
+    def test_r5_components_reuse_the_whole_matching(self, parts, matched, factored, monkeypatch):
+        # each component takes the dispatch with its share of the whole
+        # graph's matching: no second max_matching and no inner construct
+        calls = {"max_matching": [], "find_exact_factor": [], "construct": []}
+        for module, name in ((flows, "max_matching"), (matching, "max_matching"), (flows, "find_exact_factor"), (flows, "construct")):
+
+            def spy(g, *args, _name=name, _real=getattr(module, name)):
+                calls[_name].append(g.n)
+                return _real(g, *args)
+
+            monkeypatch.setattr(module, name, spy)
+        g = _union(*parts)
+        with pytest.raises(FlowUndecidedError):
+            flows.construct(g, 10**4)
+        assert calls == {"max_matching": matched, "find_exact_factor": factored, "construct": [g.n]}
+
     def test_petersen_takes_the_matching_flow(self, searches):
         flow = construct(petersen())
         assert flow.k == 5
@@ -765,8 +790,10 @@ class TestConstruct:
             # neither a perfect matching nor a 2-factor in the whole: K6 takes
             # the matching flow and only the hub (n = 36) the search
             ([build(*hub_pairs(5)), complete(6)], None, [], [36]),
+            # the n = 10 gadget hub has a 2-factor of its own: only hub_pairs(5) is searched
+            ([_gadget_hub(5, (1, 1, 3)), build(*hub_pairs(5)), complete(6)], None, [], [36]),
         ],
-        ids=["r4", "r7_matching", "r9_hub_and_k10", "two_cubic_no_pm", "r7_k8_and_mixed_hub", "r5_hub_and_k6"],
+        ids=["r4", "r7_matching", "r9_hub_and_k10", "two_cubic_no_pm", "r7_k8_and_mixed_hub", "r5_hub_and_k6", "r5_gadget_hub_hub_and_k6"],
     )
     def test_disconnected_sums_vanish_on_every_branch(self, parts, k, factored, searched, monkeypatch):
         calls = {"regular_component_factor": [], "solve": []}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 import zlib
 
 import pytest
@@ -121,6 +122,33 @@ class TestSolve:
             for k in (2, 3, 4, 5):
                 got = solve(g, k).status == "found"
                 assert got == flow_exists_by_enumeration(g, k)
+
+    def test_budget_cuts_the_search_it_does_not_change(self):
+        # a budget b is undecided exactly when the unbounded search needs
+        # more than b nodes, and gives the unbounded outcome otherwise
+        rng = random.Random(26)
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            g = build(n, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 9))])
+            for k in range(2, 7):
+                full = solve(g, k)
+                for budget in range(51):
+                    outcome = solve(g, k, budget)
+                    if full.nodes > budget:
+                        assert (outcome.status, outcome.nodes) == ("undecided", budget + 1)
+                    else:
+                        assert search_digest(outcome) == search_digest(full)
+
+    def test_a_huge_k_under_a_small_budget_allocates_little(self):
+        # only the values that the budget lets the search try are built
+        tracemalloc.start()
+        try:
+            outcome = solve(petersen(), 10**6, budget=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (outcome.status, outcome.nodes) == ("undecided", 6)
+        assert peak < 10**6
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SEARCH))
     def test_golden_search(self, name):
