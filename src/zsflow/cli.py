@@ -228,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         # graph/flow format errors, bad parameters, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         # FlowNonexistentError, FactorSearchError and internal check failures
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import FactorSearchError, NotRegularError
-from .graphs import MultiGraph, _euler_tails, _factor_degrees, regular_degree, subgraph_from_edges
+from .graphs import MultiGraph, _euler_tails, _factor_degrees, _incidence, regular_degree, subgraph_from_edges
 from .matching import _euler_split, find_exact_factor
 
 _PARTITION_VERTEX_LIMIT = 18
@@ -65,11 +65,6 @@ def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
 # regular-component [k-1, k]-factors
 
 
-def _induced(g: MultiGraph, verts: set[int]):
-    inside = [e for e, (u, v) in enumerate(g.edges) if u in verts and v in verts]
-    return subgraph_from_edges(g, inside)
-
-
 def _partition_search(
     g: MultiGraph, k: int, factor_budget: int
 ) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -81,28 +76,26 @@ def _partition_search(
     number of gadget-matching calls.
     """
     n = g.n
-    incs = [g.incident(v) for v in range(n)]
+    nbrs = [[g.edges[e][0] ^ g.edges[e][1] ^ v for e in ids] for v, ids in enumerate(_incidence(g))]  # other ends
     calls = 0
     for size in range(1, n):
         if (size * (k - 1)) % 2 or ((n - size) * k) % 2:
             continue
         for a_set in combinations(range(n), size):
             inside = set(a_set)
-            ok = all(sum(1 for _, w in incs[a] if w in inside) >= k - 1 for a in inside)
-            if ok:
-                ok = all(
-                    sum(1 for _, w in incs[b] if w not in inside) >= k
-                    for b in range(n)
-                    if b not in inside
-                )
-            if not ok:
+            if not all(sum(1 for w in nbrs[a] if w in inside) >= k - 1 for a in a_set) or not all(
+                sum(1 for w in nbrs[b] if w not in inside) >= k for b in range(n) if b not in inside
+            ):
                 continue
-            sub_a, _, emap_a = _induced(g, inside)
+            sides: tuple[list[int], list[int]] = ([], [])  # the edges within the rest, within a_set
+            for e, (u, v) in enumerate(g.edges):
+                if (u in inside) == (v in inside):
+                    sides[u in inside].append(e)
+            sub_a, _, emap_a = subgraph_from_edges(g, sides[1])
             fa = find_exact_factor(sub_a, [k - 1] * sub_a.n)
             calls += 1
             if fa is not None:
-                rest = set(range(n)) - inside
-                sub_b, _, emap_b = _induced(g, rest)
+                sub_b, _, emap_b = subgraph_from_edges(g, sides[0])
                 fb = find_exact_factor(sub_b, [k] * sub_b.n)
                 calls += 1
                 if fb is not None:

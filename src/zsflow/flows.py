@@ -42,6 +42,7 @@ from .graphs import (
     _FLOW_COLUMNS,
     _canonical_ints,
     _euler_tails,
+    _incidence,
     _scan_ints,
     _write_ints,
     components,
@@ -339,16 +340,10 @@ def _odd_flow(g: MultiGraph, r: int, matching: Collection[int], budget: int) -> 
             return _checked(g, [-3 if e in factor else 2 for e in range(g.m)], 5)
     comps = components(g)
     if len(comps) > 1:
-        label = [0] * g.n
-        for c, comp in enumerate(comps):
-            for v in comp:
-                label[v] = c
-        inside: list[list[int]] = [[] for _ in comps]
-        for e, (u, _) in enumerate(g.edges):
-            inside[label[u]].append(e)
+        inc = _incidence(g)
         values = [0] * g.m
-        for ids in inside:
-            sub, _, emap = subgraph_from_edges(g, ids)
+        for comp in comps:
+            sub, _, emap = subgraph_from_edges(g, [e for v in comp for e in inc[v]])
             share = {j for j, e in enumerate(emap) if e in matching}
             for e, val in zip(emap, _odd_flow(sub, r, share, budget).values):
                 values[e] = val

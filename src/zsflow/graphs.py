@@ -4,8 +4,8 @@ Vertices are dense integers 0..n-1 and edge ids are dense integers 0..m-1
 assigned in construction order.  Parallel edges are allowed everywhere,
 loops are rejected everywhere.  Graphs are immutable after construction and
 all operations on them are pure, so instances can be shared freely.  A
-graph's incidence lists are built on the first `MultiGraph.incident` call,
-so graphs that are only parsed, generated or written never build them.
+graph holds its edges and degrees only: a query that walks incidence lists
+builds them with `_incidence` and drops them when it returns.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ class MultiGraph:
 
     ``edges[e]`` is the endpoint pair ``(u, v)`` of the edge with id ``e``,
     in the orientation it was supplied.  Loops (``u == v``) are rejected.
-    Degrees are counted on construction; the incidence lists are built on
-    the first `incident` call and cached.  Either way an instance is
-    immutable in every observable way.
+    Degrees are counted on construction, and nothing else is stored: the
+    edges at v are the ids e with v in ``edges[e]``.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_degrees")
+    __slots__ = ("n", "edges", "_degrees")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -52,7 +51,6 @@ class MultiGraph:
         self.n = n
         self.edges = tuple(edges)
         self._degrees = tuple(deg)
-        self._adj: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
     @property
     def m(self) -> int:
@@ -65,18 +63,6 @@ class MultiGraph:
         """Per-vertex degree vector (parallel edges count once per endpoint)."""
         return self._degrees
 
-    def incident(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Pairs ``(edge_id, other_endpoint)`` for vertex ``v``, ascending id."""
-        if self._adj is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-            for e, (u, w) in enumerate(self.edges):
-                adj[u].append((e, w))
-                adj[w].append((e, u))
-            # filled in edge-id order, so every incidence list is ascending by
-            # id, which keeps every traversal deterministic
-            self._adj = tuple(map(tuple, adj))
-        return self._adj[v]
-
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m})"
 
@@ -84,6 +70,15 @@ class MultiGraph:
 def build(n: int, pairs: Iterable[tuple[int, int]]) -> MultiGraph:
     """Construct a multigraph from endpoint pairs; ids follow input order."""
     return MultiGraph(n, pairs)
+
+
+def _incidence(g: MultiGraph) -> list[list[int]]:
+    """The edge ids at each vertex, ascending; built on each call, kept by the caller alone."""
+    inc: list[list[int]] = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        inc[u].append(e)
+        inc[v].append(e)
+    return inc
 
 
 def _factor_degrees(g: MultiGraph, edge_ids: Iterable[int]) -> list[int]:
@@ -106,10 +101,7 @@ def regular_degree(g: MultiGraph) -> int | None:
 
 def components(g: MultiGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest vertex."""
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    inc, edges = _incidence(g), g.edges
     seen = [False] * g.n
     out: list[list[int]] = []
     for s in range(g.n):
@@ -117,14 +109,12 @@ def components(g: MultiGraph) -> list[list[int]]:
             continue
         seen[s] = True
         comp = [s]
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in nbrs[v]:
+        for v in comp:  # a breadth-first search: the loop reaches what it appends
+            for e in inc[v]:
+                w = edges[e][0] ^ edges[e][1] ^ v
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
-                    stack.append(w)
         comp.sort()
         out.append(comp)
     return out

@@ -14,7 +14,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 
 from .errors import NotRegularError
-from .graphs import MultiGraph, _euler_tails, _factor_degrees
+from .graphs import MultiGraph, _euler_tails, _factor_degrees, _incidence
 
 
 def max_matching(g: MultiGraph) -> frozenset[int]:
@@ -300,8 +300,8 @@ def find_exact_factor(g: MultiGraph, target: Sequence[int]) -> frozenset[int] | 
     if sum(target) % 2:
         return None
     gadget_adj: list[list[int]] = [[] for _ in range(2 * m)]
-    for v in range(n):
-        stubs = [2 * e + (v != g.edges[e][0]) for e, _ in g.incident(v)]
+    for v, ids in enumerate(_incidence(g)):
+        stubs = [2 * e + (v != g.edges[e][0]) for e in ids]
         for _ in range(g.degree(v) - target[v]):
             for s in stubs:
                 gadget_adj[s].append(len(gadget_adj))

@@ -6,29 +6,32 @@ exhausting the value alphabet {±1, ..., ±(k-1)} over the edges, so a
 
 Edge order is most-constrained-vertex first, so the last edge at each
 vertex is forced to the negated partial sum.  A vertex with r > 0
-unassigned incident edges sits in bucket r, and no bucket holds a vertex
-with r = 0.  Each bucket is an insertion-ordered dict, and the next edge
-is the lowest unassigned incident edge id of the vertex most recently put
-into the lowest non-empty bucket (LIFO).  Assigning an edge moves its two
-endpoints down one bucket and backtracking moves them back, so choosing an
-edge costs O(max degree), whatever the size of the graph.  The first
-assigned edge only tries positive values (negating a flow preserves every
-constraint), and a partial sum that the remaining edges cannot cancel
-prunes the branch.  Everything is deterministic: equal inputs give equal
-outcomes and node counts.  The search is one loop over an explicit stack
-of the assigned edges and the values left to try at each, so its depth is
-bounded by memory, not by the recursion limit, and it changes no
-interpreter-wide setting.
+unassigned edges sits in bucket r, an insertion-ordered dict, and the next
+edge is the lowest unassigned edge id of the vertex most recently put into
+the lowest non-empty bucket.  Assigning an edge moves its two endpoints
+down one bucket and backtracking moves them back, so choosing an edge costs
+O(max degree), whatever the size of the graph.  The first edge tries only
+positive values (negating a flow preserves every constraint), and a partial
+sum that the remaining edges cannot cancel prunes the branch.  Equal inputs
+give equal outcomes and node counts.  The search is one loop over an
+explicit stack of the assigned edges and the values left to try at each, so
+its depth is bounded by memory, not by the recursion limit, and it changes
+no interpreter-wide setting.  Past a fixed prefix, a huge k's values are
+made as the search reaches them, so the budget bounds the memory, not k.
+Each public call builds the incidence lists once, for every k it scans,
+and drops them on return: the graph keeps nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .flows import DEFAULT_BUDGET, IntFlow, _checked, verify_flow
-from .graphs import MultiGraph
+from .graphs import MultiGraph, _incidence
+
+_HEAD = 1 << 10  # the values of the alphabet held in a tuple; an even count
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,36 @@ class CrossCheckReport:
     smaller_k: int | None
 
 
+class _Alphabet:
+    """1, -1, 2, -2, ..., ±(k - 1): the tuple ``head``, then the values made as a search reaches them."""
+
+    def __init__(self, head: tuple[int, ...], k: int):
+        self.head, self.k = head, k
+
+    def __iter__(self) -> Iterator[int]:
+        return chain(self.head, (s * a for a in range(len(self.head) // 2 + 1, self.k) for s in (1, -1)))
+
+
 def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Decide whether a zero-sum k-flow exists, exhaustively up to budget."""
+    return _search(g, _incidence(g), k, budget)
+
+
+def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchOutcome:
+    """`solve` on ``inc``, the incidence lists of g."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     n, m = g.n, g.m
-    inc = [g.incident(v) for v in range(n)]
     edges = g.edges
     kmax = k - 1
-    # trying entry i of a value tuple makes nodes > i, so entries past budget are never reached
-    alphabet = tuple(islice((s * a for a in range(1, k) for s in (1, -1)), budget + 1))
-    positives = tuple(range(1, min(k, budget + 2)))
+    # trying entry i of a value sequence makes nodes > i, so entries past budget are never reached
+    size = min(budget + 1, 2 * kmax)
+    alphabet = tuple(islice((s * a for a in range(1, k) for s in (1, -1)), min(size, _HEAD)))
+    if len(alphabet) < size:
+        alphabet = _Alphabet(alphabet, k)
+    positives = range(1, min(k, budget + 2))
     val = [0] * m
     psum = [0] * n
     rem = list(g.degrees())
@@ -91,7 +111,7 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
         for r in levels:
             if bucket[r]:
                 break
-        for e, _ in inc[next(reversed(bucket[r]))]:
+        for e in inc[next(reversed(bucket[r]))]:
             if val[e] == 0:
                 break
         u, w = edges[e]
@@ -163,9 +183,14 @@ def flow_number(g: MultiGraph, k_max: int, budget: int = DEFAULT_BUDGET) -> Flow
     """
     if k_max < 2:
         raise ValueError(f"need k_max >= 2, got {k_max}")
+    return _scan(g, _incidence(g), k_max, budget)
+
+
+def _scan(g: MultiGraph, inc: list[list[int]], k_max: int, budget: int) -> FlowNumberResult:
+    """`flow_number` on ``inc``, the incidence lists of g, shared by every k."""
     outcomes: dict[int, SearchOutcome] = {}
     for k in range(2, k_max + 1):
-        outcome = solve(g, k, budget)
+        outcome = _search(g, inc, k, budget)
         outcomes[k] = outcome
         if outcome.status == "found":
             return FlowNumberResult(k, "found", outcomes)
@@ -185,6 +210,7 @@ def cross_check(g: MultiGraph, flow: IntFlow, budget: int = DEFAULT_BUDGET) -> C
     if not report.ok:
         raise ValueError(f"constructed flow fails verification: {report.violation}")
     claimed = flow.k
-    at_claimed = solve(g, claimed, budget)
-    smaller = flow_number(g, claimed - 1, budget).k if claimed > 2 else None
+    inc = _incidence(g)
+    at_claimed = _search(g, inc, claimed, budget)
+    smaller = _scan(g, inc, claimed - 1, budget).k if claimed > 2 else None
     return CrossCheckReport(claimed, at_claimed.status, at_claimed.status != "nonexistent", smaller)

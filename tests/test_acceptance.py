@@ -135,7 +135,7 @@ def connected_cubic_graphs(n: int) -> list[MultiGraph]:
         if left == 0:
             g = MultiGraph(n, base + chosen)
             if len(components(g)) == 1:
-                adj = [frozenset(w for _, w in g.incident(v)) for v in range(n)]
+                adj = [frozenset(w for e in g.edges if v in e for w in e if w != v) for v in range(n)]
                 if not any(_isomorphic(adj, got) for got in reps_adj):
                     reps.append(g)
                     reps_adj.append(adj)

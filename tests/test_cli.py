@@ -234,6 +234,16 @@ class TestSolve:
         assert main(["solve", path, "--k", "5", "--budget", "-1"]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_out_of_memory_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        def exhaust(g, k, budget):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "solve", exhaust)
+        path = write_graph(tmp_path, complete(8))
+        assert main(["solve", path, "--k", "1000000000"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory")
+
 
 class TestFlowNumber:
     def test_petersen(self, tmp_path, capsys):

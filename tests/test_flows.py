@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 import zlib
 from itertools import product
 
@@ -11,6 +12,7 @@ from test_factorization import _doubled, _gadget_hub, _matching_union, _union
 from test_graphs import _outcome, _scan_variants, _set_line
 
 from zsflow import factorization, flows, matching, solver
+from zsflow.factorization import regular_component_factor
 from zsflow.errors import (
     FactorSearchError,
     FlowUndecidedError,
@@ -31,16 +33,20 @@ from zsflow.flows import (
 )
 from zsflow.graphs import (
     _FLOW_COLUMNS,
+    MultiGraph,
     _canonical_ints,
     build,
     circulant,
     complete,
+    components,
     cubic_no_pm,
     cycle,
     petersen,
     random_regular,
     subgraph_from_edges,
 )
+from zsflow.matching import degree_range_factor, find_exact_factor
+from zsflow.solver import cross_check, flow_number, solve
 
 
 def hub_pairs(r: int) -> tuple[int, list[tuple[int, int]]]:
@@ -1056,3 +1062,57 @@ class TestFlowBulkPass:
         ]:
             with pytest.raises(GraphFormatError, match=message):
                 parse_flow(FLOW_MUTATIONS[name](self.TEXT))
+
+
+# name -> (a fresh graph, the query); the construct rows take each branch of
+# the dispatch in turn, and the r = 5 hub runs the search to its budget
+QUERIES = {
+    "solve": (petersen, lambda g: solve(g, 4, 10**4)),
+    "flow_number": (cubic_no_pm, lambda g: flow_number(g, 5, 10**4)),
+    "cross_check": (petersen, lambda g: cross_check(g, construct(g), 10**4)),
+    "find_exact_factor": (lambda: complete(8), lambda g: find_exact_factor(g, [4] * g.n)),
+    "degree_range_factor": (lambda: complete(8), lambda g: degree_range_factor(g, 3, 4)),
+    "regular_component_factor": (lambda: _gadget_hub(7, (1, 1, 1, 1, 3)), regular_component_factor),
+    "components": (lambda: _union(petersen(), complete(4)), components),
+    "construct_even": (lambda: random_regular(30, 4, seed=1), construct),
+    "construct_matching": (petersen, construct),
+    "construct_signed_cover": (cubic_no_pm, construct),
+    "construct_r5_two_factor": (lambda: _gadget_hub(5, (1, 1, 3)), construct),
+    "construct_r7_factor": (lambda: _gadget_hub(7, (1, 1, 1, 1, 3)), construct),
+    "construct_search": (
+        lambda: build(*hub_pairs(5)),
+        lambda g: pytest.raises(FlowUndecidedError, construct, g, 10**4),
+    ),
+}
+
+
+class TestQueriesLeaveTheirInputUntouched:
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_every_slot_keeps_its_object(self, name):
+        make, query = QUERIES[name]
+        g = make()
+        before = [getattr(g, slot) for slot in MultiGraph.__slots__]
+        query(g)
+        assert [slot for slot, old in zip(MultiGraph.__slots__, before) if getattr(g, slot) is not old] == []
+
+    @pytest.mark.parametrize(
+        "make, query",
+        [
+            (lambda: random_regular(2000, 5, seed=1), lambda g: find_exact_factor(g, [2] * g.n)),
+            (lambda: random_regular(2000, 3, seed=1), lambda g: solve(g, 5, 10**4)),
+        ],
+        ids=["find_exact_factor", "solve"],
+    )
+    def test_a_query_retains_nothing_on_its_input(self, make, query):
+        # the result is dropped on return, so what stays allocated is what
+        # the query left behind
+        g = make()
+        query(MultiGraph(g.n, g.edges))  # a copy fills the interpreter's free lists first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            query(g)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 8 * g.m

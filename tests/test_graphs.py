@@ -13,6 +13,7 @@ from zsflow.graphs import (
     _EDGE_LIST_COLUMNS,
     _FLOW_COLUMNS,
     _canonical_ints,
+    _incidence,
     build,
     circulant,
     complete,
@@ -27,8 +28,6 @@ from zsflow.graphs import (
     subgraph_from_edges,
     write_edge_list,
 )
-from zsflow.matching import find_exact_factor
-from zsflow.solver import solve
 
 
 class TestBuild:
@@ -86,7 +85,7 @@ class TestQueries:
         assert (vmap, emap) == ([1, 2, 4, 5], [1, 4])
         assert sub.edges == ((0, 1), (2, 3))
 
-    def test_components_match_union_find_without_incidence_lists(self):
+    def test_components_match_union_find(self):
         rng = random.Random(3)
         for n in (1, 7, 30, 60):
             g = build(n, [tuple(rng.sample(range(n), 2)) for _ in range(n // 2)])
@@ -103,7 +102,6 @@ class TestQueries:
             for v in range(n):
                 groups.setdefault(find(v), []).append(v)
             assert components(g) == sorted(groups.values())
-            assert g._adj is None  # answered from the edge list alone
 
 
 def _multigraph() -> MultiGraph:
@@ -112,41 +110,27 @@ def _multigraph() -> MultiGraph:
 
 
 class TestIncident:
-    def test_pairs_are_edge_id_and_other_endpoint_ascending(self):
+    def test_edge_ids_at_each_vertex_ascending(self):
         g = _multigraph()
-        assert g.incident(1) == ((0, 2), (1, 0), (2, 2), (4, 3), (5, 0))
-        assert g.incident(3) == ((4, 1), (6, 0), (7, 2))
-        assert g.incident(4) == ()
-        for v in range(g.n):
-            ids = [e for e, _ in g.incident(v)]
+        inc = _incidence(g)
+        assert inc[1] == [0, 1, 2, 4, 5]
+        assert inc[3] == [4, 6, 7]
+        assert inc[4] == []
+        for v, ids in enumerate(inc):
             assert ids == sorted(ids)
-            assert all(v in g.edges[e] and w in g.edges[e] for e, w in g.incident(v))
+            assert ids == [e for e, pair in enumerate(g.edges) if v in pair]
 
     def test_repeated_calls_are_equal(self):
         g = _multigraph()
-        first = [g.incident(v) for v in range(g.n)]
-        assert [g.incident(v) for v in range(g.n)] == first
+        first = _incidence(g)
+        second = _incidence(g)
+        assert second == first and second is not first
+        assert g.__slots__ == ("n", "edges", "_degrees")  # nothing to keep it in
 
     def test_degrees_count_parallel_edges_at_both_ends(self):
         g = _multigraph()
         assert g.degrees() == (4, 5, 4, 3, 0)
-        assert g.degrees() == tuple(len(g.incident(v)) for v in range(g.n))
-
-    def test_results_do_not_depend_on_a_prior_incident_read(self):
-        def results(g):
-            outcome = solve(g, 3, 10_000)
-            return (
-                components(g),
-                find_exact_factor(g, [1, 2, 1, 0, 0]),
-                find_exact_factor(g, [1, 1, 1, 1, 0]),
-                (outcome.status, outcome.nodes, outcome.flow.values),
-            )
-
-        warm = _multigraph()
-        for v in range(warm.n):
-            warm.incident(v)
-        assert results(_multigraph()) == results(warm)
-        assert results(_multigraph())[0] == [[0, 1, 2, 3], [4]]
+        assert g.degrees() == tuple(map(len, _incidence(g)))
 
 
 def test_every_public_name_resolves():

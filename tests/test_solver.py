@@ -10,6 +10,7 @@ import pytest
 from oracles import flow_exists_by_enumeration
 from zsflow.flows import IntFlow, construct, verify_flow
 from zsflow.graphs import MultiGraph, build, complete, cubic_no_pm, cycle, petersen, random_regular
+from zsflow import solver
 from zsflow.solver import DEFAULT_BUDGET, cross_check, flow_number, solve
 
 
@@ -140,21 +141,34 @@ class TestSolve:
                         assert search_digest(outcome) == search_digest(full)
 
     def test_a_huge_k_under_a_small_budget_allocates_little(self):
-        # only the values that the budget lets the search try are built
-        tracemalloc.start()
-        try:
-            outcome = solve(petersen(), 10**6, budget=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (outcome.status, outcome.nodes) == ("undecided", 6)
-        assert peak < 10**6
+        # only the values that the budget lets the search try are built, and
+        # past a fixed prefix only those the search reaches
+        for g, k, budget, expected in [
+            (petersen(), 10**6, 5, ("undecided", 6)),
+            (complete(8), 10**9, DEFAULT_BUDGET, ("found", 28)),
+        ]:
+            tracemalloc.start()
+            try:
+                outcome = solve(g, k, budget)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (outcome.status, outcome.nodes) == expected
+            assert peak < 10**6
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SEARCH))
     def test_golden_search(self, name):
         g, budget, expected = GOLDEN_SEARCH[name]
         got = {k: search_digest(solve(g, k, budget)) for k in expected}
         assert got == expected
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SEARCH))
+    def test_golden_search_past_a_short_prefix(self, name, monkeypatch):
+        # with only 1, -1 held, every other value is made as the search
+        # reaches it, and in the same order
+        monkeypatch.setattr(solver, "_HEAD", 2)
+        g, budget, expected = GOLDEN_SEARCH[name]
+        assert {k: search_digest(solve(g, k, budget)) for k in expected} == expected
 
     def test_monotone_in_k(self):
         rng = random.Random(77)
@@ -222,6 +236,49 @@ class TestFlowNumber:
     def test_undecided_propagates(self):
         result = flow_number(petersen(), 6, budget=3)
         assert result.k is None and result.status == "undecided"
+
+
+class TestOneIncidencePerScan:
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        # the graph of each incidence build, and (k, digest) of each search
+        calls = {"_incidence": [], "_search": []}
+        real_incidence, real_search = solver._incidence, solver._search
+
+        def incidence(g):
+            calls["_incidence"].append(g)
+            return real_incidence(g)
+
+        def search(g, inc, k, budget):
+            outcome = real_search(g, inc, k, budget)
+            calls["_search"].append((k, search_digest(outcome)))
+            return outcome
+
+        monkeypatch.setattr(solver, "_incidence", incidence)
+        monkeypatch.setattr(solver, "_search", search)
+        return calls
+
+    def separate(self, g, ks, budget):
+        return [(k, search_digest(solve(g, k, budget))) for k in ks]
+
+    @pytest.mark.parametrize("name", ["rr20_5_s6", "cubic_no_pm", "rr200_3_s7"])
+    def test_flow_number(self, name, spied):
+        g, budget, _ = GOLDEN_SEARCH[name]
+        result = flow_number(g, 5, budget)
+        assert spied["_incidence"] == [g]
+        scanned = [(k, search_digest(o)) for k, o in result.outcomes.items()]
+        assert spied["_search"] == scanned
+        assert self.separate(g, result.outcomes, budget) == scanned
+
+    def test_cross_check(self, spied):
+        g = complete(8)
+        report = cross_check(g, construct(g), budget=200_000)
+        assert spied["_incidence"] == [g]
+        scanned = spied["_search"][:]
+        ks = [k for k, _ in scanned]
+        assert ks == [5, *range(2, len(ks) + 1)]  # the claimed k, then the scan below it
+        assert self.separate(g, ks, 200_000) == scanned
+        assert report.status_at_claimed == scanned[0][1][0]
 
 
 class TestCrossCheck:
