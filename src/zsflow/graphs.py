@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 
 from .errors import GraphError, GraphFormatError
@@ -247,44 +247,70 @@ def random_regular(n: int, r: int, seed: int) -> MultiGraph:
     Configuration-model pairing: shuffle the stub list, pair greedily while
     skipping loops and parallel collisions, reshuffle the leftover stubs, and
     restart from scratch when the leftovers admit no legal pair.  Bounded at
-    10,000 restarts.
+    10,000 restarts.  The edges are ``(u, v)`` with u < v, ascending.  The
+    output is a fixed function of (n, r, seed), pinned by tests: `_shuffle`
+    makes the draws of ``random.Random(seed).shuffle``, so every graph equals
+    the one the stdlib shuffle gave.
     """
     if r < 0 or n <= r:
         raise GraphError(f"need 0 <= r < n, got n={n}, r={r}")
     if (n * r) % 2:
         raise GraphError(f"n*r must be even, got n={n}, r={r}")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    verts = list(range(n))  # stubs and edges share these int objects
     for _ in range(_RANDOM_REGULAR_RESTARTS):
-        edges = _pair_stubs(n, r, rng)
-        if edges is not None:
-            return MultiGraph(n, sorted(edges))
+        later = _pair_stubs(verts, r, getrandbits)
+        if later is not None:  # lazily: MultiGraph copies each pair, so a list of pairs only adds to the peak
+            return MultiGraph(n, ((a, b) for a, bs in zip(verts, later) for b in sorted(bs)))
     raise GraphError(f"random_regular(n={n}, r={r}) gave up after {_RANDOM_REGULAR_RESTARTS} restarts")
 
 
-def _pair_stubs(n: int, r: int, rng: random.Random) -> set[tuple[int, int]] | None:
-    edges: set[tuple[int, int]] = set()
-    stubs = list(range(n)) * r
+def _pair_stubs(verts: list[int], r: int, getrandbits: Callable[[int], int]) -> list[list[int]] | None:
+    """``later[a]``: the partners b > a paired with a, or None if the pairing got stuck."""
+    later: list[list[int]] = [[] for _ in verts]
+    stubs = verts * r
     while stubs:
-        rng.shuffle(stubs)
+        _shuffle(stubs, getrandbits)
         leftover: list[int] = []
         it = iter(stubs)
         for a, b in zip(it, it):
             if a > b:
                 a, b = b, a
-            if a == b or (a, b) in edges:
+            partners = later[a]
+            if a == b or b in partners:  # a scan of at most r entries
                 leftover.extend((a, b))
             else:
-                edges.add((a, b))
+                partners.append(b)
         if len(leftover) == len(stubs):
             # no pair was placeable; check whether any legal pair remains
             if not any(
-                a != b and (min(a, b), max(a, b)) not in edges
+                a != b and max(a, b) not in later[min(a, b)]
                 for i, a in enumerate(leftover)
                 for b in leftover[i + 1 :]
             ):
                 return None
         stubs = leftover
-    return edges
+    return later
+
+
+def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
+    """``random.Random.shuffle`` with ``_randbelow`` inlined.
+
+    For i from len(x) - 1 down to 1, draw ``getrandbits(k)`` with
+    k = (i + 1).bit_length() until it is at most i, then swap.  Those are
+    the stdlib's draws, so the permutation and the generator's state after
+    it are the same.  k is computed once per block of i sharing it.
+    """
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the smallest i with (i + 1).bit_length() == k
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
 
 
 def cubic_no_pm() -> MultiGraph:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -167,15 +169,62 @@ class TestGenerators:
         with pytest.raises(GraphError, match="at least 1 vertex"):
             circulant(n, {1})
 
-    def test_random_regular_is_regular_and_simple(self):
-        g = random_regular(10, 3, seed=1)
-        assert regular_degree(g) == 3
-        seen = set()
-        for u, v in g.edges:
-            assert u != v
-            key = (min(u, v), max(u, v))
-            assert key not in seen
-            seen.add(key)
+    @pytest.mark.parametrize(
+        "n, r, seed",
+        [
+            (n, r, seed)
+            for n in range(1, 23)
+            for r in sorted({3, 4, n - 2, n - 1})
+            if 0 <= r < n and n * r % 2 == 0
+            for seed in range(3)
+        ],
+    )
+    def test_random_regular_is_regular_and_simple(self, n, r, seed):
+        g = random_regular(n, r, seed=seed)
+        assert all(u < v for u, v in g.edges)
+        assert list(g.edges) == sorted(set(g.edges))  # ascending, no parallel pair
+        assert g.degrees() == (r,) * n
+
+    # crc32 of the edge-list text, measured on the generator that called
+    # random.Random.shuffle; the comments give _pair_stubs attempts (restarts + 1)
+    @pytest.mark.parametrize(
+        "n, r, seed, crc",
+        [
+            (10, 3, 1, 1297370279),  # 3 attempts
+            (14, 11, 3, 108243218),  # 7 attempts, 75 shuffles
+            (20, 5, 6, 208039287),  # 4 attempts
+            (12, 4, 1, 1616173850),  # 2 attempts
+            (1600, 8, 1, 967738982),  # 2 attempts
+            (200, 13, 1, 4144141076),
+            (100, 9, 5, 993086335),
+        ],
+    )
+    def test_random_regular_golden(self, n, r, seed, crc):
+        assert zlib.crc32(write_edge_list(random_regular(n, r, seed)).encode()) == crc
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffle_makes_the_stdlib_draws(self, seed):
+        # restarts and reshuffles continue from the state a shuffle leaves
+        for length in [*range(71), 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 4095, 4096, 4097]:
+            ref, rng = random.Random(seed), random.Random(seed)
+            a, b = list(range(length)), list(range(length))
+            ref.shuffle(a)
+            graphs._shuffle(b, rng.getrandbits)
+            assert b == a, length
+            assert rng.getstate() == ref.getstate(), length
+
+    @pytest.mark.parametrize("r", [7, 13])
+    def test_random_regular_memory(self, r):
+        # the pairing peaks at ~120 B per edge; the graph keeps ~75, and it
+        # shares the endpoints' int objects, where a fresh int per endpoint adds 64
+        tracemalloc.start()
+        try:
+            g = random_regular(20000, r, seed=1)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 162 * g.m
+        assert retained < 80 * g.m
 
     def test_random_regular_deterministic(self):
         a = random_regular(20, 3, seed=7)
