@@ -4,7 +4,10 @@ Reports are plain text documents with a stable key order so identical
 command lines diff cleanly (only the wall_time_s line varies).  Exit codes:
 0 success/verified (a decided "nonexistent" from solve counts as success),
 1 failed verification verdict, 2 input error, 3 unsupported degree,
-4 undecided within budget, 5 internal verification failure.
+4 undecided within budget, 5 internal verification failure.  Commands
+raise on input errors and return only their verdict's exit code; `main`
+alone maps exceptions to exit codes and to the one ``error:`` (or
+``undecided:``) line on stderr.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ def _load_graph(path: str, fmt: str) -> MultiGraph:
     return parse_graph6(text) if fmt == "graph6" else parse_edge_list(text)
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    _write("\n".join(lines) + "\n", out)
-
-
 def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -50,34 +49,42 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _header(command: str) -> list[str]:
-    return [f"command: {command}", f"version: {__version__}", "seed: -"]
-
-
-def _graph_block(source: str, fmt: str, g: MultiGraph) -> list[str]:
+def _report(args, g: MultiGraph, lines: list[str]) -> None:
+    """Write the header, the graph block and ``lines`` to --out, or to stdout."""
     r = regular_degree(g)
-    return [
-        f"input: {source}",
-        f"format: {fmt}",
+    head = [
+        f"command: {args.cmd}",
+        f"version: {__version__}",
+        "seed: -",
+        f"input: {args.graph}",
+        f"format: {args.format}",
         f"n: {g.n}",
         f"m: {g.m}",
         f"r: {'-' if r is None else r}",
     ]
+    _write("\n".join(head + lines) + "\n", args.out)
+
+
+def _timed(call, *call_args):
+    """Return ``call(*call_args)`` and the report's wall_time_s line for it."""
+    start = time.perf_counter()
+    result = call(*call_args)
+    return result, f"wall_time_s: {time.perf_counter() - start:.3f}"
+
+
+def _flow_block(flow, flow_out: str | None) -> str:
+    """Write the flow file to --flow-out, if given, and return the report's flow line."""
+    text = write_flow(flow)
+    if flow_out:
+        Path(flow_out).write_text(text)
+    # the flow file's body, without its header, as one string ("flow:" alone when m = 0)
+    return "flow:" + text[text.index("\n") :].rstrip("\n")
 
 
 def _cmd_construct(args) -> int:
     g = _load_graph(args.graph, args.format)
-    start = time.perf_counter()
-    flow = construct(g, budget=args.budget)
-    wall = time.perf_counter() - start
-    lines = _header("construct") + _graph_block(args.graph, args.format, g)
-    lines += ["outcome: flow", f"k: {flow.k}", "verified: pass", f"wall_time_s: {wall:.3f}"]
-    text = write_flow(flow)
-    # the flow file's body, without its header, as one string ("flow:" alone when m = 0)
-    lines.append("flow:" + text[text.index("\n") :].rstrip("\n"))
-    _emit(lines, args.out)
-    if args.flow_out:
-        Path(args.flow_out).write_text(text)
+    flow, wall = _timed(construct, g, args.budget)
+    _report(args, g, ["outcome: flow", f"k: {flow.k}", "verified: pass", wall, _flow_block(flow, args.flow_out)])
     return 0
 
 
@@ -85,66 +92,50 @@ def _cmd_verify(args) -> int:
     g = _load_graph(args.graph, args.format)
     doc = parse_flow(Path(args.flow).read_text())
     if doc.n != g.n:
-        print(f"error: vertex-count mismatch: graph has {g.n}, flow file says {doc.n}", file=sys.stderr)
-        return 2
+        raise ValueError(f"vertex-count mismatch: graph has {g.n}, flow file says {doc.n}")
     if doc.m != g.m:
-        print(f"error: edge-count mismatch: graph has {g.m}, flow file says {doc.m}", file=sys.stderr)
-        return 2
+        raise ValueError(f"edge-count mismatch: graph has {g.m}, flow file says {doc.m}")
     if doc.endpoints != g.edges:  # some pair is swapped or wrong
         for e, ((u, v), (fu, fv)) in enumerate(zip(g.edges, doc.endpoints)):
             if {u, v} != {fu, fv}:
-                print(f"error: edge {e} endpoints differ: graph ({u}, {v}), flow ({fu}, {fv})", file=sys.stderr)
-                return 2
+                raise ValueError(f"edge {e} endpoints differ: graph ({u}, {v}), flow ({fu}, {fv})")
     k = args.k if args.k is not None else doc.k
-    start = time.perf_counter()
-    report = verify_flow(g, doc.values, k=k)
-    wall = time.perf_counter() - start
-    lines = _header("verify") + _graph_block(args.graph, args.format, g)
-    lines += [
+    report, wall = _timed(verify_flow, g, doc.values, k)
+    lines = [
         f"k: {k}",
         f"outcome: {'pass' if report.ok else 'fail'}",
         f"max_abs: {report.max_abs}",
         f"violation: {report.violation or '-'}",
-        f"wall_time_s: {wall:.3f}",
+        wall,
     ]
-    _emit(lines, args.out)
+    _report(args, g, lines)
     return 0 if report.ok else 1
 
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph, args.format)
-    start = time.perf_counter()
-    outcome = solve(g, args.k, args.budget)
-    wall = time.perf_counter() - start
-    lines = _header("solve") + _graph_block(args.graph, args.format, g)
-    lines += [f"k: {args.k}", f"budget: {args.budget}", f"outcome: {outcome.status}", f"nodes: {outcome.nodes}"]
+    outcome, wall = _timed(solve, g, args.k, args.budget)
+    lines = [f"k: {args.k}", f"budget: {args.budget}", f"outcome: {outcome.status}", f"nodes: {outcome.nodes}"]
     if outcome.status == "found":
-        lines += ["verified: pass", f"wall_time_s: {wall:.3f}"]
-        text = write_flow(outcome.flow)
-        lines.append("flow:" + text[text.index("\n") :].rstrip("\n"))
-        if args.flow_out:
-            Path(args.flow_out).write_text(text)
+        lines += ["verified: pass", wall, _flow_block(outcome.flow, args.flow_out)]
     else:
-        lines += [f"wall_time_s: {wall:.3f}"]
-    _emit(lines, args.out)
+        lines.append(wall)
+    _report(args, g, lines)
     return 4 if outcome.status == "undecided" else 0
 
 
 def _cmd_flownumber(args) -> int:
     g = _load_graph(args.graph, args.format)
-    start = time.perf_counter()
-    result = flow_number(g, args.kmax, args.budget)
-    wall = time.perf_counter() - start
-    lines = _header("flownumber") + _graph_block(args.graph, args.format, g)
-    lines += [
+    result, wall = _timed(flow_number, g, args.kmax, args.budget)
+    lines = [
         f"kmax: {args.kmax}",
         f"budget: {args.budget}",
         f"outcome: {result.status}",
         f"flow_number: {'-' if result.k is None else result.k}",
         f"nodes: {sum(o.nodes for o in result.outcomes.values())}",
-        f"wall_time_s: {wall:.3f}",
+        wall,
     ]
-    _emit(lines, args.out)
+    _report(args, g, lines)
     return 4 if result.status == "undecided" else 0
 
 

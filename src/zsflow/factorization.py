@@ -65,15 +65,13 @@ def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
 # regular-component [k-1, k]-factors
 
 
-def _partition_search(
-    g: MultiGraph, k: int, factor_budget: int
-) -> tuple[frozenset[int], frozenset[int]] | None:
+def _partition_search(g: MultiGraph, k: int) -> tuple[frozenset[int], frozenset[int]] | None:
     """Exact search over vertex splits: one side gets a (k-1)-factor, the other a k-factor.
 
     Any regular-component [k-1, k]-factor induces such a split (no factor
     edge crosses), so enumerating splits by ascending side size is complete.
-    Returns the two sides' factors as (lower, upper).  Budgeted by the
-    number of gadget-matching calls.
+    Returns the two sides' factors as (lower, upper).  Budgeted at
+    `_PARTITION_FACTOR_BUDGET` gadget-matching calls.
     """
     n = g.n
     nbrs = [[g.edges[e][0] ^ g.edges[e][1] ^ v for e in ids] for v, ids in enumerate(_incidence(g))]  # other ends
@@ -100,9 +98,9 @@ def _partition_search(
                 calls += 1
                 if fb is not None:
                     return frozenset(emap_a[e] for e in fa), frozenset(emap_b[e] for e in fb)
-            if calls >= factor_budget:
+            if calls >= _PARTITION_FACTOR_BUDGET:
                 raise FactorSearchError(
-                    f"regular-component factor not found within {factor_budget} matching calls"
+                    f"regular-component factor not found within {_PARTITION_FACTOR_BUDGET} matching calls"
                 )
     return None
 
@@ -151,7 +149,7 @@ def regular_component_factor(g: MultiGraph) -> tuple[frozenset[int], frozenset[i
         if found is not None:
             return finish(found, frozenset())
     if g.n <= _PARTITION_VERTEX_LIMIT:
-        split = _partition_search(g, k, _PARTITION_FACTOR_BUDGET)
+        split = _partition_search(g, k)
         if split is not None:
             return finish(*split)
         raise FactorSearchError(

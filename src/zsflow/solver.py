@@ -91,12 +91,10 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
     n, m = g.n, g.m
     edges = g.edges
     kmax = k - 1
-    # trying entry i of a value sequence makes nodes > i, so entries past budget are never reached
-    size = min(budget + 1, 2 * kmax)
-    alphabet = tuple(islice((s * a for a in range(1, k) for s in (1, -1)), min(size, _HEAD)))
-    if len(alphabet) < size:
+    alphabet = tuple(islice((s * a for a in range(1, k) for s in (1, -1)), _HEAD))
+    if len(alphabet) < 2 * kmax:
         alphabet = _Alphabet(alphabet, k)
-    positives = range(1, min(k, budget + 2))
+    positives = range(1, k)
     val = [0] * m
     psum = [0] * n
     rem = list(g.degrees())

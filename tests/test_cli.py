@@ -115,6 +115,15 @@ class TestVerify:
         assert main(["verify", gpath, str(fpath)]) == 2
         assert "edge-count mismatch" in capsys.readouterr().err
 
+    def test_vertex_count_mismatch(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, cycle(4))
+        fpath = tmp_path / "flow.txt"
+        fpath.write_text("2 5 4\n0 0 1 1\n1 1 2 -1\n2 2 3 1\n3 3 0 -1\n")
+        assert main(["verify", gpath, str(fpath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: vertex-count mismatch: graph has 4, flow file says 5\n"
+        assert not captured.out
+
     @pytest.mark.parametrize("header", ["3 3 -1", "3 -1 3"])
     def test_negative_header_size_usage_error(self, tmp_path, capsys, header):
         gpath = write_graph(tmp_path, cycle(3))

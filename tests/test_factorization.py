@@ -510,10 +510,10 @@ class TestRegularComponentFactor:
         # still the hub's [2, 3]-factor, but the lower part now touches
         # vertices of the upper part
         g = _multigraph_hub()
-        lower, upper = _partition_search(g, 3, 4000)
+        lower, upper = _partition_search(g, 3)
         e = min(upper)
         monkeypatch.setattr(
-            factorization, "_partition_search", lambda g, k, budget: (lower | {e}, upper - {e})
+            factorization, "_partition_search", lambda g, k: (lower | {e}, upper - {e})
         )
         with pytest.raises(RuntimeError, match="failed its component check"):
             regular_component_factor(g)
@@ -522,7 +522,7 @@ class TestRegularComponentFactor:
         # cubic_no_pm with k=2 has neither a 1-factor nor a 2-factor, so the
         # split enumeration must produce a genuinely mixed factor
         g = cubic_no_pm()
-        lower, upper = _partition_search(g, 2, 4000)
+        lower, upper = _partition_search(g, 2)
         assert set(edge_degrees(g, lower)) == {0, 1}
         assert set(edge_degrees(g, upper)) == {0, 2}
         assert set(edge_degrees(g, lower | upper)) == {1, 2}

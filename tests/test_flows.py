@@ -89,6 +89,15 @@ def searches(monkeypatch):
 
 
 class TestVerify:
+    def test_intflow_of_another_graph_is_a_usage_error(self):
+        flow = IntFlow(cycle(5), (1, -1, 1, -1, 1), 2)
+        with pytest.raises(ValueError, match="flow belongs to a different graph"):
+            verify_flow(cycle(4), flow)
+
+    def test_bare_values_need_a_bound(self):
+        with pytest.raises(ValueError, match="a claimed bound k is required"):
+            verify_flow(cycle(4), [1, -1, 1, -1])
+
     def test_c4_alternating_passes(self):
         g = cycle(4)
         report = verify_flow(g, [1, -1, 1, -1], k=2)
@@ -292,6 +301,10 @@ class TestConstantSumWeighting:
 
 
 class TestEvenRegular:
+    def test_irregular_graph_rejected(self):
+        with pytest.raises(NotRegularError, match="needs a regular graph"):
+            flow_even_regular(build(3, [(0, 1), (1, 2)]))
+
     def test_k5(self):
         g = complete(5)
         flow = flow_even_regular(g)
@@ -559,6 +572,10 @@ GOLDEN_FACTOR_FLOW = {
 
 
 class TestConstruct:
+    def test_empty_graph_rejected(self):
+        with pytest.raises(NotRegularError, match="graph is empty"):
+            construct(MultiGraph(0, []))
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONSTRUCT))
     def test_golden_construct(self, name):
         g, expected = GOLDEN_CONSTRUCT[name]

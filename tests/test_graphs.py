@@ -32,6 +32,17 @@ from zsflow.graphs import (
 )
 
 
+def _graph6(g: MultiGraph) -> str:
+    """graph6 text of a simple graph, written from the format's definition."""
+    n = g.n
+    size = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
+    pairs = {(min(u, v), max(u, v)) for u, v in g.edges}
+    bits = [(i, j) in pairs for j in range(1, n) for i in range(j)]
+    bits += [False] * (-len(bits) % 6)
+    body = [sum(bit << (5 - t) for t, bit in enumerate(bits[i : i + 6])) for i in range(0, len(bits), 6)]
+    return "".join(chr(63 + x) for x in size + body)
+
+
 class TestBuild:
     def test_triangle(self):
         g = build(3, [(0, 1), (1, 2), (2, 0)])
@@ -65,6 +76,9 @@ class TestQueries:
 
     def test_regular_degree_path_absent(self):
         assert regular_degree(build(3, [(0, 1), (1, 2)])) is None
+
+    def test_regular_degree_empty_graph_absent(self):
+        assert regular_degree(MultiGraph(0, [])) is None
 
     def test_components_two_triangles(self):
         g = build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
@@ -169,6 +183,13 @@ class TestGenerators:
         with pytest.raises(GraphError, match="at least 1 vertex"):
             circulant(n, {1})
 
+    def test_cycle_of_two_is_a_parallel_pair(self):
+        assert cycle(2).edges == ((0, 1), (0, 1))
+
+    def test_cycle_needs_two_vertices(self):
+        with pytest.raises(GraphError, match="at least 2 vertices, got 1"):
+            cycle(1)
+
     @pytest.mark.parametrize(
         "n, r, seed",
         [
@@ -235,6 +256,11 @@ class TestGenerators:
         with pytest.raises(GraphError):
             random_regular(5, 3, seed=0)
 
+    @pytest.mark.parametrize("n, r", [(4, 4), (4, 6), (5, -1)])
+    def test_random_regular_degree_out_of_range(self, n, r):
+        with pytest.raises(GraphError, match="need 0 <= r < n"):
+            random_regular(n, r, seed=0)
+
     def test_random_regular_dense_degrees(self):
         # high degree exercises the stub re-pairing path
         g = random_regular(14, 11, seed=3)
@@ -270,6 +296,30 @@ class TestSerialization:
     def test_graph6_bad_byte(self):
         with pytest.raises(GraphFormatError):
             parse_graph6("C" + chr(30))
+
+    @pytest.mark.parametrize(
+        "g", [complete(62), complete(63), complete(70), random_regular(100, 3, seed=1)], ids=lambda g: f"n{g.n}"
+    )
+    def test_graph6_size_forms(self, g):
+        # n <= 62 takes one size byte, 63 <= n <= 258047 the 4-byte form
+        text = _graph6(g)
+        assert len(text) == (1 if g.n <= 62 else 4) + (g.n * (g.n - 1) // 2 + 5) // 6
+        assert sorted(parse_graph6(text).edges) == sorted(g.edges)
+
+    def test_graph6_invalid_byte_is_named(self):
+        # chr(30) above is stripped as whitespace; "!" is not
+        with pytest.raises(GraphFormatError, match="invalid graph6 byte '!' at position 1"):
+            parse_graph6("C!")
+
+    @pytest.mark.parametrize("text", ["", " \n", ">>graph6<<"])
+    def test_graph6_empty(self, text):
+        with pytest.raises(GraphFormatError, match="empty graph6 string"):
+            parse_graph6(text)
+
+    @pytest.mark.parametrize("text", ["~~??????", "~"])
+    def test_graph6_size_above_the_4_byte_form(self, text):
+        with pytest.raises(GraphFormatError, match="sizes above 258047"):
+            parse_graph6(text)
 
     def test_edge_list_triangle(self):
         g = parse_edge_list("3 3\n0 1\n1 2\n2 0")

@@ -237,6 +237,10 @@ class TestFlowNumber:
         result = flow_number(petersen(), 6, budget=3)
         assert result.k is None and result.status == "undecided"
 
+    def test_k_max_below_two_is_a_usage_error(self):
+        with pytest.raises(ValueError, match="need k_max >= 2, got 1"):
+            flow_number(cycle(4), 1)
+
 
 class TestOneIncidencePerScan:
     @pytest.fixture
