@@ -12,11 +12,14 @@ list of g's edge ids, and no subgraph is built.  Even r is q = 0 on all of
 g: +1/-1 along each component's Euler circuit, a 2-flow, wherever the
 component has an even edge count, and 2-factor values elsewhere.  Values
 go to a part's 2-factors or matchings as a multiset, split by value
-(`_value_split`): a piece whose values agree is not split further.  For odd
-r, one dispatch (`_odd_flow`) takes the first construction the input
-allows: with a perfect matching M, the 3-flow with -2 on M and q = 2 on
-G - M; for r ≡ 3 (mod 6), the signed double cover, which like even r is
-q = 0 on all of g; for r = 5, -3 on a 2-factor and 2 elsewhere.  A
+(`_value_split`): a piece whose values agree is not split further, and a
+part whose values all agree is not walked at all.  For odd r, one
+dispatch (`_odd_flow`) takes the first construction the input allows:
+with a perfect matching M, the 3-flow with -2 on M and vertex sum 2 on
+G - M (`_matching_flow`), which halves G - M along its own Euler
+circuits while 4 divides its degree and weights the rest; for r ≡ 3
+(mod 6), the signed double cover, which like even r is q = 0 on all of
+g; for r = 5, -3 on a 2-factor and 2 elsewhere.  A
 disconnected input that none of these fits splits, and each component
 takes the dispatch again; a connected one takes the paper's
 [k-1, k]-factor construction for r >= 7 (`flow_odd_regular`) and the
@@ -190,9 +193,17 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
     matchings take the multiset `_split_sum(q/2, d)` of 2s and 1s, or of +1
     (2d/3) and -2 (d/3), and ``ids[i]`` sums its arcs 2i and 2i + 1.
     `_value_split` assigns both.  Each vertex meets every 2-factor twice and
-    every matching as tail and as head, so only the multiset matters.
+    every matching as tail and as head, so only the multiset matters: a
+    uniform one is that value on every id (twice it for odd d), with no
+    walk and no cover.
     """
     n, edges = g.n, g.edges
+    if d % 2 == 0:
+        weights = _split_sum(q // 2, d // 2)
+    else:
+        weights = _split_sum(q // 2, d) if q else [1] * (2 * d // 3) + [-2] * (d // 3)
+    if min(weights) == max(weights):  # no walk and no cover; an odd-d id sums two arcs
+        return [weights[0] * (1 + d % 2)] * len(ids)
     values = [0] * len(ids)
     if d % 2 == 0:
         tails, circuits = _euler_tails(n, edges, ids)
@@ -202,10 +213,9 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
         if rest:
             # arc j: ids[rest[j]] from its tail's out-copy to its head's in-copy, over the tails
             tails[:] = [(t, n + u + v - t) for t, (u, v) in ((tails[i], edges[ids[i]]) for i in rest)]
-            for i, val in zip(rest, _value_split(2 * n, tails, _split_sum(q // 2, d // 2))):
+            for i, val in zip(rest, _value_split(2 * n, tails, weights)):
                 values[i] = val
         return values
-    weights = _split_sum(q // 2, d) if q else [1] * (2 * d // 3) + [-2] * (d // 3)
     arcs = [a for u, v in (edges[e] for e in ids) for a in ((u, n + v), (v, n + u))]
     for arc, w in enumerate(_value_split(2 * n, arcs, weights)):
         values[arc // 2] += w
@@ -233,19 +243,18 @@ def _alternate(values: list[int], circuits: Iterable[list[int]]) -> Sequence[int
     return sorted(odd) if len(odd) < len(values) else range(len(values))
 
 
-def _parts_flow(g: MultiGraph, parts: Iterable[Collection[int]], outside: int) -> IntFlow:
+def _parts_flow(g: MultiGraph, r: int, parts: Iterable[tuple[int, Collection[int]]], outside: int) -> IntFlow:
     """Checked 5-flow: each part's weighting cancels ``outside`` on every other edge.
 
-    Every non-empty part spans a d-regular subgraph of the r-regular g and
-    no vertex lies in two parts, so each part vertex meets r - d edges
-    valued ``outside``; the part gets the weighting with q = -outside * (r - d).
+    Each ``(d, part)`` spans a d-regular subgraph of the r-regular g or is
+    empty, and no vertex lies in two parts, so each part vertex meets r - d
+    edges valued ``outside``; the part gets the weighting with
+    q = -outside * (r - d).
     """
-    r = 2 * g.m // g.n
     values = [outside] * g.m
-    for part in parts:
+    for d, part in parts:
         if part:
             ids = sorted(part)
-            d = 2 * len(ids) // len({v for e in ids for v in g.edges[e]})  # regular: d is the mean
             for e, val in zip(ids, _weighting(g, ids, d, -outside * (r - d))):
                 values[e] = val
     return _checked(g, values, 5)
@@ -286,7 +295,9 @@ def flow_odd_regular(g: MultiGraph) -> IntFlow:
     r = regular_degree(g)
     if r is None or r % 2 == 0 or r < 7:
         raise UnsupportedDegreeError(f"need odd r >= 7, got r={r}")
-    return _parts_flow(g, regular_component_factor(g), -2 if r == 7 else -4)
+    k = 2 * r // 3
+    lower, upper = regular_component_factor(g)
+    return _parts_flow(g, r, ((k - 1, lower), (k, upper)), -2 if r == 7 else -4)
 
 
 def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
@@ -294,7 +305,8 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
 
     Even r >= 4 gives k=3 and odd r gives k=5: one maximum matching feeds
     `_odd_flow`, where the first branch that applies builds the flow.  A
-    perfect matching gives the matching 3-flow (values in {±1, ±2}); r ≡ 3
+    perfect matching gives the matching 3-flow (values in {±1, ±2}, with
+    G - M halved along Euler circuits while 4 divides its degree); r ≡ 3
     (mod 6) the signed double cover (values 2, -1, -4); r = 5 with a
     2-factor -3 on it and 2 elsewhere; r >= 7 the paper's [k-1, k]-factor
     construction; any other r = 5 the exact search for a 5-flow, whose
@@ -324,12 +336,14 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
 def _odd_flow(g: MultiGraph, r: int, matching: Collection[int], budget: int) -> IntFlow:
     """The first odd-r flow that g allows, given a maximum matching of g.
 
+    A perfect matching takes `_matching_flow`: for r ≡ 1 (mod 4) it halves
+    G - M along Euler circuits, with no cover, before any split by value.
     Before the factor construction and the search, a disconnected g splits:
     each component takes this dispatch with its share of ``matching``,
     maximum there too, and the whole budget, and verifies its own flow.
     """
     if 2 * len(matching) == g.n:
-        return _parts_flow(g, [[e for e in range(g.m) if e not in matching]], -2)
+        return _matching_flow(g, r, matching)
     if r % 3 == 0:
         # the signed double cover, with values 2, -1, -4
         return _checked(g, _weighting(g, range(g.m), r, 0), 5)
@@ -361,6 +375,42 @@ def _odd_flow(g: MultiGraph, r: int, matching: Collection[int], budget: int) -> 
     if outcome.flow is None:
         raise _undecided(r, budget)
     return outcome.flow
+
+
+def _matching_flow(g: MultiGraph, r: int, matching: Collection[int]) -> IntFlow:
+    """Checked 3-flow (k = 5): -2 on the perfect matching M, vertex sum 2 on G - M.
+
+    While 4 divides the degree d of what is left of G - M, each of its
+    components has d/2 times its vertex count edges, an even number, so
+    alternate positions of the component's Euler circuit split it into two
+    (d/2)-regular halves on the same vertices.  The halves taken off get
+    1, -2, 1, -2, ..., which cancel in pairs (a (d/2)-regular half at 1
+    against the (d/4)-regular half after it at -2), and after an odd count
+    of halvings the last one gets -1 instead.  The
+    2o-regular rest, o odd, takes the weighting that brings every vertex to
+    zero: q = 2 after an even count (one 1, then +1/-1 pairs) and 2 + 2o
+    after an odd one (o - 1 ones and a 2).  Each value is ±1 or ±2; r ≡ 3
+    (mod 4) halves nothing.
+    """
+    values = [-2] * g.m
+    ids = [e for e in range(g.m) if e not in matching]
+    d, q, val = r - 1, 2, -2
+    while d % 4 == 0:
+        d //= 2
+        # -2 follows 1; 1 follows -2 unless this is the last halving
+        val = -2 if val == 1 else 1 if d % 4 == 0 else -1
+        q -= val * d
+        rest: list[int] = []
+        for closed in _euler_tails(g.n, g.edges, ids)[1]:
+            if len(closed) % 2:  # unreachable: its component has an even edge count
+                raise RuntimeError("internal: odd Euler circuit in a part whose degree 4 divides")
+            for i in closed[::2]:
+                values[ids[i]] = val
+            rest += closed[1::2]
+        ids = sorted(ids[i] for i in rest)
+    for e, w in zip(ids, _weighting(g, ids, d, q)):
+        values[e] = w
+    return _checked(g, values, 5)
 
 
 def _undecided(r: int, budget: int) -> FlowUndecidedError:

@@ -45,7 +45,7 @@ from zsflow.graphs import (
     random_regular,
     subgraph_from_edges,
 )
-from zsflow.matching import degree_range_factor, find_exact_factor
+from zsflow.matching import degree_range_factor, find_exact_factor, max_matching
 from zsflow.solver import cross_check, flow_number, solve
 
 
@@ -513,20 +513,21 @@ class TestOddRegular:
 
 
 # name -> (graph, crc32 of construct(g).values).  Every graph but the two hubs
-# has a perfect matching M, so its flow is -2 on M plus the multiset
-# {1, 1, -1} over the 2-factors of G - M for r = 7, {2, -1, 1, -1} for r = 9
-# and {1, 1, -1, 1, -1} for r = 11, as the split by value hands them out.  The
-# hubs have no perfect matching: r9_hub pins the signed double cover, and
-# r7_mixed_hub (7 ≢ 3 mod 6) pins the paper's construction on a mixed
-# [3, 4]-factor.
+# has a perfect matching M, so its flow is -2 on M plus a weighting of G - M:
+# the multiset {1, 1, -1} over its 2-factors for r = 7 and {1, 1, -1, 1, -1}
+# for r = 11, as the split by value hands them out; for r = 9, G - M halved
+# twice along Euler circuits, 1 on the first 4-regular half, -2 on the next
+# 2-regular half and 1 on the 2-regular rest.  The hubs have no perfect
+# matching: r9_hub pins the signed double cover, and r7_mixed_hub
+# (7 ≢ 3 mod 6) pins the paper's construction on a mixed [3, 4]-factor.
 GOLDEN_CONSTRUCT = {
     "r7_n20": (random_regular(20, 7, seed=1), 0x5112EB5D),
     "r7_n100": (random_regular(100, 7, seed=2), 0x95038FF3),
     "r7_n400": (random_regular(400, 7, seed=3), 0x8237FB1C),
     "r7_circulant": (circulant(10, {1, 2, 3, 5}), 0xB28F8642),
     "r7_k8": (complete(8), 0xDD944F04),
-    "r9_n60": (random_regular(60, 9, seed=4), 0xE8A544C2),
-    "r9_k10": (complete(10), 0xBE1D4878),
+    "r9_n60": (random_regular(60, 9, seed=4), 0xC7CE4ADC),
+    "r9_k10": (complete(10), 0x48356077),
     "r9_hub": (build(*hub_pairs(9)), 0x06E136BD),
     "r7_mixed_hub": (_gadget_hub(7, (1, 1, 1, 1, 3)), 0x4AE617B4),
     "r11_n60": (random_regular(60, 11, seed=5), 0x3277C6BF),
@@ -609,14 +610,19 @@ class TestConstruct:
         assert targets == []
 
     @pytest.mark.parametrize(
-        "r, peels, walks", [(7, 1, 0), (9, 0, 2), (11, 1, 1), (13, 1, 1)], ids=["7", "9", "11", "13"]
+        "r, peels, walks, halvings",
+        [(7, 1, 0, 0), (9, 0, 0, 2), (11, 1, 1, 0), (13, 1, 0, 1)],
+        ids=["7", "9", "11", "13"],
     )
-    def test_perfect_matching_takes_one_two_factorization(self, r, peels, walks, monkeypatch):
-        # one split of G - M by value: its 2-factors take _split_sum(1, (r - 1) / 2),
-        # so {1, 1, -1} at r = 7 is one peel of the -1 and a uniform rest, and
-        # {2, -1, 1, -1} at r = 9 one walk into {-1, -1} and {1, 2} and one more
-        # for the latter; splitting down to single matchings took (peels,
-        # walks) = (1, 1), (0, 3), (1, 3) and (2, 3)
+    def test_perfect_matching_takes_one_two_factorization(self, r, peels, walks, halvings, monkeypatch):
+        # while 4 divides the degree of what is left of G - M, a walk over
+        # g.edges halves it; the rest is split by value once: its 2-factors
+        # take {1, 1, -1} at r = 7, one peel of the -1 and a uniform rest,
+        # {1} at r = 9 (the 2-regular rest after two halvings: no cover at
+        # all), {1, 1, -1, 1, -1} at r = 11 and {1, 1, 2} at r = 13 (the
+        # 6-regular rest after one halving: one peel of the 2); splitting
+        # down to single matchings took (peels, walks) = (1, 1), (0, 3),
+        # (1, 3) and (2, 3) over the whole of G - M
         calls = {"regular_component_factor": 0}
         real = flows.regular_component_factor
 
@@ -635,9 +641,36 @@ class TestConstruct:
                 return _real(n, edges, ids)
 
             monkeypatch.setattr(matching, name, spy)
+        degrees = []  # of the parts of G - M that a walk over g.edges covers
+
+        def walk(n, edges, ids, _real=flows._euler_tails):
+            if edges is g.edges:
+                degrees.append(2 * len(ids) // n)
+            return _real(n, edges, ids)
+
+        monkeypatch.setattr(flows, "_euler_tails", walk)
         flow = construct(g)
         assert verify_flow(g, flow).ok
-        assert calls == {"regular_component_factor": 0, "_max_matching_ids": peels, "_euler_tails": walks}
+        calls["halvings"] = sum(d % 4 == 0 for d in degrees)
+        assert calls == {
+            "regular_component_factor": 0,
+            "_max_matching_ids": peels,
+            "_euler_tails": walks,
+            "halvings": halvings,
+        }
+
+    @pytest.mark.parametrize("n", [30, 60])
+    @pytest.mark.parametrize("r", [5, 9, 13, 17, 21, 25])
+    def test_halved_matching_flow_is_a_3_flow(self, r, n):
+        # r ≡ 1 (mod 4): G - M is halved one to three times before its rest
+        # is weighted, and the values stay within ±2 (k = 5 is still claimed)
+        for seed in (1, 2, 3):
+            g = random_regular(n, r, seed=seed)
+            assert 2 * len(max_matching(g)) == n
+            flow = construct(g)
+            assert flow.k == 5
+            assert vertex_sums(g, flow.values) == [0] * n
+            assert max(map(abs, flow.values)) <= 2
 
     @pytest.mark.parametrize(
         "parts",

@@ -293,8 +293,9 @@ class TestSerialization:
         g = parse_graph6(text)
         assert g.n == 10 and g.m == 15 and regular_degree(g) == 3
 
-    def test_graph6_bad_byte(self):
-        with pytest.raises(GraphFormatError):
+    def test_graph6_stripped_control_byte_leaves_no_body(self):
+        # str.strip() removes chr(30) as whitespace, so K4's body is missing
+        with pytest.raises(GraphFormatError, match="graph6 body length 0 does not match n=4"):
             parse_graph6("C" + chr(30))
 
     @pytest.mark.parametrize(
