@@ -11,15 +11,15 @@ vertex sum q (`_weighting`) and one value to every other edge; a part is a
 list of g's edge ids, and no subgraph is built.  Even r is q = 0 on all of
 g: +1/-1 along each component's Euler circuit, a 2-flow, wherever the
 component has an even edge count, and 2-factor values elsewhere.  Values
-go to a part's 2-factors or matchings as a multiset, split by value
-(`_value_split`): a piece whose values agree is not split further, and a
-part whose values all agree is not walked at all.  For odd r, one
-dispatch (`_odd_flow`) takes the first construction the input allows:
-with a perfect matching M, the 3-flow with -2 on M and vertex sum 2 on
-G - M (`_matching_flow`), which halves G - M along its own Euler
-circuits while 4 divides its degree and weights the rest; for r ≡ 3
-(mod 6), the signed double cover, which like even r is q = 0 on all of
-g; for r = 5, -3 on a 2-factor and 2 elsewhere.  A
+go to a part's 2-factors or matchings as a multiset, split by value: a
+piece whose values agree takes that value with no walk, an even-degree
+piece with an even count of values is halved along its own Euler
+circuits, and any other piece is split on its bipartite cover
+(`_value_split`).  For odd r, one dispatch (`_odd_flow`) takes the first
+construction the input allows: with a perfect matching M, the 3-flow
+with -2 on M and vertex sum 2 on G - M; for r ≡ 3 (mod 6), the signed
+double cover, which like even r is q = 0 on all of g; for r = 5, -3 on a
+2-factor and 2 elsewhere.  A
 disconnected input that none of these fits splits, and each component
 takes the dispatch again; a connected one takes the paper's
 [k-1, k]-factor construction for r >= 7 (`flow_odd_regular`) and the
@@ -160,7 +160,7 @@ def constant_sum_weighting(g: MultiGraph, q: int) -> tuple[int, ...]:
     lo = r if r % 2 == 0 else 2 * r
     if not (lo <= q <= 4 * r):
         raise ValueError(f"q must lie in [{lo}, {4 * r}], got {q}")
-    return tuple(_weighting(g, range(g.m), r, q))
+    return tuple(_weighting(g, range(g.m), r, q, [0] * g.m))
 
 
 # (t, count mod 2) -> the leading values of `_split_sum` for t < count
@@ -180,83 +180,96 @@ def _split_sum(t: int, count: int) -> list[int]:
     return [*head, *[1, -1] * ((count - len(head)) // 2)]
 
 
-def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int) -> list[int]:
-    """Nonzero values, one per id, of the d-regular part ``ids`` of g that sum to q.
+def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int, out: list[int]) -> list[int]:
+    """``out``, with nonzero values at the edges of the d-regular part ``ids`` of g that sum to q.
 
-    ``ids`` ascend and may leave vertices of g uncovered.  Even d takes q = 0
-    (d >= 4), q = 2 or an even q in [d, 4d]: the 2-factors, the perfect
-    matchings of one Euler walk's out/in arcs, take the multiset
-    `_split_sum(q/2, d/2)`, and at q = 0 each component whose circuit has an
-    even length gets `_alternate`'s +1 and -1 instead, leaving the 2-factors
-    to the odd-length ones, which have no 2-flow.  Odd d takes an even q in
-    [2d, 4d], or q = 0 when 3 divides d: the double cover's d perfect
-    matchings take the multiset `_split_sum(q/2, d)` of 2s and 1s, or of +1
-    (2d/3) and -2 (d/3), and ``ids[i]`` sums its arcs 2i and 2i + 1.
-    `_value_split` assigns both.  Each vertex meets every 2-factor twice and
-    every matching as tail and as head, so only the multiset matters: a
-    uniform one is that value on every id (twice it for odd d), with no
-    walk and no cover.
+    ``ids`` ascend, as a list or as range(g.m), and may leave vertices of g
+    uncovered.  Even d takes q = 0 (d >= 4), q = 2 or an even q in [d, 4d],
+    and its 2-factors the sorted multiset `_split_sum(q/2, d/2)`, split by
+    value (Alon 2003): a piece whose values agree takes that value with no
+    walk, and any other is walked once.  Each pass of a circuit through a
+    vertex enters on one of its alternate edges and leaves on the other, so
+    at q = 0 each even circuit gets +1 and -1 in turn.  An even count of
+    values means that 4 divides the degree, so every circuit is even, and
+    its alternate edges form two halves on the same vertices, which take the
+    lower and the upper half of the values.  Otherwise the out/in arcs of
+    the walk (of its odd circuits at q = 0) go to `_value_split`.  Odd d
+    takes an even q in [2d, 4d], or q = 0 when 3 divides d: the double
+    cover's d perfect matchings take `_split_sum(q/2, d)`, or +1 (2d/3 of
+    them) and -2 (d/3), and each id sums its two arcs.  Each vertex meets
+    every 2-factor twice and every matching as tail and as head, so only
+    the multiset matters.
     """
     n, edges = g.n, g.edges
-    if d % 2 == 0:
-        weights = _split_sum(q // 2, d // 2)
-    else:
+    if d % 2:
         weights = _split_sum(q // 2, d) if q else [1] * (2 * d // 3) + [-2] * (d // 3)
-    if min(weights) == max(weights):  # no walk and no cover; an odd-d id sums two arcs
-        return [weights[0] * (1 + d % 2)] * len(ids)
-    values = [0] * len(ids)
-    if d % 2 == 0:
-        tails, circuits = _euler_tails(n, edges, ids)
-        # the positions the 2-factors weight, oriented by the same walk
-        rest: Sequence[int] = _alternate(values, circuits) if q == 0 else range(len(ids))
+        if min(weights) == max(weights):  # no cover; an id sums two arcs
+            for e in ids:
+                out[e] = 2 * weights[0]
+            return out
+        arcs = [a for u, v in (edges[e] for e in ids) for a in ((u, n + v), (v, n + u))]
+        split = iter(_value_split(2 * n, arcs, weights))
+        for e, first, second in zip(ids, split, split):
+            out[e] = first + second
+        return out
+    # pieces of the part still to weight, each with its sorted values; a
+    # piece's edges are ``ids`` or an ascending list of edge ids
+    stack = [(ids, sorted(_split_sum(q // 2, d // 2)))]
+    while stack:
+        part, vals = stack.pop()
+        if vals[0] == vals[-1]:
+            for e in part:
+                out[e] = vals[0]
+            continue
+        tails, circuits = _euler_tails(n, edges, part)
+        if q and len(vals) % 2 == 0:
+            del tails  # not kept alive through the halves' walks
+            if any(len(closed) % 2 for closed in circuits):  # unreachable: 4 divides the degree
+                raise RuntimeError("internal: odd Euler circuit in a part whose degree 4 divides")
+            half = len(vals) // 2
+            for start, share in ((1, vals[half:]), (0, vals[:half])):
+                stack.append((sorted(chain.from_iterable(_ids_at(part, c[start::2]) for c in circuits)), share))
+            del circuits
+            continue
+        rest: Sequence[int] = range(len(part))  # the positions the 2-factors weight
+        if q == 0:  # +1 and -1 in turn along each even circuit; the odd ones have no 2-flow
+            for start, val in ((0, 1), (1, -1)):
+                for e in chain.from_iterable(_ids_at(part, c[start::2]) for c in circuits if len(c) % 2 == 0):
+                    out[e] = val
+            rest = sorted(i for c in circuits if len(c) % 2 for i in c)
+            if len(rest) == len(part):
+                rest = range(len(part))  # no list of every position through the split
         del circuits  # not kept alive through the split
         if rest:
-            # arc j: ids[rest[j]] from its tail's out-copy to its head's in-copy, over the tails
-            tails[:] = [(t, n + u + v - t) for t, (u, v) in ((tails[i], edges[ids[i]]) for i in rest)]
-            for i, val in zip(rest, _value_split(2 * n, tails, weights)):
-                values[i] = val
-        return values
-    arcs = [a for u, v in (edges[e] for e in ids) for a in ((u, n + v), (v, n + u))]
-    for arc, w in enumerate(_value_split(2 * n, arcs, weights)):
-        values[arc // 2] += w
-    return values
+            at = _ids_at(part, rest)
+            # arc j: edge at[j] from its tail's out-copy to its head's in-copy, over the tails
+            tails[:] = [(t, n + u + v - t) for t, (u, v) in ((tails[i], edges[e]) for i, e in zip(rest, at))]
+            for e, val in zip(at, _value_split(2 * n, tails, vals)):
+                out[e] = val
+    return out
 
 
-def _alternate(values: list[int], circuits: Iterable[list[int]]) -> Sequence[int]:
-    """+1 and -1 in turn along each circuit of even length; the positions on the others.
-
-    A circuit lists positions in walk order, so each pass through a vertex
-    enters on one sign and leaves on the other, and an even circuit's last
-    and first values also differ at its start: every vertex it covers sums
-    to zero.  The other positions come back ascending, as a range when they
-    are all of them, so that no list of every position stays alive.
-    """
-    odd: list[int] = []
-    for closed in circuits:
-        if len(closed) % 2:
-            odd += closed
-        else:
-            for i in closed[::2]:
-                values[i] = 1
-            for i in closed[1::2]:
-                values[i] = -1
-    return sorted(odd) if len(odd) < len(values) else range(len(values))
+def _ids_at(part: Sequence[int], positions: Sequence[int]) -> Sequence[int]:
+    """The ids at ``positions`` of ``part``, with no subscript for a range(g.m) part or all positions."""
+    if isinstance(part, range):
+        return positions
+    if isinstance(positions, range):
+        return part
+    return [part[i] for i in positions]
 
 
-def _parts_flow(g: MultiGraph, r: int, parts: Iterable[tuple[int, Collection[int]]], outside: int) -> IntFlow:
+def _parts_flow(g: MultiGraph, r: int, parts: Iterable[tuple[int, Sequence[int]]], outside: int) -> IntFlow:
     """Checked 5-flow: each part's weighting cancels ``outside`` on every other edge.
 
-    Each ``(d, part)`` spans a d-regular subgraph of the r-regular g or is
-    empty, and no vertex lies in two parts, so each part vertex meets r - d
-    edges valued ``outside``; the part gets the weighting with
-    q = -outside * (r - d).
+    Each ``(d, part)`` lists ascending the edge ids of a d-regular subgraph
+    of the r-regular g, or is empty, and no vertex lies in two parts, so
+    each part vertex meets r - d edges valued ``outside``; the part gets the
+    weighting with q = -outside * (r - d).
     """
     values = [outside] * g.m
     for d, part in parts:
         if part:
-            ids = sorted(part)
-            for e, val in zip(ids, _weighting(g, ids, d, -outside * (r - d))):
-                values[e] = val
+            _weighting(g, part, d, -outside * (r - d), values)
     return _checked(g, values, 5)
 
 
@@ -278,7 +291,7 @@ def flow_even_regular(g: MultiGraph) -> IntFlow:
         raise NotRegularError("flow_even_regular needs a regular graph")
     if r % 2 or r < 4:
         raise UnsupportedDegreeError(f"need even r >= 4, got r={r}")
-    return _checked(g, _weighting(g, range(g.m), r, 0), 3)
+    return _checked(g, _weighting(g, range(g.m), r, 0, [0] * g.m), 3)
 
 
 def flow_odd_regular(g: MultiGraph) -> IntFlow:
@@ -297,7 +310,7 @@ def flow_odd_regular(g: MultiGraph) -> IntFlow:
         raise UnsupportedDegreeError(f"need odd r >= 7, got r={r}")
     k = 2 * r // 3
     lower, upper = regular_component_factor(g)
-    return _parts_flow(g, r, ((k - 1, lower), (k, upper)), -2 if r == 7 else -4)
+    return _parts_flow(g, r, ((k - 1, sorted(lower)), (k, sorted(upper))), -2 if r == 7 else -4)
 
 
 def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
@@ -306,7 +319,8 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
     Even r >= 4 gives k=3 and odd r gives k=5: one maximum matching feeds
     `_odd_flow`, where the first branch that applies builds the flow.  A
     perfect matching gives the matching 3-flow (values in {±1, ±2}, with
-    G - M halved along Euler circuits while 4 divides its degree); r ≡ 3
+    G - M halved along Euler circuits while its 2-factor values number
+    evenly and differ); r ≡ 3
     (mod 6) the signed double cover (values 2, -1, -4); r = 5 with a
     2-factor -3 on it and 2 elsewhere; r >= 7 the paper's [k-1, k]-factor
     construction; any other r = 5 the exact search for a 5-flow, whose
@@ -336,17 +350,18 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
 def _odd_flow(g: MultiGraph, r: int, matching: Collection[int], budget: int) -> IntFlow:
     """The first odd-r flow that g allows, given a maximum matching of g.
 
-    A perfect matching takes `_matching_flow`: for r ≡ 1 (mod 4) it halves
-    G - M along Euler circuits, with no cover, before any split by value.
-    Before the factor construction and the search, a disconnected g splits:
+    A perfect matching takes -2 on M and the q = 2 weighting of G - M, so
+    the matching, signed-cover and factor branches are each one outside
+    value and `_weighting` on regular parts.  Before the factor construction and the search, a
+    disconnected g splits:
     each component takes this dispatch with its share of ``matching``,
     maximum there too, and the whole budget, and verifies its own flow.
     """
     if 2 * len(matching) == g.n:
-        return _matching_flow(g, r, matching)
+        return _parts_flow(g, r, [(r - 1, [e for e in range(g.m) if e not in matching])], -2)
     if r % 3 == 0:
         # the signed double cover, with values 2, -1, -4
-        return _checked(g, _weighting(g, range(g.m), r, 0), 5)
+        return _checked(g, _weighting(g, range(g.m), r, 0, [0] * g.m), 5)
     if r == 5:
         # -3 on a 2-factor and 2 on the 3 other edges at each vertex
         factor = find_exact_factor(g, [2] * g.n)
@@ -375,42 +390,6 @@ def _odd_flow(g: MultiGraph, r: int, matching: Collection[int], budget: int) -> 
     if outcome.flow is None:
         raise _undecided(r, budget)
     return outcome.flow
-
-
-def _matching_flow(g: MultiGraph, r: int, matching: Collection[int]) -> IntFlow:
-    """Checked 3-flow (k = 5): -2 on the perfect matching M, vertex sum 2 on G - M.
-
-    While 4 divides the degree d of what is left of G - M, each of its
-    components has d/2 times its vertex count edges, an even number, so
-    alternate positions of the component's Euler circuit split it into two
-    (d/2)-regular halves on the same vertices.  The halves taken off get
-    1, -2, 1, -2, ..., which cancel in pairs (a (d/2)-regular half at 1
-    against the (d/4)-regular half after it at -2), and after an odd count
-    of halvings the last one gets -1 instead.  The
-    2o-regular rest, o odd, takes the weighting that brings every vertex to
-    zero: q = 2 after an even count (one 1, then +1/-1 pairs) and 2 + 2o
-    after an odd one (o - 1 ones and a 2).  Each value is ±1 or ±2; r ≡ 3
-    (mod 4) halves nothing.
-    """
-    values = [-2] * g.m
-    ids = [e for e in range(g.m) if e not in matching]
-    d, q, val = r - 1, 2, -2
-    while d % 4 == 0:
-        d //= 2
-        # -2 follows 1; 1 follows -2 unless this is the last halving
-        val = -2 if val == 1 else 1 if d % 4 == 0 else -1
-        q -= val * d
-        rest: list[int] = []
-        for closed in _euler_tails(g.n, g.edges, ids)[1]:
-            if len(closed) % 2:  # unreachable: its component has an even edge count
-                raise RuntimeError("internal: odd Euler circuit in a part whose degree 4 divides")
-            for i in closed[::2]:
-                values[ids[i]] = val
-            rest += closed[1::2]
-        ids = sorted(ids[i] for i in rest)
-    for e, w in zip(ids, _weighting(g, ids, d, q)):
-        values[e] = w
-    return _checked(g, values, 5)
 
 
 def _undecided(r: int, budget: int) -> FlowUndecidedError:

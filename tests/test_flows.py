@@ -266,7 +266,7 @@ class TestConstantSumWeighting:
         for seed, n in enumerate((12, 30)):
             g = _matching_union(r, n, seed)
             for q in qs:
-                values = flows._weighting(g, range(g.m), r, q)
+                values = flows._weighting(g, range(g.m), r, q, [0] * g.m)
                 assert len(values) == g.m and 0 not in values, (r, n, q)
                 assert vertex_sums(g, values) == [q] * g.n, (r, n, q)
 
@@ -288,16 +288,48 @@ class TestConstantSumWeighting:
         else:
             qs = list(range(d, 4 * d + 1, 2)) + [2, 0]
         for q in qs:
-            values = flows._weighting(g, ids, d, q)
+            out = flows._weighting(g, ids, d, q, [0] * g.m)
+            values = [out[e] for e in ids]
             if q >= (d if d % 2 == 0 else 2 * d):
                 assert tuple(values) == constant_sum_weighting(sub, q), q
             else:  # outside the public range: the spanning weighting of the part
-                assert values == flows._weighting(sub, range(sub.m), d, q), q
+                assert values == flows._weighting(sub, range(sub.m), d, q, [0] * sub.m), q
             sums = [0] * g.n
             for e, val in zip(ids, values):
                 for v in g.edges[e]:
                     sums[v] += val
             assert sums == [0, q] * size + [0], q
+
+    @pytest.mark.parametrize(
+        "g, q, work",
+        [
+            (complete(8), None, (1, 0)),
+            (random_regular(40, 13, seed=6), None, (1, 0)),
+            (random_regular(40, 8, seed=4), 20, (1, 0)),
+            (random_regular(40, 8, seed=4), 18, (2, 0)),
+        ],
+        ids=["k8_factor_flow", "r13_factor_flow", "r8_q20", "r8_q18"],
+    )
+    def test_every_even_part_halves(self, g, q, work, monkeypatch):
+        # (walks, cover splits): a part with an even count of unequal
+        # 2-factor values is halved along its own Euler circuits until each
+        # piece's values agree, and no cover is split.  K8's factor flow
+        # halves its 4-regular part {1, 2} once, the r = 13 factor flow its
+        # 8-regular part {2, 2, 3, 3} once; r = 8 halves {2, 2, 3, 3} once at
+        # q = 20, and {2, 2, 2, 3} twice at q = 18
+        calls = {"_euler_tails": 0, "_value_split": 0}
+        for name in calls:
+
+            def spy(*args, _name=name, _real=getattr(flows, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(flows, name, spy)
+        if q is None:
+            assert verify_flow(g, flow_odd_regular(g)).ok
+        else:
+            assert vertex_sums(g, constant_sum_weighting(g, q)) == [q] * g.n
+        assert (calls["_euler_tails"], calls["_value_split"]) == work
 
 
 class TestEvenRegular:
@@ -515,9 +547,11 @@ class TestOddRegular:
 # name -> (graph, crc32 of construct(g).values).  Every graph but the two hubs
 # has a perfect matching M, so its flow is -2 on M plus a weighting of G - M:
 # the multiset {1, 1, -1} over its 2-factors for r = 7 and {1, 1, -1, 1, -1}
-# for r = 11, as the split by value hands them out; for r = 9, G - M halved
-# twice along Euler circuits, 1 on the first 4-regular half, -2 on the next
-# 2-regular half and 1 on the 2-regular rest.  The hubs have no perfect
+# for r = 11, as the split by value hands them out; for r = 9, the sorted
+# {-1, -1, 1, 2} halved twice along Euler circuits: -1 on one 4-regular half,
+# and the other halved again into a 2-regular half at 1 and one at 2.  Where
+# a halved part's values are unequal, as in r7_mixed_hub's 4-regular part
+# {1, 2}, the halving replaces the split of its cover.  The hubs have no perfect
 # matching: r9_hub pins the signed double cover, and r7_mixed_hub
 # (7 ≢ 3 mod 6) pins the paper's construction on a mixed [3, 4]-factor.
 GOLDEN_CONSTRUCT = {
@@ -526,10 +560,10 @@ GOLDEN_CONSTRUCT = {
     "r7_n400": (random_regular(400, 7, seed=3), 0x8237FB1C),
     "r7_circulant": (circulant(10, {1, 2, 3, 5}), 0xB28F8642),
     "r7_k8": (complete(8), 0xDD944F04),
-    "r9_n60": (random_regular(60, 9, seed=4), 0xC7CE4ADC),
-    "r9_k10": (complete(10), 0x48356077),
+    "r9_n60": (random_regular(60, 9, seed=4), 0xE78612B6),
+    "r9_k10": (complete(10), 0x86B860B4),
     "r9_hub": (build(*hub_pairs(9)), 0x06E136BD),
-    "r7_mixed_hub": (_gadget_hub(7, (1, 1, 1, 1, 3)), 0x4AE617B4),
+    "r7_mixed_hub": (_gadget_hub(7, (1, 1, 1, 1, 3)), 0xBAE80EDE),
     "r11_n60": (random_regular(60, 11, seed=5), 0x3277C6BF),
     "r11_k12": (complete(12), 0xFA930D09),
 }
@@ -563,12 +597,12 @@ GOLDEN_EXACT_FACTOR = {
 # and a 4-regular part (found by the split search), r9_lower_hub only a
 # 5-regular part (the exact (k-1) query), the others only a k-regular part.
 GOLDEN_FACTOR_FLOW = {
-    "r7_mixed_hub": (flow_odd_regular, _gadget_hub(7, (1, 1, 1, 1, 3)), 0x4AE617B4),
+    "r7_mixed_hub": (flow_odd_regular, _gadget_hub(7, (1, 1, 1, 1, 3)), 0xBAE80EDE),
     "r9_lower_hub": (flow_odd_regular, _gadget_hub(9, (1, 1, 1, 3, 3)), 0x3B98CC6C),
-    "r7_k8": (flow_odd_regular, complete(8), 0x5A5AE3A9),
+    "r7_k8": (flow_odd_regular, complete(8), 0xEB34749E),
     "r9_k10": (flow_odd_regular, complete(10), 0x2BBBE98E),
     "r11_n60": (flow_odd_regular, random_regular(60, 11, seed=5), 0x1A625B7F),
-    "r13_n40": (flow_odd_regular, random_regular(40, 13, seed=6), 0x1DB931C0),
+    "r13_n40": (flow_odd_regular, random_regular(40, 13, seed=6), 0x3F50D238),
 }
 
 
@@ -615,14 +649,16 @@ class TestConstruct:
         ids=["7", "9", "11", "13"],
     )
     def test_perfect_matching_takes_one_two_factorization(self, r, peels, walks, halvings, monkeypatch):
-        # while 4 divides the degree of what is left of G - M, a walk over
-        # g.edges halves it; the rest is split by value once: its 2-factors
-        # take {1, 1, -1} at r = 7, one peel of the -1 and a uniform rest,
-        # {1} at r = 9 (the 2-regular rest after two halvings: no cover at
-        # all), {1, 1, -1, 1, -1} at r = 11 and {1, 1, 2} at r = 13 (the
-        # 6-regular rest after one halving: one peel of the 2); splitting
-        # down to single matchings took (peels, walks) = (1, 1), (0, 3),
-        # (1, 3) and (2, 3) over the whole of G - M
+        # a piece of G - M with an even count of unequal 2-factor values is
+        # halved by a walk over g.edges, alternate edges of each circuit
+        # taking the lower and the upper half of the sorted values; a piece
+        # whose values agree takes that value with no walk, and any other is
+        # walked once and split by value on its cover.  r = 7 splits
+        # {-1, 1, 1}: one peel of the -1 and a uniform rest.  r = 9 halves
+        # {-1, -1, 1, 2} twice, with no cover at all.  r = 11 splits
+        # {-1, -1, 1, 1, 1}: one peel of a 1 and one cover walk of the rest.
+        # r = 13 halves {-1, -1, -1, 1, 1, 2} once, and the 6-regular half
+        # {1, 1, 2} takes one peel of the 2
         calls = {"regular_component_factor": 0}
         real = flows.regular_component_factor
 
@@ -659,18 +695,20 @@ class TestConstruct:
             "halvings": halvings,
         }
 
-    @pytest.mark.parametrize("n", [30, 60])
-    @pytest.mark.parametrize("r", [5, 9, 13, 17, 21, 25])
+    @pytest.mark.parametrize(
+        "r, n", [(r, n) for r in (5, 9, 13, 17, 21, 25) for n in (30, 60)] + [(33, 40), (33, 60)]
+    )
     def test_halved_matching_flow_is_a_3_flow(self, r, n):
-        # r ≡ 1 (mod 4): G - M is halved one to three times before its rest
-        # is weighted, and the values stay within ±2 (k = 5 is still claimed)
+        # r ≡ 1 (mod 4): G - M is halved one to four times (r = 33: four
+        # halvings and no cover), and the values stay within ±2 (k = 5 is
+        # still claimed)
         for seed in (1, 2, 3):
             g = random_regular(n, r, seed=seed)
             assert 2 * len(max_matching(g)) == n
             flow = construct(g)
             assert flow.k == 5
             assert vertex_sums(g, flow.values) == [0] * n
-            assert max(map(abs, flow.values)) <= 2
+            assert set(flow.values) <= {-2, -1, 1, 2}
 
     @pytest.mark.parametrize(
         "parts",
@@ -939,7 +977,7 @@ class TestOddBranches:
             assert set(flow.values) <= {1, -1, 2, -2}, (r, n)
             assert vertex_sums(g, flow.values) == [0] * g.n, (r, n)
             if r % 6 == 3:
-                flow = flows._checked(g, flows._weighting(g, range(g.m), r, 0), 5)
+                flow = flows._checked(g, flows._weighting(g, range(g.m), r, 0, [0] * g.m), 5)
                 assert flow.k == 5
                 assert set(flow.values) <= {2, -1, -4}, (r, n)
                 assert vertex_sums(g, flow.values) == [0] * g.n, (r, n)
