@@ -11,15 +11,12 @@ vertex sum q (`_weighting`) and one value to every other edge; a part is a
 list of g's edge ids, and no subgraph is built.  Even r is q = 0 on all of
 g: +1/-1 along each component's Euler circuit, a 2-flow, wherever the
 component has an even edge count, and 2-factor values elsewhere.  Values
-go to a part's 2-factors or matchings as a multiset, split by value: a
-piece whose values agree takes that value with no walk, an even-degree
-piece with an even count of values is halved along its own Euler
-circuits, and any other piece is split on its bipartite cover
-(`_value_split`).  For odd r, one dispatch (`_odd_flow`) takes the first
-construction the input allows: with a perfect matching M, the 3-flow
-with -2 on M and vertex sum 2 on G - M; for r ≡ 3 (mod 6), the signed
-double cover, which like even r is q = 0 on all of g; for r = 5, -3 on a
-2-factor and 2 elsewhere.  A
+go to a part's 2-factors or matchings as a multiset, and one Euler split
+by value (`matching._value_split`) hands them out.  For odd r, one
+dispatch (`_odd_flow`) takes the first construction the input allows:
+with a perfect matching M, the 3-flow with -2 on M and vertex sum 2 on
+G - M; for r ≡ 3 (mod 6), the signed double cover, which like even r is
+q = 0 on all of g; for r = 5, -3 on a 2-factor and 2 elsewhere.  A
 disconnected input that none of these fits splits, and each component
 takes the dispatch again; a connected one takes the paper's
 [k-1, k]-factor construction for r >= 7 (`flow_odd_regular`) and the
@@ -44,7 +41,6 @@ from .graphs import (
     MultiGraph,
     _FLOW_COLUMNS,
     _canonical_ints,
-    _euler_tails,
     _incidence,
     _scan_ints,
     _write_ints,
@@ -185,77 +181,21 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int, out: list[int]
 
     ``ids`` ascend, as a list or as range(g.m), and may leave vertices of g
     uncovered.  Even d takes q = 0 (d >= 4), q = 2 or an even q in [d, 4d],
-    and its 2-factors the sorted multiset `_split_sum(q/2, d/2)`, split by
-    value (Alon 2003): a piece whose values agree takes that value with no
-    walk, and any other is walked once.  Each pass of a circuit through a
-    vertex enters on one of its alternate edges and leaves on the other, so
-    at q = 0 each even circuit gets +1 and -1 in turn.  An even count of
-    values means that 4 divides the degree, so every circuit is even, and
-    its alternate edges form two halves on the same vertices, which take the
-    lower and the upper half of the values.  Otherwise the out/in arcs of
-    the walk (of its odd circuits at q = 0) go to `_value_split`.  Odd d
+    and its d/2 two-factors the multiset `_split_sum(q/2, d/2)`.  Odd d
     takes an even q in [2d, 4d], or q = 0 when 3 divides d: the double
     cover's d perfect matchings take `_split_sum(q/2, d)`, or +1 (2d/3 of
-    them) and -2 (d/3), and each id sums its two arcs.  Each vertex meets
-    every 2-factor twice and every matching as tail and as head, so only
-    the multiset matters.
+    them) and -2 (d/3), and each id sums its two arcs.  `_value_split`
+    gives each factor its value.
     """
     n, edges = g.n, g.edges
-    if d % 2:
-        weights = _split_sum(q // 2, d) if q else [1] * (2 * d // 3) + [-2] * (d // 3)
-        if min(weights) == max(weights):  # no cover; an id sums two arcs
-            for e in ids:
-                out[e] = 2 * weights[0]
-            return out
-        arcs = [a for u, v in (edges[e] for e in ids) for a in ((u, n + v), (v, n + u))]
-        split = iter(_value_split(2 * n, arcs, weights))
-        for e, first, second in zip(ids, split, split):
-            out[e] = first + second
-        return out
-    # pieces of the part still to weight, each with its sorted values; a
-    # piece's edges are ``ids`` or an ascending list of edge ids
-    stack = [(ids, sorted(_split_sum(q // 2, d // 2)))]
-    while stack:
-        part, vals = stack.pop()
-        if vals[0] == vals[-1]:
-            for e in part:
-                out[e] = vals[0]
-            continue
-        tails, circuits = _euler_tails(n, edges, part)
-        if q and len(vals) % 2 == 0:
-            del tails  # not kept alive through the halves' walks
-            if any(len(closed) % 2 for closed in circuits):  # unreachable: 4 divides the degree
-                raise RuntimeError("internal: odd Euler circuit in a part whose degree 4 divides")
-            half = len(vals) // 2
-            for start, share in ((1, vals[half:]), (0, vals[:half])):
-                stack.append((sorted(chain.from_iterable(_ids_at(part, c[start::2]) for c in circuits)), share))
-            del circuits
-            continue
-        rest: Sequence[int] = range(len(part))  # the positions the 2-factors weight
-        if q == 0:  # +1 and -1 in turn along each even circuit; the odd ones have no 2-flow
-            for start, val in ((0, 1), (1, -1)):
-                for e in chain.from_iterable(_ids_at(part, c[start::2]) for c in circuits if len(c) % 2 == 0):
-                    out[e] = val
-            rest = sorted(i for c in circuits if len(c) % 2 for i in c)
-            if len(rest) == len(part):
-                rest = range(len(part))  # no list of every position through the split
-        del circuits  # not kept alive through the split
-        if rest:
-            at = _ids_at(part, rest)
-            # arc j: edge at[j] from its tail's out-copy to its head's in-copy, over the tails
-            tails[:] = [(t, n + u + v - t) for t, (u, v) in ((tails[i], edges[e]) for i, e in zip(rest, at))]
-            for e, val in zip(at, _value_split(2 * n, tails, vals)):
-                out[e] = val
+    if d % 2 == 0:
+        return _value_split(n, edges, ids, d, _split_sum(q // 2, d // 2), out)
+    weights = _split_sum(q // 2, d) if q else [1] * (2 * d // 3) + [-2] * (d // 3)
+    arcs = [a for u, v in (edges[e] for e in ids) for a in ((u, n + v), (v, n + u))]
+    split = iter(_value_split(2 * n, arcs, range(len(arcs)), d, weights, [0] * len(arcs)))
+    for e, first, second in zip(ids, split, split):
+        out[e] = first + second
     return out
-
-
-def _ids_at(part: Sequence[int], positions: Sequence[int]) -> Sequence[int]:
-    """The ids at ``positions`` of ``part``, with no subscript for a range(g.m) part or all positions."""
-    if isinstance(part, range):
-        return positions
-    if isinstance(positions, range):
-        return part
-    return [part[i] for i in positions]
 
 
 def _parts_flow(g: MultiGraph, r: int, parts: Iterable[tuple[int, Sequence[int]]], outside: int) -> IntFlow:
@@ -320,14 +260,14 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
     `_odd_flow`, where the first branch that applies builds the flow.  A
     perfect matching gives the matching 3-flow (values in {±1, ±2}, with
     G - M halved along Euler circuits while its 2-factor values number
-    evenly and differ); r ≡ 3
-    (mod 6) the signed double cover (values 2, -1, -4); r = 5 with a
-    2-factor -3 on it and 2 elsewhere; r >= 7 the paper's [k-1, k]-factor
-    construction; any other r = 5 the exact search for a 5-flow, whose
-    existence there is an open conjecture.  On r in {3, 5} a direct flow
-    stands for the m nodes in which that search would assign every edge,
-    so a budget below the whole graph's m raises FlowUndecidedError before
-    any work, and a negative budget raises ValueError.
+    evenly and differ); r ≡ 3 (mod 6) the signed double cover (values 2,
+    -1, -4); r = 5 with a 2-factor -3 on it and 2 elsewhere; r >= 7 the
+    paper's [k-1, k]-factor construction; any other r = 5 the exact search
+    for a 5-flow, whose existence there is an open conjecture.  On r in
+    {3, 5} a direct flow stands for the m nodes in which that search would
+    assign every edge, so a budget below the whole graph's m raises
+    FlowUndecidedError before any work, and a negative budget raises
+    ValueError.
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
@@ -352,10 +292,10 @@ def _odd_flow(g: MultiGraph, r: int, matching: Collection[int], budget: int) -> 
 
     A perfect matching takes -2 on M and the q = 2 weighting of G - M, so
     the matching, signed-cover and factor branches are each one outside
-    value and `_weighting` on regular parts.  Before the factor construction and the search, a
-    disconnected g splits:
-    each component takes this dispatch with its share of ``matching``,
-    maximum there too, and the whole budget, and verifies its own flow.
+    value and `_weighting` on regular parts.  Before the factor
+    construction and the search, a disconnected g splits: each component
+    takes this dispatch with its share of ``matching``, maximum there too,
+    and the whole budget, and verifies its own flow.
     """
     if 2 * len(matching) == g.n:
         return _parts_flow(g, r, [(r - 1, [e for e in range(g.m) if e not in matching])], -2)

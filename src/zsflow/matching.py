@@ -1,9 +1,10 @@
 """Maximum matching and degree-constrained factor extraction.
 
 One matching engine, the blossom (odd-cycle contraction) method, backs every
-query.  Regular bipartite multigraphs split into perfect matchings by Euler
-splitting, which needs one matching only at odd degrees; given one value per
-matching, it stops at a piece whose matchings all take the same value.
+query.  One Euler splitting by value (Alon 2003) gives each perfect matching
+of a regular bipartite multigraph, or each 2-factor of an even-regular one,
+one value of a multiset; it needs a matching only at an odd count of
+matchings, and it stops at a piece whose values agree.
 Exact-degree and width-1 degree ranges reduce to perfect matching in an
 auxiliary gadget graph.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from .errors import NotRegularError
 from .graphs import MultiGraph, _euler_tails, _factor_degrees, _incidence
@@ -230,51 +232,93 @@ def _euler_split(n: int, arcs: Sequence[tuple[int, int]], r: int) -> list[frozen
     the vertices met, as sets of edge ids in closing order (i has value i).
     """
     out: list[list[int]] = [[] for _ in range(r)]
-    for e, i in enumerate(_value_split(n, arcs, range(r))):
+    for e, i in enumerate(_value_split(n, arcs, range(len(arcs)), r, range(r), [0] * len(arcs))):
         out[i].append(e)
     return [frozenset(pm) for pm in out]
 
 
-def _value_split(n: int, arcs: Sequence[tuple[int, int]], values: Iterable[int]) -> list[int]:
-    """One value per arc: each of the arcs' perfect matchings takes one of ``values``.
+def _value_split(
+    n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int], d: int, values: Iterable[int], out: list[int]
+) -> list[int]:
+    """``out``, with one of ``values`` on each factor of the d-regular piece ``ids`` of ``edges``.
 
-    ``arcs[e]`` is edge e with its left endpoint first, so the walk's arc e
-    runs forward iff it leaves ``arcs[e][0]``.  The caller vouches that no
-    arc joins two left or two right vertices and that every vertex of
-    0..n-1 meets d = len(values) arcs or none; each vertex met then sums to
-    sum(values), as a matching meets it once.  So only the multiset counts:
-    a piece whose values are all equal takes that value whole; an odd d
-    peels one matching with the blossom engine for the smallest value of
-    odd multiplicity; an even d is one Hierholzer walk, its forward half
-    taking the lower half of the sorted values.  Matchings close in
-    ascending value, so distinct values are Alon's (2003) Euler splitting.
+    ``ids`` ascend, as a list or a range, and every vertex of 0..n-1 meets d
+    of them or none.  The factors are perfect matchings when d is the count
+    of values, and the caller vouches that the piece is then bipartite; they
+    are 2-factors when d is twice the count.  A vertex meets each matching
+    once and each 2-factor twice, so only the multiset counts, and it is
+    split by value (Alon 2003).  A piece whose values agree takes that value
+    with no walk.  An even count is one Hierholzer walk: every circuit is
+    even (the piece is bipartite, or 4 divides d), and the odd positions of
+    each circuit's closing order take the lower half of the sorted values,
+    the even positions the upper half.  On a cover each circuit closes from
+    a left vertex, so its odd positions are its forward arcs.  An odd count
+    of matchings peels one with the blossom engine for the smallest value of
+    odd multiplicity.  An odd count of 2-factors goes through the walk's
+    balanced orientation: each 2-factor is a perfect matching of the
+    bipartite out/in cover of the arcs, which is split in turn; values that
+    sum to 0 first give +1 and -1 in turn along each even circuit, and only
+    the odd circuits go to the cover.
     """
-    out = [0] * len(arcs)
-    # sorted-value pieces still to split, forward half on top; a recursive
-    # nested function would be a reference cycle keeping ``arcs`` alive
     vals = sorted(values)
-    stack = [(list(range(len(arcs))), vals)] if vals else []
+    matchings = d == len(vals)
+    # pieces still to split, each with its sorted values; a recursive nested
+    # function would be a reference cycle keeping ``edges`` alive
+    stack = [(ids, vals)] if vals else []
     while stack:
-        ids, vals = stack.pop()
+        part, vals = stack.pop()
         if vals[0] == vals[-1]:
-            for e in ids:
+            for e in part:
                 out[e] = vals[0]
             continue
-        d = len(vals)
-        if d % 2:
-            pm = _max_matching_ids(n, arcs, ids)
-            if len(pm) * d != len(ids):  # unreachable: a regular bipartite graph satisfies Hall
+        c = len(vals)
+        if c % 2 and matchings:
+            pm = _max_matching_ids(n, edges, part)
+            if len(pm) * c != len(part):  # unreachable: a regular bipartite graph satisfies Hall
                 raise RuntimeError("internal: regular bipartite graph lost its perfect matching")
             val = next(v for v in vals if vals.count(v) % 2)
             vals.remove(val)
-            stack += (([e for e in ids if e not in pm], vals), (pm, [val]))
+            stack += (([e for e in part if e not in pm], vals), (pm, [val]))
             continue
-        forward: list[int] = []
-        backward: list[int] = []
-        for e, tail in zip(ids, _euler_tails(n, arcs, ids)[0]):
-            (forward if tail == arcs[e][0] else backward).append(e)
-        stack += ((backward, vals[d // 2 :]), (forward, vals[: d // 2]))
+        tails, circuits = _euler_tails(n, edges, part)
+        if c % 2 == 0:
+            del tails  # not kept alive through the halves' walks
+            if any(len(closed) % 2 for closed in circuits):  # unreachable: bipartite, or 4 divides d
+                raise RuntimeError("internal: odd Euler circuit in a piece with an even count of values")
+            for start, share in ((1, vals[: c // 2]), (0, vals[c // 2 :])):
+                half = chain.from_iterable(_ids_at(part, closed[start::2]) for closed in circuits)
+                if share[0] == share[-1]:
+                    for e in half:
+                        out[e] = share[0]
+                else:
+                    stack.append((sorted(half), share))
+            del circuits
+            continue
+        rest: Sequence[int] = range(len(part))  # the positions that go to the cover
+        if sum(vals) == 0:  # +1 and -1 in turn along each even circuit; the odd ones have no 2-flow
+            for start, val in ((0, 1), (1, -1)):
+                for e in chain.from_iterable(_ids_at(part, cl[start::2]) for cl in circuits if len(cl) % 2 == 0):
+                    out[e] = val
+            rest = sorted(i for closed in circuits if len(closed) % 2 for i in closed)
+            if len(rest) == len(part):
+                rest = range(len(part))  # no list of every position through the split
+        del circuits  # not kept alive through the split
+        if rest:
+            at = _ids_at(part, rest)
+            # arc j: edge at[j] from its tail's out-copy to its head's in-copy, over the tails
+            tails[:] = [(t, n + u + v - t) for t, (u, v) in ((tails[i], edges[e]) for i, e in zip(rest, at))]
+            for e, val in zip(at, _value_split(2 * n, tails, range(len(at)), c, vals, [0] * len(at))):
+                out[e] = val
     return out
+
+
+def _ids_at(part: Sequence[int], positions: Sequence[int]) -> Sequence[int]:
+    """The ids at ``positions`` of ``part``, with no subscript for a range(m) part or all positions."""
+    if isinstance(part, range):
+        return positions
+    if isinstance(positions, range):
+        return part
+    return [part[i] for i in positions]
 
 
 # ---------------------------------------------------------------------------

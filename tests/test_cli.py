@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from zsflow import cli
+from zsflow import cli, flows, solver
 from zsflow.cli import main
 from zsflow.errors import FactorSearchError, FlowNonexistentError
 from zsflow.flows import parse_flow, verify_flow
@@ -89,6 +89,17 @@ class TestConstruct:
         path = write_graph(tmp_path, complete(8))
         assert main(["construct", path]) == 5
         assert "error: exhaustive search" in capsys.readouterr().err
+
+    def test_search_nonexistent_exits_5(self, tmp_path, capsys, monkeypatch):
+        # K6 with construct's matching and 2-factor queries finding nothing
+        # reaches the r = 5 search, which here refutes a 5-flow
+        monkeypatch.setattr(flows, "max_matching", lambda g: frozenset())
+        monkeypatch.setattr(flows, "find_exact_factor", lambda g, target: None)
+        monkeypatch.setattr(solver, "solve", lambda g, k, budget: solver.SearchOutcome("nonexistent", None, 7, budget))
+        path = write_graph(tmp_path, complete(6))
+        assert main(["construct", path]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestVerify:

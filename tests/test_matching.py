@@ -248,6 +248,20 @@ def _value_multisets(k: int, rng: random.Random) -> list[list[int]]:
     return out
 
 
+def _two_factor_union(c: int, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    # c random 2-factors on components of 2, 3, 5 and 7 vertices, with the
+    # labels and the edge order shuffled: a 2-vertex component is a digon
+    # of parallel edges, and the odd-order ones have odd Euler circuits
+    labels = rng.sample(range(17), 17)
+    edges = []
+    for block in (labels[:2], labels[2:5], labels[5:10], labels[10:]):
+        for _ in range(c):
+            order = rng.sample(block, len(block))
+            edges += [(order[i - 1], order[i]) for i in range(len(order))]
+    rng.shuffle(edges)
+    return len(labels), edges
+
+
 class TestValueSplit:
     @pytest.mark.parametrize("k", range(1, 10))
     def test_every_vertex_meets_each_value_as_often_as_the_multiset_holds_it(self, k):
@@ -255,7 +269,7 @@ class TestValueSplit:
         for s in (1, 3, 6):
             arcs = _permutation_arcs(k, s, rng)
             for values in _value_multisets(k, rng):
-                got = _value_split(2 * s, arcs, values)
+                got = _value_split(2 * s, arcs, range(len(arcs)), k, values, [0] * len(arcs))
                 assert len(got) == len(arcs)
                 sums = [0] * (2 * s)
                 seen = [Counter() for _ in range(2 * s)]
@@ -275,16 +289,37 @@ class TestValueSplit:
         for s in (2, 5):
             arcs = _permutation_arcs(k, s, rng)
             values = rng.sample(range(-50, 50), k)
-            got = _value_split(2 * s, arcs, values)
+            got = _value_split(2 * s, arcs, range(len(arcs)), k, values, [0] * len(arcs))
             grouped = [frozenset(e for e, val in enumerate(got) if val == want) for want in sorted(values)]
             assert grouped == _euler_split(2 * s, arcs, k)
+
+    @pytest.mark.parametrize("c", range(1, 6))
+    def test_two_factor_pieces(self, c):
+        # d = 2c: each value goes to one 2-factor, so a vertex meets it twice;
+        # the multisets hold _split_sum(0, c) for c >= 2, whose +1/-1 on the
+        # even circuits is no 2-factor split, so there only the sums count
+        rng = random.Random(200 + c)
+        for _ in range(3):
+            n, edges = _two_factor_union(c, rng)
+            for values in _value_multisets(c, rng):
+                got = _value_split(n, edges, range(len(edges)), 2 * c, values, [0] * len(edges))
+                assert len(got) == len(edges) and 0 not in got, values
+                sums = [0] * n
+                seen = [Counter() for _ in range(n)]
+                for (u, v), val in zip(edges, got):
+                    for x in (u, v):
+                        sums[x] += val
+                        seen[x][val] += 1
+                assert sums == [2 * sum(values)] * n, values
+                if sum(values):
+                    assert seen == [Counter(values + values)] * n, values
 
     def test_uniform_values_take_no_walk_and_no_peel(self, monkeypatch):
         work = []
         monkeypatch.setattr(matching, "_euler_tails", lambda *args: work.append("walk"))
         monkeypatch.setattr(matching, "_max_matching_ids", lambda *args: work.append("peel"))
         arcs = _permutation_arcs(7, 5, random.Random(1))
-        assert _value_split(10, arcs, [-2] * 7) == [-2] * len(arcs)
+        assert _value_split(10, arcs, range(len(arcs)), 7, [-2] * 7, [0] * len(arcs)) == [-2] * len(arcs)
         assert work == []
 
 
