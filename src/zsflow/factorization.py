@@ -4,16 +4,18 @@ A balanced orientation of even-degree multigraphs; 2-factorization of
 even-regular multigraphs through such an orientation and its bipartite
 out/in split; and, for odd r >= 5, the one spanning [k-1, k]-factor with
 regular components that the odd-degree construction takes, at
-k = floor(2r/3), returned as its (k-1)-regular and its k-regular part.
-Edge sets are frozensets of edge ids.
+k = floor(2r/3), from one exact-factor query per vertex split (none, all,
+then for n <= 18 the mixed splits by size), returned as its (k-1)-regular
+and its k-regular part.  Edge sets are frozensets of edge ids.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import combinations
 
 from .errors import FactorSearchError, NotRegularError
-from .graphs import MultiGraph, _euler_tails, _factor_degrees, _incidence, regular_degree, subgraph_from_edges
+from .graphs import MultiGraph, _euler_tails, _factor_degrees, _incidence, regular_degree
 from .matching import _euler_split, find_exact_factor
 
 _PARTITION_VERTEX_LIMIT = 18
@@ -65,44 +67,60 @@ def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
 # regular-component [k-1, k]-factors
 
 
-def _partition_search(g: MultiGraph, k: int) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Exact search over vertex splits: one side gets a (k-1)-factor, the other a k-factor.
+def _splits(g: MultiGraph, k: int, lower_too: bool) -> Iterator[list[int]]:
+    """Each split's query target, k - 1 on A and k off it, in `regular_component_factor`'s order.
 
-    Any regular-component [k-1, k]-factor induces such a split (no factor
-    edge crosses), so enumerating splits by ascending side size is complete.
-    Returns the two sides' factors as (lower, upper).  Budgeted at
-    `_PARTITION_FACTOR_BUDGET` gadget-matching calls.
+    A mixed A must leave both sides even degree sums and each vertex its
+    target's worth of edges on its own side.
     """
     n = g.n
+    yield [k] * n
+    if lower_too:
+        yield [k - 1] * n
+    if n > _PARTITION_VERTEX_LIMIT:
+        return
     nbrs = [[g.edges[e][0] ^ g.edges[e][1] ^ v for e in ids] for v, ids in enumerate(_incidence(g))]  # other ends
-    calls = 0
     for size in range(1, n):
         if (size * (k - 1)) % 2 or ((n - size) * k) % 2:
             continue
         for a_set in combinations(range(n), size):
-            inside = set(a_set)
-            if not all(sum(1 for w in nbrs[a] if w in inside) >= k - 1 for a in a_set) or not all(
-                sum(1 for w in nbrs[b] if w not in inside) >= k for b in range(n) if b not in inside
-            ):
-                continue
-            sides: tuple[list[int], list[int]] = ([], [])  # the edges within the rest, within a_set
-            for e, (u, v) in enumerate(g.edges):
-                if (u in inside) == (v in inside):
-                    sides[u in inside].append(e)
-            sub_a, _, emap_a = subgraph_from_edges(g, sides[1])
-            fa = find_exact_factor(sub_a, [k - 1] * sub_a.n)
-            calls += 1
-            if fa is not None:
-                sub_b, _, emap_b = subgraph_from_edges(g, sides[0])
-                fb = find_exact_factor(sub_b, [k] * sub_b.n)
-                calls += 1
-                if fb is not None:
-                    return frozenset(emap_a[e] for e in fa), frozenset(emap_b[e] for e in fb)
-            if calls >= _PARTITION_FACTOR_BUDGET:
-                raise FactorSearchError(
-                    f"regular-component factor not found within {_PARTITION_FACTOR_BUDGET} matching calls"
-                )
-    return None
+            target = [k - 1 if v in a_set else k for v in range(n)]
+            if all(sum(1 for w in nbrs[v] if target[w] == t) >= t for v, t in enumerate(target)):
+                yield target
+
+
+def _split_factor(g: MultiGraph, k: int, lower_too: bool) -> tuple[frozenset[int], frozenset[int]]:
+    """(lower, upper) from the first split of `_splits` whose query finds a factor.
+
+    Each query graph keeps all of g's vertices and drops the edges across
+    its split; `_PARTITION_FACTOR_BUDGET` counts the queries.
+    """
+    for queries, target in enumerate(_splits(g, k, lower_too), 1):
+        ids = [e for e, (u, v) in enumerate(g.edges) if target[u] == target[v]]
+        host = g if len(ids) == g.m else MultiGraph(g.n, [g.edges[e] for e in ids])
+        found = find_exact_factor(host, target)
+        if found is not None:
+            lower = frozenset(ids[e] for e in found if target[host.edges[e][0]] < k)
+            upper = frozenset(ids[e] for e in found) - lower
+            # every vertex lies in exactly one part, with that part's degree, so
+            # no factor edge joins the parts and each component is regular
+            pairs = zip(_factor_degrees(g, lower), _factor_degrees(g, upper))
+            if any(pair not in ((k - 1, 0), (0, k)) for pair in pairs):
+                raise RuntimeError("internal: candidate factor failed its component check")
+            return lower, upper
+        if queries >= _PARTITION_FACTOR_BUDGET:
+            raise FactorSearchError(
+                f"regular-component factor not found within {_PARTITION_FACTOR_BUDGET} matching calls"
+            )
+    if g.n <= _PARTITION_VERTEX_LIMIT:
+        raise FactorSearchError(
+            "partition search exhausted: no regular-component factor found "
+            "(contradicts the guaranteed existence; please report)"
+        )
+    raise FactorSearchError(
+        f"regular-component factor needs mixed components and n={g.n} exceeds "
+        f"the exact-search limit {_PARTITION_VERTEX_LIMIT}"
+    )
 
 
 def regular_component_factor(g: MultiGraph) -> tuple[frozenset[int], frozenset[int]]:
@@ -112,16 +130,15 @@ def regular_component_factor(g: MultiGraph) -> tuple[frozenset[int], frozenset[i
     odd-degree construction takes (r = 7 gives the [3, 4]-factor), and it
     always exists (Kano 1986).  Returns ``(lower, upper)``: the edge ids of
     its (k-1)-regular part and of its k-regular part; either may be empty,
-    and no vertex meets both.  The stages, in order, each with the reason it
-    succeeds:
+    and no vertex meets both.  Each split (A, V - A) is one exact query,
+    k - 1 on A and k off it, on g without the edges across.  In order:
 
-    - an exact k-factor, then an exact (k-1)-factor, from the gadget
-      queries of `find_exact_factor`, which find one if it exists.  The
-      (k-1) query is skipped when k - 1 = r - k (r = 5 and r = 7): a
-      (k-1)-factor is then the complement of a k-factor, which was just
-      ruled out.
-    - for n <= 18, the exhaustive search over vertex splits, complete
-      within its budget of gadget-matching calls.
+    - A = {}, an exact k-factor, then A = V, an exact (k-1)-factor, both
+      asked of g itself.  A = V is skipped when k - 1 = r - k (r = 5 and
+      r = 7): a (k-1)-factor is then the complement of a k-factor, which
+      was just ruled out.
+    - for n <= 18, the mixed splits by ascending |A|: complete within the
+      query budget, since no edge of the factor crosses its split.
 
     Anything else raises FactorSearchError ("not found"), which marks a
     search limitation, never nonexistence.
@@ -132,31 +149,4 @@ def regular_component_factor(g: MultiGraph) -> tuple[frozenset[int], frozenset[i
     if r < 5 or r % 2 == 0:
         raise ValueError(f"need odd regular degree r >= 5, got r={r}")
     k = 2 * r // 3
-
-    def finish(lower: frozenset[int], upper: frozenset[int]):
-        # every vertex lies in exactly one part, with that part's degree, so
-        # no factor edge joins the parts and each component is regular
-        pairs = zip(_factor_degrees(g, lower), _factor_degrees(g, upper))
-        if any(pair not in ((k - 1, 0), (0, k)) for pair in pairs):
-            raise RuntimeError("internal: candidate factor failed its component check")
-        return lower, upper
-
-    found = find_exact_factor(g, [k] * g.n)
-    if found is not None:
-        return finish(frozenset(), found)
-    if k - 1 != r - k:
-        found = find_exact_factor(g, [k - 1] * g.n)
-        if found is not None:
-            return finish(found, frozenset())
-    if g.n <= _PARTITION_VERTEX_LIMIT:
-        split = _partition_search(g, k)
-        if split is not None:
-            return finish(*split)
-        raise FactorSearchError(
-            "partition search exhausted: no regular-component factor found "
-            "(contradicts the guaranteed existence; please report)"
-        )
-    raise FactorSearchError(
-        f"regular-component factor needs mixed components and n={g.n} exceeds "
-        f"the exact-search limit {_PARTITION_VERTEX_LIMIT}"
-    )
+    return _split_factor(g, k, k - 1 != r - k)

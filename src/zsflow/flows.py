@@ -111,12 +111,12 @@ def verify_flow(g: MultiGraph, flow: IntFlow | Sequence[int], k: int | None = No
     if isinstance(flow, IntFlow):
         if flow.host is not g and flow.host.edges != g.edges:
             raise ValueError("flow belongs to a different graph")
-        values = list(flow.values)
+        values = flow.values
         k = flow.k if k is None else k
-    elif not isinstance(flow, Sequence):  # list() of a dict would read its keys as values
+    elif not isinstance(flow, Sequence):  # a dict would be read by its keys
         raise TypeError(f"flow must be an IntFlow or a sequence of values, got {type(flow).__name__}")
     else:
-        values = list(flow)
+        values = flow
         if len(values) != g.m:
             raise ValueError(f"flow has {len(values)} values for {g.m} edges")
     if k is None:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from zsflow import cli, flows, solver
+from zsflow import cli, flows, graphs, solver
 from zsflow.cli import main
 from zsflow.errors import FactorSearchError, FlowNonexistentError
 from zsflow.flows import parse_flow, verify_flow
@@ -89,6 +89,23 @@ class TestConstruct:
         path = write_graph(tmp_path, complete(8))
         assert main(["construct", path]) == 5
         assert "error: exhaustive search" in capsys.readouterr().err
+
+    def test_internal_check_failure_exits_5(self, tmp_path, capsys, monkeypatch):
+        # one value of K5's weighting negated fails the post-check of construct
+        real = flows._weighting
+
+        def flip(*args):
+            out = real(*args)
+            out[0] = -out[0]
+            return out
+
+        monkeypatch.setattr(flows, "_weighting", flip)
+        path = write_graph(tmp_path, complete(5))
+        assert main(["construct", path]) == 5
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: internal: returned flow failed verification: vertex 0")
+        assert captured.out == ""
 
     def test_search_nonexistent_exits_5(self, tmp_path, capsys, monkeypatch):
         # K6 with construct's matching and 2-factor queries finding nothing
@@ -317,6 +334,13 @@ class TestGenerate:
         first = capsys.readouterr().out
         assert main(["generate", "random-regular", "12", "3", "--seed", "5"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_random_regular_give_up_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "_RANDOM_REGULAR_RESTARTS", 0)
+        assert main(["generate", "random-regular", "12", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: random_regular(n=12, r=3) gave up after 0 restarts\n"
 
     def test_generate_feeds_construct(self, tmp_path, capsys):
         out = str(tmp_path / "g.txt")

@@ -8,9 +8,9 @@ import pytest
 from oracles import edge_degrees
 
 from zsflow import factorization
-from zsflow.errors import NotRegularError
+from zsflow.errors import FactorSearchError, NotRegularError
 from zsflow.factorization import (
-    _partition_search,
+    _split_factor,
     euler_orientation,
     regular_component_factor,
     two_factorization,
@@ -506,15 +506,12 @@ class TestRegularComponentFactor:
             regular_component_factor(complete(8))
 
     def test_component_check_rejects_parts_that_meet(self, monkeypatch):
-        # one edge of the upper part moved into the lower part: the union is
-        # still the hub's [2, 3]-factor, but the lower part now touches
-        # vertices of the upper part
+        # the hub's real [2, 3]-factor answering the exact 3-factor query: taken
+        # whole as the upper part, it puts the lower part's vertices, of degree
+        # 2, into the upper part
         g = _multigraph_hub()
-        lower, upper = _partition_search(g, 3)
-        e = min(upper)
-        monkeypatch.setattr(
-            factorization, "_partition_search", lambda g, k: (lower | {e}, upper - {e})
-        )
+        lower, upper = regular_component_factor(g)
+        monkeypatch.setattr(factorization, "find_exact_factor", lambda g, target: lower | upper)
         with pytest.raises(RuntimeError, match="failed its component check"):
             regular_component_factor(g)
 
@@ -522,10 +519,57 @@ class TestRegularComponentFactor:
         # cubic_no_pm with k=2 has neither a 1-factor nor a 2-factor, so the
         # split enumeration must produce a genuinely mixed factor
         g = cubic_no_pm()
-        lower, upper = _partition_search(g, 2)
+        lower, upper = _split_factor(g, 2, True)
         assert set(edge_degrees(g, lower)) == {0, 1}
         assert set(edge_degrees(g, upper)) == {0, 2}
         assert set(edge_degrees(g, lower | upper)) == {1, 2}
+
+    def test_exhausted_search_raises(self, monkeypatch):
+        # on K8 (k = 4) a vertex of A needs 3 neighbours in A and one off A
+        # needs 4 off it, so no mixed split passes the degree filter: after
+        # the one failed exact query the enumeration is over
+        queries = []
+
+        def none(g, target):
+            queries.append(target)
+
+        monkeypatch.setattr(factorization, "find_exact_factor", none)
+        with pytest.raises(FactorSearchError, match=r"^partition search exhausted: no regular-component factor found"):
+            regular_component_factor(complete(8))
+        assert queries == [[4] * 8]
+
+    def test_budget_counts_every_query(self, monkeypatch):
+        # the hub finds its factor at the second query, so every query here
+        # fails; 21 splits pass the filters, and the budget stops the third
+        queries = []
+
+        def none(g, target):
+            queries.append(target)
+
+        monkeypatch.setattr(factorization, "find_exact_factor", none)
+        monkeypatch.setattr(factorization, "_PARTITION_FACTOR_BUDGET", 3)
+        with pytest.raises(FactorSearchError, match=r"^regular-component factor not found within 3 matching calls$"):
+            regular_component_factor(_multigraph_hub())
+        assert len(queries) == 3
+
+    def test_every_query_keeps_all_vertices(self, monkeypatch):
+        # each split is one query on all 16 vertices with no edge across it;
+        # the unsplit query is asked of the hub itself
+        hosts = []
+        real = factorization.find_exact_factor
+
+        def spy(g, target):
+            hosts.append((g, target))
+            return real(g, target)
+
+        monkeypatch.setattr(factorization, "find_exact_factor", spy)
+        g = _multigraph_hub()
+        regular_component_factor(g)
+        assert hosts[0] == (g, [3] * 16)
+        assert len(hosts) > 1
+        for host, target in hosts:
+            assert host.n == 16
+            assert all(target[u] == target[v] for u, v in host.edges)
 
 
 # name -> the edge-id sets one layer returns; every layer answers in frozensets

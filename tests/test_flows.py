@@ -351,6 +351,20 @@ class TestEvenRegular:
         assert verify_flow(g, flow).ok
         assert set(flow.values) <= {1, -1, 2, -2}
 
+    def test_post_check_failure_raises(self, monkeypatch):
+        # one value of K5's weighting negated: still a valid labelling, but
+        # the sums at the ends of edge 0 move off zero
+        real = flows._weighting
+
+        def flip(*args):
+            out = real(*args)
+            out[0] = -out[0]
+            return out
+
+        monkeypatch.setattr(flows, "_weighting", flip)
+        with pytest.raises(RuntimeError, match=r"^internal: returned flow failed verification: vertex 0 sum -?\d+$"):
+            construct(complete(5))
+
     def test_six_regular_uses_odd_sequence(self):
         g = circulant(7, {1, 2, 3})
         flow = flow_even_regular(g)

@@ -256,6 +256,11 @@ class TestGenerators:
         with pytest.raises(GraphError):
             random_regular(5, 3, seed=0)
 
+    def test_random_regular_gives_up_after_its_restarts(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_RANDOM_REGULAR_RESTARTS", 0)
+        with pytest.raises(GraphError, match=r"^random_regular\(n=12, r=3\) gave up after 0 restarts$"):
+            random_regular(12, 3, seed=0)
+
     @pytest.mark.parametrize("n, r", [(4, 4), (4, 6), (5, -1)])
     def test_random_regular_degree_out_of_range(self, n, r):
         with pytest.raises(GraphError, match="need 0 <= r < n"):
