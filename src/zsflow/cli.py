@@ -4,7 +4,8 @@ Reports are plain text documents with a stable key order so identical
 command lines diff cleanly (only the wall_time_s line varies).  Exit codes:
 0 success/verified (a decided "nonexistent" from solve counts as success),
 1 failed verification verdict, 2 input error, 3 unsupported degree,
-4 undecided within budget, 5 internal verification failure.  Commands
+4 undecided within budget, 5 internal verification failure,
+`FactorSearchError` or `FlowNonexistentError`.  Commands
 raise on input errors and return only their verdict's exit code; `main`
 alone maps exceptions to exit codes and to the one ``error:`` (or
 ``undecided:``) line on stderr.

@@ -6,21 +6,21 @@ even regular degree r >= 4 with k=3 and every odd degree with k=5, except
 the 5-regular graphs with neither a perfect matching nor a 2-factor, which
 route through the exact search in `solver`.
 
-Every construction gives regular parts of g weightings with a constant
-vertex sum q (`_weighting`) and one value to every other edge; a part is a
-list of g's edge ids, and no subgraph is built.  Even r is q = 0 on all of
-g: +1/-1 along each component's Euler circuit, a 2-flow, wherever the
-component has an even edge count, and 2-factor values elsewhere.  Values
-go to a part's 2-factors or matchings as a multiset, and one Euler split
-by value (`matching._value_split`) hands them out.  For odd r, one
-dispatch (`_odd_flow`) takes the first construction the input allows:
-with a perfect matching M, the 3-flow with -2 on M and vertex sum 2 on
-G - M; for r ≡ 3 (mod 6), the signed double cover, which like even r is
-q = 0 on all of g; for r = 5, -3 on a 2-factor and 2 elsewhere.  A
-disconnected input that none of these fits splits, and each component
-takes the dispatch again; a connected one takes the paper's
-[k-1, k]-factor construction for r >= 7 (`flow_odd_regular`) and the
-search for r = 5.  All of them report k = 5.
+Every construction is one `_parts_flow` row: one outside value on every
+edge outside its regular parts, and on each part the weighting with a
+constant vertex sum q (`_weighting`) that cancels it.  A part is a list of
+g's edge ids, and no subgraph is built.  The rows:
+
+- even r: q = 0 on all of g (`flow_even_regular`);
+- odd r with a perfect matching M: -2 on M and q = 2 on G - M;
+- r ≡ 3 (mod 6): the signed double cover, q = 0 on all of g;
+- r = 5 with a 2-factor F: -3 on F and q = 6 on the rest;
+- r >= 7: the paper's [k-1, k]-factor construction (`flow_odd_regular`).
+
+For odd r, `_odd_flow` takes the first row that the input allows in this
+order; a disconnected input that none of the first three fits splits, and
+each component takes the dispatch again, and a connected one takes the
+factor row for r >= 7 and the search for r = 5.  All of them report k = 5.
 """
 
 from __future__ import annotations
@@ -199,18 +199,19 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int, out: list[int]
 
 
 def _parts_flow(g: MultiGraph, r: int, parts: Iterable[tuple[int, Sequence[int]]], outside: int) -> IntFlow:
-    """Checked 5-flow: each part's weighting cancels ``outside`` on every other edge.
+    """Checked flow of every construction: each part's weighting cancels ``outside`` on every other edge.
 
     Each ``(d, part)`` lists ascending the edge ids of a d-regular subgraph
     of the r-regular g, or is empty, and no vertex lies in two parts, so
     each part vertex meets r - d edges valued ``outside``; the part gets the
-    weighting with q = -outside * (r - d).
+    weighting with q = -outside * (r - d).  The claimed k is 3 for even r
+    and 5 for odd r.
     """
     values = [outside] * g.m
     for d, part in parts:
         if part:
             _weighting(g, part, d, -outside * (r - d), values)
-    return _checked(g, values, 5)
+    return _checked(g, values, 5 if r % 2 else 3)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,7 @@ def flow_even_regular(g: MultiGraph) -> IntFlow:
         raise NotRegularError("flow_even_regular needs a regular graph")
     if r % 2 or r < 4:
         raise UnsupportedDegreeError(f"need even r >= 4, got r={r}")
-    return _checked(g, _weighting(g, range(g.m), r, 0, [0] * g.m), 3)
+    return _parts_flow(g, r, [(r, range(g.m))], 0)
 
 
 def flow_odd_regular(g: MultiGraph) -> IntFlow:
@@ -290,23 +291,19 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
 def _odd_flow(g: MultiGraph, r: int, matching: Collection[int], budget: int) -> IntFlow:
     """The first odd-r flow that g allows, given a maximum matching of g.
 
-    A perfect matching takes -2 on M and the q = 2 weighting of G - M, so
-    the matching, signed-cover and factor branches are each one outside
-    value and `_weighting` on regular parts.  Before the factor
+    Every branch but the search is a `_parts_flow` row.  Before the factor
     construction and the search, a disconnected g splits: each component
     takes this dispatch with its share of ``matching``, maximum there too,
     and the whole budget, and verifies its own flow.
     """
     if 2 * len(matching) == g.n:
         return _parts_flow(g, r, [(r - 1, [e for e in range(g.m) if e not in matching])], -2)
-    if r % 3 == 0:
-        # the signed double cover, with values 2, -1, -4
-        return _checked(g, _weighting(g, range(g.m), r, 0, [0] * g.m), 5)
-    if r == 5:
-        # -3 on a 2-factor and 2 on the 3 other edges at each vertex
+    if r % 3 == 0:  # the signed double cover, with values 2, -1, -4
+        return _parts_flow(g, r, [(r, range(g.m))], 0)
+    if r == 5:  # -3 on a 2-factor, and 2 on its 3-regular complement
         factor = find_exact_factor(g, [2] * g.n)
         if factor is not None:
-            return _checked(g, [-3 if e in factor else 2 for e in range(g.m)], 5)
+            return _parts_flow(g, r, [(3, [e for e in range(g.m) if e not in factor])], -3)
     comps = components(g)
     if len(comps) > 1:
         inc = _incidence(g)

@@ -247,18 +247,18 @@ def _value_split(
     of values, and the caller vouches that the piece is then bipartite; they
     are 2-factors when d is twice the count.  A vertex meets each matching
     once and each 2-factor twice, so only the multiset counts, and it is
-    split by value (Alon 2003).  A piece whose values agree takes that value
-    with no walk.  An even count is one Hierholzer walk: every circuit is
-    even (the piece is bipartite, or 4 divides d), and the odd positions of
-    each circuit's closing order take the lower half of the sorted values,
-    the even positions the upper half.  On a cover each circuit closes from
-    a left vertex, so its odd positions are its forward arcs.  An odd count
-    of matchings peels one with the blossom engine for the smallest value of
-    odd multiplicity.  An odd count of 2-factors goes through the walk's
-    balanced orientation: each 2-factor is a perfect matching of the
-    bipartite out/in cover of the arcs, which is split in turn; values that
-    sum to 0 first give +1 and -1 in turn along each even circuit, and only
-    the odd circuits go to the cover.
+    split by value (Alon 2003), a piece at a time.  Uniform: a piece whose
+    values agree takes that value with no walk.  Peel: an odd count of
+    matchings peels one with the blossom engine for the smallest value of
+    odd multiplicity.  Walk: any other piece is one Hierholzer walk with two
+    shares, the lower and the upper half of an even count of values, or -1
+    and +1 for an odd count that sums to 0.  Each even circuit gives the odd
+    positions of its closing order the first share and its even positions
+    the second (on a cover each circuit closes from a left vertex, so its
+    odd positions are its forward arcs).  Every other circuit goes through
+    the walk's balanced orientation: each 2-factor is a perfect matching of
+    the bipartite out/in cover of its arcs, which is split in turn.  With an
+    even count every circuit is even (bipartite, or 4 divides d).
     """
     vals = sorted(values)
     matchings = d == len(vals)
@@ -282,26 +282,25 @@ def _value_split(
             continue
         tails, circuits = _euler_tails(n, edges, part)
         if c % 2 == 0:
-            del tails  # not kept alive through the halves' walks
-            if any(len(closed) % 2 for closed in circuits):  # unreachable: bipartite, or 4 divides d
-                raise RuntimeError("internal: odd Euler circuit in a piece with an even count of values")
-            for start, share in ((1, vals[: c // 2]), (0, vals[c // 2 :])):
-                half = chain.from_iterable(_ids_at(part, closed[start::2]) for closed in circuits)
-                if share[0] == share[-1]:
-                    for e in half:
-                        out[e] = share[0]
-                else:
-                    stack.append((sorted(half), share))
-            del circuits
-            continue
+            halves = (vals[: c // 2], vals[c // 2 :])
+        elif sum(vals) == 0:  # only 2-factors: an odd count of matchings was peeled above
+            halves = ([-1], [1])
+        else:
+            halves = ()
         rest: Sequence[int] = range(len(part))  # the positions that go to the cover
-        if sum(vals) == 0:  # +1 and -1 in turn along each even circuit; the odd ones have no 2-flow
-            for start, val in ((0, 1), (1, -1)):
-                for e in chain.from_iterable(_ids_at(part, cl[start::2]) for cl in circuits if len(cl) % 2 == 0):
-                    out[e] = val
+        if halves:  # an odd circuit has no halving
             rest = sorted(i for closed in circuits if len(closed) % 2 for i in closed)
-            if len(rest) == len(part):
-                rest = range(len(part))  # no list of every position through the split
+            if len(rest) == len(part):  # nothing to halve, and no list of every position through the split
+                rest, halves = range(len(part)), ()
+        if not rest:
+            del tails  # not kept alive through the halves' walks
+        for start, share in zip((1, 0), halves):
+            half = chain.from_iterable(_ids_at(part, cl[start::2]) for cl in circuits if len(cl) % 2 == 0)
+            if share[0] == share[-1]:
+                for e in half:
+                    out[e] = share[0]
+            else:
+                stack.append((sorted(half), share))
         del circuits  # not kept alive through the split
         if rest:
             at = _ids_at(part, rest)

@@ -403,6 +403,22 @@ class TestTwoFactorization:
         finally:
             sys.setrecursionlimit(before)
 
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            (lambda f1: [frozenset(range(10))], "non-2-regular factor"),
+            (lambda f1: [f1, f1], "factors overlap"),
+            (lambda f1: [f1], "does not cover the edge set"),
+        ],
+        ids=["whole", "overlap", "short"],
+    )
+    def test_internal_checks_reject_a_broken_split(self, monkeypatch, split, message):
+        g = complete(5)
+        f1 = two_factorization(g)[0]
+        monkeypatch.setattr(factorization, "_euler_split", lambda n, arcs, r: split(f1))
+        with pytest.raises(RuntimeError, match=message):
+            two_factorization(g)
+
     def test_deterministic(self):
         g = random_regular(14, 4, seed=9)
         a = [sorted(f) for f in two_factorization(g)]

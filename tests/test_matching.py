@@ -323,6 +323,27 @@ class TestValueSplit:
         assert work == []
 
 
+class TestInternalChecks:
+    """The sanity checks that no correct engine trips, each tripped by a broken one."""
+
+    def test_peel_that_loses_an_edge(self, monkeypatch):
+        peel = matching._max_matching_ids
+        monkeypatch.setattr(matching, "_max_matching_ids", lambda *args: frozenset(sorted(peel(*args))[1:]))
+        g = build(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        with pytest.raises(RuntimeError, match="lost its perfect matching"):
+            decompose_regular_bipartite(g, left={0, 1, 2})
+
+    def test_gadget_matching_that_breaks_the_bijection(self, monkeypatch):
+        monkeypatch.setattr(matching, "_blossom_matching", lambda adj: [i ^ 1 for i in range(len(adj))])
+        with pytest.raises(RuntimeError, match="decoded to a wrong-degree edge set"):
+            find_exact_factor(complete(4), [1] * 4)
+
+    def test_slack_reduction_that_keeps_every_edge(self, monkeypatch):
+        monkeypatch.setattr(matching, "find_exact_factor", lambda g, target: frozenset(range(g.m)))
+        with pytest.raises(RuntimeError, match="out-of-range degrees"):
+            degree_range_factor(complete(6), 2, 3)
+
+
 class TestExactFactor:
     def test_k4_one_factor(self):
         g = complete(4)
