@@ -12,13 +12,16 @@ constant vertex sum q (`_weighting`) that cancels it.  A part is a list of
 g's edge ids, and no subgraph is built.  The rows:
 
 - even r: q = 0 on all of g (`flow_even_regular`);
+- r - 1 = 3 * 2^j (r = 7, 13, 25, ...) with a perfect matching M: 3 on M and
+  q = -3 on G - M, halved down to 3-regular factors, unless a 6-regular
+  piece of the halving has a component of odd order;
 - odd r with a perfect matching M: -2 on M and q = 2 on G - M;
 - r ≡ 3 (mod 6): the signed double cover, q = 0 on all of g;
 - r = 5 with a 2-factor F: -3 on F and q = 6 on the rest;
 - r >= 7: the paper's [k-1, k]-factor construction (`flow_odd_regular`).
 
 For odd r, `_odd_flow` takes the first row that the input allows in this
-order; a disconnected input that none of the first three fits splits, and
+order; a disconnected input that none of the first four fits splits, and
 each component takes the dispatch again, and a connected one takes the
 factor row for r >= 7 and the search for r = 5.  All of them report k = 5.
 """
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import (
+    FactorSearchError,
     FlowNonexistentError,
     FlowUndecidedError,
     GraphFormatError,
@@ -181,16 +185,26 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int, out: list[int]
 
     ``ids`` ascend, as a list or as range(g.m), and may leave vertices of g
     uncovered.  Even d takes q = 0 (d >= 4), q = 2 or an even q in [d, 4d],
-    and its d/2 two-factors the multiset `_split_sum(q/2, d/2)`.  Odd d
-    takes an even q in [2d, 4d], or q = 0 when 3 divides d: the double
-    cover's d perfect matchings take `_split_sum(q/2, d)`, or +1 (2d/3 of
-    them) and -2 (d/3), and each id sums its two arcs.  `_value_split`
-    gives each factor its value.
+    and its d/2 two-factors the multiset `_split_sum(q/2, d/2)`; or q = -3
+    when d = 3 * 2^j (j >= 1), and its d/3 three-regular factors -2 and 1
+    (d = 6) or 2, -1, -1, -1 and then +1, -1 pairs, which raises
+    FactorSearchError when a 6-regular piece of the split has a component of
+    odd order.  Odd d takes an even q in [2d, 4d], or q = 0 when 3 divides
+    d: the double cover's d perfect matchings take `_split_sum(q/2, d)`, or
+    +1 (2d/3 of them) and -2 (d/3), and each id sums its two arcs; equal
+    weights skip the cover.  `_value_split` gives each factor its value.
     """
     n, edges = g.n, g.edges
+    if q % 2:  # d/3 three-regular factors whose values sum to q/3 = -1
+        cubic = [-2, 1] if d == 6 else [2, -1, -1, -1, *[1, -1] * (d // 6 - 2)]
+        return _value_split(n, edges, ids, d, cubic, out)
     if d % 2 == 0:
         return _value_split(n, edges, ids, d, _split_sum(q // 2, d // 2), out)
     weights = _split_sum(q // 2, d) if q else [1] * (2 * d // 3) + [-2] * (d // 3)
+    if weights[0] == weights[-1]:
+        for e in ids:
+            out[e] = 2 * weights[0]
+        return out
     arcs = [a for u, v in (edges[e] for e in ids) for a in ((u, n + v), (v, n + u))]
     split = iter(_value_split(2 * n, arcs, range(len(arcs)), d, weights, [0] * len(arcs)))
     for e, first, second in zip(ids, split, split):
@@ -259,8 +273,11 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
 
     Even r >= 4 gives k=3 and odd r gives k=5: one maximum matching feeds
     `_odd_flow`, where the first branch that applies builds the flow.  A
-    perfect matching gives the matching 3-flow (values in {±1, ±2}, with
-    G - M halved along Euler circuits while its 2-factor values number
+    perfect matching M gives, when r - 1 = 3 * 2^j, 3 on M and G - M halved
+    down to 3-regular factors (values {3, 1, -2} at r = 7, {3, -1, 2} at
+    r = 13 and {3, -1, 1, 2} above), and otherwise, or when a halved piece
+    has a component of odd order, the matching 3-flow (values in {±1, ±2},
+    with G - M halved along Euler circuits while its 2-factor values number
     evenly and differ); r ≡ 3 (mod 6) the signed double cover (values 2,
     -1, -4); r = 5 with a 2-factor -3 on it and 2 elsewhere; r >= 7 the
     paper's [k-1, k]-factor construction; any other r = 5 the exact search
@@ -291,13 +308,22 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
 def _odd_flow(g: MultiGraph, r: int, matching: Collection[int], budget: int) -> IntFlow:
     """The first odd-r flow that g allows, given a maximum matching of g.
 
-    Every branch but the search is a `_parts_flow` row.  Before the factor
+    Every branch but the search is a `_parts_flow` row.  A perfect matching
+    takes the 3-regular-factor row when r - 1 = 3 * 2^j and, if that row
+    raises FactorSearchError, the matching 3-flow row.  Before the factor
     construction and the search, a disconnected g splits: each component
     takes this dispatch with its share of ``matching``, maximum there too,
     and the whole budget, and verifies its own flow.
     """
     if 2 * len(matching) == g.n:
-        return _parts_flow(g, r, [(r - 1, [e for e in range(g.m) if e not in matching])], -2)
+        rest = [e for e in range(g.m) if e not in matching]
+        count, left = divmod(r - 1, 3)
+        if left == 0 and count & (count - 1) == 0:
+            try:  # 3 on M, and G - M halved down to 3-regular factors
+                return _parts_flow(g, r, [(r - 1, rest)], 3)
+            except FactorSearchError:  # a 6-regular piece with a component of odd order
+                pass
+        return _parts_flow(g, r, [(r - 1, rest)], -2)
     if r % 3 == 0:  # the signed double cover, with values 2, -1, -4
         return _parts_flow(g, r, [(r, range(g.m))], 0)
     if r == 5:  # -3 on a 2-factor, and 2 on its 3-regular complement

@@ -2,9 +2,9 @@
 
 One matching engine, the blossom (odd-cycle contraction) method, backs every
 query.  One Euler splitting by value (Alon 2003) gives each perfect matching
-of a regular bipartite multigraph, or each 2-factor of an even-regular one,
-one value of a multiset; it needs a matching only at an odd count of
-matchings, and it stops at a piece whose values agree.
+of a regular bipartite multigraph, or each 2-factor or 3-regular factor of
+an even-regular one, one value of a multiset; it needs a matching only at an
+odd count of matchings, and it stops at a piece whose values agree.
 Exact-degree and width-1 degree ranges reduce to perfect matching in an
 auxiliary gadget graph.
 """
@@ -15,7 +15,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
-from .errors import NotRegularError
+from .errors import FactorSearchError, NotRegularError
 from .graphs import MultiGraph, _euler_tails, _factor_degrees, _incidence
 
 
@@ -245,23 +245,27 @@ def _value_split(
     ``ids`` ascend, as a list or a range, and every vertex of 0..n-1 meets d
     of them or none.  The factors are perfect matchings when d is the count
     of values, and the caller vouches that the piece is then bipartite; they
-    are 2-factors when d is twice the count.  A vertex meets each matching
-    once and each 2-factor twice, so only the multiset counts, and it is
-    split by value (Alon 2003), a piece at a time.  Uniform: a piece whose
-    values agree takes that value with no walk.  Peel: an odd count of
-    matchings peels one with the blossom engine for the smallest value of
-    odd multiplicity.  Walk: any other piece is one Hierholzer walk with two
-    shares, the lower and the upper half of an even count of values, or -1
-    and +1 for an odd count that sums to 0.  Each even circuit gives the odd
-    positions of its closing order the first share and its even positions
-    the second (on a cover each circuit closes from a left vertex, so its
-    odd positions are its forward arcs).  Every other circuit goes through
-    the walk's balanced orientation: each 2-factor is a perfect matching of
-    the bipartite out/in cover of its arcs, which is split in turn.  With an
-    even count every circuit is even (bipartite, or 4 divides d).
+    are 2-factors when d is twice the count, and 3-regular factors when d is
+    three times a count that is a power of 2.  A vertex meets each factor
+    equally often, so only the multiset counts, and it is split by value
+    (Alon 2003), a piece at a time.  Uniform: a piece whose values agree
+    takes that value with no walk.  Peel: an odd count of matchings peels
+    one with the blossom engine for the smallest value of odd multiplicity.
+    Walk: any other piece is one Hierholzer walk with two shares, the lower
+    and the upper half of an even count of values, or -1 and +1 for an odd
+    count that sums to 0.  Each even circuit gives the odd positions of its
+    closing order the first share and its even positions the second (on a
+    cover each circuit closes from a left vertex, so its odd positions are
+    its forward arcs).  Every other circuit goes through the walk's balanced
+    orientation: each 2-factor is a perfect matching of the bipartite
+    out/in cover of its arcs, which is split in turn.  With an even count
+    every circuit is even (bipartite, or 4 divides d) except in a 6-regular
+    piece of two 3-regular factors, where a component of odd order has no
+    3-regular factor at all and FactorSearchError is raised.
     """
     vals = sorted(values)
     matchings = d == len(vals)
+    cubic = d == 3 * len(vals)
     # pieces still to split, each with its sorted values; a recursive nested
     # function would be a reference cycle keeping ``edges`` alive
     stack = [(ids, vals)] if vals else []
@@ -292,6 +296,8 @@ def _value_split(
             rest = sorted(i for closed in circuits if len(closed) % 2 for i in closed)
             if len(rest) == len(part):  # nothing to halve, and no list of every position through the split
                 rest, halves = range(len(part)), ()
+        if rest and cubic:
+            raise FactorSearchError(f"a {3 * c}-regular piece has a component of odd order and no 3-regular factor")
         if not rest:
             del tails  # not kept alive through the halves' walks
         for start, share in zip((1, 0), halves):
