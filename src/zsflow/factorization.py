@@ -1,12 +1,12 @@
 """Structural factorization of regular multigraphs.
 
 A balanced orientation of even-degree multigraphs; 2-factorization of
-even-regular multigraphs through such an orientation and its bipartite
-out/in split; and, for odd r >= 5, the one spanning [k-1, k]-factor with
-regular components that the odd-degree construction takes, at
-k = floor(2r/3), from one exact-factor query per vertex split (none, all,
-then for n <= 18 the mixed splits by size), returned as its (k-1)-regular
-and its k-regular part.  Edge sets are frozensets of edge ids.
+even-regular multigraphs by the Euler split of `matching`; and, for odd
+r >= 5, the one spanning [k-1, k]-factor with regular components that the
+odd-degree construction takes, at k = floor(2r/3), from one exact-factor
+query per vertex split (none, all, then for n <= 18 the mixed splits by
+size), returned as its (k-1)-regular and its k-regular part.  Edge sets
+are frozensets of edge ids.
 """
 
 from __future__ import annotations
@@ -41,25 +41,18 @@ def euler_orientation(g: MultiGraph) -> list[tuple[int, int]]:
 def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
     """Partition a 2k-regular multigraph into k spanning 2-regular factors.
 
-    A balanced orientation gives edge e the arc (tail, n + head); the arcs'
-    perfect matchings are the factors, sorted by their smallest id and re-verified.
+    The Euler split into r/2 factors, which splits an out/in cover only for
+    odd Euler circuits (none when 4 | r), sorted by their smallest id and
+    re-checked for 2-regularity.
     """
     r = regular_degree(g)
     if r is None:
         raise NotRegularError("two_factorization needs a regular graph")
     if r == 0 or r % 2:
         raise NotRegularError(f"need an even-regular graph with r >= 2, got r={r}")
-    arcs = [(t, g.n + u + v - t) for t, (u, v) in zip(_euler_tails(g.n, g.edges, range(g.m))[0], g.edges)]
-    factors = sorted(_euler_split(2 * g.n, arcs, r // 2), key=min)
-    seen: set[int] = set()
-    for f in factors:
-        if any(d != 2 for d in _factor_degrees(g, f)):
-            raise RuntimeError("internal: two-factorization produced a non-2-regular factor")
-        if seen & f:
-            raise RuntimeError("internal: two-factorization factors overlap")
-        seen |= f
-    if seen != set(range(g.m)):
-        raise RuntimeError("internal: two-factorization does not cover the edge set")
+    factors = sorted(_euler_split(g.n, g.edges, r, r // 2), key=min)
+    if any(d != 2 for f in factors for d in _factor_degrees(g, f)):
+        raise RuntimeError("internal: two-factorization produced a non-2-regular factor")
     return factors
 
 

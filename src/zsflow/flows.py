@@ -8,13 +8,15 @@ route through the exact search in `solver`.
 
 Every construction is one `_parts_flow` row: one outside value on every
 edge outside its regular parts, and on each part the weighting with a
-constant vertex sum q (`_weighting`) that cancels it.  A part is a list of
-g's edge ids, and no subgraph is built.  The rows:
+constant vertex sum q (`_weighting`) that cancels it, with factor values
+from `_split_sum`.  A part is a list of g's edge ids, and no subgraph is
+built.  The rows:
 
 - even r: q = 0 on all of g (`flow_even_regular`);
 - r - 1 = 3 * 2^j (r = 7, 13, 25, ...) with a perfect matching M: 3 on M and
-  q = -3 on G - M, halved down to 3-regular factors, unless a 6-regular
-  piece of the halving has a component of odd order;
+  q = -3 on G - M, halved down to 3-regular factors valued -2 and 1, then
+  -1, +1 pairs, unless a 6-regular piece of the halving has a component of
+  odd order;
 - odd r with a perfect matching M: -2 on M and q = 2 on G - M;
 - r ≡ 3 (mod 6): the signed double cover, q = 0 on all of g;
 - r = 5 with a 2-factor F: -3 on F and q = 6 on the rest;
@@ -168,12 +170,15 @@ _FACTOR_HEADS = {(0, 0): (), (0, 1): (2, -1, -1), (1, 0): (2, -1), (1, 1): (1,)}
 
 
 def _split_sum(t: int, count: int) -> list[int]:
-    """``count`` nonzero values in [-2, 4] that add up to t.
+    """``count`` nonzero values in [-2, 4] that add up to t, or in [-4, 2] for t < 0.
 
-    For count <= t <= 4 * count, value i is (t + i) // count (Hermite's
+    t lies in [-4 * count, -count], {-1, 0, 1} or [count, 4 * count].  For
+    count <= t <= 4 * count, value i is (t + i) // count (Hermite's
     identity); t in {0, 1} takes a head fixed by the parity of count, then
-    +1, -1 pairs (t = 0 needs count >= 2).
+    +1, -1 pairs (t = 0 needs count >= 2); t < 0 negates the values of -t.
     """
+    if t < 0:
+        return [-val for val in _split_sum(-t, count)]
     if t >= count:
         return [(t + i) // count for i in range(count)]
     head = _FACTOR_HEADS[t, count % 2]
@@ -186,8 +191,8 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int, out: list[int]
     ``ids`` ascend, as a list or as range(g.m), and may leave vertices of g
     uncovered.  Even d takes q = 0 (d >= 4), q = 2 or an even q in [d, 4d],
     and its d/2 two-factors the multiset `_split_sum(q/2, d/2)`; or q = -3
-    when d = 3 * 2^j (j >= 1), and its d/3 three-regular factors -2 and 1
-    (d = 6) or 2, -1, -1, -1 and then +1, -1 pairs, which raises
+    when d = 3 * 2^j (j >= 1), and its d/3 three-regular factors
+    `_split_sum(-1, d/3)`, -2 and 1 and then -1, +1 pairs, which raises
     FactorSearchError when a 6-regular piece of the split has a component of
     odd order.  Odd d takes an even q in [2d, 4d], or q = 0 when 3 divides
     d: the double cover's d perfect matchings take `_split_sum(q/2, d)`, or
@@ -195,11 +200,9 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int, out: list[int]
     weights skip the cover.  `_value_split` gives each factor its value.
     """
     n, edges = g.n, g.edges
-    if q % 2:  # d/3 three-regular factors whose values sum to q/3 = -1
-        cubic = [-2, 1] if d == 6 else [2, -1, -1, -1, *[1, -1] * (d // 6 - 2)]
-        return _value_split(n, edges, ids, d, cubic, out)
-    if d % 2 == 0:
-        return _value_split(n, edges, ids, d, _split_sum(q // 2, d // 2), out)
+    if d % 2 == 0:  # d/a factors of degree a: 3-regular at odd q, 2-factors at even q
+        a = 3 if q % 2 else 2
+        return _value_split(n, edges, ids, d, _split_sum(q // a, d // a), out)
     weights = _split_sum(q // 2, d) if q else [1] * (2 * d // 3) + [-2] * (d // 3)
     if weights[0] == weights[-1]:
         for e in ids:
@@ -274,18 +277,17 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
     Even r >= 4 gives k=3 and odd r gives k=5: one maximum matching feeds
     `_odd_flow`, where the first branch that applies builds the flow.  A
     perfect matching M gives, when r - 1 = 3 * 2^j, 3 on M and G - M halved
-    down to 3-regular factors (values {3, 1, -2} at r = 7, {3, -1, 2} at
-    r = 13 and {3, -1, 1, 2} above), and otherwise, or when a halved piece
-    has a component of odd order, the matching 3-flow (values in {±1, ±2},
-    with G - M halved along Euler circuits while its 2-factor values number
-    evenly and differ); r ≡ 3 (mod 6) the signed double cover (values 2,
-    -1, -4); r = 5 with a 2-factor -3 on it and 2 elsewhere; r >= 7 the
-    paper's [k-1, k]-factor construction; any other r = 5 the exact search
-    for a 5-flow, whose existence there is an open conjecture.  On r in
-    {3, 5} a direct flow stands for the m nodes in which that search would
-    assign every edge, so a budget below the whole graph's m raises
-    FlowUndecidedError before any work, and a negative budget raises
-    ValueError.
+    down to 3-regular factors (values {3, 1, -2} at r = 7 and {3, -2, -1, 1}
+    above), and otherwise, or when a halved piece has a component of odd
+    order, the matching 3-flow (values in {±1, ±2}, with G - M halved along
+    Euler circuits while its 2-factor values number evenly and differ);
+    r ≡ 3 (mod 6) the signed double cover (values 2, -1, -4); r = 5 with a
+    2-factor -3 on it and 2 elsewhere; r >= 7 the paper's [k-1, k]-factor
+    construction; any other r = 5 the exact search for a 5-flow, whose
+    existence there is an open conjecture.  On r in {3, 5} a direct flow
+    stands for the m nodes in which that search would assign every edge, so
+    a budget below the whole graph's m raises FlowUndecidedError before any
+    work, and a negative budget raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")

@@ -222,19 +222,20 @@ def decompose_regular_bipartite(g: MultiGraph, left: Iterable[int]) -> list[froz
     for v in range(g.n):
         if degs[v] != r:
             raise NotRegularError(f"vertex {v} has degree {degs[v]}, expected {r}")
-    return _euler_split(g.n, arcs, r)
+    return _euler_split(g.n, arcs, r, r)
 
 
-def _euler_split(n: int, arcs: Sequence[tuple[int, int]], r: int) -> list[frozenset[int]]:
-    """The Euler splitting of ``decompose_regular_bipartite``, unchecked.
+def _euler_split(n: int, edges: Sequence[tuple[int, int]], d: int, count: int) -> list[frozenset[int]]:
+    """The ``count`` factors of the d-regular ``edges``, unchecked, as sets of edge ids.
 
-    `_value_split` with the distinct values 0..r-1: r matchings, perfect on
-    the vertices met, as sets of edge ids in closing order (i has value i).
+    `_value_split` with the distinct values 0..count-1, grouped by value in
+    closing order (factor i has value i): perfect matchings of bipartite
+    ``edges`` when d = count, 2-factors when d = 2 * count.
     """
-    out: list[list[int]] = [[] for _ in range(r)]
-    for e, i in enumerate(_value_split(n, arcs, range(len(arcs)), r, range(r), [0] * len(arcs))):
+    out: list[list[int]] = [[] for _ in range(count)]
+    for e, i in enumerate(_value_split(n, edges, range(len(edges)), d, range(count), [0] * len(edges))):
         out[i].append(e)
-    return [frozenset(pm) for pm in out]
+    return [frozenset(f) for f in out]
 
 
 def _value_split(
@@ -371,10 +372,10 @@ def find_exact_factor(g: MultiGraph, target: Sequence[int]) -> frozenset[int] | 
 def degree_range_factor(g: MultiGraph, lo: int, hi: int) -> frozenset[int] | None:
     """Edge set in which every vertex degree lies in [lo, hi], or None.
 
-    Only range widths 0 and 1 are supported (the widths the factor pipeline
-    needs); wider requests are rejected.  Width 1 adds one private slack
-    vertex per host vertex plus a clique on the slacks, so a vertex may shed
-    exactly one unit of demand, and reduces to an exact-degree query.
+    Only range widths 0 and 1 are supported; wider requests are rejected.
+    Width 1 adds one private slack vertex per host vertex plus a clique on
+    the slacks, so a vertex may shed exactly one unit of demand, and reduces
+    to an exact-degree query.
     """
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")

@@ -7,7 +7,7 @@ import zlib
 import pytest
 from oracles import edge_degrees
 
-from zsflow import factorization
+from zsflow import factorization, matching
 from zsflow.errors import FactorSearchError, NotRegularError
 from zsflow.factorization import (
     _split_factor,
@@ -177,7 +177,7 @@ GOLDEN_DECOMPOSITION = {
     ),
     "rr30_4_s2": (
         random_regular(30, 4, 2), None,
-        {"euler": 870158089, "two_factor": 1513361608,
+        {"euler": 870158089, "two_factor": 750126710,
          "bipartite": 1041884552},
     ),
     "rr36_6_s3": (
@@ -187,7 +187,7 @@ GOLDEN_DECOMPOSITION = {
     ),
     "rr40_8_s4": (
         random_regular(40, 8, 4), None,
-        {"euler": 2996838275, "two_factor": 4152982019,
+        {"euler": 2996838275, "two_factor": 4040058550,
          "bipartite": 1537714712},
     ),
     "rr44_10_s5": (
@@ -240,7 +240,7 @@ GOLDEN_DECOMPOSITION = {
     ),
     "disconnected": (
         _union(random_regular(11, 4, 1), complete(5), random_regular(12, 4, 2)), None,
-        {"euler": 3755158353, "two_factor": 814695904,
+        {"euler": 3755158353, "two_factor": 491343615,
          "bipartite": 1089154289},
     ),
     "perm_union_k1": (
@@ -258,7 +258,7 @@ GOLDEN_DECOMPOSITION = {
     ),
     "perm_union_k4": (
         _permutation_union(4), range(6),
-        {"euler": 3287337571, "two_factor": 2127998126,
+        {"euler": 3287337571, "two_factor": 1219404772,
          "bipartite": 3130070331},
     ),
     "perm_union_k5": (
@@ -276,7 +276,7 @@ GOLDEN_DECOMPOSITION = {
     ),
     "perm_union_k8": (
         _permutation_union(8), range(6),
-        {"euler": 3988351146, "two_factor": 3591368387,
+        {"euler": 3988351146, "two_factor": 2483994356,
          "bipartite": 3053943265},
     ),
 }
@@ -392,6 +392,21 @@ class TestTwoFactorization:
             assert len(factors) == r // 2
             check_two_factorization(g, factors)
 
+    def test_four_dividing_r_splits_no_cover(self, monkeypatch):
+        # 4 | r: every Euler circuit of each piece is even, so halving by
+        # position reaches every 2-factor and no out/in cover is split
+        g = random_regular(40, 8, 4)
+        real = matching._value_split
+        covers = []
+
+        def spy(n, edges, *args):
+            covers.append(edges is not g.edges)
+            return real(n, edges, *args)
+
+        monkeypatch.setattr(matching, "_value_split", spy)
+        check_two_factorization(g, two_factorization(g))
+        assert covers == [False]
+
     def test_large_graphs_under_default_recursion_limit(self):
         before = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
@@ -407,15 +422,13 @@ class TestTwoFactorization:
         "split, message",
         [
             (lambda f1: [frozenset(range(10))], "non-2-regular factor"),
-            (lambda f1: [f1, f1], "factors overlap"),
-            (lambda f1: [f1], "does not cover the edge set"),
         ],
-        ids=["whole", "overlap", "short"],
+        ids=["whole"],
     )
     def test_internal_checks_reject_a_broken_split(self, monkeypatch, split, message):
         g = complete(5)
         f1 = two_factorization(g)[0]
-        monkeypatch.setattr(factorization, "_euler_split", lambda n, arcs, r: split(f1))
+        monkeypatch.setattr(factorization, "_euler_split", lambda n, edges, d, count: split(f1))
         with pytest.raises(RuntimeError, match=message):
             two_factorization(g)
 

@@ -256,6 +256,14 @@ class TestConstantSumWeighting:
                 assert sum(values) == t, (t, count)
                 assert 0 not in values, (t, count)
                 assert all(-2 <= val <= 4 for val in values), (t, count)
+        for count in range(1, 9):
+            for t in (-1, *range(-4 * count, -count + 1)):
+                values = flows._split_sum(t, count)
+                assert len(values) == count, (t, count)
+                assert sum(values) == t, (t, count)
+                assert 0 not in values, (t, count)
+                assert all(-4 <= val <= 2 for val in values), (t, count)
+                assert values == [-val for val in flows._split_sum(-t, count)], (t, count)
 
     @pytest.mark.parametrize("r", range(2, 14))
     def test_weighting_every_admitted_sum(self, r):
@@ -693,8 +701,8 @@ class TestConstruct:
         # halves its 2-factor values {-1, -1, 1, 2} twice, with no cover.
         # r = 11 splits {-1, -1, 1, 1, 1}: one peel of a 1 and one cover walk
         # of the rest.  r = 13 halves its 3-regular factor values
-        # {-1, -1, -1, 2} twice: -1 on one 6-regular half, and the other
-        # halved again into {-1} and {2}
+        # {-2, -1, 1, 1} twice: 1 on one 6-regular half, and the other
+        # halved again into {-2} and {-1}
         calls = {"regular_component_factor": 0}
         real = flows.regular_component_factor
 
@@ -765,9 +773,8 @@ class TestConstruct:
     @pytest.mark.parametrize("r, n", [(r, n) for r in (7, 13, 25, 49) for n in (60, 120)])
     def test_cubic_halved_matching_flow_values(self, r, n):
         # r - 1 = 3 * 2^j: 3 on M, and G - M halved down to 3-regular factors
-        # valued -2 and 1 (r = 7), -1, -1, -1 and 2 (r = 13), or those and
-        # then +1, -1 pairs (r = 25 and 49)
-        values = {7: {3, 1, -2}, 13: {3, -1, 2}, 25: {3, -1, 1, 2}, 49: {3, -1, 1, 2}}[r]
+        # valued -2 and 1 (r = 7), and then -1, +1 pairs (r = 13, 25 and 49)
+        values = {7: {3, 1, -2}, 13: {3, -2, -1, 1}, 25: {3, -2, -1, 1}, 49: {3, -2, -1, 1}}[r]
         for seed in (1, 2, 3):
             g = random_regular(n, r, seed=seed)
             flow = construct(g)
@@ -1051,7 +1058,7 @@ class TestOddBranches:
         # vertex sums counted here, not by verify_flow; the perfect-matching
         # branch gives 3 on M and 3-regular factors of G - M at r = 7 and 13,
         # and values in {±1, ±2} at any other r
-        values = {7: {3, 1, -2}, 13: {3, -1, 2}}.get(r)
+        values = {7: {3, 1, -2}, 13: {3, -2, -1, 1}}.get(r)
         for seed, n in enumerate((r + 1, 2 * r, 24, 40)):
             g = _matching_union(r, n, seed)
             flow = construct(g)

@@ -291,7 +291,7 @@ class TestValueSplit:
             values = rng.sample(range(-50, 50), k)
             got = _value_split(2 * s, arcs, range(len(arcs)), k, values, [0] * len(arcs))
             grouped = [frozenset(e for e, val in enumerate(got) if val == want) for want in sorted(values)]
-            assert grouped == _euler_split(2 * s, arcs, k)
+            assert grouped == _euler_split(2 * s, arcs, k, k)
 
     @pytest.mark.parametrize("c", range(1, 6))
     def test_two_factor_pieces(self, c):
