@@ -17,13 +17,20 @@ built.  The rows:
   q = -3 on G - M, halved down to 3-regular factors valued -2 and 1, then
   -1, +1 pairs, unless a 6-regular piece of the halving has a component of
   odd order;
+- r ≡ 3 (mod 4), r >= 11, with (r + 1)/2 = a * 2^j, a = 3 when 3 divides it
+  and 2 otherwise (r = 11, 15, 23, 31, 47, ...), and a perfect matching M:
+  G - M halved once along its Euler circuits into two (r - 1)/2-regular
+  halves, -a on the second, and q = a(r - 1)/2 on M with the first half,
+  halved down to a-regular factors valued 2 and 3 (a = 3) or 1 and 2
+  (a = 2), unless a piece of odd-degree factors has a component of odd
+  order;
 - odd r with a perfect matching M: -2 on M and q = 2 on G - M;
 - r ≡ 3 (mod 6): the signed double cover, q = 0 on all of g;
 - r = 5 with a 2-factor F: -3 on F and q = 6 on the rest;
 - r >= 7: the paper's [k-1, k]-factor construction (`flow_odd_regular`).
 
 For odd r, `_odd_flow` takes the first row that the input allows in this
-order; a disconnected input that none of the first four fits splits, and
+order; a disconnected input that none of the first five fits splits, and
 each component takes the dispatch again, and a connected one takes the
 factor row for r >= 7 and the search for r = 5.  All of them report k = 5.
 """
@@ -190,14 +197,16 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int, out: list[int]
 
     ``ids`` ascend, as a list or as range(g.m), and may leave vertices of g
     uncovered.  Even d takes q = 0 (d >= 4), q = 2 or an even q in [d, 4d],
-    and its d/2 two-factors the multiset `_split_sum(q/2, d/2)`; or q = -3
-    when d = 3 * 2^j (j >= 1), and its d/3 three-regular factors
-    `_split_sum(-1, d/3)`, -2 and 1 and then -1, +1 pairs, which raises
-    FactorSearchError when a 6-regular piece of the split has a component of
-    odd order.  Odd d takes an even q in [2d, 4d], or q = 0 when 3 divides
-    d: the double cover's d perfect matchings take `_split_sum(q/2, d)`, or
-    +1 (2d/3 of them) and -2 (d/3), and each id sums its two arcs; equal
-    weights skip the cover.  `_value_split` gives each factor its value.
+    and its d/2 two-factors the multiset `_split_sum(q/2, d/2)`.  When
+    d = 3 * 2^j (j >= 1), even d also takes an odd q = 3t with t in
+    `_split_sum`'s domain for d/3 values, and its d/3 three-regular factors
+    `_split_sum(t, d/3)`: -2 and 1 and then -1, +1 pairs at q = -3, 2 and
+    then 3s at q = 3(d - 1); this raises FactorSearchError when a 6-regular
+    piece of the split has a component of odd order.  Odd d takes an even q
+    in [2d, 4d], or q = 0 when 3 divides d: the double cover's d perfect
+    matchings take `_split_sum(q/2, d)`, or +1 (2d/3 of them) and -2 (d/3),
+    and each id sums its two arcs; equal weights skip the cover.
+    `_value_split` gives each factor its value.
     """
     n, edges = g.n, g.edges
     if d % 2 == 0:  # d/a factors of degree a: 3-regular at odd q, 2-factors at even q
@@ -278,9 +287,14 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
     `_odd_flow`, where the first branch that applies builds the flow.  A
     perfect matching M gives, when r - 1 = 3 * 2^j, 3 on M and G - M halved
     down to 3-regular factors (values {3, 1, -2} at r = 7 and {3, -2, -1, 1}
-    above), and otherwise, or when a halved piece has a component of odd
-    order, the matching 3-flow (values in {±1, ±2}, with G - M halved along
-    Euler circuits while its 2-factor values number evenly and differ);
+    above); when r ≡ 3 (mod 4), r >= 11 and (r + 1)/2 is 3 * 2^j or 2^j,
+    G - M halved once along its Euler circuits, -3 or -2 on one half, and M
+    with the other half halved down to odd-degree factors, 3-regular ones
+    valued 2 and 3 (values {-3, 2, 3} at r = 11, 23, 47, ...) or 2-factors
+    valued 1 and 2 ({-2, 1, 2} at r = 15, 31, ...); and otherwise, or when a
+    halved piece of odd-degree factors has a component of odd order, the
+    matching 3-flow (values in {±1, ±2}, with G - M halved along Euler
+    circuits while its 2-factor values number evenly and differ);
     r ≡ 3 (mod 6) the signed double cover (values 2, -1, -4); r = 5 with a
     2-factor -3 on it and 2 elsewhere; r >= 7 the paper's [k-1, k]-factor
     construction; any other r = 5 the exact search for a 5-flow, whose
@@ -311,20 +325,31 @@ def _odd_flow(g: MultiGraph, r: int, matching: Collection[int], budget: int) -> 
     """The first odd-r flow that g allows, given a maximum matching of g.
 
     Every branch but the search is a `_parts_flow` row.  A perfect matching
-    takes the 3-regular-factor row when r - 1 = 3 * 2^j and, if that row
-    raises FactorSearchError, the matching 3-flow row.  Before the factor
-    construction and the search, a disconnected g splits: each component
-    takes this dispatch with its share of ``matching``, maximum there too,
-    and the whole budget, and verifies its own flow.
+    takes the 3-regular-factor row when r - 1 = 3 * 2^j, and the merged-half
+    row when r ≡ 3 (mod 4), r >= 11 and (r + 1)/2 is a * 2^j (a = 3 when 3
+    divides it, else 2): one walk halves G - M into two (r - 1)/2-regular
+    halves, an odd-degree split with 0 and 1 as placeholder values, and M
+    with the first half is the (r + 1)/2-regular part, -a on the second.  If
+    either row's split raises FactorSearchError, the matching 3-flow row
+    answers.  Before the factor construction and the search, a disconnected
+    g splits: each component takes this dispatch with its share of
+    ``matching``, maximum there too, and the whole budget, and verifies its
+    own flow.
     """
     if 2 * len(matching) == g.n:
         rest = [e for e in range(g.m) if e not in matching]
         count, left = divmod(r - 1, 3)
-        if left == 0 and count & (count - 1) == 0:
-            try:  # 3 on M, and G - M halved down to 3-regular factors
+        h = (r + 1) // 2
+        a = 3 if h % 3 == 0 else 2
+        try:
+            if left == 0 and count & (count - 1) == 0:  # 3 on M, and G - M halved down to 3-regular factors
                 return _parts_flow(g, r, [(r - 1, rest)], 3)
-            except FactorSearchError:  # a 6-regular piece with a component of odd order
-                pass
+            if r >= 11 and r % 4 == 3 and (h // a) & (h // a - 1) == 0:
+                # -a on one Euler half of G - M, and M with the other half split into a-regular factors
+                half = _value_split(g.n, g.edges, rest, r - 1, [0, 1], [0] * g.m)
+                return _parts_flow(g, r, [(h, [e for e in range(g.m) if not half[e]])], -a)
+        except FactorSearchError:  # a piece of odd-degree factors with a component of odd order
+            pass
         return _parts_flow(g, r, [(r - 1, rest)], -2)
     if r % 3 == 0:  # the signed double cover, with values 2, -1, -4
         return _parts_flow(g, r, [(r, range(g.m))], 0)

@@ -2,9 +2,10 @@
 
 One matching engine, the blossom (odd-cycle contraction) method, backs every
 query.  One Euler splitting by value (Alon 2003) gives each perfect matching
-of a regular bipartite multigraph, or each 2-factor or 3-regular factor of
-an even-regular one, one value of a multiset; it needs a matching only at an
-odd count of matchings, and it stops at a piece whose values agree.
+of a regular bipartite multigraph, or each 2-factor or odd-degree factor
+(3-regular, or an Euler half of odd degree) of an even-regular one, one
+value of a multiset; it needs a matching only at an odd count of matchings,
+and it stops at a piece whose values agree.
 Exact-degree and width-1 degree ranges reduce to perfect matching in an
 auxiliary gadget graph.
 """
@@ -246,10 +247,12 @@ def _value_split(
     ``ids`` ascend, as a list or a range, and every vertex of 0..n-1 meets d
     of them or none.  The factors are perfect matchings when d is the count
     of values, and the caller vouches that the piece is then bipartite; they
-    are 2-factors when d is twice the count, and 3-regular factors when d is
-    three times a count that is a power of 2.  A vertex meets each factor
-    equally often, so only the multiset counts, and it is split by value
-    (Alon 2003), a piece at a time.  Uniform: a piece whose values agree
+    are 2-factors when d is twice the count, and f-regular factors for an
+    odd f >= 3 when d is f times a count that is a power of 2 (3-regular
+    factors, or the two (d/2)-regular halves of an Euler halving with two
+    placeholder values).  A vertex meets each factor equally often, so only
+    the multiset counts, and it is split by value (Alon 2003), a piece at a
+    time.  Uniform: a piece whose values agree
     takes that value with no walk.  Peel: an odd count of matchings peels
     one with the blossom engine for the smallest value of odd multiplicity.
     Walk: any other piece is one Hierholzer walk with two shares, the lower
@@ -260,13 +263,13 @@ def _value_split(
     its forward arcs).  Every other circuit goes through the walk's balanced
     orientation: each 2-factor is a perfect matching of the bipartite
     out/in cover of its arcs, which is split in turn.  With an even count
-    every circuit is even (bipartite, or 4 divides d) except in a 6-regular
-    piece of two 3-regular factors, where a component of odd order has no
-    3-regular factor at all and FactorSearchError is raised.
+    every circuit is even (bipartite, or 4 divides d) except in a 2f-regular
+    piece of two f-regular factors of odd degree f, where a component of odd
+    order has no f-regular factor at all, and the cover could not give it
+    one either, so FactorSearchError is raised.
     """
     vals = sorted(values)
-    matchings = d == len(vals)
-    cubic = d == 3 * len(vals)
+    factor = d // len(vals) if vals else 0  # the degree of each factor
     # pieces still to split, each with its sorted values; a recursive nested
     # function would be a reference cycle keeping ``edges`` alive
     stack = [(ids, vals)] if vals else []
@@ -277,7 +280,7 @@ def _value_split(
                 out[e] = vals[0]
             continue
         c = len(vals)
-        if c % 2 and matchings:
+        if c % 2 and factor == 1:
             pm = _max_matching_ids(n, edges, part)
             if len(pm) * c != len(part):  # unreachable: a regular bipartite graph satisfies Hall
                 raise RuntimeError("internal: regular bipartite graph lost its perfect matching")
@@ -297,8 +300,10 @@ def _value_split(
             rest = sorted(i for closed in circuits if len(closed) % 2 for i in closed)
             if len(rest) == len(part):  # nothing to halve, and no list of every position through the split
                 rest, halves = range(len(part)), ()
-        if rest and cubic:
-            raise FactorSearchError(f"a {3 * c}-regular piece has a component of odd order and no 3-regular factor")
+        if rest and factor % 2 and factor > 1:
+            raise FactorSearchError(
+                f"a {factor * c}-regular piece has a component of odd order and no {factor}-regular factor"
+            )
         if not rest:
             del tails  # not kept alive through the halves' walks
         for start, share in zip((1, 0), halves):

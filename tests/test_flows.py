@@ -588,13 +588,14 @@ class TestOddRegular:
 # name -> (graph, crc32 of construct(g).values).  Every graph but the two hubs
 # has a perfect matching M.  At r = 7 the flow is 3 on M, and G - M is halved
 # once along its Euler circuits into two 3-regular factors, -2 on the first
-# half and 1 on the second.  At r = 9 and 11 it is -2 on M plus a weighting of
-# G - M: for r = 9 the sorted 2-factor values {-1, -1, 1, 2} halved twice, -1
-# on one 4-regular half and the other halved again into a 2-regular half at 1
-# and one at 2; for r = 11 the multiset {1, 1, -1, 1, -1}, split by value on
-# the cover of G - M.  Where a halved part's values are unequal, as in
-# r7_mixed_hub's 4-regular part {1, 2}, the halving replaces the split of its
-# cover.  The hubs have no perfect matching: r9_hub pins the signed double
+# half and 1 on the second.  At r = 9 it is -2 on M plus a weighting of G - M:
+# the sorted 2-factor values {-1, -1, 1, 2} halved twice, -1 on one 4-regular
+# half and the other halved again into a 2-regular half at 1 and one at 2.
+# At r = 11, G - M is halved once along its Euler circuits into two 5-regular
+# halves; the second takes -3, and M with the first is a 6-regular part halved
+# once more into two 3-regular factors valued 2 and 3.  Where a halved part's
+# values are unequal, as in r7_mixed_hub's 4-regular part {1, 2}, the halving
+# replaces the split of its cover.  The hubs have no perfect matching: r9_hub pins the signed double
 # cover, and r7_mixed_hub (7 ≢ 3 mod 6) pins the paper's construction on a
 # mixed [3, 4]-factor.
 GOLDEN_CONSTRUCT = {
@@ -607,8 +608,8 @@ GOLDEN_CONSTRUCT = {
     "r9_k10": (complete(10), 0xDB8DFEE9),
     "r9_hub": (build(*hub_pairs(9)), 0x06E136BD),
     "r7_mixed_hub": (_gadget_hub(7, (1, 1, 1, 1, 3)), 0x5A3506D3),
-    "r11_n60": (random_regular(60, 11, seed=5), 0x3277C6BF),
-    "r11_k12": (complete(12), 0xFA930D09),
+    "r11_n60": (random_regular(60, 11, seed=5), 0x89EDD82F),
+    "r11_k12": (complete(12), 0xED0069FA),
 }
 
 # (name, target) -> crc32 of the sorted edge ids of find_exact_factor on the
@@ -688,8 +689,8 @@ class TestConstruct:
 
     @pytest.mark.parametrize(
         "r, peels, walks, halvings",
-        [(7, 0, 0, 1), (9, 0, 0, 2), (11, 1, 1, 0), (13, 0, 0, 2)],
-        ids=["7", "9", "11", "13"],
+        [(7, 0, 0, 1), (9, 0, 0, 2), (11, 0, 0, 2), (13, 0, 0, 2), (15, 0, 0, 3), (23, 0, 0, 3)],
+        ids=["7", "9", "11", "13", "15", "23"],
     )
     def test_perfect_matching_takes_one_two_factorization(self, r, peels, walks, halvings, monkeypatch):
         # a piece of G - M with an even count of unequal factor values is
@@ -699,10 +700,14 @@ class TestConstruct:
         # walked once and split by value on its cover.  r = 7 halves its
         # 3-regular factor values {-2, 1} once, with no cover at all.  r = 9
         # halves its 2-factor values {-1, -1, 1, 2} twice, with no cover.
-        # r = 11 splits {-1, -1, 1, 1, 1}: one peel of a 1 and one cover walk
-        # of the rest.  r = 13 halves its 3-regular factor values
-        # {-2, -1, 1, 1} twice: 1 on one 6-regular half, and the other
-        # halved again into {-2} and {-1}
+        # r = 11, 15 and 23 halve G - M once into two (r - 1)/2-regular
+        # halves and put -3, -2 and -3 on the second; M with the first half
+        # is halved once more at r = 11 (3-regular factor values {2, 3}) and
+        # twice at r = 15 ({1, 2, 2, 2}) and r = 23 ({2, 3, 3, 3}), whose
+        # uniform halves {2, 2} and {3, 3} take no walk, with no peel and no
+        # cover.  r = 13 halves its 3-regular factor values {-2, -1, 1, 1}
+        # twice: 1 on one 6-regular half, and the other halved again into
+        # {-2} and {-1}
         calls = {"regular_component_factor": 0}
         real = flows.regular_component_factor
 
@@ -741,10 +746,12 @@ class TestConstruct:
             "halvings": halvings,
         }
 
-    @pytest.mark.parametrize("r, bound", [(7, 200), (13, 188)])
+    @pytest.mark.parametrize("r, bound", [(7, 200), (11, 190), (13, 188), (15, 190)])
     def test_peak_memory_per_edge(self, r, bound):
         # the tracemalloc peak of construct above the graph, per edge: about
-        # 188 and 179 B on Python 3.11 to 3.13, 174 and 165 on 3.10
+        # 188 and 179 B (r = 7, 13) on Python 3.11 to 3.13, 174 and 165 on
+        # 3.10; about 182 and 178 B (r = 11, 15) on 3.11, where splitting
+        # the out/in cover of G - M took about 341
         g = random_regular(10_000, r, seed=1)
         construct(random_regular(50, r, seed=1))  # a warm-up fills the interpreter's caches first
         tracemalloc.start()
@@ -795,6 +802,53 @@ class TestConstruct:
         assert verify_flow(g, flow).ok
         assert set(flow.values) <= {-2, -1, 1, 2}
         assert {flow.values[e] for e in cross} == {-2}
+
+    @pytest.mark.parametrize("r, n", [(r, n) for r in (11, 15, 23, 31, 47) for n in (60, 120)])
+    def test_merged_half_flow_values(self, r, n, monkeypatch):
+        # r ≡ 3 (mod 4) with (r + 1)/2 = a * 2^j: -a on one Euler half of
+        # G - M, and M with the other half halved down to a-regular factors,
+        # 3-regular ones valued 2 and then 3 (a = 3) or 2-factors valued 1
+        # and then 2 (a = 2); no matching runs but max_matching(g), so
+        # nothing is peeled (k = 5 is still claimed)
+        values = {11: {-3, 2, 3}, 15: {-2, 1, 2}, 23: {-3, 2, 3}, 31: {-2, 1, 2}, 47: {-3, 2, 3}}[r]
+        matchings = []
+
+        def spy(*args, _real=matching._max_matching_ids):
+            matchings.append(args[0])
+            return _real(*args)
+
+        monkeypatch.setattr(matching, "_max_matching_ids", spy)
+        for seed in (1, 2, 3):
+            g = random_regular(n, r, seed=seed)
+            flow = construct(g)
+            assert flow.k == 5
+            assert vertex_sums(g, flow.values) == [0] * n
+            assert set(flow.values) == values
+        assert matchings == [n] * 3
+
+    def test_odd_order_half_takes_the_matching_3_flow(self, monkeypatch):
+        # two copies of K11 joined by the perfect matching M of their 11
+        # cross edges: G - M is two copies of K11, whose odd order leaves its
+        # Euler circuits no halving into 5-regular halves, so the r = 11 row
+        # raises inside and the -2 row answers
+        pairs = [(u + s, v + s) for s in (0, 11) for u, v in complete(11).edges] + [(i, i + 11) for i in range(11)]
+        g = build(22, pairs)
+        cross = frozenset(e for e, (u, v) in enumerate(g.edges) if v - u == 11)
+        raised = []
+
+        def split(*args, _real=flows._value_split):
+            try:
+                return _real(*args)
+            except FactorSearchError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(flows, "_value_split", split)
+        flow = flows._odd_flow(g, 11, cross, flows.DEFAULT_BUDGET)
+        assert raised == ["a 10-regular piece has a component of odd order and no 5-regular factor"]
+        assert flow.k == 5
+        assert set(flow.values) <= {-2, -1, 1, 2}
+        assert vertex_sums(g, flow.values) == [0] * g.n
 
     @pytest.mark.parametrize(
         "parts",
@@ -1057,8 +1111,10 @@ class TestOddBranches:
     def test_matching_unions(self, r):
         # vertex sums counted here, not by verify_flow; the perfect-matching
         # branch gives 3 on M and 3-regular factors of G - M at r = 7 and 13,
-        # and values in {±1, ±2} at any other r
-        values = {7: {3, 1, -2}, 13: {3, -2, -1, 1}}.get(r)
+        # -3 on one Euler half of G - M and 3-regular factors valued 2 and 3
+        # on M with the other half at r = 11, and values in {±1, ±2} at any
+        # other r
+        values = {7: {3, 1, -2}, 11: {-3, 2, 3}, 13: {3, -2, -1, 1}}.get(r)
         for seed, n in enumerate((r + 1, 2 * r, 24, 40)):
             g = _matching_union(r, n, seed)
             flow = construct(g)
