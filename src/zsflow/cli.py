@@ -96,8 +96,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"vertex-count mismatch: graph has {g.n}, flow file says {doc.n}")
     if doc.m != g.m:
         raise ValueError(f"edge-count mismatch: graph has {g.m}, flow file says {doc.m}")
-    if doc.endpoints != g.edges:  # some pair is swapped or wrong
-        for e, ((u, v), (fu, fv)) in enumerate(zip(g.edges, doc.endpoints)):
+    if doc.endpoints != g.edges:  # two columns compared: some pair is swapped or wrong
+        for e, (u, v, (fu, fv)) in enumerate(zip(g.us, g.vs, doc.endpoints)):
             if {u, v} != {fu, fv}:
                 raise ValueError(f"edge {e} endpoints differ: graph ({u}, {v}), flow ({fu}, {fv})")
     k = args.k if args.k is not None else doc.k

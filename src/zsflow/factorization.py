@@ -34,8 +34,8 @@ def euler_orientation(g: MultiGraph) -> list[tuple[int, int]]:
     for v in range(g.n):
         if g.degree(v) % 2:
             raise ValueError(f"vertex {v} has odd degree {g.degree(v)}, cannot balance")
-    tails, _ = _euler_tails(g.n, g.edges, range(g.m))
-    return [(u, v) if t == u else (v, u) for t, (u, v) in zip(tails, g.edges)]
+    tails, _ = _euler_tails(g.n, g.us, g.vs, range(g.m))
+    return [(u, v) if t == u else (v, u) for t, u, v in zip(tails, g.us, g.vs)]
 
 
 def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
@@ -50,7 +50,7 @@ def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
         raise NotRegularError("two_factorization needs a regular graph")
     if r == 0 or r % 2:
         raise NotRegularError(f"need an even-regular graph with r >= 2, got r={r}")
-    factors = sorted(_euler_split(g.n, g.edges, r, r // 2), key=min)
+    factors = sorted(_euler_split(g.n, g.us, g.vs, r, r // 2), key=min)
     if any(d != 2 for f in factors for d in _factor_degrees(g, f)):
         raise RuntimeError("internal: two-factorization produced a non-2-regular factor")
     return factors
@@ -72,7 +72,8 @@ def _splits(g: MultiGraph, k: int, lower_too: bool) -> Iterator[list[int]]:
         yield [k - 1] * n
     if n > _PARTITION_VERTEX_LIMIT:
         return
-    nbrs = [[g.edges[e][0] ^ g.edges[e][1] ^ v for e in ids] for v, ids in enumerate(_incidence(g))]  # other ends
+    us, vs = g.us, g.vs
+    nbrs = [[us[e] ^ vs[e] ^ v for e in ids] for v, ids in enumerate(_incidence(g))]  # other ends
     for size in range(1, n):
         if (size * (k - 1)) % 2 or ((n - size) * k) % 2:
             continue
@@ -88,12 +89,13 @@ def _split_factor(g: MultiGraph, k: int, lower_too: bool) -> tuple[frozenset[int
     Each query graph keeps all of g's vertices and drops the edges across
     its split; `_PARTITION_FACTOR_BUDGET` counts the queries.
     """
+    us, vs = g.us, g.vs
     for queries, target in enumerate(_splits(g, k, lower_too), 1):
-        ids = [e for e, (u, v) in enumerate(g.edges) if target[u] == target[v]]
-        host = g if len(ids) == g.m else MultiGraph(g.n, [g.edges[e] for e in ids])
+        ids = [e for e, (u, v) in enumerate(zip(us, vs)) if target[u] == target[v]]
+        host = g if len(ids) == g.m else MultiGraph._of_columns(g.n, [us[e] for e in ids], [vs[e] for e in ids])
         found = find_exact_factor(host, target)
         if found is not None:
-            lower = frozenset(ids[e] for e in found if target[host.edges[e][0]] < k)
+            lower = frozenset(ids[e] for e in found if target[host.us[e]] < k)
             upper = frozenset(ids[e] for e in found) - lower
             # every vertex lies in exactly one part, with that part's degree, so
             # no factor edge joins the parts and each component is regular

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import (
     FactorSearchError,
@@ -53,6 +52,7 @@ from .factorization import regular_component_factor
 from .graphs import (
     MultiGraph,
     _FLOW_COLUMNS,
+    _Pairs,
     _canonical_ints,
     _incidence,
     _scan_ints,
@@ -140,7 +140,7 @@ def verify_flow(g: MultiGraph, flow: IntFlow | Sequence[int], k: int | None = No
     max_abs = max(map(abs, values), default=0)
     violation = _first_bad_value(values, max_abs, k)
     sums = [0] * g.n
-    for (u, v), val in zip(g.edges, values):
+    for u, v, val in zip(g.us, g.vs, values):
         sums[u] += val
         sums[v] += val
     if violation is None and any(sums):
@@ -208,17 +208,20 @@ def _weighting(g: MultiGraph, ids: Sequence[int], d: int, q: int, out: list[int]
     and each id sums its two arcs; equal weights skip the cover.
     `_value_split` gives each factor its value.
     """
-    n, edges = g.n, g.edges
+    n, us, vs = g.n, g.us, g.vs
     if d % 2 == 0:  # d/a factors of degree a: 3-regular at odd q, 2-factors at even q
         a = 3 if q % 2 else 2
-        return _value_split(n, edges, ids, d, _split_sum(q // a, d // a), out)
+        return _value_split(n, us, vs, ids, d, _split_sum(q // a, d // a), out)
     weights = _split_sum(q // 2, d) if q else [1] * (2 * d // 3) + [-2] * (d // 3)
     if weights[0] == weights[-1]:
         for e in ids:
             out[e] = 2 * weights[0]
         return out
-    arcs = [a for u, v in (edges[e] for e in ids) for a in ((u, n + v), (v, n + u))]
-    split = iter(_value_split(2 * n, arcs, range(len(arcs)), d, weights, [0] * len(arcs)))
+    # arcs 2i and 2i + 1: edge ids[i] from each end's out-copy x to the other end's in-copy ins[y]
+    ins = list(range(n, 2 * n))  # one int object per in-copy
+    tails = [x for e in ids for x in (us[e], vs[e])]
+    heads = [ins[y] for e in ids for y in (vs[e], us[e])]
+    split = iter(_value_split(2 * n, tails, heads, range(len(tails)), d, weights, [0] * len(tails)))
     for e, first, second in zip(ids, split, split):
         out[e] = first + second
     return out
@@ -346,7 +349,7 @@ def _odd_flow(g: MultiGraph, r: int, matching: Collection[int], budget: int) -> 
                 return _parts_flow(g, r, [(r - 1, rest)], 3)
             if r >= 11 and r % 4 == 3 and (h // a) & (h // a - 1) == 0:
                 # -a on one Euler half of G - M, and M with the other half split into a-regular factors
-                half = _value_split(g.n, g.edges, rest, r - 1, [0, 1], [0] * g.m)
+                half = _value_split(g.n, g.us, g.vs, rest, r - 1, [0, 1], [0] * g.m)
                 return _parts_flow(g, r, [(h, [e for e in range(g.m) if not half[e]])], -a)
         except FactorSearchError:  # a piece of odd-degree factors with a component of odd order
             pass
@@ -401,9 +404,8 @@ def _checked(g: MultiGraph, values: Sequence[int], k: int) -> IntFlow:
 
 
 def write_flow(flow: IntFlow) -> str:
-    g, m = flow.host, flow.host.m
-    us, vs = zip(*g.edges) if m else ((), ())
-    return _write_ints(_FLOW_COLUMNS, (flow.k, g.n, m), chain.from_iterable(zip(range(m), us, vs, flow.values)))
+    g = flow.host
+    return _write_ints(_FLOW_COLUMNS, (flow.k, g.n, g.m), (range(g.m), g.us, g.vs, flow.values))
 
 
 @dataclass(frozen=True)
@@ -411,7 +413,9 @@ class FlowDocument:
     """Raw parsed flow file: claimed bound, sizes, values, edge endpoints.
 
     ``values[e]`` and ``endpoints[e]`` belong to the edge with id e, whatever
-    the order of the file's lines.  Values arrive unvalidated: a zero or
+    the order of the file's lines.  ``endpoints`` is a read-only pair view
+    over two int columns, like `MultiGraph.edges`, so ``doc.endpoints ==
+    g.edges`` compares columns.  Values arrive unvalidated: a zero or
     out-of-range value is a verifier verdict, not a parse error.
     """
 
@@ -419,7 +423,7 @@ class FlowDocument:
     n: int
     m: int
     values: tuple[int, ...]
-    endpoints: tuple[tuple[int, int], ...]
+    endpoints: Sequence[tuple[int, int]]
 
 
 def parse_flow(text: str) -> FlowDocument:
@@ -433,25 +437,27 @@ def parse_flow(text: str) -> FlowDocument:
     if bulk is not None:
         ints, m = bulk
         if ints[2] == m and ints[1] >= 0 and ints[3::4] == list(range(m)):
-            return FlowDocument(*ints[:3], tuple(ints[6::4]), tuple(zip(ints[4::4], ints[5::4])))
+            return FlowDocument(*ints[:3], tuple(ints[6::4]), _Pairs(tuple(ints[4::4]), tuple(ints[5::4])))
     (k, n, m), lines, rows = _scan_ints(text, _FLOW_COLUMNS)
     # A body of fewer than m lines misses some id below its line count, so no
     # slot past that bound is needed and a huge header allocates nothing; the
     # ids past it are still range- and duplicate-checked line by line.
     size = min(m, lines)
     values: list[int | None] = [None] * size
-    endpoints: list[tuple[int, int] | None] = [None] * size
+    us = [0] * size
+    vs = [0] * size
     beyond: set[int] = set()
     for line, (e, u, v, val) in rows:
         if not (0 <= e < m):
             raise GraphFormatError(f"edge id {e} out of range for m={m}", line=line)
         if e < size and values[e] is None:
             values[e] = val
-            endpoints[e] = (u, v)
+            us[e] = u
+            vs[e] = v
         elif e < size or e in beyond:
             raise GraphFormatError(f"duplicate edge id {e}", line=line)
         else:
             beyond.add(e)
     if None in values:
         raise GraphFormatError(f"flow is missing edge {values.index(None)}", line=1)
-    return FlowDocument(k, n, m, tuple(values), tuple(endpoints))
+    return FlowDocument(k, n, m, tuple(values), _Pairs(tuple(us), tuple(vs)))

@@ -4,8 +4,9 @@ Vertices are dense integers 0..n-1 and edge ids are dense integers 0..m-1
 assigned in construction order.  Parallel edges are allowed everywhere,
 loops are rejected everywhere.  Graphs are immutable after construction and
 all operations on them are pure, so instances can be shared freely.  A
-graph holds its edges and degrees only: a query that walks incidence lists
-builds them with `_incidence` and drops them when it returns.
+graph holds its endpoints, as two int columns, and its degrees only: a query
+that walks incidence lists builds them with `_incidence` and drops them when
+it returns, and a loop over the edges reads the columns, never the pair view.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import repeat
+from operator import eq
 
 from .errors import GraphError, GraphFormatError
 
@@ -24,37 +26,66 @@ _RANDOM_REGULAR_RESTARTS = 10_000
 class MultiGraph:
     """Undirected multigraph with dense vertex and edge ids.
 
-    ``edges[e]`` is the endpoint pair ``(u, v)`` of the edge with id ``e``,
-    in the orientation it was supplied.  Loops (``u == v``) are rejected.
-    Degrees are counted on construction, and nothing else is stored: the
-    edges at v are the ids e with v in ``edges[e]``.
+    Edge e joins ``us[e]`` and ``vs[e]``, in the orientation it was
+    supplied: the endpoints are two int tuples, 16 B per edge where a tuple
+    per edge costs 64.  ``edges`` is a read-only view of the pairs over
+    them, built once: ``edges[e]`` is ``(us[e], vs[e])``, it iterates as
+    ``zip(us, vs)``, and it compares equal to the tuple of pairs it stands
+    for.  Loops (``u == v``) are rejected.  Degrees are counted on
+    construction, and nothing else is stored: the edges at v are the ids e
+    with v in ``edges[e]``.
     """
 
-    __slots__ = ("n", "edges", "_degrees")
+    __slots__ = ("n", "us", "vs", "edges", "_degrees")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
+        us: list[int] = []
+        vs: list[int] = []
+        for u, v in pairs:
+            us.append(u)
+            vs.append(v)
+        self._fill(n, us, vs)
+
+    @classmethod
+    def _of_columns(cls, n: int, us: list[int], vs: list[int], verts: list[int] | None = None) -> MultiGraph:
+        """The graph with edge e = (us[e], vs[e]), from two columns of equal length.
+
+        ``verts``, when given, is ``list(range(n))``: the columns then hold
+        its int objects, one per vertex, in place of the caller's.
+        """
+        g = cls.__new__(cls)
+        g._fill(n, us, vs, verts)
+        return g
+
+    def _fill(self, n: int, us: list[int], vs: list[int], verts: list[int] | None = None) -> None:
+        """Check the columns as whole lists, count degrees, and store them as tuples."""
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         try:
             deg = [0] * n
         except (MemoryError, OverflowError):  # n is past what one list can hold
             raise GraphError(f"vertex count {n} is too large to hold") from None
-        edges = []
-        for idx, (u, v) in enumerate(pairs):
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise GraphError(f"edge {idx}: endpoint out of range for n={n}: ({u}, {v})")
-            if u == v:
-                raise GraphError(f"edge {idx}: loop at vertex {u} rejected")
-            edges.append((u, v))
+        if us and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n or any(map(eq, us, vs))):
+            for idx, (u, v) in enumerate(zip(us, vs)):  # name the first bad edge by id
+                if not (0 <= u < n) or not (0 <= v < n):
+                    raise GraphError(f"edge {idx}: endpoint out of range for n={n}: ({u}, {v})")
+                if u == v:
+                    raise GraphError(f"edge {idx}: loop at vertex {u} rejected")
+        for u in us:
             deg[u] += 1
+        for v in vs:
             deg[v] += 1
+        if verts is not None:
+            us, vs = map(verts.__getitem__, us), map(verts.__getitem__, vs)
         self.n = n
-        self.edges = tuple(edges)
+        self.us = tuple(us)
+        self.vs = tuple(vs)
+        self.edges = _Pairs(self.us, self.vs)
         self._degrees = tuple(deg)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.us)
 
     def degree(self, v: int) -> int:
         return self._degrees[v]
@@ -67,6 +98,45 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, m={self.m})"
 
 
+class _Pairs(Sequence):
+    """Read-only view of the pairs ``(us[e], vs[e])`` of two int tuples of equal length.
+
+    It reads as the tuple of those pairs: ``len``, ``[e]`` (a slice gives a
+    tuple of pairs), iteration as ``zip(us, vs)``, and ``==`` and ``hash``
+    by value, against tuples and lists of pairs and against other views.
+    """
+
+    __slots__ = ("_us", "_vs")
+
+    def __init__(self, us: tuple[int, ...], vs: tuple[int, ...]):
+        self._us = us
+        self._vs = vs
+
+    def __len__(self) -> int:
+        return len(self._us)
+
+    def __getitem__(self, e):
+        if isinstance(e, slice):
+            return tuple(zip(self._us[e], self._vs[e]))
+        return self._us[e], self._vs[e]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self._us, self._vs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Pairs):
+            return self._us == other._us and self._vs == other._vs
+        if isinstance(other, (tuple, list)):
+            return len(other) == len(self._us) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 def build(n: int, pairs: Iterable[tuple[int, int]]) -> MultiGraph:
     """Construct a multigraph from endpoint pairs; ids follow input order."""
     return MultiGraph(n, pairs)
@@ -75,7 +145,7 @@ def build(n: int, pairs: Iterable[tuple[int, int]]) -> MultiGraph:
 def _incidence(g: MultiGraph) -> list[list[int]]:
     """The edge ids at each vertex, ascending; built on each call, kept by the caller alone."""
     inc: list[list[int]] = [[] for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
+    for e, u, v in zip(range(g.m), g.us, g.vs):
         inc[u].append(e)
         inc[v].append(e)
     return inc
@@ -84,10 +154,10 @@ def _incidence(g: MultiGraph) -> list[list[int]]:
 def _factor_degrees(g: MultiGraph, edge_ids: Iterable[int]) -> list[int]:
     """Per-vertex degree vector of the spanning subgraph on the given edge ids."""
     deg = [0] * g.n
+    us, vs = g.us, g.vs
     for e in edge_ids:
-        u, v = g.edges[e]
-        deg[u] += 1
-        deg[v] += 1
+        deg[us[e]] += 1
+        deg[vs[e]] += 1
     return deg
 
 
@@ -101,7 +171,7 @@ def regular_degree(g: MultiGraph) -> int | None:
 
 def components(g: MultiGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest vertex."""
-    inc, edges = _incidence(g), g.edges
+    inc, us, vs = _incidence(g), g.us, g.vs
     seen = [False] * g.n
     out: list[list[int]] = []
     for s in range(g.n):
@@ -111,7 +181,7 @@ def components(g: MultiGraph) -> list[list[int]]:
         comp = [s]
         for v in comp:  # a breadth-first search: the loop reaches what it appends
             for e in inc[v]:
-                w = edges[e][0] ^ edges[e][1] ^ v
+                w = us[e] ^ vs[e] ^ v
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -121,11 +191,11 @@ def components(g: MultiGraph) -> list[list[int]]:
 
 
 def _euler_tails(
-    n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int]
+    n: int, us: Sequence[int], vs: Sequence[int], ids: Sequence[int]
 ) -> tuple[list[int], list[list[int]]]:
     """One balanced orientation of the edges ``ids`` (ascending), and its circuits.
 
-    ``edges`` maps an edge id to its endpoints in 0..n-1, and every vertex
+    Edge e joins ``us[e]`` and ``vs[e]`` in 0..n-1, and every vertex
     must have even degree within ``ids``.  Hierholzer's walk starts at each
     vertex in turn and, standing at v, leaves v along its unused edge of
     smallest id.  Returns ``(tails, circuits)``: ``tails[i]`` is the vertex
@@ -134,12 +204,14 @@ def _euler_tails(
     closes them (backs out over them).  That order is a closed trail read
     backwards: consecutive edges share a vertex, and the last and the first
     meet at the component's smallest vertex.  No graph is built: the walk
-    reads ``edges`` directly.
+    reads the endpoint columns directly.
     """
     inc: list[list[int]] = [[] for _ in range(n)]
     far = [0] * len(ids)  # u ^ v: from one end x of ids[i], the other is far[i] ^ x
     for i in range(len(ids) - 1, -1, -1):  # descending, so pop() yields the smallest id
-        u, v = edges[ids[i]]
+        e = ids[i]
+        u = us[e]
+        v = vs[e]
         inc[u].append(i)
         inc[v].append(i)
         far[i] = u ^ v
@@ -183,9 +255,11 @@ def subgraph_from_edges(g: MultiGraph, edge_ids: Iterable[int]) -> tuple[MultiGr
     if emap and (emap[0] < 0 or emap[-1] >= g.m):
         bad = emap[0] if emap[0] < 0 else emap[-1]
         raise ValueError(f"edge id {bad} out of range for m={g.m}")
-    vmap = sorted({v for e in emap for v in g.edges[e]})
+    us = [g.us[e] for e in emap]
+    vs = [g.vs[e] for e in emap]
+    vmap = sorted({*us, *vs})
     index = {v: i for i, v in enumerate(vmap)}
-    sub = MultiGraph(len(vmap), [(index[g.edges[e][0]], index[g.edges[e][1]]) for e in emap])
+    sub = MultiGraph._of_columns(len(vmap), [index[u] for u in us], [index[v] for v in vs])
     return sub, vmap, emap
 
 
@@ -260,8 +334,15 @@ def random_regular(n: int, r: int, seed: int) -> MultiGraph:
     verts = list(range(n))  # stubs and edges share these int objects
     for _ in range(_RANDOM_REGULAR_RESTARTS):
         later = _pair_stubs(verts, r, getrandbits)
-        if later is not None:  # lazily: MultiGraph copies each pair, so a list of pairs only adds to the peak
-            return MultiGraph(n, ((a, b) for a, bs in zip(verts, later) for b in sorted(bs)))
+        if later is not None:
+            us: list[int] = []
+            vs: list[int] = []
+            for a, bs in zip(verts, later):
+                bs.sort()
+                us.extend(repeat(a, len(bs)))
+                vs += bs
+            del later  # freed before the graph is built: it adds about 24 B per edge to the peak
+            return MultiGraph._of_columns(n, us, vs)
     raise GraphError(f"random_regular(n={n}, r={r}) gave up after {_RANDOM_REGULAR_RESTARTS} restarts")
 
 
@@ -376,10 +457,13 @@ _FIELD_CHARS = str.maketrans("", "", "0123456789-")  # deleted, they leave the s
 _COMMAS = str.maketrans(" \n", ",,")
 
 
-def _write_ints(columns: tuple[str, str], head: tuple[int, ...], body: Iterable[int]) -> str:
-    """Canonical text of a table: the ``head`` row, then ``body``'s fields in m rows."""
+def _write_ints(columns: tuple[str, str], head: tuple[int, ...], body: Sequence[Iterable[int]]) -> str:
+    """Canonical text of a table: the ``head`` row, then m rows, row i holding field i of each of ``body``."""
     head_row, row = ("%s " * c.count(" ") + "%s\n" for c in columns)
-    return head_row % head + (row * head[-1]) % tuple(body)
+    fields = [0] * (len(body) * head[-1])
+    for j, column in enumerate(body):
+        fields[j :: len(body)] = column
+    return head_row % head + (row * head[-1]) % tuple(fields)
 
 
 def _canonical_ints(text: str, columns: tuple[str, str]) -> tuple[list[int], int] | None:
@@ -433,8 +517,9 @@ def parse_edge_list(text: str) -> MultiGraph:
 
     Canonical text (as `write_edge_list` writes it) whose n is at most its
     count of integers takes one bulk pass, in which `MultiGraph` checks the
-    edges.  Any other text, or a failed bulk pass, takes the line scan: the
-    same graph for every valid text, and each error names its line.
+    endpoint columns and maps them onto one int object per vertex.  Any
+    other text, or a failed bulk pass, takes the line scan: the same graph
+    for every valid text, and each error names its line.
     """
     bulk = _canonical_ints(text, _EDGE_LIST_COLUMNS)
     if bulk is not None:
@@ -442,22 +527,24 @@ def parse_edge_list(text: str) -> MultiGraph:
         # a failed bulk pass allocates no more than the text; MultiGraph rejects n < 0
         if ints[1] == m and ints[0] <= len(ints):
             try:
-                return MultiGraph(ints[0], zip(ints[2::2], ints[3::2]))
+                return MultiGraph._of_columns(ints[0], ints[2::2], ints[3::2], list(range(ints[0])))
             except GraphError:
                 pass  # the line scan names the line
     (n, m), _, rows = _scan_ints(text, _EDGE_LIST_COLUMNS)
-    pairs = []
+    us: list[int] = []
+    vs: list[int] = []
     for line, (u, v) in rows:
         if u == v:
             raise GraphFormatError(f"loop at vertex {u} rejected", line=line)
         if not (0 <= u < n) or not (0 <= v < n):
             raise GraphFormatError(f"endpoint out of range for n={n}: ({u}, {v})", line=line)
-        pairs.append((u, v))
-    if len(pairs) != m:
-        raise GraphFormatError(f"header promised {m} edges, found {len(pairs)}", line=1)
-    return MultiGraph(n, pairs)
+        us.append(u)
+        vs.append(v)
+    if len(us) != m:
+        raise GraphFormatError(f"header promised {m} edges, found {len(us)}", line=1)
+    return MultiGraph._of_columns(n, us, vs)
 
 
 def write_edge_list(g: MultiGraph) -> str:
     """Serialize to the edge-list format; parse(write(g)) preserves ids."""
-    return _write_ints(_EDGE_LIST_COLUMNS, (g.n, g.m), chain.from_iterable(g.edges))
+    return _write_ints(_EDGE_LIST_COLUMNS, (g.n, g.m), (g.us, g.vs))

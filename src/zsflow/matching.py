@@ -26,14 +26,15 @@ def max_matching(g: MultiGraph) -> frozenset[int]:
     Parallel edges collapse to the lowest id between each vertex pair, so
     the result is deterministic on multigraphs.
     """
-    return _max_matching_ids(g.n, g.edges, range(g.m))
+    return _max_matching_ids(g.n, g.us, g.vs, range(g.m))
 
 
-def _max_matching_ids(n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int]) -> frozenset[int]:
-    """``max_matching`` on the edges ``ids`` of ``edges``, with no graph built."""
+def _max_matching_ids(n: int, us: Sequence[int], vs: Sequence[int], ids: Sequence[int]) -> frozenset[int]:
+    """``max_matching`` on the edges ``ids``, edge e joining ``us[e]`` and ``vs[e]``, with no graph built."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for e in ids:
-        u, v = edges[e]
+        u = us[e]
+        v = vs[e]
         adj[u].append(v)
         adj[v].append(u)
     for a in adj:
@@ -41,7 +42,8 @@ def _max_matching_ids(n: int, edges: Sequence[tuple[int, int]], ids: Sequence[in
     match = _blossom_matching(adj)
     out = []
     for e in ids:
-        u, v = edges[e]
+        u = us[e]
+        v = vs[e]
         if match[u] == v:  # the pair's first edge: clearing its mates skips the others
             out.append(e)
             match[u] = match[v] = -1
@@ -190,7 +192,7 @@ def bipartite_perfect_matching(g: MultiGraph, left: Iterable[int]) -> frozenset[
     parallel edges collapse to their lowest id as in ``max_matching``.
     """
     left_set = set(left)
-    for e, (u, v) in enumerate(g.edges):
+    for e, (u, v) in enumerate(zip(g.us, g.vs)):
         if (u in left_set) == (v in left_set):
             raise ValueError(f"edge {e} = ({u}, {v}) does not cross the given bipartition")
     if 2 * len(left_set) != g.n:
@@ -211,43 +213,47 @@ def decompose_regular_bipartite(g: MultiGraph, left: Iterable[int]) -> list[froz
     engine.  Recursion depth is O(log r).
     """
     left_set = set(left)
-    arcs = []  # each edge oriented left to right
-    for e, (u, v) in enumerate(g.edges):
+    tails, heads = [], []  # each edge oriented left to right
+    for e, (u, v) in enumerate(zip(g.us, g.vs)):
         if (u in left_set) == (v in left_set):
             raise ValueError(
                 f"not bipartite for the given sides: edge {e} = ({u}, {v}) does not cross"
             )
-        arcs.append((u, v) if u in left_set else (v, u))
+        if v in left_set:
+            u, v = v, u
+        tails.append(u)
+        heads.append(v)
     degs = g.degrees()
     r = degs[0] if g.n else 0
     for v in range(g.n):
         if degs[v] != r:
             raise NotRegularError(f"vertex {v} has degree {degs[v]}, expected {r}")
-    return _euler_split(g.n, arcs, r, r)
+    return _euler_split(g.n, tails, heads, r, r)
 
 
-def _euler_split(n: int, edges: Sequence[tuple[int, int]], d: int, count: int) -> list[frozenset[int]]:
-    """The ``count`` factors of the d-regular ``edges``, unchecked, as sets of edge ids.
+def _euler_split(n: int, us: Sequence[int], vs: Sequence[int], d: int, count: int) -> list[frozenset[int]]:
+    """The ``count`` factors of the d-regular edges (us[e], vs[e]), unchecked, as sets of edge ids.
 
     `_value_split` with the distinct values 0..count-1, grouped by value in
-    closing order (factor i has value i): perfect matchings of bipartite
-    ``edges`` when d = count, 2-factors when d = 2 * count.
+    closing order (factor i has value i): perfect matchings of a bipartite
+    graph when d = count, 2-factors when d = 2 * count.
     """
     out: list[list[int]] = [[] for _ in range(count)]
-    for e, i in enumerate(_value_split(n, edges, range(len(edges)), d, range(count), [0] * len(edges))):
+    m = len(us)
+    for e, i in enumerate(_value_split(n, us, vs, range(m), d, range(count), [0] * m)):
         out[i].append(e)
     return [frozenset(f) for f in out]
 
 
 def _value_split(
-    n: int, edges: Sequence[tuple[int, int]], ids: Sequence[int], d: int, values: Iterable[int], out: list[int]
+    n: int, us: Sequence[int], vs: Sequence[int], ids: Sequence[int], d: int, values: Iterable[int], out: list[int]
 ) -> list[int]:
-    """``out``, with one of ``values`` on each factor of the d-regular piece ``ids`` of ``edges``.
+    """``out``, with one of ``values`` on each factor of the d-regular piece ``ids``.
 
-    ``ids`` ascend, as a list or a range, and every vertex of 0..n-1 meets d
-    of them or none.  The factors are perfect matchings when d is the count
-    of values, and the caller vouches that the piece is then bipartite; they
-    are 2-factors when d is twice the count, and f-regular factors for an
+    Edge e joins ``us[e]`` and ``vs[e]``.  ``ids`` ascend, as a list or a
+    range, and every vertex of 0..n-1 meets d of them or none.  The factors
+    are perfect matchings when d is the count of values, and the caller
+    vouches that the piece is then bipartite; they are 2-factors when d is twice the count, and f-regular factors for an
     odd f >= 3 when d is f times a count that is a power of 2 (3-regular
     factors, or the two (d/2)-regular halves of an Euler halving with two
     placeholder values).  A vertex meets each factor equally often, so only
@@ -271,7 +277,7 @@ def _value_split(
     vals = sorted(values)
     factor = d // len(vals) if vals else 0  # the degree of each factor
     # pieces still to split, each with its sorted values; a recursive nested
-    # function would be a reference cycle keeping ``edges`` alive
+    # function would be a reference cycle keeping the columns alive
     stack = [(ids, vals)] if vals else []
     while stack:
         part, vals = stack.pop()
@@ -281,14 +287,14 @@ def _value_split(
             continue
         c = len(vals)
         if c % 2 and factor == 1:
-            pm = _max_matching_ids(n, edges, part)
+            pm = _max_matching_ids(n, us, vs, part)
             if len(pm) * c != len(part):  # unreachable: a regular bipartite graph satisfies Hall
                 raise RuntimeError("internal: regular bipartite graph lost its perfect matching")
             val = next(v for v in vals if vals.count(v) % 2)
             vals.remove(val)
             stack += (([e for e in part if e not in pm], vals), (pm, [val]))
             continue
-        tails, circuits = _euler_tails(n, edges, part)
+        tails, circuits = _euler_tails(n, us, vs, part)
         if c % 2 == 0:
             halves = (vals[: c // 2], vals[c // 2 :])
         elif sum(vals) == 0:  # only 2-factors: an odd count of matchings was peeled above
@@ -316,9 +322,11 @@ def _value_split(
         del circuits  # not kept alive through the split
         if rest:
             at = _ids_at(part, rest)
-            # arc j: edge at[j] from its tail's out-copy to its head's in-copy, over the tails
-            tails[:] = [(t, n + u + v - t) for t, (u, v) in ((tails[i], edges[e]) for i, e in zip(rest, at))]
-            for e, val in zip(at, _value_split(2 * n, tails, range(len(at)), c, vals, [0] * len(at))):
+            # arc j: edge at[j] from its tail's out-copy to its head's in-copy, one int object per in-copy
+            tails = _ids_at(tails, rest)
+            ins = list(range(n, 2 * n))
+            heads = [ins[us[e] + vs[e] - t] for t, e in zip(tails, at)]
+            for e, val in zip(at, _value_split(2 * n, tails, heads, range(len(at)), c, vals, [0] * len(at))):
                 out[e] = val
     return out
 
@@ -355,8 +363,9 @@ def find_exact_factor(g: MultiGraph, target: Sequence[int]) -> frozenset[int] | 
     if sum(target) % 2:
         return None
     gadget_adj: list[list[int]] = [[] for _ in range(2 * m)]
+    us = g.us
     for v, ids in enumerate(_incidence(g)):
-        stubs = [2 * e + (v != g.edges[e][0]) for e in ids]
+        stubs = [2 * e + (v != us[e]) for e in ids]
         for _ in range(g.degree(v) - target[v]):
             for s in stubs:
                 gadget_adj[s].append(len(gadget_adj))

@@ -89,7 +89,7 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     n, m = g.n, g.m
-    edges = g.edges
+    us, vs = g.us, g.vs
     kmax = k - 1
     alphabet = tuple(islice((s * a for a in range(1, k) for s in (1, -1)), _HEAD))
     if len(alphabet) < 2 * kmax:
@@ -112,7 +112,8 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
         for e in inc[next(reversed(bucket[r]))]:
             if val[e] == 0:
                 break
-        u, w = edges[e]
+        u = us[e]
+        w = vs[e]
         if rem[u] == 1:
             cands = (-psum[u],) if rem[w] > 1 or psum[u] == psum[w] else ()
         elif rem[w] == 1:

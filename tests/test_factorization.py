@@ -322,7 +322,7 @@ class TestEulerOrientation:
         rng.shuffle(pairs)
         edges = [pair for pair, _ in pairs]
         ids = [e for e, (_, inside) in enumerate(pairs) if inside]
-        tails, circuits = _euler_tails(g.n, edges, ids)
+        tails, circuits = _euler_tails(g.n, [u for u, _ in edges], [v for _, v in edges], ids)
         assert sorted(i for closed in circuits for i in closed) == list(range(len(ids)))
         starts = []
         for closed in circuits:
@@ -399,9 +399,9 @@ class TestTwoFactorization:
         real = matching._value_split
         covers = []
 
-        def spy(n, edges, *args):
-            covers.append(edges is not g.edges)
-            return real(n, edges, *args)
+        def spy(n, us, *args):
+            covers.append(us is not g.us)
+            return real(n, us, *args)
 
         monkeypatch.setattr(matching, "_value_split", spy)
         check_two_factorization(g, two_factorization(g))
@@ -428,7 +428,7 @@ class TestTwoFactorization:
     def test_internal_checks_reject_a_broken_split(self, monkeypatch, split, message):
         g = complete(5)
         f1 = two_factorization(g)[0]
-        monkeypatch.setattr(factorization, "_euler_split", lambda n, edges, d, count: split(f1))
+        monkeypatch.setattr(factorization, "_euler_split", lambda n, us, vs, d, count: split(f1))
         with pytest.raises(RuntimeError, match=message):
             two_factorization(g)
 

@@ -335,9 +335,9 @@ class TestConstantSumWeighting:
         monkeypatch.setattr(matching, "_euler_tails", walk)
         for module in (flows, matching):
 
-            def split(n, edges, *args, _real=module._value_split):
-                calls["covers"] += edges is not g.edges  # a split of a cover's arcs
-                return _real(n, edges, *args)
+            def split(n, us, *args, _real=module._value_split):
+                calls["covers"] += us is not g.us  # a split of a cover's arcs
+                return _real(n, us, *args)
 
             monkeypatch.setattr(module, "_value_split", split)
         if q is None:
@@ -421,10 +421,10 @@ class TestEvenRegular:
         def cover_split(module):
             real = module._value_split
 
-            def wrapped(n, edges, *args):
-                if edges is not g.edges:  # a split of a cover's arcs
+            def wrapped(n, us, *args):
+                if us is not g.us:  # a split of a cover's arcs
                     calls.append("_value_split")
-                return real(n, edges, *args)
+                return real(n, us, *args)
 
             monkeypatch.setattr(module, "_value_split", wrapped)
 
@@ -453,11 +453,11 @@ class TestEvenRegular:
         ids = {frozenset(pair): e for e, pair in enumerate(g.edges)}  # g is simple
         for module in (flows, matching):
 
-            def spy(n, edges, part, *args, _real=module._value_split):
-                if edges is not g.edges:
+            def spy(n, us, vs, part, *args, _real=module._value_split):
+                if us is not g.us:
                     # a cover split: each arc runs from an out-copy t to an in-copy g.n + h
-                    parts.append(sorted(ids[frozenset((t, h - g.n))] for t, h in (edges[j] for j in part)))
-                return _real(n, edges, part, *args)
+                    parts.append(sorted(ids[frozenset((us[j], vs[j] - g.n))] for j in part))
+                return _real(n, us, vs, part, *args)
 
             monkeypatch.setattr(module, "_value_split", spy)
         flow = construct(g)
@@ -482,10 +482,10 @@ class TestEvenRegular:
         for module in (factorization, matching):
             real = module._euler_tails
 
-            def spy(n, edges, ids, _real=real):
-                if edges is g.edges:
+            def spy(n, us, vs, ids, _real=real):
+                if us is g.us:
                     walks.append(len(ids))
-                return _real(n, edges, ids)
+                return _real(n, us, vs, ids)
 
             monkeypatch.setattr(module, "_euler_tails", spy)
         flow = flow_even_regular(g)
@@ -694,7 +694,7 @@ class TestConstruct:
     )
     def test_perfect_matching_takes_one_two_factorization(self, r, peels, walks, halvings, monkeypatch):
         # a piece of G - M with an even count of unequal factor values is
-        # halved by a walk over g.edges, alternate edges of each circuit
+        # halved by a walk over g's columns, alternate edges of each circuit
         # taking the lower and the upper half of the sorted values; a piece
         # whose values agree takes that value with no walk, and any other is
         # walked once and split by value on its cover.  r = 7 halves its
@@ -717,23 +717,23 @@ class TestConstruct:
 
         monkeypatch.setattr(flows, "regular_component_factor", count)
         g = random_regular(60, r, seed=r + 2)
-        degrees = []  # of the parts of G - M that a walk over g.edges covers
-        covers = []  # the splits of a cover, each fed by one walk over g.edges that halves nothing
+        degrees = []  # of the parts of G - M that a walk over g's columns covers
+        covers = []  # the splits of a cover, each fed by one walk over g's columns that halves nothing
 
-        def cover(n, edges, *args, _real=matching._value_split):
+        def cover(n, *args, _real=matching._value_split):
             covers.append(n)
-            return _real(n, edges, *args)
+            return _real(n, *args)
 
         monkeypatch.setattr(matching, "_value_split", cover)
         for name in ("_max_matching_ids", "_euler_tails"):
             calls[name] = 0
 
-            def spy(n, edges, ids, _name=name, _real=getattr(matching, name)):
-                if edges is not g.edges:  # the split's own work, not max_matching(g)
+            def spy(n, us, vs, ids, _name=name, _real=getattr(matching, name)):
+                if us is not g.us:  # the split's own work, not max_matching(g)
                     calls[_name] += 1
                 elif _name == "_euler_tails":
                     degrees.append(2 * len(ids) // n)
-                return _real(n, edges, ids)
+                return _real(n, us, vs, ids)
 
             monkeypatch.setattr(matching, name, spy)
         flow = construct(g)
@@ -746,12 +746,15 @@ class TestConstruct:
             "halvings": halvings,
         }
 
-    @pytest.mark.parametrize("r, bound", [(7, 200), (11, 190), (13, 188), (15, 190)])
+    @pytest.mark.parametrize("r, bound", [(7, 200), (11, 190), (13, 188), (15, 190), (19, 300)])
     def test_peak_memory_per_edge(self, r, bound):
         # the tracemalloc peak of construct above the graph, per edge: about
         # 188 and 179 B (r = 7, 13) on Python 3.11 to 3.13, 174 and 165 on
         # 3.10; about 182 and 178 B (r = 11, 15) on 3.11, where splitting
-        # the out/in cover of G - M took about 341
+        # the out/in cover of G - M took about 341; about 273 B at r = 19 on
+        # 3.11, which still splits that cover, as parallel tail and head
+        # lists sharing one int object per in-copy, where a tuple per arc
+        # took about 343
         g = random_regular(10_000, r, seed=1)
         construct(random_regular(50, r, seed=1))  # a warm-up fills the interpreter's caches first
         tracemalloc.start()
@@ -1304,9 +1307,13 @@ class TestFlowBulkPass:
         assert _canonical_ints(text, _FLOW_COLUMNS) is not None
         doc = parse_flow(text)
         assert doc == FlowDocument(flow.k, g.n, g.m, flow.values, g.edges)
+        # the endpoints are the pair view that g.edges is, equal and hashing alike to the tuple of pairs
+        assert type(doc.endpoints) is type(g.edges)
+        assert hash(doc) == hash(FlowDocument(flow.k, g.n, g.m, flow.values, tuple(g.edges)))
         for variant in _scan_variants(text):
             assert _canonical_ints(variant, _FLOW_COLUMNS) is None
             assert _outcome(parse_flow, variant) == doc
+            assert type(_outcome(parse_flow, variant).endpoints) is type(g.edges)
 
     def test_no_edges(self):
         text = "3 5 0\n"

@@ -67,6 +67,92 @@ class TestBuild:
         assert g.edges == ((3, 2), (0, 1))
 
 
+# the edges of random_regular(12, 4, seed=1), 24 of them, with one made bad
+# at the first, a middle and the last id: an endpoint out of range, or a loop
+BAD_EDGES = [(at, bad) for at in (0, 12, 23) for bad in ("range", "loop")]
+
+
+def _with_bad_edge(at: int, bad: str) -> tuple[list[tuple[int, int]], str]:
+    """The 24 pairs with pair ``at`` made bad, and the message that names it, without its place."""
+    pairs = list(random_regular(12, 4, seed=1).edges)
+    u = pairs[at][0]
+    if bad == "range":
+        pairs[at] = (u, 12)
+        return pairs, f"endpoint out of range for n=12: ({u}, 12)"
+    pairs[at] = (u, u)
+    return pairs, f"loop at vertex {u} rejected"
+
+
+class TestColumns:
+    """Endpoints are two int columns; ``edges`` is a read-only pair view over them."""
+
+    def test_edges_view_reads_as_the_tuple_of_pairs(self):
+        pairs = ((3, 2), (0, 1), (0, 1))
+        g = build(4, pairs)
+        assert (g.us, g.vs) == ((3, 0, 0), (2, 1, 1))
+        assert g.edges is g.edges  # built once
+        assert g.edges == pairs and pairs == g.edges and g.edges == list(pairs) and list(pairs) == g.edges
+        assert g.edges == build(4, pairs).edges
+        assert g.edges != pairs[:2] and g.edges != ((3, 2), (0, 1), (1, 0)) and g.edges != "ab"
+        assert len(g.edges) == 3 and g.edges[0] == (3, 2) and g.edges[-1] == (0, 1)
+        assert g.edges[1:] == pairs[1:] and list(g.edges) == list(pairs)
+        assert hash(g.edges) == hash(pairs) and repr(g.edges) == repr(pairs)
+        assert (0, 1) in g.edges and g.edges.index((0, 1)) == 1 and g.edges.count((0, 1)) == 2
+        with pytest.raises(TypeError):
+            g.edges[0] = (1, 2)
+
+    @pytest.mark.parametrize("r", [4, 7])
+    def test_memory_retained_per_edge(self, r):
+        # the graph keeps its two columns (16 B per edge), its degrees and one
+        # int object per vertex: about 36 B per edge at r = 4 and 27 at r = 7
+        # on Python 3.11, from the generator and from the parser alike; a
+        # tuple per edge kept 75-84 from the generator, and 117 from the
+        # parser, whose every endpoint was a fresh int
+        text = write_edge_list(random_regular(10_000, r, seed=1))
+        parse_edge_list(write_edge_list(random_regular(50, r, seed=1)))  # a warm-up fills the interpreter's caches first
+        for make in (lambda: random_regular(10_000, r, seed=1), lambda: parse_edge_list(text)):
+            tracemalloc.start()
+            try:
+                g = make()
+                retained = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert retained < 48 * g.m
+
+    def test_parser_shares_one_int_object_per_vertex(self):
+        g = parse_edge_list(write_edge_list(random_regular(1000, 4, seed=1)))
+        assert len({*map(id, g.us), *map(id, g.vs)}) == g.n
+
+    @pytest.mark.parametrize("at, bad", BAD_EDGES)
+    def test_constructor_names_the_bad_edge(self, at, bad):
+        pairs, message = _with_bad_edge(at, bad)
+        with pytest.raises(GraphError) as info:
+            MultiGraph(12, pairs)
+        assert str(info.value) == f"edge {at}: {message}"
+
+    @pytest.mark.parametrize("at, bad", BAD_EDGES)
+    def test_bulk_parse_names_the_bad_edge(self, at, bad, monkeypatch):
+        # the bulk pass's column check names the edge; the line scan then names its line
+        pairs, message = _with_bad_edge(at, bad)
+        text = "12 24\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+        assert _canonical_ints(text, _EDGE_LIST_COLUMNS) is not None
+        raised = []
+        real = MultiGraph._of_columns.__func__
+
+        def spy(cls, *args):
+            try:
+                return real(cls, *args)
+            except GraphError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(MultiGraph, "_of_columns", classmethod(spy))
+        with pytest.raises(GraphFormatError) as info:
+            parse_edge_list(text)
+        assert raised == [f"edge {at}: {message}"]
+        assert str(info.value) == f"line {at + 2}: {message}"
+
+
 class TestQueries:
     def test_regular_degree_petersen(self):
         assert regular_degree(petersen()) == 3
@@ -141,7 +227,7 @@ class TestIncident:
         first = _incidence(g)
         second = _incidence(g)
         assert second == first and second is not first
-        assert g.__slots__ == ("n", "edges", "_degrees")  # nothing to keep it in
+        assert g.__slots__ == ("n", "us", "vs", "edges", "_degrees")  # nothing to keep it in
 
     def test_degrees_count_parallel_edges_at_both_ends(self):
         g = _multigraph()
@@ -444,7 +530,7 @@ class TestEdgeListBulkPass:
 
     def test_a_header_n_past_the_text_builds_nothing_before_the_scan(self, monkeypatch):
         built = []
-        monkeypatch.setattr(graphs, "MultiGraph", lambda n, pairs: built.append(n))
+        monkeypatch.setattr(MultiGraph, "_of_columns", classmethod(lambda cls, n, *columns: built.append(n)))
         with pytest.raises(GraphFormatError, match="line 2: loop"):
             parse_edge_list("1000000 1\n0 0\n")
         assert built == []

@@ -262,6 +262,11 @@ def _two_factor_union(c: int, rng: random.Random) -> tuple[int, list[tuple[int, 
     return len(labels), edges
 
 
+def _columns(pairs):
+    """The endpoint columns ``(us, vs)`` of a list of pairs."""
+    return [u for u, _ in pairs], [v for _, v in pairs]
+
+
 class TestValueSplit:
     @pytest.mark.parametrize("k", range(1, 10))
     def test_every_vertex_meets_each_value_as_often_as_the_multiset_holds_it(self, k):
@@ -269,7 +274,7 @@ class TestValueSplit:
         for s in (1, 3, 6):
             arcs = _permutation_arcs(k, s, rng)
             for values in _value_multisets(k, rng):
-                got = _value_split(2 * s, arcs, range(len(arcs)), k, values, [0] * len(arcs))
+                got = _value_split(2 * s, *_columns(arcs), range(len(arcs)), k, values, [0] * len(arcs))
                 assert len(got) == len(arcs)
                 sums = [0] * (2 * s)
                 seen = [Counter() for _ in range(2 * s)]
@@ -289,9 +294,9 @@ class TestValueSplit:
         for s in (2, 5):
             arcs = _permutation_arcs(k, s, rng)
             values = rng.sample(range(-50, 50), k)
-            got = _value_split(2 * s, arcs, range(len(arcs)), k, values, [0] * len(arcs))
+            got = _value_split(2 * s, *_columns(arcs), range(len(arcs)), k, values, [0] * len(arcs))
             grouped = [frozenset(e for e, val in enumerate(got) if val == want) for want in sorted(values)]
-            assert grouped == _euler_split(2 * s, arcs, k, k)
+            assert grouped == _euler_split(2 * s, *_columns(arcs), k, k)
 
     @pytest.mark.parametrize("c", range(1, 6))
     def test_two_factor_pieces(self, c):
@@ -302,7 +307,7 @@ class TestValueSplit:
         for _ in range(3):
             n, edges = _two_factor_union(c, rng)
             for values in _value_multisets(c, rng):
-                got = _value_split(n, edges, range(len(edges)), 2 * c, values, [0] * len(edges))
+                got = _value_split(n, *_columns(edges), range(len(edges)), 2 * c, values, [0] * len(edges))
                 assert len(got) == len(edges) and 0 not in got, values
                 sums = [0] * n
                 seen = [Counter() for _ in range(n)]
@@ -319,7 +324,7 @@ class TestValueSplit:
         monkeypatch.setattr(matching, "_euler_tails", lambda *args: work.append("walk"))
         monkeypatch.setattr(matching, "_max_matching_ids", lambda *args: work.append("peel"))
         arcs = _permutation_arcs(7, 5, random.Random(1))
-        assert _value_split(10, arcs, range(len(arcs)), 7, [-2] * 7, [0] * len(arcs)) == [-2] * len(arcs)
+        assert _value_split(10, *_columns(arcs), range(len(arcs)), 7, [-2] * 7, [0] * len(arcs)) == [-2] * len(arcs)
         assert work == []
 
 
