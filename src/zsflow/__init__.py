@@ -37,7 +37,6 @@ from .graphs import (
     write_edge_list,
 )
 from .factorization import (
-    euler_orientation,
     regular_component_factor,
     two_factorization,
 )
@@ -54,9 +53,6 @@ from .flows import (
     write_flow,
 )
 from .matching import (
-    bipartite_perfect_matching,
-    decompose_regular_bipartite,
-    degree_range_factor,
     find_exact_factor,
     has_perfect_matching,
     max_matching,
@@ -82,7 +78,6 @@ __all__ = [
     "constant_sum_weighting",
     "construct",
     "cross_check",
-    "euler_orientation",
     "flow_even_regular",
     "flow_number",
     "flow_odd_regular",
@@ -101,15 +96,12 @@ __all__ = [
     "NotRegularError",
     "UnsupportedDegreeError",
     "ZsflowError",
-    "bipartite_perfect_matching",
     "build",
     "circulant",
     "complete",
     "components",
     "cubic_no_pm",
     "cycle",
-    "decompose_regular_bipartite",
-    "degree_range_factor",
     "find_exact_factor",
     "has_perfect_matching",
     "max_matching",

@@ -3,10 +3,10 @@
 A balanced orientation of even-degree multigraphs; 2-factorization of
 even-regular multigraphs by the Euler split of `matching`; and, for odd
 r >= 5, the one spanning [k-1, k]-factor with regular components that the
-odd-degree construction takes, at k = floor(2r/3), from one exact-factor
-query per vertex split (none, all, then for n <= 18 the mixed splits by
-size), returned as its (k-1)-regular and its k-regular part.  Edge sets
-are frozensets of edge ids.
+odd-degree construction takes, at k = floor(2r/3), from one loop of
+exact-factor queries, one per vertex split (none, all, then for n <= 18
+the mixed splits by size), returned as its (k-1)-regular and its
+k-regular part.  Edge sets are frozensets of edge ids.
 """
 
 from __future__ import annotations
@@ -83,41 +83,6 @@ def _splits(g: MultiGraph, k: int, lower_too: bool) -> Iterator[list[int]]:
                 yield target
 
 
-def _split_factor(g: MultiGraph, k: int, lower_too: bool) -> tuple[frozenset[int], frozenset[int]]:
-    """(lower, upper) from the first split of `_splits` whose query finds a factor.
-
-    Each query graph keeps all of g's vertices and drops the edges across
-    its split; `_PARTITION_FACTOR_BUDGET` counts the queries.
-    """
-    us, vs = g.us, g.vs
-    for queries, target in enumerate(_splits(g, k, lower_too), 1):
-        ids = [e for e, (u, v) in enumerate(zip(us, vs)) if target[u] == target[v]]
-        host = g if len(ids) == g.m else MultiGraph._of_columns(g.n, [us[e] for e in ids], [vs[e] for e in ids])
-        found = find_exact_factor(host, target)
-        if found is not None:
-            lower = frozenset(ids[e] for e in found if target[host.us[e]] < k)
-            upper = frozenset(ids[e] for e in found) - lower
-            # every vertex lies in exactly one part, with that part's degree, so
-            # no factor edge joins the parts and each component is regular
-            pairs = zip(_factor_degrees(g, lower), _factor_degrees(g, upper))
-            if any(pair not in ((k - 1, 0), (0, k)) for pair in pairs):
-                raise RuntimeError("internal: candidate factor failed its component check")
-            return lower, upper
-        if queries >= _PARTITION_FACTOR_BUDGET:
-            raise FactorSearchError(
-                f"regular-component factor not found within {_PARTITION_FACTOR_BUDGET} matching calls"
-            )
-    if g.n <= _PARTITION_VERTEX_LIMIT:
-        raise FactorSearchError(
-            "partition search exhausted: no regular-component factor found "
-            "(contradicts the guaranteed existence; please report)"
-        )
-    raise FactorSearchError(
-        f"regular-component factor needs mixed components and n={g.n} exceeds "
-        f"the exact-search limit {_PARTITION_VERTEX_LIMIT}"
-    )
-
-
 def regular_component_factor(g: MultiGraph) -> tuple[frozenset[int], frozenset[int]]:
     """Spanning [k-1, k]-factor with regular components, k = floor(2r/3).
 
@@ -125,8 +90,10 @@ def regular_component_factor(g: MultiGraph) -> tuple[frozenset[int], frozenset[i
     odd-degree construction takes (r = 7 gives the [3, 4]-factor), and it
     always exists (Kano 1986).  Returns ``(lower, upper)``: the edge ids of
     its (k-1)-regular part and of its k-regular part; either may be empty,
-    and no vertex meets both.  Each split (A, V - A) is one exact query,
-    k - 1 on A and k off it, on g without the edges across.  In order:
+    and no vertex meets both.  One loop asks each split (A, V - A) of
+    `_splits` one exact query, k - 1 on A and k off it, on g without the
+    edges across; with no edge across, that query's own degree check leaves
+    every component regular, and is the only check.  In order:
 
     - A = {}, an exact k-factor, then A = V, an exact (k-1)-factor, both
       asked of g itself.  A = V is skipped when k - 1 = r - k (r = 5 and
@@ -144,4 +111,24 @@ def regular_component_factor(g: MultiGraph) -> tuple[frozenset[int], frozenset[i
     if r < 5 or r % 2 == 0:
         raise ValueError(f"need odd regular degree r >= 5, got r={r}")
     k = 2 * r // 3
-    return _split_factor(g, k, k - 1 != r - k)
+    us, vs = g.us, g.vs
+    for queries, target in enumerate(_splits(g, k, k - 1 != r - k), 1):
+        ids = [e for e, (u, v) in enumerate(zip(us, vs)) if target[u] == target[v]]
+        host = g if len(ids) == g.m else MultiGraph._of_columns(g.n, [us[e] for e in ids], [vs[e] for e in ids])
+        found = find_exact_factor(host, target)
+        if found is not None:
+            lower = frozenset(ids[e] for e in found if target[host.us[e]] < k)
+            return lower, frozenset(ids[e] for e in found) - lower
+        if queries >= _PARTITION_FACTOR_BUDGET:
+            raise FactorSearchError(
+                f"regular-component factor not found within {_PARTITION_FACTOR_BUDGET} matching calls"
+            )
+    if g.n <= _PARTITION_VERTEX_LIMIT:
+        raise FactorSearchError(
+            "partition search exhausted: no regular-component factor found "
+            "(contradicts the guaranteed existence; please report)"
+        )
+    raise FactorSearchError(
+        f"regular-component factor needs mixed components and n={g.n} exceeds "
+        f"the exact-search limit {_PARTITION_VERTEX_LIMIT}"
+    )

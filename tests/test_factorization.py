@@ -10,7 +10,6 @@ from oracles import edge_degrees
 from zsflow import factorization, matching
 from zsflow.errors import FactorSearchError, NotRegularError
 from zsflow.factorization import (
-    _split_factor,
     euler_orientation,
     regular_component_factor,
     two_factorization,
@@ -527,31 +526,14 @@ class TestRegularComponentFactor:
             with pytest.raises(ValueError, match="r >= 5, got r=3"):
                 regular_component_factor(g)
 
-    def test_component_check_rejects_a_wrong_exact_factor(self, monkeypatch):
-        # a perfect matching of K8 answering the 4-factor query has degree 1
-        # everywhere, so the factor check must refuse it
-        monkeypatch.setattr(factorization, "find_exact_factor", lambda g, target: max_matching(g))
-        with pytest.raises(RuntimeError, match="failed its component check"):
-            regular_component_factor(complete(8))
-
-    def test_component_check_rejects_parts_that_meet(self, monkeypatch):
-        # the hub's real [2, 3]-factor answering the exact 3-factor query: taken
-        # whole as the upper part, it puts the lower part's vertices, of degree
-        # 2, into the upper part
+    def test_partition_search_finds_forced_mix(self):
+        # the r = 5 hub (k = 3) has no 3-factor, and its 2-factors are the
+        # complements of 3-factors, so only a mixed split gives its factor
         g = _multigraph_hub()
         lower, upper = regular_component_factor(g)
-        monkeypatch.setattr(factorization, "find_exact_factor", lambda g, target: lower | upper)
-        with pytest.raises(RuntimeError, match="failed its component check"):
-            regular_component_factor(g)
-
-    def test_partition_search_finds_forced_mix(self):
-        # cubic_no_pm with k=2 has neither a 1-factor nor a 2-factor, so the
-        # split enumeration must produce a genuinely mixed factor
-        g = cubic_no_pm()
-        lower, upper = _split_factor(g, 2, True)
-        assert set(edge_degrees(g, lower)) == {0, 1}
-        assert set(edge_degrees(g, upper)) == {0, 2}
-        assert set(edge_degrees(g, lower | upper)) == {1, 2}
+        assert set(edge_degrees(g, lower)) == {0, 2}
+        assert set(edge_degrees(g, upper)) == {0, 3}
+        assert set(edge_degrees(g, lower | upper)) == {2, 3}
 
     def test_exhausted_search_raises(self, monkeypatch):
         # on K8 (k = 4) a vertex of A needs 3 neighbours in A and one off A

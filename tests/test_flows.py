@@ -806,6 +806,30 @@ class TestConstruct:
         assert set(flow.values) <= {-2, -1, 1, 2}
         assert {flow.values[e] for e in cross} == {-2}
 
+    @pytest.mark.parametrize("r", [13, 25, 49])
+    def test_complete_graph_falls_back_from_the_cubic_row(self, r, monkeypatch):
+        # r - 1 = 3 * 2^j on K_{r+1}: the Euler half of G - M that is halved
+        # again has a component of odd order, so the 3-regular-factor row
+        # raises once and the matching 3-flow row, -2 on M, answers
+        rows = []
+
+        def spy(g, r, parts, outside, _real=flows._parts_flow):
+            try:
+                flow = _real(g, r, parts, outside)
+            except FactorSearchError:
+                rows.append((outside, "raised"))
+                raise
+            rows.append((outside, "answered"))
+            return flow
+
+        monkeypatch.setattr(flows, "_parts_flow", spy)
+        g = complete(r + 1)
+        flow = construct(g)
+        assert rows == [(3, "raised"), (-2, "answered")]
+        assert flow.k == 5
+        assert verify_flow(g, flow).ok
+        assert set(flow.values) == {-2, -1, 1, 2}
+
     @pytest.mark.parametrize("r, n", [(r, n) for r in (11, 15, 23, 31, 47) for n in (60, 120)])
     def test_merged_half_flow_values(self, r, n, monkeypatch):
         # r ≡ 3 (mod 4) with (r + 1)/2 = a * 2^j: -a on one Euler half of

@@ -7,7 +7,7 @@ import zlib
 import pytest
 
 import zsflow
-from zsflow import graphs
+from zsflow import factorization, graphs, matching
 from zsflow.errors import GraphError, GraphFormatError
 from zsflow.flows import parse_flow
 from zsflow.graphs import (
@@ -238,6 +238,19 @@ class TestIncident:
 def test_every_public_name_resolves():
     missing = [name for name in zsflow.__all__ if not hasattr(zsflow, name)]
     assert not missing
+
+
+def test_unused_helpers_live_only_in_their_home_modules():
+    # no library path calls these, so the package does not export them
+    homes = {
+        "degree_range_factor": matching,
+        "bipartite_perfect_matching": matching,
+        "decompose_regular_bipartite": matching,
+        "euler_orientation": factorization,
+    }
+    for name, home in homes.items():
+        assert name not in zsflow.__all__ and not hasattr(zsflow, name), name
+        assert callable(getattr(home, name)), name
 
 
 class TestGenerators:

@@ -343,11 +343,6 @@ class TestInternalChecks:
         with pytest.raises(RuntimeError, match="decoded to a wrong-degree edge set"):
             find_exact_factor(complete(4), [1] * 4)
 
-    def test_slack_reduction_that_keeps_every_edge(self, monkeypatch):
-        monkeypatch.setattr(matching, "find_exact_factor", lambda g, target: frozenset(range(g.m)))
-        with pytest.raises(RuntimeError, match="out-of-range degrees"):
-            degree_range_factor(complete(6), 2, 3)
-
 
 class TestExactFactor:
     def test_k4_one_factor(self):
