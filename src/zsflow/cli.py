@@ -63,7 +63,7 @@ def _report(args, g: MultiGraph, lines: list[str]) -> None:
         f"m: {g.m}",
         f"r: {'-' if r is None else r}",
     ]
-    _write("\n".join(head + lines) + "\n", args.out)
+    _write("\n".join([*head, *lines, ""]), args.out)
 
 
 def _timed(call, *call_args):
@@ -78,8 +78,8 @@ def _flow_block(flow, flow_out: str | None) -> str:
     text = write_flow(flow)
     if flow_out:
         Path(flow_out).write_text(text)
-    # the flow file's body, without its header, as one string ("flow:" alone when m = 0)
-    return "flow:" + text[text.index("\n") :].rstrip("\n")
+    # the flow file's body, without its header and final newline ("flow:" alone when m = 0)
+    return "flow:" + text[text.index("\n") : -1]
 
 
 def _cmd_construct(args) -> int:

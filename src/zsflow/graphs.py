@@ -203,18 +203,14 @@ def _euler_tails(
     component, by smallest vertex, of its positions i in the order the walk
     closes them (backs out over them).  That order is a closed trail read
     backwards: consecutive edges share a vertex, and the last and the first
-    meet at the component's smallest vertex.  No graph is built: the walk
-    reads the endpoint columns directly.
+    meet at the component's smallest vertex.  Each step reads the far end from
+    the columns, so every tail but each start vertex is the columns' own int.
     """
     inc: list[list[int]] = [[] for _ in range(n)]
-    far = [0] * len(ids)  # u ^ v: from one end x of ids[i], the other is far[i] ^ x
     for i in range(len(ids) - 1, -1, -1):  # descending, so pop() yields the smallest id
         e = ids[i]
-        u = us[e]
-        v = vs[e]
-        inc[u].append(i)
-        inc[v].append(i)
-        far[i] = u ^ v
+        inc[us[e]].append(i)
+        inc[vs[e]].append(i)
     tails: list = [None] * len(ids)  # None until the walk leaves along the edge
     circuits: list[list[int]] = []
     stack: list[int] = []  # the trail from start to v, as edge positions
@@ -229,7 +225,9 @@ def _euler_tails(
                     continue
                 tails[i] = v
                 stack.append(i)
-                v = far[i] ^ v
+                e = ids[i]
+                u = us[e]
+                v = vs[e] if u == v else u
                 out = inc[v]
             if not stack:
                 break

@@ -338,6 +338,17 @@ class TestEulerOrientation:
             assert all(2 * visited[v] == sum(v in edges[ids[i]] for i in closed) for v in verts)
         assert starts == sorted(starts) and len(starts) == 3
 
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_tails_are_the_columns_own_ints(self, as_list):
+        # the walk copies no endpoint: each tail is the int object of g.us or
+        # g.vs.  One component on purpose: its first tail is the start vertex
+        # 0, an int from range(n) that is the columns' own only below 257
+        g = random_regular(2000, 6, 1)
+        ids = list(range(g.m)) if as_list else range(g.m)
+        tails, circuits = _euler_tails(g.n, g.us, g.vs, ids)
+        assert len(circuits) == 1
+        assert all(tails[i] is g.us[e] or tails[i] is g.vs[e] for i, e in enumerate(ids))
+
 
 class TestTwoFactorization:
     def test_k5(self):

@@ -746,15 +746,16 @@ class TestConstruct:
             "halvings": halvings,
         }
 
-    @pytest.mark.parametrize("r, bound", [(7, 200), (11, 190), (13, 188), (15, 190), (19, 300)])
+    @pytest.mark.parametrize(
+        "r, bound",
+        [(4, 115), (6, 115), (8, 115), (7, 150), (9, 150), (11, 150), (13, 150), (15, 150), (23, 150), (19, 210)],
+    )
     def test_peak_memory_per_edge(self, r, bound):
-        # the tracemalloc peak of construct above the graph, per edge: about
-        # 188 and 179 B (r = 7, 13) on Python 3.11 to 3.13, 174 and 165 on
-        # 3.10; about 182 and 178 B (r = 11, 15) on 3.11, where splitting
-        # the out/in cover of G - M took about 341; about 273 B at r = 19 on
-        # 3.11, which still splits that cover, as parallel tail and head
-        # lists sharing one int object per in-copy, where a tuple per arc
-        # took about 343
+        # the tracemalloc peak of construct above the graph, per edge, on
+        # Python 3.11 to 3.13: about 98, 92 and 83 B (r = 4, 6, 8); 134, 126,
+        # 133, 123, 124 and 119 B (r = 7, 9, 11, 13, 15, 23); and 188 B at
+        # r = 19, which still splits the out/in cover of G - M.  Python 3.10
+        # reads 4 to 11 B less
         g = random_regular(10_000, r, seed=1)
         construct(random_regular(50, r, seed=1))  # a warm-up fills the interpreter's caches first
         tracemalloc.start()
