@@ -198,42 +198,41 @@ def _euler_tails(
     Edge e joins ``us[e]`` and ``vs[e]`` in 0..n-1, and every vertex
     must have even degree within ``ids``.  Hierholzer's walk starts at each
     vertex in turn and, standing at v, leaves v along its unused edge of
-    smallest id.  Returns ``(tails, circuits)``: ``tails[i]`` is the vertex
-    the walk left edge ``ids[i]`` from, and ``circuits`` holds one list per
-    component, by smallest vertex, of its positions i in the order the walk
-    closes them (backs out over them).  That order is a closed trail read
-    backwards: consecutive edges share a vertex, and the last and the first
-    meet at the component's smallest vertex.  Each step reads the far end from
-    the columns, so every tail but each start vertex is the columns' own int.
+    smallest id.  Returns ``(tails, circuits)``, both keyed by edge id:
+    ``tails[e]`` is the vertex the walk left edge e from, and None for an e
+    outside ``ids``; ``circuits`` holds one list per component, by smallest
+    vertex, of its edge ids in the order the walk closes them (backs out
+    over them).  That order is a closed trail read backwards: consecutive
+    edges share a vertex, and the last and the first meet at the
+    component's smallest vertex.  Each step reads the far end from the
+    columns, so every tail but each start vertex is the columns' own int.
     """
     inc: list[list[int]] = [[] for _ in range(n)]
-    for i in range(len(ids) - 1, -1, -1):  # descending, so pop() yields the smallest id
-        e = ids[i]
-        inc[us[e]].append(i)
-        inc[vs[e]].append(i)
-    tails: list = [None] * len(ids)  # None until the walk leaves along the edge
+    for e in reversed(ids):  # descending, so pop() yields the smallest id
+        inc[us[e]].append(e)
+        inc[vs[e]].append(e)
+    tails: list = [None] * len(us)  # None until the walk leaves along the edge
     circuits: list[list[int]] = []
-    stack: list[int] = []  # the trail from start to v, as edge positions
+    stack: list[int] = []  # the trail from start to v
     closed: list[int] = []
     for start in range(n):
         v = start
         while True:
             out = inc[v]
             while out:
-                i = out.pop()
-                if tails[i] is not None:
+                e = out.pop()
+                if tails[e] is not None:
                     continue
-                tails[i] = v
-                stack.append(i)
-                e = ids[i]
+                tails[e] = v
+                stack.append(e)
                 u = us[e]
                 v = vs[e] if u == v else u
                 out = inc[v]
             if not stack:
                 break
-            i = stack.pop()
-            closed.append(i)
-            v = tails[i]
+            e = stack.pop()
+            closed.append(e)
+            v = tails[e]
         if closed:
             circuits.append(closed)
             closed = []

@@ -263,12 +263,13 @@ def _value_split(
     one with the blossom engine for the smallest value of odd multiplicity.
     Walk: any other piece is one Hierholzer walk with two shares, the lower
     and the upper half of an even count of values, or -1 and +1 for an odd
-    count that sums to 0.  Each even circuit gives the odd positions of its
-    closing order the first share and its even positions the second (on a
-    cover each circuit closes from a left vertex, so its odd positions are
-    its forward arcs).  Every other circuit goes through the walk's balanced
-    orientation: each 2-factor is a perfect matching of the bipartite
-    out/in cover of its arcs, which is split in turn.  With an even count
+    count that sums to 0.  Each even circuit gives the edges at odd positions
+    in its closing order the first share and those at even positions the
+    second (on a cover each circuit closes from a left vertex, so its odd
+    positions are its forward arcs).  Every other circuit goes through the
+    walk's balanced orientation: each 2-factor is a perfect matching of the
+    bipartite out/in cover of its arcs, taken in ascending edge id, which is
+    split in turn.  With an even count
     every circuit is even (bipartite, or 4 divides d) except in a 2f-regular
     piece of two f-regular factors of odd degree f, where a component of odd
     order has no f-regular factor at all, and the cover could not give it
@@ -301,43 +302,32 @@ def _value_split(
             halves = ([-1], [1])
         else:
             halves = ()
-        rest: Sequence[int] = range(len(part))  # the positions that go to the cover
+        at: Sequence[int] = part  # the edges that go to the cover
         if halves:  # an odd circuit has no halving
-            rest = sorted(i for closed in circuits if len(closed) % 2 for i in closed)
-            if len(rest) == len(part):  # nothing to halve, and no list of every position through the split
-                rest, halves = range(len(part)), ()
-        if rest and factor % 2 and factor > 1:
+            at = sorted(e for closed in circuits if len(closed) % 2 for e in closed)
+            if len(at) == len(part):  # nothing to halve
+                at, halves = part, ()
+        if at and factor % 2 and factor > 1:
             raise FactorSearchError(
                 f"a {factor * c}-regular piece has a component of odd order and no {factor}-regular factor"
             )
-        if not rest:
-            del tails  # not kept alive through the halves' walks
+        # their tails; the rebinding frees the host-sized list before the halves' walks
+        tails = [tails[e] for e in at]
         for start, share in zip((1, 0), halves):
-            half = chain.from_iterable(_ids_at(part, cl[start::2]) for cl in circuits if len(cl) % 2 == 0)
+            half = chain.from_iterable(cl[start::2] for cl in circuits if len(cl) % 2 == 0)
             if share[0] == share[-1]:
                 for e in half:
                     out[e] = share[0]
             else:
                 stack.append((sorted(half), share))
         del circuits  # not kept alive through the split
-        if rest:
-            at = _ids_at(part, rest)
+        if at:
             # arc j: edge at[j] from its tail's out-copy to its head's in-copy, one int object per in-copy
-            tails = _ids_at(tails, rest)
             ins = list(range(n, 2 * n))
             heads = [ins[us[e] + vs[e] - t] for t, e in zip(tails, at)]
             for e, val in zip(at, _value_split(2 * n, tails, heads, range(len(at)), c, vals, [0] * len(at))):
                 out[e] = val
     return out
-
-
-def _ids_at(part: Sequence[int], positions: Sequence[int]) -> Sequence[int]:
-    """The ids at ``positions`` of ``part``, with no subscript for a range(m) part or all positions."""
-    if isinstance(part, range):
-        return positions
-    if isinstance(positions, range):
-        return part
-    return [part[i] for i in positions]
 
 
 # ---------------------------------------------------------------------------

@@ -322,20 +322,21 @@ class TestEulerOrientation:
         edges = [pair for pair, _ in pairs]
         ids = [e for e, (_, inside) in enumerate(pairs) if inside]
         tails, circuits = _euler_tails(g.n, [u for u, _ in edges], [v for _, v in edges], ids)
-        assert sorted(i for closed in circuits for i in closed) == list(range(len(ids)))
+        assert sorted(e for closed in circuits for e in closed) == ids
+        assert [e for e, t in enumerate(tails) if t is not None] == ids
         starts = []
         for closed in circuits:
-            heads = [edges[ids[i]][0] ^ edges[ids[i]][1] ^ tails[i] for i in closed]
+            heads = [edges[e][0] ^ edges[e][1] ^ tails[e] for e in closed]
             for j in range(len(closed) - 1):
                 assert heads[j + 1] == tails[closed[j]]  # consecutive edges share a vertex
             assert tails[closed[-1]] == heads[0]  # the circuit closes at its start
-            verts = {v for i in closed for v in edges[ids[i]]}
+            verts = {v for e in closed for v in edges[e]}
             assert heads[0] == min(verts)
             starts.append(min(verts))
             visited = [0] * g.n
-            for i in closed:
-                visited[tails[i]] += 1
-            assert all(2 * visited[v] == sum(v in edges[ids[i]] for i in closed) for v in verts)
+            for e in closed:
+                visited[tails[e]] += 1
+            assert all(2 * visited[v] == sum(v in edges[e] for e in closed) for v in verts)
         assert starts == sorted(starts) and len(starts) == 3
 
     @pytest.mark.parametrize("as_list", [False, True])
@@ -347,7 +348,19 @@ class TestEulerOrientation:
         ids = list(range(g.m)) if as_list else range(g.m)
         tails, circuits = _euler_tails(g.n, g.us, g.vs, ids)
         assert len(circuits) == 1
-        assert all(tails[i] is g.us[e] or tails[i] is g.vs[e] for i, e in enumerate(ids))
+        assert all(tails[e] is g.us[e] or tails[e] is g.vs[e] for e in ids)
+
+    def test_tails_of_a_sub_list_are_keyed_by_edge_id(self):
+        # ids = G - M, a strict subset of the edges: the tails are indexed by
+        # edge id over the whole host, and None on the perfect matching M
+        g = random_regular(2000, 7, 1)
+        pm = max_matching(g)
+        assert 2 * len(pm) == g.n
+        ids = [e for e in range(g.m) if e not in pm]
+        tails, circuits = _euler_tails(g.n, g.us, g.vs, ids)
+        assert len(circuits) == 1 and sorted(circuits[0]) == ids
+        assert all(tails[e] is g.us[e] or tails[e] is g.vs[e] for e in ids)
+        assert all(tails[e] is None for e in pm)
 
 
 class TestTwoFactorization:
