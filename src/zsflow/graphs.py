@@ -328,7 +328,10 @@ def random_regular(n: int, r: int, seed: int) -> MultiGraph:
     if (n * r) % 2:
         raise GraphError(f"n*r must be even, got n={n}, r={r}")
     getrandbits = random.Random(seed).getrandbits
-    verts = list(range(n))  # stubs and edges share these int objects
+    try:
+        verts = list(range(n))  # stubs and edges share these int objects
+    except (MemoryError, OverflowError):  # n is past what one list can hold
+        raise GraphError(f"vertex count {n} is too large to hold") from None
     for _ in range(_RANDOM_REGULAR_RESTARTS):
         later = _pair_stubs(verts, r, getrandbits)
         if later is not None:

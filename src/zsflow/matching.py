@@ -253,27 +253,26 @@ def _value_split(
     Edge e joins ``us[e]`` and ``vs[e]``.  ``ids`` ascend, as a list or a
     range, and every vertex of 0..n-1 meets d of them or none.  The factors
     are perfect matchings when d is the count of values, and the caller
-    vouches that the piece is then bipartite; they are 2-factors when d is twice the count, and f-regular factors for an
-    odd f >= 3 when d is f times a count that is a power of 2 (3-regular
-    factors, or the two (d/2)-regular halves of an Euler halving with two
-    placeholder values).  A vertex meets each factor equally often, so only
-    the multiset counts, and it is split by value (Alon 2003), a piece at a
-    time.  Uniform: a piece whose values agree
-    takes that value with no walk.  Peel: an odd count of matchings peels
-    one with the blossom engine for the smallest value of odd multiplicity.
-    Walk: any other piece is one Hierholzer walk with two shares, the lower
-    and the upper half of an even count of values, or -1 and +1 for an odd
-    count that sums to 0.  Each even circuit gives the edges at odd positions
-    in its closing order the first share and those at even positions the
-    second (on a cover each circuit closes from a left vertex, so its odd
-    positions are its forward arcs).  Every other circuit goes through the
-    walk's balanced orientation: each 2-factor is a perfect matching of the
-    bipartite out/in cover of its arcs, taken in ascending edge id, which is
-    split in turn.  With an even count
+    vouches that the piece is then bipartite; they are 2-factors when d is
+    twice the count, and f-regular factors for an odd f >= 3 when d is f
+    times a count that is a power of 2 (3-regular factors, or the two
+    (d/2)-regular halves of an Euler halving with two placeholder values).
+    A vertex meets each factor equally often, so only the multiset counts,
+    and it is split by value (Alon 2003), a piece at a time.  Uniform: a
+    piece whose values agree takes that value with no walk.  Peel: an odd
+    count of matchings peels one with the blossom engine for the smallest
+    value of odd multiplicity.  Walk: any other piece is one Hierholzer walk
+    with two shares, the lower and the upper half of an even count of
+    values, or -1 and +1 for an odd count that sums to 0.  Each even circuit
+    gives the edges at odd positions in its closing order the first share
+    and those at even positions the second (on a cover each circuit closes
+    from a left vertex, so its odd positions are its forward arcs).  Every
+    other circuit goes through the walk's balanced orientation: each
+    2-factor is a perfect matching of its arcs' bipartite out/in cover,
+    split in turn on the same edge ids into ``out``.  With an even count
     every circuit is even (bipartite, or 4 divides d) except in a 2f-regular
     piece of two f-regular factors of odd degree f, where a component of odd
-    order has no f-regular factor at all, and the cover could not give it
-    one either, so FactorSearchError is raised.
+    order has no f-regular factor, not even on a cover: FactorSearchError.
     """
     vals = sorted(values)
     factor = d // len(vals) if vals else 0  # the degree of each factor
@@ -311,8 +310,6 @@ def _value_split(
             raise FactorSearchError(
                 f"a {factor * c}-regular piece has a component of odd order and no {factor}-regular factor"
             )
-        # their tails; the rebinding frees the host-sized list before the halves' walks
-        tails = [tails[e] for e in at]
         for start, share in zip((1, 0), halves):
             half = chain.from_iterable(cl[start::2] for cl in circuits if len(cl) % 2 == 0)
             if share[0] == share[-1]:
@@ -322,11 +319,10 @@ def _value_split(
                 stack.append((sorted(half), share))
         del circuits  # not kept alive through the split
         if at:
-            # arc j: edge at[j] from its tail's out-copy to its head's in-copy, one int object per in-copy
-            ins = list(range(n, 2 * n))
-            heads = [ins[us[e] + vs[e] - t] for t, e in zip(tails, at)]
-            for e, val in zip(at, _value_split(2 * n, tails, heads, range(len(at)), c, vals, [0] * len(at))):
-                out[e] = val
+            ins = list(range(n, 2 * n))  # vertex w's in-copy n + w, one int object each
+            heads = [None if t is None else ins[us[e] + vs[e] - t] for e, t in enumerate(tails)]
+            _value_split(2 * n, tails, heads, at, c, vals, out)
+        del tails  # not kept alive through the next piece's walk
     return out
 
 

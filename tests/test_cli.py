@@ -199,15 +199,20 @@ class TestVerify:
 
 
 class TestOversizedHeader:
-    # n >= 2**61: Python refuses the n-slot degree list before allocating it
+    # n >= 2**61: Python refuses the n-slot degree list, or random_regular's
+    # vertex list, before allocating it
     @pytest.mark.parametrize("n", [2**62, 10**20])
-    @pytest.mark.parametrize("command", ["construct", "verify"])
+    @pytest.mark.parametrize("command", ["construct", "verify", "generate"])
     def test_usage_error(self, tmp_path, capsys, n, command):
         gpath = tmp_path / "g.txt"
         gpath.write_text(f"{n} 0\n")
         fpath = tmp_path / "flow.txt"
         fpath.write_text(f"2 {n} 0\n")
-        argv = [command, str(gpath)] + ([str(fpath)] if command == "verify" else [])
+        argv = {
+            "construct": ["construct", str(gpath)],
+            "verify": ["verify", str(gpath), str(fpath)],
+            "generate": ["generate", "random-regular", str(n), "3"],
+        }[command]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: vertex count {n} is too large to hold\n"

@@ -597,7 +597,10 @@ class TestOddRegular:
 # values are unequal, as in r7_mixed_hub's 4-regular part {1, 2}, the halving
 # replaces the split of its cover.  The hubs have no perfect matching: r9_hub pins the signed double
 # cover, and r7_mixed_hub (7 ≢ 3 mod 6) pins the paper's construction on a
-# mixed [3, 4]-factor.
+# mixed [3, 4]-factor.  r19_n60 and r6_n41 each split one out/in cover of
+# the whole piece: at r = 19 that of G - M's nine 2-factors valued -1 and 1,
+# which peels, and at r = 6 on odd order that of the three 2-factors valued
+# -1, -1 and 2, whose walk closes only odd circuits.
 GOLDEN_CONSTRUCT = {
     "r7_n20": (random_regular(20, 7, seed=1), 0x923BC61C),
     "r7_n100": (random_regular(100, 7, seed=2), 0x94F4FABC),
@@ -610,6 +613,8 @@ GOLDEN_CONSTRUCT = {
     "r7_mixed_hub": (_gadget_hub(7, (1, 1, 1, 1, 3)), 0x5A3506D3),
     "r11_n60": (random_regular(60, 11, seed=5), 0x89EDD82F),
     "r11_k12": (complete(12), 0xED0069FA),
+    "r19_n60": (random_regular(60, 19, seed=7), 0x46F93D2D),
+    "r6_n41": (random_regular(41, 6, seed=8), 0xC2DC3647),
 }
 
 # (name, target) -> crc32 of the sorted edge ids of find_exact_factor on the
@@ -748,14 +753,17 @@ class TestConstruct:
 
     @pytest.mark.parametrize(
         "r, bound",
-        [(4, 115), (6, 115), (8, 115), (7, 120), (9, 115), (11, 128), (13, 110), (15, 120), (23, 115), (19, 180)],
+        [
+            (4, 115), (6, 115), (8, 115), (7, 120), (9, 115), (11, 128), (13, 110), (15, 120), (23, 115),
+            (19, 150), (27, 150),
+        ],
     )
     def test_peak_memory_per_edge(self, r, bound):
         # the tracemalloc peak of construct above the graph, per edge, on
         # Python 3.11 to 3.13: about 98, 92 and 83 B (r = 4, 6, 8); 108, 98,
-        # 120, 94, 111 and 106 B (r = 7, 9, 11, 13, 15, 23); and 163 B at
-        # r = 19, which still splits the out/in cover of G - M.  Python 3.10
-        # reads 3 to 8 B less
+        # 120, 94, 111 and 106 B (r = 7, 9, 11, 13, 15, 23); and 131 and
+        # 120 B at r = 19 and 27, which split the out/in cover of G - M on
+        # the graph's own edge ids.  Python 3.10 reads 3 to 8 B less
         g = random_regular(10_000, r, seed=1)
         construct(random_regular(50, r, seed=1))  # a warm-up fills the interpreter's caches first
         tracemalloc.start()
