@@ -46,7 +46,6 @@ from .flows import (
     IntFlow,
     constant_sum_weighting,
     construct,
-    flow_even_regular,
     flow_odd_regular,
     parse_flow,
     verify_flow,
@@ -78,7 +77,6 @@ __all__ = [
     "constant_sum_weighting",
     "construct",
     "cross_check",
-    "flow_even_regular",
     "flow_number",
     "flow_odd_regular",
     "parse_flow",

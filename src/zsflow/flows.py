@@ -12,7 +12,7 @@ constant vertex sum q (`_weighting`) that cancels it, with factor values
 from `_split_sum`.  A part is a list of g's edge ids, and no subgraph is
 built.  The rows:
 
-- even r: q = 0 on all of g (`flow_even_regular`);
+- even r: q = 0 on all of g;
 - r - 1 = 3 * 2^j (r = 7, 13, 25, ...) with a perfect matching M: 3 on M and
   q = -3 on G - M, halved down to 3-regular factors valued -2 and 1, then
   -1, +1 pairs, unless a 6-regular piece of the halving has a component of
@@ -247,23 +247,6 @@ def _parts_flow(g: MultiGraph, r: int, parts: Iterable[tuple[int, Sequence[int]]
 # constructions per degree class
 
 
-def flow_even_regular(g: MultiGraph) -> IntFlow:
-    """Zero-sum 3-flow of an r-regular graph with even r >= 4.
-
-    The q = 0 weighting.  A component with an even edge count (always when
-    4 divides r) gets +1/-1 along its Euler circuit, so the values are all
-    ±1 exactly when the graph has a zero-sum 2-flow.  Any other component
-    takes its r/2 two-factors valued alternating +1/-1, led by 2, -1, -1
-    when their count is odd.
-    """
-    r = regular_degree(g)
-    if r is None:
-        raise NotRegularError("flow_even_regular needs a regular graph")
-    if r % 2 or r < 4:
-        raise UnsupportedDegreeError(f"need even r >= 4, got r={r}")
-    return _parts_flow(g, r, [(r, range(g.m))], 0)
-
-
 def flow_odd_regular(g: MultiGraph) -> IntFlow:
     """Zero-sum 5-flow of an r-regular graph with odd r >= 7.
 
@@ -320,7 +303,7 @@ def construct(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> IntFlow:
     if r < 7 and r % 2 and budget < g.m:  # a direct flow stands for m search nodes
         raise _undecided(r, budget)
     if r % 2 == 0:
-        return flow_even_regular(g)
+        return _parts_flow(g, r, [(r, range(g.m))], 0)
     return _odd_flow(g, r, max_matching(g), budget)
 
 
@@ -392,11 +375,10 @@ def _undecided(r: int, budget: int) -> FlowUndecidedError:
 
 def _checked(g: MultiGraph, values: Sequence[int], k: int) -> IntFlow:
     """The post-check of every flow that a construction or the search returns."""
-    flow = IntFlow(g, tuple(values), k)
-    report = verify_flow(g, flow)
+    report = verify_flow(g, values, k)
     if not report.ok:
         raise RuntimeError(f"internal: returned flow failed verification: {report.violation}")
-    return flow
+    return IntFlow(g, tuple(values), k)
 
 
 # ---------------------------------------------------------------------------

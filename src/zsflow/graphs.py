@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from operator import eq
 
 from .errors import GraphError, GraphFormatError
@@ -264,18 +264,35 @@ def subgraph_from_edges(g: MultiGraph, edge_ids: Iterable[int]) -> tuple[MultiGr
 # generators
 
 
+def _vertex_ids(n: int) -> list[int]:
+    """``list(range(n))``: one int object per vertex, for the columns to share."""
+    try:
+        return list(range(n))
+    except (MemoryError, OverflowError):  # n is past what one list can hold
+        raise GraphError(f"vertex count {n} is too large to hold") from None
+
+
 def cycle(n: int) -> MultiGraph:
     """Cycle C_n; n=2 yields the parallel pair (a 2-cycle)."""
     if n < 2:
         raise GraphError(f"cycle needs at least 2 vertices, got {n}")
     if n == 2:
         return MultiGraph(2, [(0, 1), (0, 1)])
-    return MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    verts = _vertex_ids(n)
+    return MultiGraph._of_columns(n, verts, verts[1:] + verts[:1])
 
 
 def complete(n: int) -> MultiGraph:
-    """Complete graph K_n."""
-    return MultiGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    """Complete graph K_n, its edges (i, j) with i < j ascending."""
+    verts = _vertex_ids(n)
+    m = len(verts) * (len(verts) - 1) // 2
+    try:
+        us = [0] * m  # the edge count is sized before any edge is made
+    except (MemoryError, OverflowError):
+        raise GraphError(f"edge count {m} is too large to hold") from None
+    us[:] = chain.from_iterable(repeat(i, n - 1 - i) for i in verts)
+    vs = list(chain.from_iterable(verts[i + 1 :] for i in verts))
+    return MultiGraph._of_columns(n, us, vs)
 
 
 def petersen() -> MultiGraph:
@@ -295,6 +312,7 @@ def circulant(n: int, offsets: Iterable[int]) -> MultiGraph:
     """
     if n < 1:
         raise GraphError(f"circulant needs at least 1 vertex, got {n}")
+    verts = _vertex_ids(n)
     norm = []
     for d in offsets:
         d = d % n
@@ -303,13 +321,12 @@ def circulant(n: int, offsets: Iterable[int]) -> MultiGraph:
         norm.append(min(d, n - d))
     if len(set(norm)) != len(norm):
         raise GraphError(f"offsets collide after normalization mod {n}: {sorted(norm)}")
-    pairs = []
-    for d in sorted(norm):
-        if 2 * d == n:
-            pairs += [(i, i + d) for i in range(d)]
-        else:
-            pairs += [(i, (i + d) % n) for i in range(n)]
-    return MultiGraph(n, pairs)
+    us: list[int] = []
+    vs: list[int] = []
+    for d in sorted(norm):  # the edges (i, i + d mod n), or (i, i + d) for i < d when 2d = n
+        us += verts[:d] if 2 * d == n else verts
+        vs += verts[d:] if 2 * d == n else verts[d:] + verts[:d]
+    return MultiGraph._of_columns(n, us, vs)
 
 
 def random_regular(n: int, r: int, seed: int) -> MultiGraph:
@@ -328,10 +345,7 @@ def random_regular(n: int, r: int, seed: int) -> MultiGraph:
     if (n * r) % 2:
         raise GraphError(f"n*r must be even, got n={n}, r={r}")
     getrandbits = random.Random(seed).getrandbits
-    try:
-        verts = list(range(n))  # stubs and edges share these int objects
-    except (MemoryError, OverflowError):  # n is past what one list can hold
-        raise GraphError(f"vertex count {n} is too large to hold") from None
+    verts = _vertex_ids(n)  # stubs and edges share these int objects
     for _ in range(_RANDOM_REGULAR_RESTARTS):
         later = _pair_stubs(verts, r, getrandbits)
         if later is not None:
@@ -519,7 +533,8 @@ def parse_edge_list(text: str) -> MultiGraph:
     count of integers takes one bulk pass, in which `MultiGraph` checks the
     endpoint columns and maps them onto one int object per vertex.  Any
     other text, or a failed bulk pass, takes the line scan: the same graph
-    for every valid text, and each error names its line.
+    for every valid text, and each error names its line.  Its columns share
+    one int object per vertex too when n is at most its line count.
     """
     bulk = _canonical_ints(text, _EDGE_LIST_COLUMNS)
     if bulk is not None:
@@ -530,7 +545,7 @@ def parse_edge_list(text: str) -> MultiGraph:
                 return MultiGraph._of_columns(ints[0], ints[2::2], ints[3::2], list(range(ints[0])))
             except GraphError:
                 pass  # the line scan names the line
-    (n, m), _, rows = _scan_ints(text, _EDGE_LIST_COLUMNS)
+    (n, m), lines, rows = _scan_ints(text, _EDGE_LIST_COLUMNS)
     us: list[int] = []
     vs: list[int] = []
     for line, (u, v) in rows:
@@ -542,7 +557,7 @@ def parse_edge_list(text: str) -> MultiGraph:
         vs.append(v)
     if len(us) != m:
         raise GraphFormatError(f"header promised {m} edges, found {len(us)}", line=1)
-    return MultiGraph._of_columns(n, us, vs)
+    return MultiGraph._of_columns(n, us, vs, list(range(n)) if n <= lines else None)
 
 
 def write_edge_list(g: MultiGraph) -> str:

@@ -6,7 +6,7 @@ from zsflow import cli, flows, graphs, solver
 from zsflow.cli import main
 from zsflow.errors import FactorSearchError, FlowNonexistentError
 from zsflow.flows import parse_flow, verify_flow
-from zsflow.graphs import complete, cubic_no_pm, cycle, parse_edge_list, write_edge_list
+from zsflow.graphs import complete, cubic_no_pm, cycle, parse_edge_list, random_regular, write_edge_list
 from zsflow.solver import DEFAULT_BUDGET
 
 
@@ -107,6 +107,24 @@ class TestConstruct:
         assert len(err) == 1 and err[0].startswith("error: internal: returned flow failed verification: vertex 0")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", [0, 7], ids=["zero", "too_large"])
+    def test_internal_value_fault_exits_5(self, tmp_path, capsys, monkeypatch, value):
+        # a zero or out-of-range value from the construction is its fault, not the input's
+        real = flows._weighting
+
+        def spoil(*args):
+            out = real(*args)
+            out[0] = value
+            return out
+
+        monkeypatch.setattr(flows, "_weighting", spoil)
+        path = write_graph(tmp_path, random_regular(20, 4, 1))
+        assert main(["construct", path]) == 5
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: internal: returned flow failed verification: ")
+        assert captured.out == ""
+
     def test_search_nonexistent_exits_5(self, tmp_path, capsys, monkeypatch):
         # K6 with construct's matching and 2-factor queries finding nothing
         # reaches the r = 5 search, which here refutes a 5-flow
@@ -199,10 +217,10 @@ class TestVerify:
 
 
 class TestOversizedHeader:
-    # n >= 2**61: Python refuses the n-slot degree list, or random_regular's
+    # n >= 2**61: Python refuses the n-slot degree list, or a generator's
     # vertex list, before allocating it
     @pytest.mark.parametrize("n", [2**62, 10**20])
-    @pytest.mark.parametrize("command", ["construct", "verify", "generate"])
+    @pytest.mark.parametrize("command", ["construct", "verify", "generate", "cycle", "complete", "circulant"])
     def test_usage_error(self, tmp_path, capsys, n, command):
         gpath = tmp_path / "g.txt"
         gpath.write_text(f"{n} 0\n")
@@ -212,6 +230,9 @@ class TestOversizedHeader:
             "construct": ["construct", str(gpath)],
             "verify": ["verify", str(gpath), str(fpath)],
             "generate": ["generate", "random-regular", str(n), "3"],
+            "cycle": ["generate", "cycle", str(n)],
+            "complete": ["generate", "complete", str(n)],
+            "circulant": ["generate", "circulant", str(n), "1,2"],
         }[command]
         assert main(argv) == 2
         captured = capsys.readouterr()

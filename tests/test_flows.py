@@ -26,7 +26,6 @@ from zsflow.flows import (
     IntFlow,
     constant_sum_weighting,
     construct,
-    flow_even_regular,
     flow_odd_regular,
     parse_flow,
     verify_flow,
@@ -349,12 +348,12 @@ class TestConstantSumWeighting:
 
 class TestEvenRegular:
     def test_irregular_graph_rejected(self):
-        with pytest.raises(NotRegularError, match="needs a regular graph"):
-            flow_even_regular(build(3, [(0, 1), (1, 2)]))
+        with pytest.raises(NotRegularError, match="graph is not regular"):
+            construct(build(3, [(0, 1), (1, 2)]))
 
     def test_k5(self):
         g = complete(5)
-        flow = flow_even_regular(g)
+        flow = construct(g)
         assert flow.k == 3
         assert verify_flow(g, flow).ok
         assert set(flow.values) <= {1, -1, 2, -2}
@@ -373,16 +372,34 @@ class TestEvenRegular:
         with pytest.raises(RuntimeError, match=r"^internal: returned flow failed verification: vertex 0 sum -?\d+$"):
             construct(complete(5))
 
+    @pytest.mark.parametrize(
+        "value, violation",
+        [(0, "zero value at edge 0"), (7, r"edge 0 value 7 exceeds \|value\| <= 2")],
+        ids=["zero", "too_large"],
+    )
+    def test_post_check_catches_a_bad_value(self, monkeypatch, value, violation):
+        # a value no flow may hold is a construction fault, not a labelling error
+        real = flows._weighting
+
+        def spoil(*args):
+            out = real(*args)
+            out[0] = value
+            return out
+
+        monkeypatch.setattr(flows, "_weighting", spoil)
+        with pytest.raises(RuntimeError, match=rf"^internal: returned flow failed verification: {violation}$"):
+            construct(random_regular(20, 4, 1))
+
     def test_six_regular_uses_odd_sequence(self):
         g = circulant(7, {1, 2, 3})
-        flow = flow_even_regular(g)
+        flow = construct(g)
         assert verify_flow(g, flow).ok
         assert 2 in flow.values  # s=3 factors valued (2,-1,-1)
 
     def test_values_stay_small_through_r10(self):
         for n, r, seed in [(9, 4, 0), (10, 6, 1), (12, 8, 2), (14, 10, 3)]:
             g = random_regular(n, r, seed)
-            flow = flow_even_regular(g)
+            flow = construct(g)
             assert verify_flow(g, flow).ok
             assert set(flow.values) <= {1, -1, 2, -2}
 
@@ -488,18 +505,14 @@ class TestEvenRegular:
                 return _real(n, us, vs, ids)
 
             monkeypatch.setattr(module, "_euler_tails", spy)
-        flow = flow_even_regular(g)
+        flow = construct(g)
         assert walks == [g.m]
         assert 2 in flow.values
         assert vertex_sums(g, flow.values) == [0] * g.n
 
     def test_r2_rejected(self):
         with pytest.raises(UnsupportedDegreeError):
-            flow_even_regular(cycle(5))
-
-    def test_odd_r_rejected(self):
-        with pytest.raises(UnsupportedDegreeError):
-            flow_even_regular(petersen())
+            construct(cycle(5))
 
 
 class TestSevenRegular:
@@ -529,7 +542,7 @@ class TestSevenRegular:
     @pytest.mark.xfail(
         strict=True,
         raises=FactorSearchError,
-        reason="mixed-component factors above n=18 are not searched yet (ROADMAP item 3)",
+        reason="mixed-component factors above n=18 are not searched yet (ROADMAP item 16)",
     )
     def test_hub_of_gadgets(self):
         # guaranteed by the paper, but with no perfect matching and no exact

@@ -282,6 +282,19 @@ class TestGenerators:
         with pytest.raises(GraphError, match="at least 1 vertex"):
             circulant(n, {1})
 
+    @pytest.mark.parametrize(
+        "generate", [cycle, complete, lambda n: circulant(n, {1, 2})], ids=["cycle", "complete", "circulant"]
+    )
+    def test_vertex_count_past_any_list_refused_before_allocating(self, generate):
+        with pytest.raises(GraphError, match=r"^vertex count 100000000000000000000 is too large to hold$"):
+            generate(10**20)
+
+    def test_complete_sizes_its_edge_count_before_allocating(self, monkeypatch):
+        # a range stands in for a vertex list of 10**10; K_n's edge count is past any list
+        monkeypatch.setattr(graphs, "_vertex_ids", range)
+        with pytest.raises(GraphError, match=r"^edge count 49999999995000000000 is too large to hold$"):
+            complete(10**10)
+
     def test_cycle_of_two_is_a_parallel_pair(self):
         assert cycle(2).edges == ((0, 1), (0, 1))
 
@@ -547,6 +560,28 @@ class TestEdgeListBulkPass:
         with pytest.raises(GraphFormatError, match="line 2: loop"):
             parse_edge_list("1000000 1\n0 0\n")
         assert built == []
+
+    def test_line_scan_shares_one_int_per_vertex(self):
+        # n > 256, past CPython's cache of small ints, so each field parses to a fresh int
+        g = random_regular(400, 4, seed=1)
+        text = write_edge_list(g).replace("\n", " \n")
+        assert _canonical_ints(text, _EDGE_LIST_COLUMNS) is None
+        h = parse_edge_list(text)
+        assert (h.n, h.edges) == (g.n, g.edges)
+        assert len({id(x) for x in (*h.us, *h.vs)}) == g.n
+
+    def test_line_scan_allocates_nothing_per_vertex_past_its_line_count(self):
+        n = 100_000
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(f"{n} 1\n0 1 \n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == n
+        assert peak < 20 * n  # the degree list and its tuple, 16 B per vertex, and no int object per vertex
+        with pytest.raises(GraphError, match="^vertex count 100000000000000000000 is too large to hold$"):
+            parse_edge_list("100000000000000000000 1\n0 1 \n")
 
     def test_errors_name_their_line(self):
         for name, line in [("loop", 5), ("endpoint out of range", 5), ("three fields", 5), ("short body", 1)]:
