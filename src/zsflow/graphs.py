@@ -533,8 +533,8 @@ def parse_edge_list(text: str) -> MultiGraph:
     count of integers takes one bulk pass, in which `MultiGraph` checks the
     endpoint columns and maps them onto one int object per vertex.  Any
     other text, or a failed bulk pass, takes the line scan: the same graph
-    for every valid text, and each error names its line.  Its columns share
-    one int object per vertex too when n is at most its line count.
+    for every valid text, and each error names its line.  It maps each row
+    onto one int object per vertex as it reads it, when n <= its line count.
     """
     bulk = _canonical_ints(text, _EDGE_LIST_COLUMNS)
     if bulk is not None:
@@ -546,6 +546,7 @@ def parse_edge_list(text: str) -> MultiGraph:
             except GraphError:
                 pass  # the line scan names the line
     (n, m), lines, rows = _scan_ints(text, _EDGE_LIST_COLUMNS)
+    verts = list(range(n)) if n <= lines else None
     us: list[int] = []
     vs: list[int] = []
     for line, (u, v) in rows:
@@ -553,11 +554,11 @@ def parse_edge_list(text: str) -> MultiGraph:
             raise GraphFormatError(f"loop at vertex {u} rejected", line=line)
         if not (0 <= u < n) or not (0 <= v < n):
             raise GraphFormatError(f"endpoint out of range for n={n}: ({u}, {v})", line=line)
-        us.append(u)
-        vs.append(v)
+        us.append(u if verts is None else verts[u])  # the row's own ints go with it
+        vs.append(v if verts is None else verts[v])
     if len(us) != m:
         raise GraphFormatError(f"header promised {m} edges, found {len(us)}", line=1)
-    return MultiGraph._of_columns(n, us, vs, list(range(n)) if n <= lines else None)
+    return MultiGraph._of_columns(n, us, vs)
 
 
 def write_edge_list(g: MultiGraph) -> str:

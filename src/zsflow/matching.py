@@ -6,8 +6,7 @@ of a regular bipartite multigraph, or each 2-factor or odd-degree factor
 (3-regular, or an Euler half of odd degree) of an even-regular one, one
 value of a multiset; it needs a matching only at an odd count of matchings,
 and it stops at a piece whose values agree.
-Exact-degree and width-1 degree ranges reduce to perfect matching in an
-auxiliary gadget graph.
+Exact-degree factors reduce to perfect matching in an auxiliary gadget graph.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
-from .errors import FactorSearchError, NotRegularError
+from .errors import FactorSearchError
 from .graphs import MultiGraph, _euler_tails, _factor_degrees, _incidence
 
 
@@ -181,54 +180,7 @@ def _flip_augmenting_path(match, parent, to):
 
 
 # ---------------------------------------------------------------------------
-# bipartite matching
-
-
-def bipartite_perfect_matching(g: MultiGraph, left: Iterable[int]) -> frozenset[int] | None:
-    """Perfect matching of a bipartite multigraph, or None when none exists.
-
-    ``left`` is one side of the bipartition; an edge that does not cross it
-    is rejected.  The blossom engine never contracts on bipartite input, and
-    parallel edges collapse to their lowest id as in ``max_matching``.
-    """
-    left_set = set(left)
-    for e, (u, v) in enumerate(zip(g.us, g.vs)):
-        if (u in left_set) == (v in left_set):
-            raise ValueError(f"edge {e} = ({u}, {v}) does not cross the given bipartition")
-    if 2 * len(left_set) != g.n:
-        return None
-    pm = max_matching(g)
-    return pm if 2 * len(pm) == g.n else None
-
-
-def decompose_regular_bipartite(g: MultiGraph, left: Iterable[int]) -> list[frozenset[int]]:
-    """Split an r-regular bipartite multigraph into r perfect matchings.
-
-    Euler splitting (Alon 2003) after one validation pass, which rejects
-    non-bipartite or irregular input with a witness.  `_value_split` then
-    gives the matchings the values 0..r-1 from an explicit stack of pieces,
-    ascending edge ids of g, and builds no graph: a piece with an odd count
-    of values peels one perfect matching off with the blossom engine, and
-    any other is one Hierholzer walk whose (even) circuits give their odd
-    closing positions the lower half of the values and the rest the upper.
-    """
-    left_set = set(left)
-    tails, heads = [], []  # each edge oriented left to right
-    for e, (u, v) in enumerate(zip(g.us, g.vs)):
-        if (u in left_set) == (v in left_set):
-            raise ValueError(
-                f"not bipartite for the given sides: edge {e} = ({u}, {v}) does not cross"
-            )
-        if v in left_set:
-            u, v = v, u
-        tails.append(u)
-        heads.append(v)
-    degs = g.degrees()
-    r = degs[0] if g.n else 0
-    for v in range(g.n):
-        if degs[v] != r:
-            raise NotRegularError(f"vertex {v} has degree {degs[v]}, expected {r}")
-    return _euler_split(g.n, tails, heads, r, r)
+# Euler splitting by value
 
 
 def _euler_split(n: int, us: Sequence[int], vs: Sequence[int], d: int, count: int) -> list[frozenset[int]]:
@@ -369,34 +321,11 @@ def find_exact_factor(g: MultiGraph, target: Sequence[int]) -> frozenset[int] | 
     return chosen
 
 
-def degree_range_factor(g: MultiGraph, lo: int, hi: int) -> frozenset[int] | None:
-    """Edge set in which every vertex degree lies in [lo, hi], or None.
-
-    Only range widths 0 and 1 are supported; wider requests are rejected.
-    Width 1 adds one private slack vertex per host vertex plus a clique on
-    the slacks, so a vertex may shed exactly one unit of demand, and reduces
-    to an exact-degree query, whose own check is the only one: at most one
-    of a host vertex's hi chosen edges is its slack edge.
-    """
-    if not (1 <= lo <= hi):
-        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if hi - lo > 1:
-        raise ValueError(f"range width {hi - lo} unsupported, only [k, k] and [k-1, k]")
-    if lo == hi:
-        return find_exact_factor(g, [lo] * g.n)
-
-    n = g.n
-    # slack leftovers pair inside the clique; a dummy fixes the forced parity
-    need_dummy = (n % 2 == 1) and (hi % 2 == 0)
-    total = 2 * n + (1 if need_dummy else 0)
-    pairs = list(g.edges)
-    pairs += [(v, n + v) for v in range(n)]
-    pairs += [(n + u, n + v) for u in range(n) for v in range(u + 1, n)]
-    if need_dummy:
-        pairs += [(2 * n, n + v) for v in range(n)]
-    aux = MultiGraph(total, pairs)
-    target = [hi] * n + [1] * (total - n)
-    chosen = find_exact_factor(aux, target)
-    if chosen is None:
-        return None
-    return frozenset(e for e in chosen if e < g.m)
+# Deleted: no library path calls these, nor factorization.euler_orientation.
+# The benchmark's tracer still looks each name up; ROADMAP item 5 drops them.
+def degree_range_factor(*args, **kwargs):
+    raise NotImplementedError("degree_range_factor is deleted: find_exact_factor answers [k, k]; [k-1, k] has none")
+def bipartite_perfect_matching(*args, **kwargs):
+    raise NotImplementedError("bipartite_perfect_matching is deleted: call max_matching")
+def decompose_regular_bipartite(*args, **kwargs):
+    raise NotImplementedError("decompose_regular_bipartite is deleted: call two_factorization for 2-factors")

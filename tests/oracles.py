@@ -7,8 +7,6 @@ implementations it checks.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from zsflow.graphs import MultiGraph
 
 
@@ -45,16 +43,6 @@ def edge_degrees(g: MultiGraph, edge_ids) -> list[int]:
         deg[u] += 1
         deg[v] += 1
     return deg
-
-
-def subset_factor_exists(g: MultiGraph, lo: int, hi: int) -> bool:
-    """Does any edge subset give every vertex degree in [lo, hi]?  O(2^m)."""
-    m = g.m
-    for size in range(m + 1):
-        for subset in combinations(range(m), size):
-            if all(lo <= d <= hi for d in edge_degrees(g, subset)):
-                return True
-    return False
 
 
 def flow_exists_by_enumeration(g: MultiGraph, k: int) -> bool:

@@ -10,7 +10,6 @@ from oracles import edge_degrees
 from zsflow import factorization, matching
 from zsflow.errors import FactorSearchError, NotRegularError
 from zsflow.factorization import (
-    euler_orientation,
     regular_component_factor,
     two_factorization,
 )
@@ -28,12 +27,17 @@ from zsflow.graphs import (
     regular_degree,
 )
 from zsflow.matching import (
-    decompose_regular_bipartite,
-    degree_range_factor,
+    _euler_split,
     find_exact_factor,
     has_perfect_matching,
     max_matching,
 )
+
+
+def orientation(g: MultiGraph) -> list[tuple[int, int]]:
+    """``(tail, head)`` per edge id, as the Euler walk over all of g orients it."""
+    tails, _ = _euler_tails(g.n, g.us, g.vs, range(g.m))
+    return [(t, u ^ v ^ t) for t, u, v in zip(tails, g.us, g.vs)]
 
 
 def check_balance(g: MultiGraph, directed):
@@ -143,9 +147,11 @@ def layer_digests(g: MultiGraph, left=None) -> dict[str, int]:
     """crc32 of what each splitting layer returns on g.
 
     ``left`` names one side when g itself is bipartite; otherwise the
-    bipartite layer runs on g's double cover.  Odd-regular graphs also pin
-    the {2,3,4} weighting at every admissible vertex sum, which splits g's
-    double cover internally.
+    bipartite layer runs on g's double cover.  Every edge must run from
+    that side: the split's Euler walk, and so the pinned matchings, depend
+    on the orientation.  Odd-regular graphs also pin the {2,3,4} weighting
+    at every admissible vertex sum, which splits g's double cover
+    internally.
     """
 
     def crc(obj) -> int:
@@ -153,12 +159,14 @@ def layer_digests(g: MultiGraph, left=None) -> dict[str, int]:
 
     out = {}
     if all(d % 2 == 0 for d in g.degrees()):
-        out["euler"] = crc(euler_orientation(g))
+        out["euler"] = crc(orientation(g))
     r = regular_degree(g)
     if r and r % 2 == 0:
         out["two_factor"] = crc([sorted(f) for f in two_factorization(g)])
     bip, side = (_cover(g), range(g.n)) if left is None else (g, left)
-    out["bipartite"] = crc([sorted(pm) for pm in decompose_regular_bipartite(bip, side)])
+    assert all(u in side for u in bip.us)
+    d = regular_degree(bip)
+    out["bipartite"] = crc([sorted(pm) for pm in _euler_split(bip.n, bip.us, bip.vs, d, d)])
     if r and r % 2:
         out["weighting"] = crc([constant_sum_weighting(g, q) for q in range(2 * r, 4 * r + 1, 2)])
     return out
@@ -282,33 +290,31 @@ GOLDEN_DECOMPOSITION = {
 
 
 class TestEulerOrientation:
+    """The balanced orientation and the circuits of `graphs._euler_tails`."""
+
     def test_c4_directed_cycle(self):
         g = cycle(4)
-        directed = euler_orientation(g)
+        directed = orientation(g)
         check_balance(g, directed)
         heads = {t: h for t, h in directed}
         assert len(heads) == 4  # every vertex is a tail exactly once
 
     def test_parallel_pair_one_each_way(self):
         g = build(2, [(0, 1), (0, 1)])
-        directed = euler_orientation(g)
+        directed = orientation(g)
         assert sorted(directed) == [(0, 1), (1, 0)]
 
     def test_k5_balanced(self):
         g = complete(5)
-        check_balance(g, euler_orientation(g))
-
-    def test_odd_degree_rejected_with_witness(self):
-        with pytest.raises(ValueError, match="vertex 0"):
-            euler_orientation(complete(4))
+        check_balance(g, orientation(g))
 
     def test_disconnected(self):
         g = build(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        check_balance(g, euler_orientation(g))
+        check_balance(g, orientation(g))
 
     def test_deterministic(self):
         g = _doubled(petersen())
-        assert euler_orientation(g) == euler_orientation(g)
+        assert orientation(g) == orientation(g)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_walk_closes_each_component_as_one_circuit(self, seed):
@@ -611,14 +617,7 @@ class TestRegularComponentFactor:
 EDGE_SETS = {
     "max_matching": lambda: [max_matching(petersen())],
     "find_exact_factor": lambda: [find_exact_factor(complete(8), [4] * 8)],
-    "degree_range_factor": lambda: [
-        degree_range_factor(complete(4), 1, 1),
-        degree_range_factor(cycle(5), 1, 2),
-    ],
     "two_factorization": lambda: two_factorization(complete(7)),
-    "decompose_regular_bipartite": lambda: decompose_regular_bipartite(
-        _cover(petersen()), range(10)
-    ),
     # the factor layer's two cases keep the names of the records that once
     # held these sets: the whole factor (K8's k-regular part) and its
     # regular parts (both non-empty on the r = 5 hub)

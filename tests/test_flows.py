@@ -45,7 +45,7 @@ from zsflow.graphs import (
     random_regular,
     subgraph_from_edges,
 )
-from zsflow.matching import degree_range_factor, find_exact_factor, max_matching
+from zsflow.matching import find_exact_factor, max_matching
 from zsflow.solver import cross_check, flow_number, solve
 
 
@@ -449,8 +449,7 @@ class TestEvenRegular:
         cover_split(matching)
         spy(flows, "max_matching")
         spy(matching, "_max_matching_ids")
-        for module in (factorization, matching):
-            spy(module, "_euler_tails")
+        spy(matching, "_euler_tails")
         graphs = [random_regular(40, r, seed=r) for r in (4, 6, 8)]
         graphs += [
             complete(9),
@@ -496,15 +495,13 @@ class TestEvenRegular:
         # the 2-factors of the odd-length components take the first walk's
         # tails; the split's own walks run on arcs of the bipartite double cover
         walks = []
-        for module in (factorization, matching):
-            real = module._euler_tails
 
-            def spy(n, us, vs, ids, _real=real):
-                if us is g.us:
-                    walks.append(len(ids))
-                return _real(n, us, vs, ids)
+        def spy(n, us, vs, ids, _real=matching._euler_tails):
+            if us is g.us:
+                walks.append(len(ids))
+            return _real(n, us, vs, ids)
 
-            monkeypatch.setattr(module, "_euler_tails", spy)
+        monkeypatch.setattr(matching, "_euler_tails", spy)
         flow = construct(g)
         assert walks == [g.m]
         assert 2 in flow.values
@@ -1396,7 +1393,6 @@ QUERIES = {
     "flow_number": (cubic_no_pm, lambda g: flow_number(g, 5, 10**4)),
     "cross_check": (petersen, lambda g: cross_check(g, construct(g), 10**4)),
     "find_exact_factor": (lambda: complete(8), lambda g: find_exact_factor(g, [4] * g.n)),
-    "degree_range_factor": (lambda: complete(8), lambda g: degree_range_factor(g, 3, 4)),
     "regular_component_factor": (lambda: _gadget_hub(7, (1, 1, 1, 1, 3)), regular_component_factor),
     "components": (lambda: _union(petersen(), complete(4)), components),
     "construct_even": (lambda: random_regular(30, 4, seed=1), construct),

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import ast
+import importlib
 import random
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -241,16 +244,36 @@ def test_every_public_name_resolves():
 
 
 def test_unused_helpers_live_only_in_their_home_modules():
-    # no library path calls these, so the package does not export them
+    # no library path calls these, so their bodies are gone and the package
+    # does not export them; each name is bound for the benchmark's tracer
+    # alone, to a placeholder that names what to call instead
     homes = {
-        "degree_range_factor": matching,
-        "bipartite_perfect_matching": matching,
-        "decompose_regular_bipartite": matching,
-        "euler_orientation": factorization,
+        "degree_range_factor": (matching, "find_exact_factor"),
+        "bipartite_perfect_matching": (matching, "max_matching"),
+        "decompose_regular_bipartite": (matching, "two_factorization"),
+        "euler_orientation": (factorization, "no replacement"),
     }
-    for name, home in homes.items():
+    for name, (home, instead) in homes.items():
         assert name not in zsflow.__all__ and not hasattr(zsflow, name), name
-        assert callable(getattr(home, name)), name
+        with pytest.raises(NotImplementedError, match=f"^{name} is deleted.*{instead}"):
+            getattr(home, name)(complete(4))
+
+
+def test_every_traced_name_resolves_in_its_module():
+    # the benchmark's tracer wraps getattr(zsflow.<module>, name) for each
+    # name of its TRACED table, so none may go before the tracer drops it;
+    # the table is read from the source, which leaves the benchmark unrun
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+    )
+    assert "cli" in traced and "max_matching" in traced["matching"]
+    for module, names in traced.items():
+        home = importlib.import_module(f"zsflow.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"{module}.{name}"
 
 
 class TestGenerators:
@@ -569,6 +592,22 @@ class TestEdgeListBulkPass:
         h = parse_edge_list(text)
         assert (h.n, h.edges) == (g.n, g.edges)
         assert len({id(x) for x in (*h.us, *h.vs)}) == g.n
+
+    def test_line_scan_peaks_no_higher_than_the_bulk_pass(self):
+        # each row's endpoints go onto the shared vertex ints as it is read,
+        # so no column of fresh ints per endpoint is held until the end
+        canonical = write_edge_list(random_regular(2000, 4, seed=1))
+        peaks = []
+        for text in (canonical, canonical.replace("\n", " \n")):
+            parse_edge_list(text)  # fills the interpreter's free lists first
+            tracemalloc.start()
+            try:
+                parse_edge_list(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        bulk, scan = peaks
+        assert scan <= bulk, peaks
 
     def test_line_scan_allocates_nothing_per_vertex_past_its_line_count(self):
         n = 100_000

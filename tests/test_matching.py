@@ -6,17 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_max_matching_size, edge_degrees, subset_factor_exists
+from oracles import brute_max_matching_size
 from zsflow import matching
-from zsflow.errors import NotRegularError
 from zsflow.flows import _split_sum
 from zsflow.graphs import MultiGraph, build, complete, cubic_no_pm, cycle, petersen
 from zsflow.matching import (
     _euler_split,
     _value_split,
-    bipartite_perfect_matching,
-    decompose_regular_bipartite,
-    degree_range_factor,
     find_exact_factor,
     has_perfect_matching,
     max_matching,
@@ -157,30 +153,27 @@ class TestHasPerfectMatching:
 
 
 class TestBipartitePerfectMatching:
-    def test_edge_inside_a_side_rejected(self):
-        g = build(4, [(0, 2), (0, 1), (1, 3)])
-        with pytest.raises(ValueError, match="edge 1 .* does not cross"):
-            bipartite_perfect_matching(g, left={0, 1})
-
-    def test_unequal_sides_have_none(self):
-        assert bipartite_perfect_matching(build(3, [(0, 1), (0, 2)]), left={0}) is None
+    """Perfect matchings of bipartite multigraphs, which `max_matching` finds."""
 
     def test_regular_multigraph_keeps_lowest_parallel_id(self):
         # a tripled perfect matching is 3-regular and its only matching up to
         # parallels; the lowest ids of (2, 5), (0, 3), (1, 4) are 0, 1, 3
         g = build(6, [(2, 5), (0, 3), (2, 5), (1, 4), (0, 3), (1, 4), (0, 3), (2, 5), (1, 4)])
-        assert bipartite_perfect_matching(g, left={0, 1, 2}) == {0, 1, 3}
+        assert max_matching(g) == {0, 1, 3}
 
     def test_hall_violation_has_none(self):
         # left vertices 0 and 1 both see only vertex 3
         g = build(6, [(0, 3), (1, 3), (2, 4), (2, 5)])
-        assert bipartite_perfect_matching(g, left={0, 1, 2}) is None
+        assert len(max_matching(g)) == 2
+        assert not has_perfect_matching(g)
 
 
 class TestBipartiteDecomposition:
+    """The r perfect matchings of an r-regular bipartite multigraph, by `_euler_split`."""
+
     def test_c6_two_matchings(self):
         g = cycle(6)
-        ms = decompose_regular_bipartite(g, left={0, 2, 4})
+        ms = _euler_split(g.n, g.us, g.vs, 2, 2)
         assert len(ms) == 2
         assert set().union(*ms) == set(range(6))
         for pm in ms:
@@ -189,7 +182,7 @@ class TestBipartiteDecomposition:
 
     def test_k33(self):
         g = build(6, [(u, v) for u in range(3) for v in range(3, 6)])
-        ms = decompose_regular_bipartite(g, left={0, 1, 2})
+        ms = _euler_split(g.n, g.us, g.vs, 3, 3)
         assert len(ms) == 3
         assert sorted(len(pm) for pm in ms) == [3, 3, 3]
         assert set().union(*ms) == set(range(g.m))
@@ -197,18 +190,19 @@ class TestBipartiteDecomposition:
     def test_parallel_bundle(self):
         k = 4
         g = build(2, [(0, 1)] * k)
-        ms = decompose_regular_bipartite(g, left={0})
+        ms = _euler_split(g.n, g.us, g.vs, k, k)
         assert [len(pm) for pm in ms] == [1] * k
         assert set().union(*ms) == set(range(k))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_random_union_of_permutations(self, k):
+        # an odd count of matchings peels one with the blossom engine
         rng = random.Random(5)
         s = 6
         perms = [rng.sample(range(s), s) for _ in range(k)]
         pairs = [(u, s + p[u]) for p in perms for u in range(s)]
         g = build(2 * s, pairs)
-        ms = decompose_regular_bipartite(g, left=range(s))
+        ms = _euler_split(g.n, g.us, g.vs, k, k)
         assert len(ms) == k
         covered = set()
         for pm in ms:
@@ -217,15 +211,6 @@ class TestBipartiteDecomposition:
             assert covered.isdisjoint(pm)
             covered |= pm
         assert covered == set(range(g.m))
-
-    def test_irregular_rejected_with_witness(self):
-        g = build(4, [(0, 2), (0, 3), (1, 2)])
-        with pytest.raises(NotRegularError, match="vertex"):
-            decompose_regular_bipartite(g, left={0, 1})
-
-    def test_non_bipartite_rejected(self):
-        with pytest.raises(ValueError, match="cross"):
-            decompose_regular_bipartite(cycle(4), left={0, 1})
 
 
 def _permutation_arcs(k: int, s: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -336,7 +321,7 @@ class TestInternalChecks:
         monkeypatch.setattr(matching, "_max_matching_ids", lambda *args: frozenset(sorted(peel(*args))[1:]))
         g = build(6, [(u, v) for u in range(3) for v in range(3, 6)])
         with pytest.raises(RuntimeError, match="lost its perfect matching"):
-            decompose_regular_bipartite(g, left={0, 1, 2})
+            _euler_split(g.n, g.us, g.vs, 3, 3)
 
     def test_gadget_matching_that_breaks_the_bijection(self, monkeypatch):
         monkeypatch.setattr(matching, "_blossom_matching", lambda adj: [i ^ 1 for i in range(len(adj))])
@@ -407,64 +392,3 @@ class TestExactFactor:
                     deg[v] += 1
                 assert deg == target
         assert 0 < found < 60  # both answers occur
-
-
-class TestDegreeRangeFactor:
-    def test_k4_perfect_matching(self):
-        g = complete(4)
-        f = degree_range_factor(g, 1, 1)
-        assert f is not None and len(f) == 2
-        assert set(edge_degrees(g, f)) == {1}
-
-    def test_c5_whole_cycle(self):
-        f = degree_range_factor(cycle(5), 2, 2)
-        assert f == frozenset(range(5))
-
-    def test_cubic_no_pm_no_one_factor(self):
-        assert degree_range_factor(cubic_no_pm(), 1, 1) is None
-
-    def test_width_one_on_odd_order(self):
-        # n odd with even hi exercises the parity dummy
-        g = cycle(5)
-        f = degree_range_factor(g, 1, 2)
-        assert f is not None
-        assert all(1 <= d <= 2 for d in edge_degrees(g, f))
-
-    def test_wide_range_rejected(self):
-        with pytest.raises(ValueError, match="width"):
-            degree_range_factor(complete(4), 1, 3)
-
-    def test_lo_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            degree_range_factor(complete(4), 0, 1)
-
-    def test_existence_matches_subset_oracle(self):
-        rng = random.Random(17)
-        for trial in range(25):
-            n = rng.randint(3, 6)
-            pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            m = rng.randint(2, min(len(pool), 9))
-            g = MultiGraph(n, rng.sample(pool, m))
-            for lo, hi in [(1, 1), (1, 2), (2, 2), (2, 3)]:
-                got = degree_range_factor(g, lo, hi)
-                expect = subset_factor_exists(g, lo, hi)
-                assert (got is not None) == expect, (g.edges, lo, hi)
-                if got is not None:
-                    assert all(lo <= d <= hi for d in edge_degrees(g, got))
-
-    def test_multigraph_existence_matches_subset_oracle(self):
-        rng = random.Random(23)
-        for trial in range(15):
-            n = rng.randint(3, 5)
-            pairs = []
-            for _ in range(rng.randint(3, 8)):
-                u = rng.randrange(n)
-                v = rng.randrange(n)
-                if u != v:
-                    pairs.append((min(u, v), max(u, v)))
-            g = MultiGraph(n, pairs)
-            for lo, hi in [(1, 1), (1, 2), (2, 2)]:
-                got = degree_range_factor(g, lo, hi)
-                assert (got is not None) == subset_factor_exists(g, lo, hi), (pairs, lo, hi)
-                if got is not None:
-                    assert all(lo <= d <= hi for d in edge_degrees(g, got))
