@@ -4,8 +4,8 @@ Reports are plain text documents with a stable key order so identical
 command lines diff cleanly (only the wall_time_s line varies).  Exit codes:
 0 success/verified (a decided "nonexistent" from solve counts as success),
 1 failed verification verdict, 2 input error, 3 unsupported degree,
-4 undecided within budget, 5 internal verification failure,
-`FactorSearchError` or `FlowNonexistentError`.  Commands
+4 undecided within budget, 5 internal fault (a failed post-check,
+`FactorSearchError`, `FlowNonexistentError` or an `IndexError`).  Commands
 raise on input errors and return only their verdict's exit code; `main`
 alone maps exceptions to exit codes and to the one ``error:`` (or
 ``undecided:``) line on stderr.
@@ -216,15 +216,15 @@ def main(argv: list[str] | None = None) -> int:
     except FlowUndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # graph/flow format errors, bad parameters, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # FlowNonexistentError, FactorSearchError and internal check failures
+    except (RuntimeError, IndexError) as exc:
+        # FlowNonexistentError, FactorSearchError, internal checks, indexing faults
         print(f"error: {exc}", file=sys.stderr)
         return 5
 

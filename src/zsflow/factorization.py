@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .errors import FactorSearchError, NotRegularError
 from .graphs import MultiGraph, _factor_degrees, _incidence, regular_degree
-from .matching import _euler_split, find_exact_factor
+from .matching import _value_split, find_exact_factor
 
 _PARTITION_VERTEX_LIMIT = 18
 _PARTITION_FACTOR_BUDGET = 4000
@@ -25,19 +25,21 @@ _PARTITION_FACTOR_BUDGET = 4000
 def two_factorization(g: MultiGraph) -> list[frozenset[int]]:
     """Partition a 2k-regular multigraph into k spanning 2-regular factors.
 
-    The Euler split into r/2 factors, which splits an out/in cover only for
-    odd Euler circuits (none when 4 | r), sorted by their smallest id and
-    re-checked for 2-regularity.
+    `_value_split` with the distinct values 0..r/2-1, which splits an out/in
+    cover only for odd Euler circuits (none when 4 | r), grouped by value,
+    checked for 2-regularity, then sorted by their smallest id.
     """
     r = regular_degree(g)
     if r is None:
         raise NotRegularError("two_factorization needs a regular graph")
     if r == 0 or r % 2:
         raise NotRegularError(f"need an even-regular graph with r >= 2, got r={r}")
-    factors = sorted(_euler_split(g.n, g.us, g.vs, r, r // 2), key=min)
+    factors: list[list[int]] = [[] for _ in range(r // 2)]
+    for e, i in enumerate(_value_split(g.n, g.us, g.vs, range(g.m), r, range(r // 2), [0] * g.m)):
+        factors[i].append(e)
     if any(d != 2 for f in factors for d in _factor_degrees(g, f)):
         raise RuntimeError("internal: two-factorization produced a non-2-regular factor")
-    return factors
+    return sorted(map(frozenset, factors), key=min)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ DEFAULT_BUDGET = 100_000_000  # search nodes, for `construct` and every `solver`
 class IntFlow:
     """Total nonzero integer edge labelling claiming the bound k.
 
-    ``values[e]`` is the label of edge e; every label is nonzero with
+    ``values[e]`` is the label of edge e; every label is a nonzero int with
     absolute value at most k-1.  Construction enforces the invariants, so
     an IntFlow instance is well-formed by definition (whether the vertex
     sums vanish is the verifier's question).
@@ -90,9 +90,11 @@ class IntFlow:
 
 
 def _first_bad_value(values: Sequence[int], max_abs: int, k: int) -> str | None:
-    """Name the first zero or |value| > k - 1 by edge id; None when there is none."""
-    if 0 in values or max_abs > k - 1:
+    """Name the first non-int, zero or |value| > k - 1 by edge id; None when there is none."""
+    if type(sum(values)) is not int or not all(values) or max_abs > k - 1:  # one C-level pass each
         for e, val in enumerate(values):
+            if not isinstance(val, int):
+                return f"edge {e} value {val} is not an integer"
             if val == 0:
                 return f"zero value at edge {e}"
             if abs(val) > k - 1:
@@ -117,8 +119,8 @@ def verify_flow(g: MultiGraph, flow: IntFlow | Sequence[int], k: int | None = No
     Accepts an IntFlow or a sequence of m values, value e on edge e; any
     other type, a dict included, raises TypeError.  A wrong value count or
     a claimed bound k < 2 is a usage error and raises ValueError;
-    zero values, out-of-range values, and nonzero vertex sums are verdict
-    failures.  The first violation is reported scanning edges by id and
+    non-integer, zero and out-of-range values, and nonzero vertex sums are
+    verdict failures.  The first violation is reported scanning edges by id and
     then vertices.
     """
     if isinstance(flow, IntFlow):

@@ -183,20 +183,6 @@ def _flip_augmenting_path(match, parent, to):
 # Euler splitting by value
 
 
-def _euler_split(n: int, us: Sequence[int], vs: Sequence[int], d: int, count: int) -> list[frozenset[int]]:
-    """The ``count`` factors of the d-regular edges (us[e], vs[e]), unchecked, as sets of edge ids.
-
-    `_value_split` with the distinct values 0..count-1, grouped by value in
-    closing order (factor i has value i): perfect matchings of a bipartite
-    graph when d = count, 2-factors when d = 2 * count.
-    """
-    out: list[list[int]] = [[] for _ in range(count)]
-    m = len(us)
-    for e, i in enumerate(_value_split(n, us, vs, range(m), d, range(count), [0] * m)):
-        out[i].append(e)
-    return [frozenset(f) for f in out]
-
-
 def _value_split(
     n: int, us: Sequence[int], vs: Sequence[int], ids: Sequence[int], d: int, values: Iterable[int], out: list[int]
 ) -> list[int]:

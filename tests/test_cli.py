@@ -125,6 +125,17 @@ class TestConstruct:
         assert len(err) == 1 and err[0].startswith("error: internal: returned flow failed verification: ")
         assert captured.out == ""
 
+    def test_internal_index_error_exits_5(self, tmp_path, capsys, monkeypatch):
+        # no parser or generator raises IndexError, so one from the library is its own fault
+        def overrun(g, budget=None):
+            return [][0]
+
+        monkeypatch.setattr(cli, "construct", overrun)
+        path = write_graph(tmp_path, complete(8))
+        assert main(["construct", path]) == 5
+        captured = capsys.readouterr()
+        assert captured.err == "error: list index out of range\n" and captured.out == ""
+
     def test_search_nonexistent_exits_5(self, tmp_path, capsys, monkeypatch):
         # K6 with construct's matching and 2-factor queries finding nothing
         # reaches the r = 5 search, which here refutes a 5-flow

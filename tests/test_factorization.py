@@ -6,6 +6,7 @@ import zlib
 
 import pytest
 from oracles import edge_degrees
+from splits import split_by_value
 
 from zsflow import factorization, matching
 from zsflow.errors import FactorSearchError, NotRegularError
@@ -27,7 +28,6 @@ from zsflow.graphs import (
     regular_degree,
 )
 from zsflow.matching import (
-    _euler_split,
     find_exact_factor,
     has_perfect_matching,
     max_matching,
@@ -166,7 +166,7 @@ def layer_digests(g: MultiGraph, left=None) -> dict[str, int]:
     bip, side = (_cover(g), range(g.n)) if left is None else (g, left)
     assert all(u in side for u in bip.us)
     d = regular_degree(bip)
-    out["bipartite"] = crc([sorted(pm) for pm in _euler_split(bip.n, bip.us, bip.vs, d, d)])
+    out["bipartite"] = crc([sorted(pm) for pm in split_by_value(bip.n, bip.us, bip.vs, d, range(d))])
     if r and r % 2:
         out["weighting"] = crc([constant_sum_weighting(g, q) for q in range(2 * r, 4 * r + 1, 2)])
     return out
@@ -432,6 +432,8 @@ class TestTwoFactorization:
             covers.append(us is not g.us)
             return real(n, us, *args)
 
+        # the first call is two_factorization's own, any later one a cover's
+        monkeypatch.setattr(factorization, "_value_split", spy)
         monkeypatch.setattr(matching, "_value_split", spy)
         check_two_factorization(g, two_factorization(g))
         assert covers == [False]
@@ -447,19 +449,14 @@ class TestTwoFactorization:
         finally:
             sys.setrecursionlimit(before)
 
-    @pytest.mark.parametrize(
-        "split, message",
-        [
-            (lambda f1: [frozenset(range(10))], "non-2-regular factor"),
-        ],
-        ids=["whole"],
-    )
-    def test_internal_checks_reject_a_broken_split(self, monkeypatch, split, message):
-        g = complete(5)
-        f1 = two_factorization(g)[0]
-        monkeypatch.setattr(factorization, "_euler_split", lambda n, us, vs, d, count: split(f1))
-        with pytest.raises(RuntimeError, match=message):
-            two_factorization(g)
+    @pytest.mark.parametrize("value", [0, 1], ids=["whole", "empty_factor"])
+    def test_internal_checks_reject_a_broken_split(self, monkeypatch, value):
+        # one value on all of K5's edges leaves the other factor empty; with
+        # value 1 the empty factor comes first, and it fails the check, not
+        # the sort by smallest id
+        monkeypatch.setattr(factorization, "_value_split", lambda n, us, vs, ids, d, values, out: [value] * len(out))
+        with pytest.raises(RuntimeError, match="non-2-regular factor"):
+            two_factorization(complete(5))
 
     def test_deterministic(self):
         g = random_regular(14, 4, seed=9)

@@ -130,6 +130,13 @@ class TestVerify:
         assert not report.ok
         assert "exceeds" in report.violation
 
+    @pytest.mark.parametrize("val", [0.5, 1.0])
+    def test_non_integer_value_is_a_verdict(self, val):
+        # the vertex sums vanish, but a k-flow's values are integers
+        report = verify_flow(cycle(4), [val, -val, val, -val], k=2)
+        assert not report.ok
+        assert report.violation == f"edge 0 value {val} is not an integer"
+
     def test_bad_vertex_sum_reports_first_vertex(self):
         g = cycle(4)
         report = verify_flow(g, [1, 1, 1, 1], k=2)
@@ -182,6 +189,8 @@ class TestIntFlowInvariants:
             ((1, -5, 0, 1), "edge 1 value -5 exceeds |value| <= 2"),
             ((1, 0, 5, 1), "zero value at edge 1"),
             ((2, -2, 1, 3), "edge 3 value 3 exceeds |value| <= 2"),
+            ((1, 0.5, 0, 1), "edge 1 value 0.5 is not an integer"),
+            ((1, -1, 1.0, -1), "edge 2 value 1.0 is not an integer"),
         ],
     )
     def test_first_bad_value_by_edge_id(self, values, message):

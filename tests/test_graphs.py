@@ -276,6 +276,25 @@ def test_every_traced_name_resolves_in_its_module():
             assert callable(getattr(home, name, None)), f"{module}.{name}"
 
 
+def test_every_private_helper_has_a_library_caller():
+    # a module-level _name that only its own body or the tests reach is dead
+    # library code: delete it, or move it to the tests that keep it alive
+    trees = [ast.parse(p.read_text()) for p in Path(zsflow.__file__).parent.glob("*.py")]
+    owned = {}  # id of each node inside a helper's definition -> that helper's name
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[:1] == "_" != node.name[1:2]:
+                owned.update((id(inner), node.name) for inner in ast.walk(node))
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None and owned.get(id(node)) != name:
+                used.add(name)
+    unused = sorted(set(owned.values()) - used)
+    assert len(set(owned.values())) > 20 and not unused, unused
+
+
 class TestGenerators:
     def test_cubic_no_pm_shape(self):
         g = cubic_no_pm()

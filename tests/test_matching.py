@@ -7,11 +7,11 @@ from itertools import combinations
 import pytest
 
 from oracles import brute_max_matching_size
+from splits import split_by_value
 from zsflow import matching
 from zsflow.flows import _split_sum
 from zsflow.graphs import MultiGraph, build, complete, cubic_no_pm, cycle, petersen
 from zsflow.matching import (
-    _euler_split,
     _value_split,
     find_exact_factor,
     has_perfect_matching,
@@ -169,11 +169,11 @@ class TestBipartitePerfectMatching:
 
 
 class TestBipartiteDecomposition:
-    """The r perfect matchings of an r-regular bipartite multigraph, by `_euler_split`."""
+    """The r perfect matchings of an r-regular bipartite multigraph, by `_value_split` with r distinct values."""
 
     def test_c6_two_matchings(self):
         g = cycle(6)
-        ms = _euler_split(g.n, g.us, g.vs, 2, 2)
+        ms = split_by_value(g.n, g.us, g.vs, 2, range(2))
         assert len(ms) == 2
         assert set().union(*ms) == set(range(6))
         for pm in ms:
@@ -182,7 +182,7 @@ class TestBipartiteDecomposition:
 
     def test_k33(self):
         g = build(6, [(u, v) for u in range(3) for v in range(3, 6)])
-        ms = _euler_split(g.n, g.us, g.vs, 3, 3)
+        ms = split_by_value(g.n, g.us, g.vs, 3, range(3))
         assert len(ms) == 3
         assert sorted(len(pm) for pm in ms) == [3, 3, 3]
         assert set().union(*ms) == set(range(g.m))
@@ -190,7 +190,7 @@ class TestBipartiteDecomposition:
     def test_parallel_bundle(self):
         k = 4
         g = build(2, [(0, 1)] * k)
-        ms = _euler_split(g.n, g.us, g.vs, k, k)
+        ms = split_by_value(g.n, g.us, g.vs, k, range(k))
         assert [len(pm) for pm in ms] == [1] * k
         assert set().union(*ms) == set(range(k))
 
@@ -202,7 +202,7 @@ class TestBipartiteDecomposition:
         perms = [rng.sample(range(s), s) for _ in range(k)]
         pairs = [(u, s + p[u]) for p in perms for u in range(s)]
         g = build(2 * s, pairs)
-        ms = _euler_split(g.n, g.us, g.vs, k, k)
+        ms = split_by_value(g.n, g.us, g.vs, k, range(k))
         assert len(ms) == k
         covered = set()
         for pm in ms:
@@ -273,15 +273,13 @@ class TestValueSplit:
     @pytest.mark.parametrize("k", range(1, 10))
     def test_distinct_values_reproduce_the_euler_split(self, k):
         # any distinct values split like their ranks 0..k-1: grouped by
-        # ascending value, the arcs are the Euler split's matchings in its
-        # closing order (which GOLDEN_DECOMPOSITION's bipartite layer pins)
+        # ascending value, the arcs are the matchings of the values 0..k-1
+        # (which GOLDEN_DECOMPOSITION's bipartite layer pins)
         rng = random.Random(100 + k)
         for s in (2, 5):
-            arcs = _permutation_arcs(k, s, rng)
+            us, vs = _columns(_permutation_arcs(k, s, rng))
             values = rng.sample(range(-50, 50), k)
-            got = _value_split(2 * s, *_columns(arcs), range(len(arcs)), k, values, [0] * len(arcs))
-            grouped = [frozenset(e for e, val in enumerate(got) if val == want) for want in sorted(values)]
-            assert grouped == _euler_split(2 * s, *_columns(arcs), k, k)
+            assert split_by_value(2 * s, us, vs, k, values) == split_by_value(2 * s, us, vs, k, range(k))
 
     @pytest.mark.parametrize("c", range(1, 6))
     def test_two_factor_pieces(self, c):
@@ -321,7 +319,7 @@ class TestInternalChecks:
         monkeypatch.setattr(matching, "_max_matching_ids", lambda *args: frozenset(sorted(peel(*args))[1:]))
         g = build(6, [(u, v) for u in range(3) for v in range(3, 6)])
         with pytest.raises(RuntimeError, match="lost its perfect matching"):
-            _euler_split(g.n, g.us, g.vs, 3, 3)
+            split_by_value(g.n, g.us, g.vs, 3, range(3))
 
     def test_gadget_matching_that_breaks_the_bijection(self, monkeypatch):
         monkeypatch.setattr(matching, "_blossom_matching", lambda adj: [i ^ 1 for i in range(len(adj))])
