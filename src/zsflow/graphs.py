@@ -349,12 +349,10 @@ def random_regular(n: int, r: int, seed: int) -> MultiGraph:
     for _ in range(_RANDOM_REGULAR_RESTARTS):
         later = _pair_stubs(verts, r, getrandbits)
         if later is not None:
-            us: list[int] = []
-            vs: list[int] = []
-            for a, bs in zip(verts, later):
+            for bs in later:
                 bs.sort()
-                us.extend(repeat(a, len(bs)))
-                vs += bs
+            us = list(chain.from_iterable(map(repeat, verts, map(len, later))))
+            vs = list(chain.from_iterable(later))
             del later  # freed before the graph is built: it adds about 24 B per edge to the peak
             return MultiGraph._of_columns(n, us, vs)
     raise GraphError(f"random_regular(n={n}, r={r}) gave up after {_RANDOM_REGULAR_RESTARTS} restarts")
@@ -473,7 +471,7 @@ _COMMAS = str.maketrans(" \n", ",,")
 
 def _write_ints(columns: tuple[str, str], head: tuple[int, ...], body: Sequence[Iterable[int]]) -> str:
     """Canonical text of a table: the ``head`` row, then m rows, row i holding field i of each of ``body``."""
-    head_row, row = ("%s " * c.count(" ") + "%s\n" for c in columns)
+    head_row, row = ("%d " * c.count(" ") + "%d\n" for c in columns)
     fields = [0] * (len(body) * head[-1])
     for j, column in enumerate(body):
         fields[j :: len(body)] = column

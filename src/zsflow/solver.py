@@ -114,17 +114,15 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
                 break
         u = us[e]
         w = vs[e]
-        if rem[u] == 1:
-            cands = (-psum[u],) if rem[w] > 1 or psum[u] == psum[w] else ()
-        elif rem[w] == 1:
-            cands = (-psum[w],)
+        if rem[u] == 1 or rem[w] == 1:
+            # the endpoint at its last edge forces -psum, if that is in the alphabet
+            s = psum[u] if rem[u] == 1 else psum[w]
+            cands = (-s,) if 0 < abs(s) <= kmax and (rem[u] + rem[w] > 2 or psum[u] == psum[w]) else ()
         else:
             cands = alphabet if stack else positives
         values = iter(cands)
         while True:
             for c in values:
-                if c == 0 or abs(c) > kmax:
-                    continue
                 nodes += 1
                 if nodes > budget:
                     return SearchOutcome("undecided", None, nodes, budget)

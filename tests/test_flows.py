@@ -1283,6 +1283,11 @@ class TestFlowSerialization:
         assert doc.endpoints[0] == g.edges[0]
         assert verify_flow(g, doc.values, k=doc.k).ok
 
+    def test_bool_values_roundtrip_as_ints(self):
+        # bool is an int subclass, so IntFlow takes it; the file must hold digits
+        flow = IntFlow(cycle(4), (True, -1, True, -1), 2)
+        assert parse_flow(write_flow(flow)).values == (1, -1, 1, -1)
+
     def test_parse_missing_edge(self):
         with pytest.raises(GraphFormatError, match="missing edge"):
             parse_flow("3 3 3\n0 0 1 1\n1 1 2 -1")

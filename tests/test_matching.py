@@ -346,6 +346,11 @@ class TestExactFactor:
     def test_odd_total_impossible(self):
         assert find_exact_factor(complete(4), [1, 1, 1, 2]) is None
 
+    @pytest.mark.parametrize("target", [[4, 3, 3, 2], [-1, 1, 1, 1]])
+    def test_target_outside_degree_range(self, target):
+        # even totals, so only the range check can refuse them
+        assert find_exact_factor(complete(4), target) is None
+
     @pytest.mark.parametrize("target", [[2] * 4 + [0], [2] * 4 + [1], [2] * 3])
     def test_target_length_must_be_n(self, target):
         with pytest.raises(ValueError, match=f"^target has {len(target)} entries for 4 vertices$"):
