@@ -12,12 +12,17 @@ the lowest non-empty bucket.  Assigning an edge moves its two endpoints
 down one bucket and backtracking moves them back, so choosing an edge costs
 O(max degree), whatever the size of the graph.  The first edge tries only
 positive values (negating a flow preserves every constraint), and a partial
-sum that the remaining edges cannot cancel prunes the branch.  Equal inputs
-give equal outcomes and node counts.  The search is one loop over an
-explicit stack of the assigned edges and the values left to try at each, so
-its depth is bounded by memory, not by the recursion limit, and it changes
-no interpreter-wide setting.  Past a fixed prefix, a huge k's values are
-made as the search reaches them, so the budget bounds the memory, not k.
+sum that the remaining edges cannot cancel prunes the branch.  The test is
+exact: r' more values from the alphabet can cancel a sum s exactly when
+|s| <= (k-1)r', s != 0 if r' = 1, and s ≡ r' (mod 2) if k = 2, since the
+sums of r' values are {0} for r' = 0, the alphabet itself for r' = 1, every
+integer in [-(k-1)r', (k-1)r'] for r' >= 2 when k >= 3, and the integers of
+that range with the parity of r' when k = 2.  Equal inputs give equal
+outcomes and node counts.  The search is one loop over an explicit stack of
+the assigned edges and the values left to try at each, so its depth is
+bounded by memory, not by the recursion limit, and it changes no
+interpreter-wide setting.  Past a fixed prefix, a huge k's values are made
+as the search reaches them, so the budget bounds the memory, not k.
 Each public call builds the incidence lists once, for every k it scans,
 and drops them on return: the graph keeps nothing.
 """
@@ -115,7 +120,9 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
         u = us[e]
         w = vs[e]
         if rem[u] == 1 or rem[w] == 1:
-            # the endpoint at its last edge forces -psum, if that is in the alphabet
+            # the endpoint at its last edge forces -psum, if that is in the alphabet;
+            # the exact prune keeps 0 < abs(s) <= kmax at every vertex it reached
+            # with one edge left, so the test fails only where the degree was 1
             s = psum[u] if rem[u] == 1 else psum[w]
             cands = (-s,) if 0 < abs(s) <= kmax and (rem[u] + rem[w] > 2 or psum[u] == psum[w]) else ()
         else:
@@ -128,11 +135,11 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
                     return SearchOutcome("undecided", None, nodes, budget)
                 su = psum[u] + c
                 ru = rem[u] - 1
-                if abs(su) > kmax * ru:
+                if abs(su) > kmax * ru or ru == 1 and not su or kmax == 1 and (su + ru) & 1:
                     continue
                 sw = psum[w] + c
                 rw = rem[w] - 1
-                if abs(sw) <= kmax * rw:
+                if not (abs(sw) > kmax * rw or rw == 1 and not sw or kmax == 1 and (sw + rw) & 1):
                     break
             else:
                 # e has no value left: undo its parent and resume the parent's values

@@ -21,6 +21,24 @@ def random_sparse_graph(rng: random.Random) -> MultiGraph:
     return MultiGraph(n, rng.sample(pool, m))
 
 
+def random_multigraph(rng: random.Random) -> MultiGraph:
+    # a closed walk (even degrees; a repeated step is a parallel edge), a few
+    # chords and a doubled edge, and at times a degree-1 vertex or an isolated one
+    n = rng.randint(2, 6)
+    walk = [0]
+    for _ in range(rng.randint(1, 5)):
+        walk.append(rng.choice([v for v in range(n) if v != walk[-1]]))
+    if walk[-1] != 0:
+        walk.append(0)
+    pairs = list(zip(walk, walk[1:]))
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2))]
+    pairs += rng.choices(pairs, k=rng.randint(0, 1))
+    if rng.random() < 0.25:  # vertex 0 of degree 1, first in the oracle's edge order
+        pairs = [(u + 1, v + 1) for u, v in pairs] + [(0, 1)]
+        n += 1
+    return build(n + rng.randint(0, 1), pairs)
+
+
 def search_digest(outcome) -> tuple[str, int, int | None]:
     flow_crc = zlib.crc32(repr(outcome.flow.values).encode()) if outcome.flow else None
     return outcome.status, outcome.nodes, flow_crc
@@ -35,33 +53,33 @@ ISOLATED = build(6, [(0, 1), (0, 1), (2, 3), (2, 3), (3, 4), (2, 4)])  # vertex 
 # the pruning moves the node counts or the flows even where the status holds.
 GOLDEN_SEARCH = {
     "rr10_3_s1": (random_regular(10, 3, 1), 200_000, {
-        2: ("nonexistent", 3, None), 3: ("found", 19, 440039372),
+        2: ("nonexistent", 1, None), 3: ("found", 19, 440039372),
         4: ("found", 20, 440039372), 5: ("found", 20, 440039372)}),
     "rr20_3_s2": (random_regular(20, 3, 2), 200_000, {
-        2: ("nonexistent", 3, None), 3: ("found", 30, 3195924263),
+        2: ("nonexistent", 1, None), 3: ("found", 30, 3195924263),
         4: ("found", 30, 3195924263), 5: ("found", 30, 3195924263)}),
     "rr30_3_s3": (random_regular(30, 3, 3), 200_000, {
-        2: ("nonexistent", 3, None), 3: ("found", 51, 1355936215),
-        4: ("found", 54, 1355936215), 5: ("found", 51, 2859156356)}),
+        2: ("nonexistent", 1, None), 3: ("found", 51, 1355936215),
+        4: ("found", 54, 1355936215), 5: ("found", 48, 2859156356)}),
     "rr8_5_s4": (random_regular(8, 5, 4), 200_000, {
-        2: ("nonexistent", 13, None), 3: ("found", 306, 4120501758),
+        2: ("nonexistent", 1, None), 3: ("found", 298, 4120501758),
         4: ("found", 25, 4150656497), 5: ("found", 20, 4020145034)}),
     "rr12_5_s5": (random_regular(12, 5, 5), 200_000, {
-        2: ("nonexistent", 13, None), 3: ("found", 70, 1389709692),
-        4: ("found", 178, 1389709692), 5: ("found", 43, 3409531804)}),
+        2: ("nonexistent", 1, None), 3: ("found", 68, 1389709692),
+        4: ("found", 170, 1389709692), 5: ("found", 43, 3409531804)}),
     "rr20_5_s6": (random_regular(20, 5, 6), 200_000, {
-        2: ("nonexistent", 13, None), 3: ("found", 277, 946723061),
-        4: ("found", 3170, 309093077), 5: ("found", 805, 1699661311)}),
+        2: ("nonexistent", 1, None), 3: ("found", 276, 946723061),
+        4: ("found", 3052, 309093077), 5: ("found", 779, 1699661311)}),
     "cubic_no_pm": (cubic_no_pm(), DEFAULT_BUDGET, {
-        4: ("nonexistent", 1932, None), 5: ("found", 1188, 925762086)}),
+        4: ("nonexistent", 1864, None), 5: ("found", 1138, 925762086)}),
     "petersen": (petersen(), DEFAULT_BUDGET, {3: ("found", 15, 3833609416)}),
     "triple": (TRIPLE, DEFAULT_BUDGET, {
-        2: ("nonexistent", 3, None), 3: ("found", 3, 324800987),
+        2: ("nonexistent", 1, None), 3: ("found", 3, 324800987),
         4: ("found", 3, 324800987), 5: ("found", 3, 324800987)}),
     "dumbbell": (DUMBBELL, DEFAULT_BUDGET, {
-        2: ("nonexistent", 3, None), 3: ("found", 6, 959037243),
+        2: ("nonexistent", 1, None), 3: ("found", 6, 959037243),
         4: ("found", 6, 959037243), 5: ("found", 6, 959037243)}),
-    "rr200_3_s5": (random_regular(200, 3, 5), 10_000, {5: ("found", 324, 1337760840)}),
+    "rr200_3_s5": (random_regular(200, 3, 5), 10_000, {5: ("found", 322, 1337760840)}),
     "rr200_3_s7": (random_regular(200, 3, 7), 10_000, {5: ("undecided", 10_001, None)}),
 }
 
@@ -119,10 +137,21 @@ class TestSolve:
                 assert (outcome.status == "found") == flow_exists_by_enumeration(g, k)
 
     def test_agrees_with_enumeration_on_multigraphs(self):
-        for g in (TRIPLE, DUMBBELL, ISOLATED):
+        # the oracle prunes only on |s| <= (k - 1)r', so a wrong exact prune
+        # shows as "nonexistent" where the oracle finds a flow
+        rng = random.Random(7)
+        for g in (TRIPLE, DUMBBELL, ISOLATED, *(random_multigraph(rng) for _ in range(80))):
             for k in (2, 3, 4, 5):
                 got = solve(g, k).status == "found"
                 assert got == flow_exists_by_enumeration(g, k)
+
+    @pytest.mark.parametrize(
+        "g", [petersen(), cubic_no_pm(), random_regular(20, 5, 6)], ids=["petersen", "cubic_no_pm", "rr20_5_s6"]
+    )
+    def test_odd_degree_refutes_two_flows_at_the_first_node(self, g):
+        # at k = 2 a partial sum must share the parity of its count of edges left
+        outcome = solve(g, 2)
+        assert (outcome.status, outcome.nodes) == ("nonexistent", 1)
 
     def test_budget_cuts_the_search_it_does_not_change(self):
         # a budget b is undecided exactly when the unbounded search needs
