@@ -17,14 +17,23 @@ exact: r' more values from the alphabet can cancel a sum s exactly when
 |s| <= (k-1)r', s != 0 if r' = 1, and s ≡ r' (mod 2) if k = 2, since the
 sums of r' values are {0} for r' = 0, the alphabet itself for r' = 1, every
 integer in [-(k-1)r', (k-1)r'] for r' >= 2 when k >= 3, and the integers of
-that range with the parity of r' when k = 2.  Equal inputs give equal
-outcomes and node counts.  The search is one loop over an explicit stack of
-the assigned edges and the values left to try at each, so its depth is
-bounded by memory, not by the recursion limit, and it changes no
-interpreter-wide setting.  Past a fixed prefix, a huge k's values are made
-as the search reaches them, so the budget bounds the memory, not k.
-Each public call builds the incidence lists once, for every k it scans,
-and drops them on return: the graph keeps nothing.
+that range with the parity of r' when k = 2.  On the empty assignment
+(s = 0, r' = deg v) that refutes a degree of 1, and an odd degree at k = 2,
+before any node; after it, s + r' keeps its parity at k = 2.
+
+The search is up to ten runs from the empty assignment: the vertices enter
+the buckets in id order, then from ⌊i·n/9⌋ on for the probes i = 1, ..., 8,
+each run stopping at 4m nodes, and then in id order on the rest of the
+budget.  Every run searches the whole space, so "nonexistent" from any run
+is a certificate.  Node counts add up over the runs, 4m for a stopped one,
+and a budget only cuts them: a search within 4m nodes is the first run
+alone, and a proof past 4m costs 36m more.  Equal inputs give equal
+outcomes and node counts.  The search is one loop over an explicit stack,
+so its depth is bounded by memory, not by the recursion limit, and it
+changes no interpreter-wide setting.  Past a fixed prefix, a huge k's
+values are made as the search reaches them, so the budget bounds the
+memory, not k.  Each public call builds the incidence lists once, for every
+k it scans, and drops them on return: the graph keeps nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from .flows import DEFAULT_BUDGET, IntFlow, _checked, verify_flow
 from .graphs import MultiGraph, _incidence
 
 _HEAD = 1 << 10  # the values of the alphabet held in a tuple; an even count
+_PROBES = 8  # runs from rotated start vertices after the first, each of 4m nodes
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,9 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
         raise ValueError(f"need k >= 2, got {k}")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
+    degrees = g.degrees()
+    if 1 in degrees or k == 2 and any(d & 1 for d in degrees):
+        return SearchOutcome("nonexistent", None, 0, budget)  # the prune below, at s = 0 and r' = deg v
     n, m = g.n, g.m
     us, vs = g.us, g.vs
     kmax = k - 1
@@ -100,17 +113,19 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
     if len(alphabet) < 2 * kmax:
         alphabet = _Alphabet(alphabet, k)
     positives = range(1, k)
-    val = [0] * m
-    psum = [0] * n
-    rem = list(g.degrees())
-    bucket: list[dict[int, None]] = [{} for _ in range(max(rem, default=0) + 1)]  # bucket[r]: rem[v] == r > 0
-    levels = range(1, len(bucket))
-    for v in range(n):
-        if rem[v]:
-            bucket[rem[v]][v] = None
+    levels = range(1, max(degrees, default=0) + 1)
     stack: list[tuple[int, int, int, Iterator[int]]] = []  # (e, u, w, values left to try at e)
-    nodes = 0
+    val: list[int] = []  # made afresh as each run starts; with m = 0 no run starts
+    nodes, run, limit = 0, 0, min(4 * m, budget)
     while len(stack) < m:
+        if not stack:  # a run starts: its vertices enter the buckets from ⌊run·n/9⌋ on, then wrap
+            val = [0] * m
+            psum = [0] * n
+            rem = list(degrees)
+            bucket: list[dict[int, None]] = [{} for _ in range(len(levels) + 1)]  # bucket[r]: rem[v] == r > 0
+            for v in chain(range(start := run * n // (_PROBES + 1), n), range(start)):  # the last run's n: id order
+                if rem[v]:
+                    bucket[rem[v]][v] = None
         for r in levels:
             if bucket[r]:
                 break
@@ -120,26 +135,27 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
         u = us[e]
         w = vs[e]
         if rem[u] == 1 or rem[w] == 1:
-            # the endpoint at its last edge forces -psum, if that is in the alphabet;
-            # the exact prune keeps 0 < abs(s) <= kmax at every vertex it reached
-            # with one edge left, so the test fails only where the degree was 1
+            # the endpoint at its last edge forces -psum, which the exact prune
+            # keeps in the alphabet, as no vertex starts at degree 1
             s = psum[u] if rem[u] == 1 else psum[w]
-            cands = (-s,) if 0 < abs(s) <= kmax and (rem[u] + rem[w] > 2 or psum[u] == psum[w]) else ()
+            cands = (-s,) if rem[u] + rem[w] > 2 or psum[u] == psum[w] else ()
         else:
             cands = alphabet if stack else positives
         values = iter(cands)
         while True:
             for c in values:
                 nodes += 1
-                if nodes > budget:
-                    return SearchOutcome("undecided", None, nodes, budget)
+                if nodes > limit:
+                    if limit == budget:
+                        return SearchOutcome("undecided", None, nodes, budget)
+                    break
                 su = psum[u] + c
                 ru = rem[u] - 1
-                if abs(su) > kmax * ru or ru == 1 and not su or kmax == 1 and (su + ru) & 1:
+                if abs(su) > kmax * ru or ru == 1 and not su:
                     continue
                 sw = psum[w] + c
                 rw = rem[w] - 1
-                if not (abs(sw) > kmax * rw or rw == 1 and not sw or kmax == 1 and (sw + rw) & 1):
+                if not (abs(sw) > kmax * rw or rw == 1 and not sw):
                     break
             else:
                 # e has no value left: undo its parent and resume the parent's values
@@ -162,6 +178,10 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
                 rem[w] = rw + 1
                 continue
             break
+        if nodes > limit:  # the run spent its nodes: the next starts over, its node uncounted
+            nodes, run, stack = limit, run + 1, []
+            limit = min(limit + 4 * m, budget) if run <= _PROBES else budget
+            continue
         val[e] = c
         psum[u] = su
         psum[w] = sw

@@ -48,17 +48,20 @@ def edge_degrees(g: MultiGraph, edge_ids) -> list[int]:
 def flow_exists_by_enumeration(g: MultiGraph, k: int) -> bool:
     """Exhaustive zero-sum k-flow existence check in a fixed edge order.
 
-    Enumerates values over {±1..±(k-1)} edge by edge (edges sorted by
-    (max endpoint, min endpoint)), cutting a branch only on arithmetic
-    impossibilities: a fully-assigned vertex must sum to zero, and a partial
-    sum must stay reachable given the values the remaining edges can take.
+    Enumerates values over {±1..±(k-1)} edge by edge (the edges at a
+    degree-1 vertex first, then the rest sorted by (max endpoint, min
+    endpoint)), cutting a branch only on arithmetic impossibilities: a
+    fully-assigned vertex must sum to zero, and a partial sum must stay
+    reachable given the values the remaining edges can take.  No value fits
+    an edge at a degree-1 vertex, so that test rejects it at the first step.
     """
     m = g.m
     if m == 0:
         return True
-    order = sorted(range(m), key=lambda e: (max(g.edges[e]), min(g.edges[e])))
-    values = [v for a in range(1, k) for v in (a, -a)]
     remaining = list(g.degrees())
+    pendant = {e for e, (u, v) in enumerate(g.edges) if 1 in (remaining[u], remaining[v])}
+    order = sorted(range(m), key=lambda e: (e not in pendant, max(g.edges[e]), min(g.edges[e])))
+    values = [v for a in range(1, k) for v in (a, -a)]
     sums = [0] * g.n
 
     def extend(i: int) -> bool:

@@ -39,6 +39,14 @@ def random_multigraph(rng: random.Random) -> MultiGraph:
     return build(n + rng.randint(0, 1), pairs)
 
 
+def pendant_last_multigraph(rng: random.Random) -> MultiGraph:
+    # up to 13 edges on up to 7 vertices, and one more to a new vertex of
+    # degree 1 with the highest id, last in an order by the larger endpoint
+    n = rng.randint(2, 7)
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 13))]
+    return build(n + 1, pairs + [(rng.randrange(n), n)])
+
+
 def search_digest(outcome) -> tuple[str, int, int | None]:
     flow_crc = zlib.crc32(repr(outcome.flow.values).encode()) if outcome.flow else None
     return outcome.status, outcome.nodes, flow_crc
@@ -53,34 +61,34 @@ ISOLATED = build(6, [(0, 1), (0, 1), (2, 3), (2, 3), (3, 4), (2, 4)])  # vertex 
 # the pruning moves the node counts or the flows even where the status holds.
 GOLDEN_SEARCH = {
     "rr10_3_s1": (random_regular(10, 3, 1), 200_000, {
-        2: ("nonexistent", 1, None), 3: ("found", 19, 440039372),
+        2: ("nonexistent", 0, None), 3: ("found", 19, 440039372),
         4: ("found", 20, 440039372), 5: ("found", 20, 440039372)}),
     "rr20_3_s2": (random_regular(20, 3, 2), 200_000, {
-        2: ("nonexistent", 1, None), 3: ("found", 30, 3195924263),
+        2: ("nonexistent", 0, None), 3: ("found", 30, 3195924263),
         4: ("found", 30, 3195924263), 5: ("found", 30, 3195924263)}),
     "rr30_3_s3": (random_regular(30, 3, 3), 200_000, {
-        2: ("nonexistent", 1, None), 3: ("found", 51, 1355936215),
+        2: ("nonexistent", 0, None), 3: ("found", 51, 1355936215),
         4: ("found", 54, 1355936215), 5: ("found", 48, 2859156356)}),
     "rr8_5_s4": (random_regular(8, 5, 4), 200_000, {
-        2: ("nonexistent", 1, None), 3: ("found", 298, 4120501758),
+        2: ("nonexistent", 0, None), 3: ("found", 448, 4199285688),
         4: ("found", 25, 4150656497), 5: ("found", 20, 4020145034)}),
     "rr12_5_s5": (random_regular(12, 5, 5), 200_000, {
-        2: ("nonexistent", 1, None), 3: ("found", 68, 1389709692),
-        4: ("found", 170, 1389709692), 5: ("found", 43, 3409531804)}),
+        2: ("nonexistent", 0, None), 3: ("found", 68, 1389709692),
+        4: ("found", 170, 2192742501), 5: ("found", 43, 3409531804)}),
     "rr20_5_s6": (random_regular(20, 5, 6), 200_000, {
-        2: ("nonexistent", 1, None), 3: ("found", 276, 946723061),
-        4: ("found", 3052, 309093077), 5: ("found", 779, 1699661311)}),
+        2: ("nonexistent", 0, None), 3: ("found", 257, 2427976454),
+        4: ("found", 257, 2427976454), 5: ("found", 250, 1004108317)}),
     "cubic_no_pm": (cubic_no_pm(), DEFAULT_BUDGET, {
-        4: ("nonexistent", 1864, None), 5: ("found", 1138, 925762086)}),
+        4: ("nonexistent", 2728, None), 5: ("found", 2002, 925762086)}),
     "petersen": (petersen(), DEFAULT_BUDGET, {3: ("found", 15, 3833609416)}),
     "triple": (TRIPLE, DEFAULT_BUDGET, {
-        2: ("nonexistent", 1, None), 3: ("found", 3, 324800987),
+        2: ("nonexistent", 0, None), 3: ("found", 3, 324800987),
         4: ("found", 3, 324800987), 5: ("found", 3, 324800987)}),
     "dumbbell": (DUMBBELL, DEFAULT_BUDGET, {
-        2: ("nonexistent", 1, None), 3: ("found", 6, 959037243),
+        2: ("nonexistent", 0, None), 3: ("found", 6, 959037243),
         4: ("found", 6, 959037243), 5: ("found", 6, 959037243)}),
     "rr200_3_s5": (random_regular(200, 3, 5), 10_000, {5: ("found", 322, 1337760840)}),
-    "rr200_3_s7": (random_regular(200, 3, 7), 10_000, {5: ("undecided", 10_001, None)}),
+    "rr200_3_s7": (random_regular(200, 3, 7), 10_000, {5: ("found", 1724, 4139530910)}),
 }
 
 
@@ -140,7 +148,9 @@ class TestSolve:
         # the oracle prunes only on |s| <= (k - 1)r', so a wrong exact prune
         # shows as "nonexistent" where the oracle finds a flow
         rng = random.Random(7)
-        for g in (TRIPLE, DUMBBELL, ISOLATED, *(random_multigraph(rng) for _ in range(80))):
+        graphs = [TRIPLE, DUMBBELL, ISOLATED, *(random_multigraph(rng) for _ in range(80))]
+        graphs += [pendant_last_multigraph(random.Random(seed)) for seed in range(20)]
+        for g in graphs:
             for k in (2, 3, 4, 5):
                 got = solve(g, k).status == "found"
                 assert got == flow_exists_by_enumeration(g, k)
@@ -148,26 +158,67 @@ class TestSolve:
     @pytest.mark.parametrize(
         "g", [petersen(), cubic_no_pm(), random_regular(20, 5, 6)], ids=["petersen", "cubic_no_pm", "rr20_5_s6"]
     )
-    def test_odd_degree_refutes_two_flows_at_the_first_node(self, g):
-        # at k = 2 a partial sum must share the parity of its count of edges left
+    def test_odd_degree_refutes_two_flows_before_the_first_node(self, g):
+        # at k = 2 a partial sum must share the parity of its count of edges
+        # left, which fails at an odd degree before any value is tried
         outcome = solve(g, 2)
-        assert (outcome.status, outcome.nodes) == ("nonexistent", 1)
+        assert (outcome.status, outcome.nodes) == ("nonexistent", 0)
+
+    def test_odd_degrees_far_down_the_search_order_refute_two_flows(self):
+        # two vertices of degree 5 among degree 4: the search met them too late
+        # to refute k = 2 within 10**6 nodes, and the scan stopped there
+        g = random_regular(40, 4, 1)
+        h = build(40, [*g.edges, (0, 20)])
+        assert search_digest(solve(h, 2, 10**6)) == ("nonexistent", 0, None)
+        result = flow_number(h, 5, 10**6)
+        assert (result.k, result.status) == (3, "found")
 
     def test_budget_cuts_the_search_it_does_not_change(self):
         # a budget b is undecided exactly when the unbounded search needs
         # more than b nodes, and gives the unbounded outcome otherwise
         rng = random.Random(26)
+        cases = []  # (graph, whether to try every budget up to the unbounded count, not just 0-50)
         for _ in range(12):
             n = rng.randint(2, 6)
-            g = build(n, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 9))])
+            cases.append((build(n, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 9))]), False))
+        # at k = 4 each runs past its first 4m nodes: a probe finds a flow, a
+        # probe exhausts the space, and the last run, past every probe, does
+        for g, expected in [
+            (build(3, [(2, 1), (0, 2), (2, 1), (2, 0), (0, 1), (0, 1)]), ("found", 86)),
+            (build(7, [(2, 1), (3, 6), (1, 4), (2, 4), (6, 3)]), ("nonexistent", 66)),
+            (build(3, [(0, 1), (0, 1), (0, 2), (1, 2)]), ("nonexistent", 168)),
+        ]:
+            outcome = solve(g, 4)
+            assert (outcome.status, outcome.nodes) == expected
+            cases.append((g, True))
+        for g, every in cases:
             for k in range(2, 7):
                 full = solve(g, k)
-                for budget in range(51):
+                for budget in range(full.nodes + 2 if every else 51):
                     outcome = solve(g, k, budget)
                     if full.nodes > budget:
                         assert (outcome.status, outcome.nodes) == ("undecided", budget + 1)
                     else:
                         assert search_digest(outcome) == search_digest(full)
+
+    def test_probes_decide_more_and_change_no_decided_status(self, monkeypatch):
+        # each run searches the whole space, so a probe's verdict is the verdict
+        # of the search without probes wherever both decide
+        rng = random.Random(53)
+        graphs = [random_regular(n, r, s) for r in (3, 5) for n in range(10, 31, 4) for s in range(10)]
+        graphs += [random_multigraph(rng) for _ in range(80)]
+        probed = [solve(g, k, 3000).status for g in graphs for k in (2, 3, 4, 5)]
+        monkeypatch.setattr(solver, "_PROBES", 0)
+        plain = [solve(g, k, 3000).status for g in graphs for k in (2, 3, 4, 5)]
+        pairs = set(zip(probed, plain))
+        assert not {(a, b) for a, b in pairs if a != b and "undecided" not in (a, b)}
+        assert ("found", "undecided") in pairs  # a probe decided what the first order left undecided
+
+    @pytest.mark.parametrize("seed", [1, 3, 6, 7, 10, 19, 20, 23, 25, 28, 29, 30, 31, 32, 33, 35, 37, 38])
+    def test_probes_find_the_flows_one_run_left_undecided(self, seed):
+        # without probes, each of these 10 000-node searches was undecided
+        outcome = solve(random_regular(200, 3, seed), 5, 10_000)
+        assert outcome.status == "found"
 
     def test_a_huge_k_under_a_small_budget_allocates_little(self):
         # only the values that the budget lets the search try are built, and
