@@ -10,9 +10,8 @@ unassigned edges sits in bucket r, an insertion-ordered dict, and the next
 edge is the lowest unassigned edge id of the vertex most recently put into
 the lowest non-empty bucket.  Assigning an edge moves its two endpoints
 down one bucket and backtracking moves them back, so choosing an edge costs
-O(max degree), whatever the size of the graph.  The first edge tries only
-positive values (negating a flow preserves every constraint), and a partial
-sum that the remaining edges cannot cancel prunes the branch.  The test is
+O(max degree), whatever the size of the graph.  A partial sum that the
+remaining edges cannot cancel prunes the branch.  The test is
 exact: r' more values from the alphabet can cancel a sum s exactly when
 |s| <= (k-1)r', s != 0 if r' = 1, and s ≡ r' (mod 2) if k = 2, since the
 sums of r' values are {0} for r' = 0, the alphabet itself for r' = 1, every
@@ -20,6 +19,19 @@ integer in [-(k-1)r', (k-1)r'] for r' >= 2 when k >= 3, and the integers of
 that range with the parity of r' when k = 2.  On the empty assignment
 (s = 0, r' = deg v) that refutes a degree of 1, and an odd degree at k = 2,
 before any node; after it, s + r' keeps its parity at k = 2.
+
+The first edge tries only positive values (negating a flow preserves every
+constraint).  Every other edge uw not forced tries the whole alphabet, so
+"nonexistent" stays a certificate, in the order of `_toward_zero`: the
+values c that bring both endpoint sums nearest zero first, by
+|psum[u] + c| + |psum[w] + c|, then by |c|, then + before -.  The
+prune's interval is centred on zero, so a small sum keeps the most
+completions open, and it keeps the forced last values small, so that the
+two ends of a closing edge agree more often.  k = 3 keeps 1, -1, 2, -2: over
+150 random 5-regular graphs (n = 12-28) the reordered search took 35 % more
+nodes at k = 3 (25 785 -> 34 710), and a flow number scan on odd degrees
+stops there.  Each edge's order is made as the search reaches it, so the
+budget, not k, bounds the memory.
 
 The search is up to ten runs from the empty assignment: the vertices enter
 the buckets in id order, then from ⌊i·n/9⌋ on for the probes i = 1, ..., 8,
@@ -30,22 +42,20 @@ and a budget only cuts them: a search within 4m nodes is the first run
 alone, and a proof past 4m costs 36m more.  Equal inputs give equal
 outcomes and node counts.  The search is one loop over an explicit stack,
 so its depth is bounded by memory, not by the recursion limit, and it
-changes no interpreter-wide setting.  Past a fixed prefix, a huge k's
-values are made as the search reaches them, so the budget bounds the
-memory, not k.  Each public call builds the incidence lists once, for every
-k it scans, and drops them on return: the graph keeps nothing.
+changes no interpreter-wide setting.  Each public call builds the
+incidence lists once, for every k it scans, and drops them on return: the
+graph keeps nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, zip_longest
 
 from .flows import DEFAULT_BUDGET, IntFlow, _checked, verify_flow
 from .graphs import MultiGraph, _incidence
 
-_HEAD = 1 << 10  # the values of the alphabet held in a tuple; an even count
 _PROBES = 8  # runs from rotated start vertices after the first, each of 4m nodes
 
 
@@ -82,14 +92,34 @@ class CrossCheckReport:
     smaller_k: int | None
 
 
-class _Alphabet:
-    """1, -1, 2, -2, ..., ±(k - 1): the tuple ``head``, then the values made as a search reaches them."""
+def _toward_zero(a: int, b: int, kmax: int) -> Iterator[int]:
+    """±1, ..., ±kmax by |a + c| + |b + c| ascending, then by |c|, then + before -.
 
-    def __init__(self, head: tuple[int, ...], k: int):
-        self.head, self.k = head, k
-
-    def __iter__(self) -> Iterator[int]:
-        return chain(self.head, (s * a for a in range(len(self.head) // 2 + 1, self.k) for s in (1, -1)))
+    The cost is |a - b| on [lo, hi] = [-max(a, b), -min(a, b)] and 2d more
+    at hi + d and lo - d.  Clipping lo and hi to [-kmax, kmax] keeps the
+    order.  min and max are spelt out, as their calls made the whole search
+    about 12 % slower on cubic graphs at k = 5.
+    """
+    lo, hi = (-a, -b) if a > b else (-b, -a)
+    lo = -kmax if lo < -kmax else kmax if lo > kmax else lo
+    hi = -kmax if hi < -kmax else kmax if hi > kmax else hi
+    if lo > 0:
+        yield from range(lo, hi + 1)
+    elif hi < 0:
+        yield from range(hi, lo - 1, -1)
+    else:
+        for t in range(1, (hi if hi > -lo else -lo) + 1):
+            if t <= hi:
+                yield t
+            if -t >= lo:
+                yield -t
+    # hi + d is the nearer to zero, or positive at a tie, when lo + hi <= 0
+    up, down = range(hi + 1, kmax + 1), range(lo - 1, -kmax - 1, -1)
+    for c, e in zip_longest(up, down, fillvalue=0) if lo + hi <= 0 else zip_longest(down, up, fillvalue=0):
+        if c:
+            yield c
+        if e:
+            yield e
 
 
 def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
@@ -109,12 +139,12 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
     n, m = g.n, g.m
     us, vs = g.us, g.vs
     kmax = k - 1
-    alphabet = tuple(islice((s * a for a in range(1, k) for s in (1, -1)), _HEAD))
-    if len(alphabet) < 2 * kmax:
-        alphabet = _Alphabet(alphabet, k)
     positives = range(1, k)
     levels = range(1, max(degrees, default=0) + 1)
-    stack: list[tuple[int, int, int, Iterator[int]]] = []  # (e, u, w, values left to try at e)
+    # two lists, not one of (e, values) tuples: a deep search would leave up
+    # to 2000 of its tuples allocated in the interpreter's tuple free list
+    stack: list[int] = []  # the assigned edges, in order
+    tried: list[Iterator[int]] = []  # tried[i]: the values left to try at stack[i]
     val: list[int] = []  # made afresh as each run starts; with m = 0 no run starts
     nodes, run, limit = 0, 0, min(4 * m, budget)
     while len(stack) < m:
@@ -139,8 +169,12 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
             # keeps in the alphabet, as no vertex starts at degree 1
             s = psum[u] if rem[u] == 1 else psum[w]
             cands = (-s,) if rem[u] + rem[w] > 2 or psum[u] == psum[w] else ()
+        elif not stack:
+            cands = positives
+        elif k == 3:
+            cands = (1, -1, 2, -2)
         else:
-            cands = alphabet if stack else positives
+            cands = _toward_zero(psum[u], psum[w], kmax)
         values = iter(cands)
         while True:
             for c in values:
@@ -161,7 +195,10 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
                 # e has no value left: undo its parent and resume the parent's values
                 if not stack:
                     return SearchOutcome("nonexistent", None, nodes, budget)
-                e, u, w, values = stack.pop()
+                e = stack.pop()
+                values = tried.pop()
+                u = us[e]
+                w = vs[e]
                 c = val[e]
                 ru = rem[u]
                 rw = rem[w]
@@ -179,7 +216,7 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
                 continue
             break
         if nodes > limit:  # the run spent its nodes: the next starts over, its node uncounted
-            nodes, run, stack = limit, run + 1, []
+            nodes, run, stack, tried = limit, run + 1, [], []
             limit = min(limit + 4 * m, budget) if run <= _PROBES else budget
             continue
         val[e] = c
@@ -193,7 +230,8 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
             bucket[ru][u] = None
         if rw:
             bucket[rw][w] = None
-        stack.append((e, u, w, values))
+        stack.append(e)
+        tried.append(values)
 
     return SearchOutcome("found", _checked(g, val, k), nodes, budget)
 
