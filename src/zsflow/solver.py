@@ -42,9 +42,10 @@ and a budget only cuts them: a search within 4m nodes is the first run
 alone, and a proof past 4m costs 36m more.  Equal inputs give equal
 outcomes and node counts.  The search is one loop over an explicit stack,
 so its depth is bounded by memory, not by the recursion limit, and it
-changes no interpreter-wide setting.  Each public call builds the
-incidence lists once, for every k it scans, and drops them on return: the
-graph keeps nothing.
+changes no interpreter-wide setting.  Each `solve` builds its own
+incidence lists after the degree refutations and drops them on return, so
+the graph keeps nothing.  `flow_number` and `cross_check` search only
+through `solve`.
 """
 
 from __future__ import annotations
@@ -124,11 +125,6 @@ def _toward_zero(a: int, b: int, kmax: int) -> Iterator[int]:
 
 def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Decide whether a zero-sum k-flow exists, exhaustively up to budget."""
-    return _search(g, _incidence(g), k, budget)
-
-
-def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchOutcome:
-    """`solve` on ``inc``, the incidence lists of g."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if budget < 0:
@@ -136,6 +132,7 @@ def _search(g: MultiGraph, inc: list[list[int]], k: int, budget: int) -> SearchO
     degrees = g.degrees()
     if 1 in degrees or k == 2 and any(d & 1 for d in degrees):
         return SearchOutcome("nonexistent", None, 0, budget)  # the prune below, at s = 0 and r' = deg v
+    inc = _incidence(g)
     n, m = g.n, g.m
     us, vs = g.us, g.vs
     kmax = k - 1
@@ -241,19 +238,16 @@ def flow_number(g: MultiGraph, k_max: int, budget: int = DEFAULT_BUDGET) -> Flow
 
     Scans k upward; a flow found at k is minimal because existence is
     monotone in k.  An undecided scan step propagates as undecided, since
-    the true minimum might hide there.
+    the true minimum might hide there.  A vertex of degree 1 rules out
+    every k, so the scan stops after k = 2.
     """
     if k_max < 2:
         raise ValueError(f"need k_max >= 2, got {k_max}")
-    return _scan(g, _incidence(g), k_max, budget)
-
-
-def _scan(g: MultiGraph, inc: list[list[int]], k_max: int, budget: int) -> FlowNumberResult:
-    """`flow_number` on ``inc``, the incidence lists of g, shared by every k."""
+    if 1 in g.degrees():
+        k_max = 2
     outcomes: dict[int, SearchOutcome] = {}
     for k in range(2, k_max + 1):
-        outcome = _search(g, inc, k, budget)
-        outcomes[k] = outcome
+        outcome = outcomes[k] = solve(g, k, budget)
         if outcome.status == "found":
             return FlowNumberResult(k, "found", outcomes)
         if outcome.status == "undecided":
@@ -272,7 +266,6 @@ def cross_check(g: MultiGraph, flow: IntFlow, budget: int = DEFAULT_BUDGET) -> C
     if not report.ok:
         raise ValueError(f"constructed flow fails verification: {report.violation}")
     claimed = flow.k
-    inc = _incidence(g)
-    at_claimed = _search(g, inc, claimed, budget)
-    smaller = _scan(g, inc, claimed - 1, budget).k if claimed > 2 else None
+    at_claimed = solve(g, claimed, budget)
+    smaller = flow_number(g, claimed - 1, budget).k if claimed > 2 else None
     return CrossCheckReport(claimed, at_claimed.status, at_claimed.status != "nonexistent", smaller)

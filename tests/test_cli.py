@@ -6,7 +6,7 @@ from zsflow import cli, flows, graphs, solver
 from zsflow.cli import main
 from zsflow.errors import FactorSearchError, FlowNonexistentError
 from zsflow.flows import parse_flow, verify_flow
-from zsflow.graphs import complete, cubic_no_pm, cycle, parse_edge_list, random_regular, write_edge_list
+from zsflow.graphs import complete, cubic_no_pm, cycle, parse_edge_list, petersen, random_regular, write_edge_list
 from zsflow.solver import DEFAULT_BUDGET
 
 
@@ -321,10 +321,16 @@ class TestSolve:
 
 class TestFlowNumber:
     def test_petersen(self, tmp_path, capsys):
-        path = write_graph(tmp_path, complete(4))
+        path = write_graph(tmp_path, petersen())
         assert main(["flownumber", path, "--kmax", "6"]) == 0
         out = capsys.readouterr().out
         assert "flow_number: 3" in out
+
+    def test_budget_exhausted_is_undecided(self, tmp_path, capsys):
+        path = write_graph(tmp_path, petersen())
+        assert main(["flownumber", path, "--kmax", "6", "--budget", "3"]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert "outcome: undecided" in lines and "flow_number: -" in lines
 
     def test_triangle_has_none(self, tmp_path, capsys):
         path = write_graph(tmp_path, cycle(3))

@@ -343,25 +343,26 @@ class TestFlowNumber:
         with pytest.raises(ValueError, match="need k_max >= 2, got 1"):
             flow_number(cycle(4), 1)
 
+    def test_a_degree_one_vertex_stops_the_scan_at_two(self):
+        # the vertex rules out every k: one 0-node refutation, whatever k_max
+        result = flow_number(build(2, [(0, 1)]), 10**9)
+        assert result.k is None and result.status == "nonexistent"
+        assert list(result.outcomes) == [2] and result.outcomes[2].nodes == 0
 
-class TestOneIncidencePerScan:
+
+class TestEverySearchGoesThroughSolve:
     @pytest.fixture
     def spied(self, monkeypatch):
-        # the graph of each incidence build, and (k, digest) of each search
-        calls = {"_incidence": [], "_search": []}
-        real_incidence, real_search = solver._incidence, solver._search
+        # (k, digest) of each search that runs through the public name
+        calls = []
+        real = solver.solve
 
-        def incidence(g):
-            calls["_incidence"].append(g)
-            return real_incidence(g)
-
-        def search(g, inc, k, budget):
-            outcome = real_search(g, inc, k, budget)
-            calls["_search"].append((k, search_digest(outcome)))
+        def spy(g, k, budget=DEFAULT_BUDGET):
+            outcome = real(g, k, budget)
+            calls.append((k, search_digest(outcome)))
             return outcome
 
-        monkeypatch.setattr(solver, "_incidence", incidence)
-        monkeypatch.setattr(solver, "_search", search)
+        monkeypatch.setattr(solver, "solve", spy)
         return calls
 
     def separate(self, g, ks, budget):
@@ -371,20 +372,17 @@ class TestOneIncidencePerScan:
     def test_flow_number(self, name, spied):
         g, budget, _ = GOLDEN_SEARCH[name]
         result = flow_number(g, 5, budget)
-        assert spied["_incidence"] == [g]
         scanned = [(k, search_digest(o)) for k, o in result.outcomes.items()]
-        assert spied["_search"] == scanned
+        assert spied == scanned  # one call for each k reported, in scan order
         assert self.separate(g, result.outcomes, budget) == scanned
 
     def test_cross_check(self, spied):
         g = complete(8)
         report = cross_check(g, construct(g), budget=200_000)
-        assert spied["_incidence"] == [g]
-        scanned = spied["_search"][:]
-        ks = [k for k, _ in scanned]
+        ks = [k for k, _ in spied]
         assert ks == [5, *range(2, len(ks) + 1)]  # the claimed k, then the scan below it
-        assert self.separate(g, ks, 200_000) == scanned
-        assert report.status_at_claimed == scanned[0][1][0]
+        assert self.separate(g, ks, 200_000) == spied
+        assert report.status_at_claimed == spied[0][1][0]
 
 
 class TestCrossCheck:
