@@ -190,6 +190,93 @@ def components(g: MultiGraph) -> list[list[int]]:
     return out
 
 
+def _coloop_and_even_bridges(g: MultiGraph, inc: list[list[int]]) -> tuple[int | None, bytearray]:
+    """The lowest coloop of the unsigned incidence matrix, or None, and a flag per even bridge.
+
+    ``inc`` is `_incidence(g)`.  The matrix has rank n minus the number of
+    bipartite components, so e is a coloop (no zero-sum flow uses it)
+    exactly when deleting it adds a bipartite component: a bridge with a
+    bipartite side, or an edge on every odd cycle of a non-bipartite
+    component.  A bridge with two non-bipartite sides X and Y carries an
+    even value, as f(e) = -2·Σ f over the edges inside X; ``even[e]`` flags it.
+
+    One iterative DFS forest.  A non-tree edge, met from its lower end,
+    closes an odd cycle when its ends' depths differ by an even number.
+    Each vertex packs three counts into one int, in fields of ``shift``
+    bits: the even non-tree edges that cover its tree edge, the odd ones
+    that cover it, and the odd ones whose lower end lies below it.  Each
+    field of a subtree sum is at least 0 and at most m, so adding the packed
+    ints as the DFS backs out adds each field.  By the cycle space over
+    GF(2), a tree edge lies on every odd cycle when the odd non-tree edges
+    of its component are the ones that cover it, and a non-tree edge when
+    it is the only odd one.
+    """
+    n, us, vs = g.n, g.us, g.vs
+    shift = g.m.bit_length() + 1
+    field = (1 << shift) - 1
+    odd_cover = 1 << shift
+    odd_low = 1 << 2 * shift
+    depth = [-1] * n
+    up = [-1] * n  # the tree edge to the parent
+    packed = [0] * n
+    even = bytearray(g.m)
+    coloops: list[int] = []
+    for s in range(n):
+        if depth[s] >= 0:
+            continue
+        depth[s] = 0
+        odd = 0  # the odd non-tree edges of the component
+        last_odd = -1
+        uncovered: list[tuple[int, int]] = []  # (tree edge, subtree sum) where no even non-tree edge covers it
+        path = [s]
+        left = [iter(inc[s])]  # the edges each vertex of the path has left to scan
+        v, dv, upv = s, 0, -1
+        while True:
+            for e in left[-1]:
+                w = us[e] ^ vs[e] ^ v
+                dw = depth[w]
+                if dw < 0:
+                    depth[w] = dv = dv + 1
+                    up[w] = upv = e
+                    path.append(w)
+                    left.append(iter(inc[w]))
+                    v = w
+                    break
+                if dw < dv and e != upv:
+                    if (dv - dw) & 1:
+                        packed[v] += 1
+                        packed[w] -= 1
+                    else:
+                        packed[v] += odd_cover + odd_low
+                        packed[w] -= odd_cover
+                        odd += 1
+                        last_odd = e
+            else:  # v is done: its sum is its subtree's, and goes to its parent
+                left.pop()
+                path.pop()
+                if not path:
+                    break
+                total = packed[v]
+                if not total & field:
+                    uncovered.append((upv, total))
+                v = path[-1]
+                packed[v] += total
+                dv -= 1
+                upv = up[v]
+        if odd == 1:
+            coloops.append(last_odd)
+        for e, total in uncovered:
+            covered = total >> shift & field
+            if covered:
+                if covered == odd:
+                    coloops.append(e)
+            elif total >> 2 * shift in (0, odd):  # a bridge whose lower side, or the rest, is bipartite
+                coloops.append(e)
+            else:
+                even[e] = 1
+    return min(coloops, default=None), even
+
+
 def _euler_tails(
     n: int, us: Sequence[int], vs: Sequence[int], ids: Sequence[int]
 ) -> tuple[list[int], list[list[int]]]:

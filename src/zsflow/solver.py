@@ -39,7 +39,17 @@ each run stopping at 4m nodes, and then in id order on the rest of the
 budget.  Every run searches the whole space, so "nonexistent" from any run
 is a certificate.  Node counts add up over the runs, 4m for a stopped one,
 and a budget only cuts them: a search within 4m nodes is the first run
-alone, and a proof past 4m costs 36m more.  Equal inputs give equal
+alone, and a proof past 4m costs 36m more.  Where the first run is cut,
+and only there, one O(m) pass reads the graph's structure
+(`graphs._coloop_and_even_bridges`).  An edge that is a coloop of the
+unsigned incidence matrix refutes every k: the search returns
+"nonexistent" at the 4m nodes spent, naming the edge in
+`SearchOutcome.coloop`.  Otherwise the probes and the last run skip the odd
+values of each even bridge, an edge whose two sides are both non-bipartite
+and which carries -2 times the sum over one side.  The skip filters each
+edge's lazy order, so a forced odd value is rejected and a skipped value is
+not a node.  A search that ends within its first run never pays for the
+pass, and keeps its node count and flow.  Equal inputs give equal
 outcomes and node counts.  The search is one loop over an explicit stack,
 so its depth is bounded by memory, not by the recursion limit, and it
 changes no interpreter-wide setting.  Each `solve` builds its own
@@ -52,10 +62,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, zip_longest
+from itertools import chain, filterfalse, zip_longest
 
 from .flows import DEFAULT_BUDGET, IntFlow, _checked, verify_flow
-from .graphs import MultiGraph, _incidence
+from .graphs import MultiGraph, _coloop_and_even_bridges, _incidence
 
 _PROBES = 8  # runs from rotated start vertices after the first, each of 4m nodes
 
@@ -65,13 +75,16 @@ class SearchOutcome:
     """Result of one exhaustive search: status, flow, and work counter.
 
     status is "found", "nonexistent" (space exhausted), or "undecided"
-    (budget hit).  nodes counts attempted value assignments.
+    (budget hit).  nodes counts attempted value assignments.  coloop names
+    an edge that no zero-sum flow can use, when the search met one: the
+    graph then has no flow at any k.
     """
 
     status: str
     flow: IntFlow | None
     nodes: int
     budget: int
+    coloop: int | None = None
 
 
 @dataclass(frozen=True)
@@ -130,7 +143,10 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     degrees = g.degrees()
-    if 1 in degrees or k == 2 and any(d & 1 for d in degrees):
+    if 1 in degrees:  # the prune below, at s = 0 and r' = 1; the one edge at the vertex is a coloop
+        v = degrees.index(1)
+        return SearchOutcome("nonexistent", None, 0, budget, g.us.index(v) if v in g.us else g.vs.index(v))
+    if k == 2 and any(d & 1 for d in degrees):
         return SearchOutcome("nonexistent", None, 0, budget)  # the prune below, at s = 0 and r' = deg v
     inc = _incidence(g)
     n, m = g.n, g.m
@@ -143,6 +159,7 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     stack: list[int] = []  # the assigned edges, in order
     tried: list[Iterator[int]] = []  # tried[i]: the values left to try at stack[i]
     val: list[int] = []  # made afresh as each run starts; with m = 0 no run starts
+    even: bytearray | None = None  # the even bridges, once the first run is cut
     nodes, run, limit = 0, 0, min(4 * m, budget)
     while len(stack) < m:
         if not stack:  # a run starts: its vertices enter the buckets from ⌊run·n/9⌋ on, then wrap
@@ -172,13 +189,11 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
             cands = (1, -1, 2, -2)
         else:
             cands = _toward_zero(psum[u], psum[w], kmax)
-        values = iter(cands)
+        values = iter(cands) if even is None or not even[e] else filterfalse((1).__and__, cands)
         while True:
             for c in values:
                 nodes += 1
                 if nodes > limit:
-                    if limit == budget:
-                        return SearchOutcome("undecided", None, nodes, budget)
                     break
                 su = psum[u] + c
                 ru = rem[u] - 1
@@ -213,6 +228,13 @@ def solve(g: MultiGraph, k: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
                 continue
             break
         if nodes > limit:  # the run spent its nodes: the next starts over, its node uncounted
+            if not run and limit == 4 * m:  # the first run is cut: look for coloops and even bridges once
+                coloop, flags = _coloop_and_even_bridges(g, inc)
+                if coloop is not None:
+                    return SearchOutcome("nonexistent", None, limit, budget, coloop)
+                even = flags if 1 in flags else None
+            if limit == budget:
+                return SearchOutcome("undecided", None, nodes, budget)
             nodes, run, stack, tried = limit, run + 1, [], []
             limit = min(limit + 4 * m, budget) if run <= _PROBES else budget
             continue
@@ -238,13 +260,11 @@ def flow_number(g: MultiGraph, k_max: int, budget: int = DEFAULT_BUDGET) -> Flow
 
     Scans k upward; a flow found at k is minimal because existence is
     monotone in k.  An undecided scan step propagates as undecided, since
-    the true minimum might hide there.  A vertex of degree 1 rules out
-    every k, so the scan stops after k = 2.
+    the true minimum might hide there.  An outcome that names a coloop
+    rules out every k, so the scan stops there.
     """
     if k_max < 2:
         raise ValueError(f"need k_max >= 2, got {k_max}")
-    if 1 in g.degrees():
-        k_max = 2
     outcomes: dict[int, SearchOutcome] = {}
     for k in range(2, k_max + 1):
         outcome = outcomes[k] = solve(g, k, budget)
@@ -252,6 +272,8 @@ def flow_number(g: MultiGraph, k_max: int, budget: int = DEFAULT_BUDGET) -> Flow
             return FlowNumberResult(k, "found", outcomes)
         if outcome.status == "undecided":
             return FlowNumberResult(None, "undecided", outcomes)
+        if outcome.coloop is not None:
+            break
     return FlowNumberResult(None, "nonexistent", outcomes)
 
 

@@ -7,6 +7,8 @@ implementations it checks.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from zsflow.graphs import MultiGraph
 
 
@@ -93,3 +95,59 @@ def flow_exists_by_enumeration(g: MultiGraph, k: int) -> bool:
         return False
 
     return extend(0)
+
+
+def incidence_rank(n: int, pairs) -> int:
+    """Rank of the unsigned n x m incidence matrix of the given edges, by Fraction row reduction."""
+    rows = [[int(v in (a, b)) for a, b in pairs] for v in range(n)]
+    rank = 0
+    for col in range(len(pairs)):
+        pivot = next((i for i in range(rank, n) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, n):
+            if rows[i][col]:
+                factor = Fraction(rows[i][col], top[col])
+                rows[i][col:] = [x - factor * y if y else x for x, y in zip(rows[i][col:], top[col:])]
+        rank += 1
+    return rank
+
+
+def coloops(g: MultiGraph, edge_ids) -> list[int]:
+    """The edges among ``edge_ids`` whose deletion lowers the rank of the unsigned incidence matrix."""
+    pairs = list(g.edges)
+    rank = incidence_rank(g.n, pairs)
+    return [e for e in edge_ids if incidence_rank(g.n, pairs[:e] + pairs[e + 1 :]) < rank]
+
+
+def component_counts(n: int, pairs) -> tuple[int, int]:
+    """(components, bipartite components), two-colouring each component by sweeps over every edge."""
+    colour: list[int | None] = [None] * n
+    comps = bipartite = 0
+    for s in range(n):
+        if colour[s] is not None:
+            continue
+        comps += 1
+        colour[s] = 0
+        members = {s}
+        grew = True
+        while grew:  # sweep until no edge leaves the component
+            grew = False
+            for a, b in pairs:
+                if (a in members) != (b in members):
+                    x, y = (a, b) if a in members else (b, a)
+                    colour[y] = 1 - colour[x]
+                    members.add(y)
+                    grew = True
+        bipartite += all(colour[a] != colour[b] for a, b in pairs if a in members)
+    return comps, bipartite
+
+
+def is_even_bridge(g: MultiGraph, e: int) -> bool:
+    """Whether deleting e splits a component into two sides that are both non-bipartite."""
+    pairs = list(g.edges)
+    comps, bipartite = component_counts(g.n, pairs)
+    comps_without, bipartite_without = component_counts(g.n, pairs[:e] + pairs[e + 1 :])
+    return comps_without == comps + 1 and bipartite_without == bipartite

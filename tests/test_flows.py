@@ -1006,8 +1006,8 @@ class TestConstruct:
 
             monkeypatch.setattr(module, name, spy)
         g = _union(*parts)
-        with pytest.raises(FlowUndecidedError):
-            flows.construct(g, 10**4)
+        flow = flows.construct(g, 10**4)
+        assert flow.k == 5 and verify_flow(g, flow).ok
         assert calls == {"max_matching": matched, "find_exact_factor": factored, "construct": [g.n]}
 
     def test_petersen_takes_the_matching_flow(self, searches):
@@ -1078,9 +1078,9 @@ class TestConstruct:
             ([complete(8), _gadget_hub(7, (1, 1, 1, 1, 3))], 5, [16], []),
             # neither a perfect matching nor a 2-factor in the whole: K6 takes
             # the matching flow and only the hub (n = 36) the search
-            ([build(*hub_pairs(5)), complete(6)], None, [], [36]),
+            ([build(*hub_pairs(5)), complete(6)], 5, [], [36]),
             # the n = 10 gadget hub has a 2-factor of its own: only hub_pairs(5) is searched
-            ([_gadget_hub(5, (1, 1, 3)), build(*hub_pairs(5)), complete(6)], None, [], [36]),
+            ([_gadget_hub(5, (1, 1, 3)), build(*hub_pairs(5)), complete(6)], 5, [], [36]),
         ],
         ids=["r4", "r7_matching", "r9_hub_and_k10", "two_cubic_no_pm", "r7_k8_and_mixed_hub", "r5_hub_and_k6", "r5_gadget_hub_hub_and_k6"],
     )
@@ -1243,14 +1243,28 @@ class TestSmallOddDegrees:
 
     def test_five_regular_hub_runs_the_search(self, searches):
         g = build(*hub_pairs(5))  # neither a perfect matching nor a 2-factor
-        with pytest.raises(FlowUndecidedError, match="open conjecture"):
-            construct(g, budget=10**4)
+        flow = construct(g, budget=10**4)
         [outcome] = searches
-        assert (outcome.status, outcome.nodes) == ("undecided", 10**4 + 1)
+        # past the first run's cut, the five hub edges are even bridges
+        assert (outcome.status, outcome.nodes) == ("found", 504) and flow is outcome.flow
+        assert all(flow.values[e] % 2 == 0 for e in range(g.m) if 0 in g.edges[e])
         searches.clear()
         with pytest.raises(FlowUndecidedError, match=f"budget of {g.m - 1} nodes"):
             construct(g, budget=g.m - 1)
         assert searches == []
+
+    @pytest.mark.parametrize(
+        "g, searched",
+        [(build(*hub_pairs(5)), True), (_gadget_hub(5, (1,) * 5), True), (_gadget_hub(5, (1, 1, 3)), False)],
+        ids=["hub_pairs", "gadget_hub_11111", "gadget_hub_113"],
+    )
+    def test_five_regular_hubs_construct_at_the_default_budget(self, g, searched, searches):
+        # the first two have neither a perfect matching nor a 2-factor: the
+        # search answers them once the first run's cut learns their even bridges
+        flow = construct(g)
+        assert flow.k == 5 and verify_flow(g, flow).ok
+        assert vertex_sums(g, flow.values) == [0] * g.n
+        assert [o.status for o in searches] == (["found"] if searched else [])
 
     def test_five_regular_search_flow_is_returned(self, monkeypatch, searches):
         g = _search_only(monkeypatch, complete(6))
@@ -1401,7 +1415,7 @@ class TestFlowBulkPass:
 
 
 # name -> (a fresh graph, the query); the construct rows take each branch of
-# the dispatch in turn, and the r = 5 hub runs the search to its budget
+# the dispatch in turn, and the r = 5 hub runs the search past its first run
 QUERIES = {
     "solve": (petersen, lambda g: solve(g, 4, 10**4)),
     "flow_number": (cubic_no_pm, lambda g: flow_number(g, 5, 10**4)),
@@ -1414,10 +1428,7 @@ QUERIES = {
     "construct_signed_cover": (cubic_no_pm, construct),
     "construct_r5_two_factor": (lambda: _gadget_hub(5, (1, 1, 3)), construct),
     "construct_r7_factor": (lambda: _gadget_hub(7, (1, 1, 1, 1, 3)), construct),
-    "construct_search": (
-        lambda: build(*hub_pairs(5)),
-        lambda g: pytest.raises(FlowUndecidedError, construct, g, 10**4),
-    ),
+    "construct_search": (lambda: build(*hub_pairs(5)), lambda g: construct(g, 10**4)),
 }
 
 

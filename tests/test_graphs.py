@@ -8,6 +8,7 @@ import zlib
 from pathlib import Path
 
 import pytest
+from oracles import coloops, incidence_rank, is_even_bridge
 
 import zsflow
 from zsflow import factorization, graphs, matching
@@ -18,6 +19,7 @@ from zsflow.graphs import (
     _EDGE_LIST_COLUMNS,
     _FLOW_COLUMNS,
     _canonical_ints,
+    _coloop_and_even_bridges,
     _incidence,
     build,
     circulant,
@@ -207,6 +209,77 @@ class TestQueries:
             for v in range(n):
                 groups.setdefault(find(v), []).append(v)
             assert components(g) == sorted(groups.values())
+
+
+def plain_multigraph(rng: random.Random) -> MultiGraph:
+    """Up to 12 random edges on 2 to 8 vertices: parallel edges, and at times no edge at all."""
+    n = rng.randint(2, 8)
+    return build(n, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 12))])
+
+
+def bridged_multigraph(rng: random.Random, size: int = 4) -> MultiGraph:
+    """One to three blobs of 1 to ``size`` vertices, each after the first joined to an earlier one by one edge.
+
+    A blob of s > 1 vertices is a cycle through them (two parallel edges
+    when s = 2, a triangle when s = 3) and up to s random chords; the edges
+    are shuffled, and at times an isolated vertex follows.
+    """
+    n = 0
+    pairs: list[tuple[int, int]] = []
+    blobs: list[list[int]] = []
+    for _ in range(rng.randint(1, 3)):
+        blob = list(range(n, n + rng.randint(1, size)))
+        if len(blob) > 1:
+            pairs += zip(blob, blob[1:] + blob[:1])
+            pairs += [tuple(rng.sample(blob, 2)) for _ in range(rng.randint(0, len(blob)))]
+        if blobs:
+            pairs.append((rng.choice(rng.choice(blobs)), rng.choice(blob)))
+        blobs.append(blob)
+        n += len(blob)
+    rng.shuffle(pairs)
+    return build(n + rng.randint(0, 1), pairs)
+
+
+class TestColoopsAndEvenBridges:
+    def test_agrees_with_the_rank_and_bridge_oracles(self):
+        # the pass names the lowest coloop, so the edges up to it are checked
+        # against the rank test, and every edge against the bridge count
+        refuted = bridged = 0
+        for seed in range(3000):
+            rng = random.Random(seed)
+            g = bridged_multigraph(rng) if seed % 2 else plain_multigraph(rng)
+            coloop, even = _coloop_and_even_bridges(g, _incidence(g))
+            below = range(g.m if coloop is None else coloop + 1)
+            assert coloops(g, below) == ([] if coloop is None else [coloop]), seed
+            assert [e for e in range(g.m) if even[e]] == [e for e in range(g.m) if is_even_bridge(g, e)], seed
+            refuted += coloop is not None
+            bridged += 1 in even
+        assert refuted > 1000 and bridged > 200
+
+    @pytest.mark.parametrize(
+        "pairs, coloop, even",
+        [
+            ([(0, 1), (1, 2), (2, 0)], 0, []),  # each edge of a triangle lies on its one odd cycle
+            ([(0, 1), (0, 1), (1, 2), (2, 0)], 2, []),  # so do the two single edges here
+            ([(0, 2)] * 8 + [(1, 2)] * 3 + [(0, 1)], 11, []),  # and the one 0-1 edge here
+            ([(0, 1), (1, 2), (2, 3), (3, 0)], None, []),  # an even cycle
+            ([(0, 1), (0, 1), (1, 2), (2, 3), (2, 3)], 2, []),  # a bridge with bipartite sides
+            ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 5)], 6, []),  # K4, then one bipartite side
+            ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)], None, [3]),  # two triangles and their bridge
+            ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6), (6, 7), (7, 8), (8, 6)], None, [3, 7]),
+        ],
+    )
+    def test_small_cases(self, pairs, coloop, even):
+        g = build(1 + max(map(max, pairs)), pairs)
+        got, flags = _coloop_and_even_bridges(g, _incidence(g))
+        assert (got, [e for e in range(g.m) if flags[e]]) == (coloop, even)
+        assert coloops(g, range(g.m))[:1] == ([] if coloop is None else [coloop])
+
+    def test_the_rank_oracle_counts_bipartite_components(self):
+        # rank n minus the bipartite components: a triangle 3, a 4-cycle 3, both 6 of 7
+        assert incidence_rank(3, cycle(3).edges) == 3
+        assert incidence_rank(4, cycle(4).edges) == 3
+        assert incidence_rank(7, [*cycle(3).edges, *((u + 3, v + 3) for u, v in cycle(4).edges)]) == 6
 
 
 def _multigraph() -> MultiGraph:

@@ -8,6 +8,7 @@ import zlib
 import pytest
 
 from oracles import flow_exists_by_enumeration
+from test_graphs import bridged_multigraph
 from zsflow.flows import IntFlow, construct, verify_flow
 from zsflow.graphs import MultiGraph, build, complete, cubic_no_pm, cycle, petersen, random_regular
 from zsflow import solver
@@ -59,6 +60,13 @@ def search_digest(outcome) -> tuple[str, int, int | None]:
 
 
 TRIPLE = build(2, [(0, 1)] * 3)
+# no flow at any k, and the first run of each search at k = 4 and 5 is cut
+# before a refutation: the cut finds the coloop named in the comment
+COLOOP_GRAPHS = [
+    build(3, [(0, 2)] * 2 + [(1, 2)] * 3 + [(0, 1)]),  # the 0-1 edge lies on every odd cycle
+    build(3, [(0, 1)] * 3 + [(1, 2)] * 3 + [(0, 2)]),  # so does the 0-2 edge here
+    build(7, [*cycle(3).edges, (3, 4), (4, 5), (5, 6), (6, 3)]),  # a triangle beside a 4-cycle
+]
 DUMBBELL = build(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)])
 ISOLATED = build(6, [(0, 1), (0, 1), (2, 3), (2, 3), (3, 4), (2, 4)])  # vertex 5 has degree 0
 
@@ -85,7 +93,7 @@ GOLDEN_SEARCH = {
         2: ("nonexistent", 0, None), 3: ("found", 257, 2427976454),
         4: ("found", 58, 398718841), 5: ("found", 58, 398718841)}),
     "cubic_no_pm": (cubic_no_pm(), DEFAULT_BUDGET, {
-        4: ("nonexistent", 2728, None), 5: ("found", 2386, 367258420)}),
+        4: ("nonexistent", 126, None), 5: ("found", 155, 3086623232)}),
     "petersen": (petersen(), DEFAULT_BUDGET, {3: ("found", 15, 3833609416)}),
     "triple": (TRIPLE, DEFAULT_BUDGET, {
         2: ("nonexistent", 0, None), 3: ("found", 3, 324800987),
@@ -110,7 +118,34 @@ class TestSolve:
 
     def test_pendant_vertex_nonexistent(self):
         g = build(3, [(0, 1), (1, 2)])
-        assert solve(g, 5).status == "nonexistent"
+        outcome = solve(g, 5)
+        assert (outcome.status, outcome.nodes, outcome.coloop) == ("nonexistent", 0, 0)
+
+    @pytest.mark.parametrize("g, coloop", zip(COLOOP_GRAPHS, [5, 6, 0]))
+    def test_the_first_cut_refutes_a_coloop(self, g, coloop):
+        # the first run spends its 4m nodes, and the cut names the coloop;
+        # a budget of exactly 4m still lets the cut look
+        for budget in (DEFAULT_BUDGET, 4 * g.m):
+            outcome = solve(g, 5, budget)
+            assert (outcome.status, outcome.nodes, outcome.coloop) == ("nonexistent", 4 * g.m, coloop)
+        assert search_digest(solve(g, 5, 4 * g.m - 1)) == ("undecided", 4 * g.m, None)
+
+    def test_the_cut_changes_no_decided_status(self, monkeypatch):
+        # the runs after the cut skip only odd values that no flow can take,
+        # and skip them without a node; with no even bridge flagged, every
+        # status that both searches decide is the same
+        graphs = [bridged_multigraph(random.Random(seed)) for seed in range(150)]
+        graphs += [cubic_no_pm(), *(random_regular(n, 3, s) for n in (12, 16, 20) for s in range(5))]
+        searches = [(g, k) for g in graphs for k in (3, 4, 5)]
+        skipping = [solve(g, k, 3000) for g, k in searches]
+        monkeypatch.setattr(solver, "_coloop_and_even_bridges", lambda g, inc: (None, bytearray(g.m)))
+        plain = [solve(g, k, 3000) for g, k in searches]
+        pairs = {(a.status, b.status) for a, b in zip(skipping, plain)}
+        assert not {(a, b) for a, b in pairs if a != b and "undecided" not in (a, b)}
+        assert ("nonexistent", "undecided") in pairs  # the cut decided what the search without it left undecided
+        for (g, _), a, b in zip(searches, skipping, plain):
+            if b.nodes <= 4 * g.m:  # a search that ends within its first run is untouched
+                assert search_digest(a) == search_digest(b)
 
     def test_empty_graph(self):
         outcome = solve(build(3, []), 2)
@@ -152,10 +187,13 @@ class TestSolve:
 
     def test_agrees_with_enumeration_on_multigraphs(self):
         # the oracle prunes only on |s| <= (k - 1)r', so a wrong exact prune
-        # shows as "nonexistent" where the oracle finds a flow
+        # shows as "nonexistent" where the oracle finds a flow, and a wrong
+        # coloop or even bridge where the runs after the cut lose a flow
         rng = random.Random(7)
         graphs = [TRIPLE, DUMBBELL, ISOLATED, *(random_multigraph(rng) for _ in range(80))]
         graphs += [pendant_last_multigraph(random.Random(seed)) for seed in range(20)]
+        graphs += COLOOP_GRAPHS
+        graphs += [bridged_multigraph(random.Random(seed), 3) for seed in range(60)]
         for g in graphs:
             for k in (2, 3, 4, 5):
                 got = solve(g, k).status == "found"
@@ -188,11 +226,14 @@ class TestSolve:
             n = rng.randint(2, 6)
             cases.append((build(n, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 9))]), False))
         # at k = 4 each runs past its first 4m nodes: a probe finds a flow, a
-        # probe exhausts the space, and the last run, past every probe, does
+        # probe exhausts the space (odd values skipped on the three even
+        # bridges), the last run, past every probe, does, and the cut finds a
+        # coloop; none but the last has a coloop
         for g, expected in [
             (build(3, [(0, 1), (2, 1), (2, 1), (2, 0), (2, 0), (0, 1), (1, 2), (0, 1)]), ("found", 106)),
-            (build(7, [(2, 1), (3, 6), (1, 4), (2, 4), (6, 3)]), ("nonexistent", 66)),
-            (build(3, [(0, 1), (0, 1), (0, 2), (1, 2)]), ("nonexistent", 168)),
+            (cubic_no_pm(), ("nonexistent", 126)),
+            (build(7, [(1, 6), (4, 6), (0, 1), (6, 0), (5, 2), (2, 4), (1, 3), (5, 4), (3, 0), (2, 3)]), ("nonexistent", 521)),
+            (build(3, [(0, 1), (0, 1), (0, 2), (1, 2)]), ("nonexistent", 16)),
         ]:
             outcome = solve(g, 4)
             assert (outcome.status, outcome.nodes) == expected
@@ -248,6 +289,7 @@ class TestSolve:
         for g, k, budget, expected in [
             (petersen(), 10**6, 5, ("undecided", 6)),
             (complete(8), 10**9, DEFAULT_BUDGET, ("found", 33)),
+            (cubic_no_pm(), 10**9, DEFAULT_BUDGET, ("found", 219)),  # past the cut, odd values skipped lazily
         ]:
             tracemalloc.start()
             try:
@@ -348,6 +390,15 @@ class TestFlowNumber:
         result = flow_number(build(2, [(0, 1)]), 10**9)
         assert result.k is None and result.status == "nonexistent"
         assert list(result.outcomes) == [2] and result.outcomes[2].nodes == 0
+        assert result.outcomes[2].coloop == 0
+
+    def test_a_coloop_stops_the_scan(self):
+        # each edge of a triangle is a coloop; the searches refute k = 2 to 7
+        # within their first runs, and the cut at k = 8 names edge 0
+        result = flow_number(cycle(3), 10**9)
+        assert (result.k, result.status) == (None, "nonexistent")
+        assert [(k, o.nodes, o.coloop) for k, o in result.outcomes.items()] == [
+            (2, 2, None), (3, 4, None), (4, 6, None), (5, 8, None), (6, 10, None), (7, 12, None), (8, 12, 0)]
 
 
 class TestEverySearchGoesThroughSolve:
